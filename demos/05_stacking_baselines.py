@@ -10,7 +10,7 @@ text vocabulary to the top tokens by information gain ratio first.
 import numpy as np
 
 from tweetgeo.bayes import (base_tokens, count_matrix, fit_mnb, fit_stacking,
-                            igr_scores, posterior_stacking, predict_stacking)
+                            igr_scores, posterior_stacking)
 from tweetgeo.geo import assign_cities
 from tweetgeo.labels import city_labels
 from tweetgeo.synth import SynthSpec, generate
@@ -51,7 +51,8 @@ for name, igr in (("STACKING", None), ("STACKING+ (top 40%)", 40.0)):
     print(f"  {name:20s} accuracy {acc:.4f}")
 
 r = te[0]
-label, post = predict_stacking(model, r)
+post = posterior_stacking(model, [r])[0]
+label = int(np.argmax(post))
 print(f"\none record through the stack: predicted city id "
       f"{labels.values[label]}, posterior max {post.max():.3f}, "
       f"true city id {r.city_id}")

@@ -7,10 +7,10 @@ and a deterministic synthetic-corpus generator for desk-scale experiments.
 """
 
 from .bayes import (MnbModel, StackModel, fit_mnb, fit_stacking, igr_score,
-                    posterior_mnb, predict_mnb, predict_stacking, select_top_percent)
-from .cnn import (CnnConfig, CnnModel, FeatureBatch, backward, conv_maxpool,
-                  encode_features, field_matrix, forward, init_model,
-                  load_pretrained_embeddings, predict_proba)
+                    posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
+from .cnn import (CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
+                  field_matrix, forward, init_model, load_pretrained_embeddings,
+                  predict_proba)
 from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
 from .errors import BundleError, DataError
 from .geo import (City, CityTable, aggregate_cities, haversine_km,
@@ -21,8 +21,7 @@ from .ingest import (Record, SplitSpec, StatsReport, dataset_stats,
 from .labels import LabelTable, city_labels, country_labels
 from .metrics import (Prediction, acc_at_161, acc_top5, accuracy,
                       calibration_bins, median_error_km, per_class_pr, ranked_top5)
-from .nncore import (AdamState, adam_step, cross_entropy, dropout, relu,
-                     softmax, softmax_xent_backward)
+from .nncore import AdamState, adam_step, dropout, relu, softmax
 from .synth import SynthSpec, generate, write_corpus
 from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize
 from .train import (CnnBundle, StackBundle, TrainConfig, TrainResult,

@@ -211,15 +211,6 @@ def fit_stacking(records, labels, label_count: int, folds: int = 5,
     return stack
 
 
-def predict_stacking(model: StackModel, record):
-    """(label, posterior) for one record through bases then the meta model."""
-    base_labels = np.zeros((1, len(BASE_FIELDS)), dtype=np.int64)
-    for bi, b in enumerate(BASE_FIELDS):
-        vec = count_matrix([base_tokens(record, b)], model.base_vocabs[b])[0]
-        base_labels[0, bi], _ = predict_mnb(model.bases[b], vec)
-    return predict_mnb(model.meta, model.meta_features(base_labels)[0])
-
-
 def posterior_stacking(model: StackModel, records) -> np.ndarray:
     """Batch posteriors (N, L) through the stack."""
     n = len(records)

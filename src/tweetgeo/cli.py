@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error. A config file of key=value lines can preload any flag
-default; explicit flags win.
+default; explicit flags win; a key that names no flag is a usage error.
 """
 
 from __future__ import annotations
@@ -136,13 +136,19 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _apply_config_defaults(commands: dict, overrides: dict):
+def _apply_config_defaults(parser, commands: dict, overrides: dict):
+    unknown = set(overrides) - {a.dest for sp in commands.values() for a in sp._actions}
+    if unknown:
+        parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for sp in commands.values():
         typed = {}
         for action in sp._actions:
             if action.dest in overrides:
                 raw = overrides[action.dest]
-                typed[action.dest] = action.type(raw) if action.type else raw
+                try:
+                    typed[action.dest] = action.type(raw) if action.type else raw
+                except (ValueError, argparse.ArgumentTypeError) as e:
+                    parser.error(f"config key {action.dest}: {e}")
         if typed:
             sp.set_defaults(**typed)
 
@@ -343,7 +349,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         if known.config:
-            _apply_config_defaults(commands, _load_config_file(known.config))
+            _apply_config_defaults(parser, commands, _load_config_file(known.config))
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1

@@ -59,17 +59,49 @@ class CnnConfig:
         return len(FIELDS) * len(self.windows) * self.filters_per_window
 
 
+def conv_names(config: CnnConfig, field: str, h: int) -> tuple[str, str]:
+    """Names of the filter bank and bias that window h applies to `field`."""
+    tag = f"h{h}" if config.share_filters else f"{field}_h{h}"
+    return f"conv_w_{tag}", f"conv_b_{tag}"
+
+
+def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dict[str, tuple]:
+    """The parameter layout: tensor name -> shape, in the fixed order used by
+    initialization, training and bundles."""
+    k, m = config.embed_dim, config.filters_per_window
+    shapes = {"embedding": (vocab_size, k)}
+    # a shared bank is named once, not once per field
+    for f in FIELDS[:1] if config.share_filters else FIELDS:
+        for h in config.windows:
+            w, b = conv_names(config, f, h)
+            shapes[w] = (m, h * k)
+            shapes[b] = (m,)
+    shapes["softmax_w"] = (config.label_count, config.pooled_size + cat_block_size)
+    shapes["softmax_b"] = (config.label_count,)
+    return shapes
+
+
 @dataclass
 class CnnModel:
-    """All trainable tensors plus the shapes they were built for."""
+    """The configuration plus every trainable tensor, keyed by name in
+    `param_shapes` order."""
 
     config: CnnConfig
-    embedding: np.ndarray                      # (V, k); row 0 is PAD, frozen at zero
-    conv_w: dict                               # key (field|None, h) -> (m, h*k)
-    conv_b: dict                               # key (field|None, h) -> (m,)
-    softmax_w: np.ndarray                      # (L, D)
-    softmax_b: np.ndarray                      # (L,)
+    params: dict                               # name -> ndarray
     cat_block_size: int
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """(V, k); row 0 is PAD, frozen at zero."""
+        return self.params["embedding"]
+
+    @property
+    def softmax_w(self) -> np.ndarray:
+        return self.params["softmax_w"]
+
+    @property
+    def softmax_b(self) -> np.ndarray:
+        return self.params["softmax_b"]
 
     @property
     def dtype(self):
@@ -79,80 +111,30 @@ class CnnModel:
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 
-    @property
-    def feature_size(self) -> int:
-        return self.config.pooled_size + self.cat_block_size
-
-    def _filter_keys(self):
-        fields = (None,) if self.config.share_filters else FIELDS
-        return [(f, h) for f in fields for h in self.config.windows]
-
-    def params(self) -> dict[str, np.ndarray]:
-        """Named trainable tensors, in a fixed order."""
-        out = {"embedding": self.embedding}
-        for f, h in self._filter_keys():
-            tag = f"h{h}" if f is None else f"{f}_h{h}"
-            out[f"conv_w_{tag}"] = self.conv_w[(f, h)]
-            out[f"conv_b_{tag}"] = self.conv_b[(f, h)]
-        out["softmax_w"] = self.softmax_w
-        out["softmax_b"] = self.softmax_b
-        return out
-
-    def set_param(self, name: str, value: np.ndarray):
-        if name == "embedding":
-            self.embedding = value
-        elif name == "softmax_w":
-            self.softmax_w = value
-        elif name == "softmax_b":
-            self.softmax_b = value
-        elif name.startswith(("conv_w_", "conv_b_")):
-            kind, tag = name[:6], name[7:]
-            if "_h" in tag:
-                f, h = tag.rsplit("_h", 1)
-                key = (f, int(h))
-            else:
-                key = (None, int(tag[1:]))
-            (self.conv_w if kind == "conv_w" else self.conv_b)[key] = value
-        else:
-            raise KeyError(name)
-
     def astype(self, dtype) -> "CnnModel":
         """Copy of the model with all tensors cast to dtype (for 64-bit checks)."""
-        return CnnModel(
-            config=self.config,
-            embedding=self.embedding.astype(dtype),
-            conv_w={k: w.astype(dtype) for k, w in self.conv_w.items()},
-            conv_b={k: b.astype(dtype) for k, b in self.conv_b.items()},
-            softmax_w=self.softmax_w.astype(dtype),
-            softmax_b=self.softmax_b.astype(dtype),
-            cat_block_size=self.cat_block_size,
-        )
+        return CnnModel(self.config, {n: p.astype(dtype) for n, p in self.params.items()},
+                        self.cat_block_size)
 
 
 def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
                seed: int = 0, dtype=np.float32) -> CnnModel:
-    """Seeded initialization: embeddings uniform in [-0.25, 0.25] (PAD row
-    zero), filter and softmax weights Glorot-uniform, biases zero."""
+    """Seeded initialization in `param_shapes` order: the embedding uniform in
+    [-0.25, 0.25] (PAD row zero), every other matrix Glorot-uniform with bound
+    sqrt(6 / (rows + cols)), biases zero."""
     rng = np.random.default_rng(seed)
-    k = config.embed_dim
-    emb = rng.uniform(-0.25, 0.25, size=(vocab_size, k)).astype(dtype)
-    emb[textproc.PAD_INDEX] = 0.0
-
-    conv_w, conv_b = {}, {}
-    fields = (None,) if config.share_filters else FIELDS
-    m = config.filters_per_window
-    for f in fields:
-        for h in config.windows:
-            fan_in, fan_out = h * k, m
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            conv_w[(f, h)] = rng.uniform(-bound, bound, size=(m, h * k)).astype(dtype)
-            conv_b[(f, h)] = np.zeros(m, dtype=dtype)
-
-    d = config.pooled_size + cat_block_size
-    bound = np.sqrt(6.0 / (d + config.label_count))
-    softmax_w = rng.uniform(-bound, bound, size=(config.label_count, d)).astype(dtype)
-    softmax_b = np.zeros(config.label_count, dtype=dtype)
-    return CnnModel(config, emb, conv_w, conv_b, softmax_w, softmax_b, cat_block_size)
+    params = {}
+    for name, shape in param_shapes(config, vocab_size, cat_block_size).items():
+        if name == "embedding":
+            p = rng.uniform(-0.25, 0.25, size=shape).astype(dtype)
+            p[textproc.PAD_INDEX] = 0.0
+        elif len(shape) == 2:
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            p = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            p = np.zeros(shape, dtype=dtype)
+        params[name] = p
+    return CnnModel(config, params, cat_block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +192,6 @@ def _windows(X: np.ndarray, h: int) -> np.ndarray:
     return np.concatenate([X[:, o:o + p, :] for o in range(h)], axis=2)
 
 
-def conv_maxpool(X: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Convolve one field matrix (n, k) with a filter bank (m, h*k), ReLU,
-    then max over positions. Returns (pooled (m,), argmax (m,), pre (p, m))."""
-    k = X.shape[1]
-    h = w.shape[1] // k
-    xw = _windows(X[None, :, :], h)[0]          # (p, h*k)
-    pre = xw @ w.T + b                          # (p, m)
-    act = nncore.relu(pre)
-    return act.max(axis=0), act.argmax(axis=0), pre
-
-
 @dataclass
 class ForwardPass:
     probs: np.ndarray        # (B, L)
@@ -240,9 +211,9 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
         idx = batch.tokens[f]
         X = field_matrix(idx, model)
         for h in cfg.windows:
-            key = (None, h) if cfg.share_filters else (f, h)
+            w, b = conv_names(cfg, f, h)
             xw = _windows(X, h)                                  # (B, P, h*k)
-            pre = xw @ model.conv_w[key].T + model.conv_b[key]   # (B, P, m)
+            pre = xw @ model.params[w].T + model.params[b]       # (B, P, m)
             act = nncore.relu(pre)
             pooled_parts.append(act.max(axis=1))
             caches.append((idx, xw, pre, act.argmax(axis=1)))
@@ -267,15 +238,9 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     dlogits[np.arange(b_sz), labels] -= 1.0
     dlogits /= b_sz
 
-    grads = {
-        "softmax_w": dlogits.T @ fwd.theta_hat,
-        "softmax_b": dlogits.sum(axis=0),
-        "embedding": np.zeros_like(model.embedding),
-    }
-    for key in model.conv_w:
-        tag = f"h{key[1]}" if key[0] is None else f"{key[0]}_h{key[1]}"
-        grads[f"conv_w_{tag}"] = np.zeros_like(model.conv_w[key])
-        grads[f"conv_b_{tag}"] = np.zeros_like(model.conv_b[key])
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    grads["softmax_w"] = dlogits.T @ fwd.theta_hat
+    grads["softmax_b"] = dlogits.sum(axis=0)
 
     dtheta_hat = dlogits @ model.softmax_w
     dtheta = dtheta_hat[:, :fwd._theta_dim] * fwd._mask
@@ -286,8 +251,7 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
         dX_by_field = None
         idx_field = None
         for h in cfg.windows:
-            key = (None, h) if cfg.share_filters else (f, h)
-            tag = f"h{h}" if cfg.share_filters else f"{f}_h{h}"
+            w, b = conv_names(cfg, f, h)
             idx, xw, pre, arg = fwd._caches[ci]
             ci += 1
             dpooled = dtheta[:, col:col + m]
@@ -299,10 +263,10 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
             dpre = np.zeros_like(pre)
             np.put_along_axis(dpre, arg[:, None, :], dval[:, None, :], axis=1)
 
-            grads[f"conv_w_{tag}"] += np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))
-            grads[f"conv_b_{tag}"] += dpre.sum(axis=(0, 1))
+            grads[w] += np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))
+            grads[b] += dpre.sum(axis=(0, 1))
 
-            dxw = dpre @ model.conv_w[key]                       # (B, P, h*k)
+            dxw = dpre @ model.params[w]                         # (B, P, h*k)
             k = cfg.embed_dim
             p = xw.shape[1]
             if dX_by_field is None:

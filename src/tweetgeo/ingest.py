@@ -142,7 +142,10 @@ def write_jsonl(records: Iterable[Record], path):
             f.write(record_to_json(r) + "\n")
 
 
-def _hash64(*parts) -> int:
+def hash64(*parts) -> int:
+    """Stable 64-bit blake2b hash of the parts joined by the unit separator;
+    keys the dedup and split choices here and the training shuffles and
+    dropout masks."""
     payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
@@ -168,9 +171,9 @@ def dedup_user_city(records: list[Record], seed: int) -> list[Record]:
         if r.city_id is None:
             raise ValueError(f"record for user {r.user_id} lacks city_id; assign cities first")
         key = (r.user_id, r.city_id)
-        rank = (_hash64(seed, "dedup", r.user_id, r.city_id, r.posted_at, r.text,
-                        r.user_description, r.user_name, r.profile_location,
-                        r.lat, r.lon), r.sort_key())
+        rank = (hash64(seed, "dedup", r.user_id, r.city_id, r.posted_at, r.text,
+                       r.user_description, r.user_name, r.profile_location,
+                       r.lat, r.lon), r.sort_key())
         if key not in chosen or rank < chosen[key][0]:
             chosen[key] = (rank, r)
     return sorted((r for _, r in chosen.values()), key=Record.sort_key)
@@ -184,7 +187,7 @@ def split_by_user(records: list[Record], spec: SplitSpec):
     dev_user_count dev users, the rest train users.
     """
     users = sorted({r.user_id for r in records},
-                   key=lambda u: (_hash64(spec.seed, "split", u), u))
+                   key=lambda u: (hash64(spec.seed, "split", u), u))
     n_test = math.floor(spec.test_user_fraction * len(users))
     if spec.dev_user_count >= len(users) - n_test:
         raise ValueError(

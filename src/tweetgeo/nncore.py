@@ -1,6 +1,6 @@
-"""Minimal numeric kernel: ReLU, stable softmax, cross-entropy, inverted
-dropout, and Adam. Forward/backward pairs are plain functions over numpy
-arrays; the caller wires the chain rule.
+"""Minimal numeric kernel: ReLU, stable softmax, batch cross-entropy,
+inverted dropout, and Adam, as plain functions over numpy arrays. The
+backward pass lives with the model (`cnn.backward`).
 
 Parameters live in float32 by default; every op preserves the dtype it is
 given so a float64 twin of a model can be used for finite-difference checks.
@@ -19,11 +19,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is 0
-    return upstream * (x > 0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Probabilities along the last axis, shifted by the max for stability."""
     z = np.asarray(logits)
@@ -34,25 +29,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(p: np.ndarray, label: int) -> float:
-    """-ln p[label] with p floored at 1e-12."""
-    p = np.asarray(p)
-    if not (0 <= label < p.shape[-1]):
-        raise ValueError(f"label {label} out of range for {p.shape[-1]} classes")
-    return float(-np.log(max(float(p[label]), PROB_FLOOR)))
-
-
 def cross_entropy_batch(p: np.ndarray, labels: np.ndarray) -> float:
     """Mean -ln p[i, labels[i]] over a batch."""
     picked = np.maximum(p[np.arange(p.shape[0]), labels], PROB_FLOOR)
     return float(np.mean(-np.log(picked)))
-
-
-def softmax_xent_backward(p: np.ndarray, label: int) -> np.ndarray:
-    """d(loss)/d(logits) for loss = cross_entropy(softmax(logits), label)."""
-    g = p.copy()
-    g[label] -= 1
-    return g
 
 
 def dropout(x: np.ndarray, rate: float = 0.5, train: bool = True,

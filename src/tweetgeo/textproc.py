@@ -114,24 +114,36 @@ def encode_tokens(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[in
     return idx
 
 
-def save_vocab(vocab: Vocabulary, path):
-    """Write one token per line in index order, after a two-line header."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"min_count={vocab.min_count}\n")
-        f.write(f"size={len(vocab)}\n")
-        for t in vocab.index_to_token:
-            f.write(t + "\n")
+def vocab_to_bytes(vocab: Vocabulary) -> bytes:
+    """Serialized vocabulary: a two-line header (min_count, size), then one
+    token per line in index order. Vocabulary files and model bundles share it."""
+    lines = [f"min_count={vocab.min_count}", f"size={len(vocab)}"] + vocab.index_to_token
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+def vocab_from_bytes(payload: bytes, source: str = "vocabulary") -> Vocabulary:
+    """Inverse of `vocab_to_bytes`; a bad header, a short token list or a
+    malformed token list raises DataError naming `source`."""
     try:
+        lines = payload.decode("utf-8").split("\n")
         min_count = int(lines[0].removeprefix("min_count="))
         size = int(lines[1].removeprefix("size="))
     except (IndexError, ValueError) as e:
-        raise DataError(f"{path}: bad vocabulary header") from e
+        raise DataError(f"{source}: bad vocabulary header") from e
     tokens = lines[2:2 + size]
     if len(tokens) != size:
-        raise DataError(f"{path}: vocabulary truncated: header says {size}, found {len(tokens)}")
-    return Vocabulary(tokens, min_count=min_count)
+        raise DataError(f"{source}: vocabulary truncated: header says {size}, found {len(tokens)}")
+    try:
+        return Vocabulary(tokens, min_count=min_count)
+    except ValueError as e:
+        raise DataError(f"{source}: {e}") from e
+
+
+def save_vocab(vocab: Vocabulary, path):
+    with open(path, "wb") as f:
+        f.write(vocab_to_bytes(vocab))
+
+
+def load_vocab(path) -> Vocabulary:
+    with open(path, "rb") as f:
+        return vocab_from_bytes(f.read(), str(path))

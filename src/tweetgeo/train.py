@@ -8,7 +8,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,17 +16,13 @@ import numpy as np
 from . import bundle as bundle_io
 from .bayes import StackModel, MnbModel, BASE_FIELDS
 from .cnn import CnnConfig, CnnModel, FeatureBatch, backward, forward, predict_proba
-from .cnn import init_model, load_pretrained_embeddings
+from .cnn import init_model, load_pretrained_embeddings, param_shapes
 from .encode import CategoryMaps
 from .errors import BundleError, DataError
+from .ingest import hash64
 from .labels import LabelTable
 from .nncore import AdamState, adam_step, cross_entropy_batch
-from .textproc import Vocabulary
-
-
-def _mix(*parts) -> int:
-    payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+from .textproc import Vocabulary, vocab_from_bytes, vocab_to_bytes
 
 
 @dataclass
@@ -79,25 +74,30 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
         raise DataError("empty dev split; early stopping needs one")
     if train_feats.labels is None or dev_feats.labels is None:
         raise ValueError("feature batches must carry labels")
+    # dev labels may be -1 (a class unseen in training counts as a miss)
+    y = train_feats.labels
+    if y.min() < 0 or y.max() >= ccfg.label_count:
+        raise DataError(f"training labels must lie in [0, {ccfg.label_count}); "
+                        f"found {int(y.min())}..{int(y.max())}")
 
     model = init_model(ccfg, vocab_size, cat_block_size, seed=tcfg.seed)
     if vectors_path is not None:
         load_pretrained_embeddings(model, vectors_path, vocab)
-    states = {name: AdamState.for_param(p, lr=tcfg.lr) for name, p in model.params().items()}
+    states = {name: AdamState.for_param(p, lr=tcfg.lr) for name, p in model.params.items()}
 
-    best = {name: p.copy() for name, p in model.params().items()}
+    best = {name: p.copy() for name, p in model.params.items()}
     best_acc, best_epoch, stale = -1.0, 0, 0
     log: list[EpochLog] = []
     step = 0
     for epoch in range(1, tcfg.max_epochs + 1):
-        order = np.random.default_rng(_mix(tcfg.seed, "shuffle", epoch)).permutation(train_feats.size)
+        order = np.random.default_rng(hash64(tcfg.seed, "shuffle", epoch)).permutation(train_feats.size)
         losses = []
         for s in range(0, len(order), tcfg.batch_size):
             batch = train_feats.take(order[s:s + tcfg.batch_size])
-            fwd = forward(model, batch, train=True, dropout_seed=_mix(tcfg.seed, "dropout", step))
+            fwd = forward(model, batch, train=True, dropout_seed=hash64(tcfg.seed, "dropout", step))
             losses.append(cross_entropy_batch(fwd.probs, batch.labels))
             grads = backward(model, fwd, batch.labels)
-            for name, p in model.params().items():
+            for name, p in model.params.items():
                 adam_step(p, grads[name], states[name])
             step += 1
         if epoch % tcfg.eval_every != 0 and epoch != tcfg.max_epochs:
@@ -106,14 +106,13 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
         dev_acc = _dev_accuracy(model, dev_feats)
         if dev_acc > best_acc:
             best_acc, best_epoch, stale = dev_acc, epoch, 0
-            best = {name: p.copy() for name, p in model.params().items()}
+            best = {name: p.copy() for name, p in model.params.items()}
         else:
             stale += 1
         log.append(EpochLog(epoch, float(np.mean(losses)), dev_acc, best_acc))
         if stale >= tcfg.patience:
             break
-    for name, p in best.items():
-        model.set_param(name, p)
+    model.params = best
     return TrainResult(model, log, best_epoch, best_acc)
 
 
@@ -136,16 +135,17 @@ class CnnBundle:
     labels: LabelTable
 
 
-def _vocab_bytes(vocab: Vocabulary) -> bytes:
-    lines = [f"min_count={vocab.min_count}", f"size={len(vocab)}"] + vocab.index_to_token
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _require(path, sections: dict, names):
+    for name in names:
+        if name not in sections:
+            raise BundleError(f"{path}: bundle lacks section {name!r}")
 
 
-def _vocab_from_bytes(payload: bytes) -> Vocabulary:
-    lines = payload.decode("utf-8").split("\n")
-    min_count = int(lines[0].removeprefix("min_count="))
-    size = int(lines[1].removeprefix("size="))
-    return Vocabulary(lines[2:2 + size], min_count=min_count)
+def _bundle_vocab(path, sections: dict, name: str) -> Vocabulary:
+    try:
+        return vocab_from_bytes(sections[name], f"{path}: section {name!r}")
+    except DataError as e:
+        raise BundleError(str(e)) from e
 
 
 def _labels_json(labels: LabelTable) -> dict:
@@ -175,11 +175,11 @@ def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
     }
     sections = [
         ("config", bundle_io.encode_json(config)),
-        ("vocabulary", _vocab_bytes(vocab)),
+        ("vocabulary", vocab_to_bytes(vocab)),
         ("category_maps", bundle_io.encode_json(maps.value_lists())),
         ("label_table", bundle_io.encode_json(_labels_json(labels))),
     ]
-    for name, p in model.params().items():
+    for name, p in model.params.items():
         sections.append((f"tensor:{name}", bundle_io.encode_tensor(p)))
     bundle_io.write_sections(path, "cnn", sections)
 
@@ -188,9 +188,7 @@ def load_model(path) -> CnnBundle:
     model_type, sections = bundle_io.read_sections(path)
     if model_type != "cnn":
         raise BundleError(f"{path}: expected a cnn bundle, found {model_type!r}")
-    for required in ("config", "vocabulary", "category_maps", "label_table"):
-        if required not in sections:
-            raise BundleError(f"{path}: bundle lacks section {required!r}")
+    _require(path, sections, ("config", "vocabulary", "category_maps", "label_table"))
     cfgj = bundle_io.decode_json(sections["config"], "config")
     cfg = CnnConfig(
         embed_dim=cfgj["embed_dim"],
@@ -201,7 +199,7 @@ def load_model(path) -> CnnBundle:
         label_count=cfgj["label_count"],
         share_filters=cfgj["share_filters"],
     )
-    vocab = _vocab_from_bytes(sections["vocabulary"])
+    vocab = _bundle_vocab(path, sections, "vocabulary")
     maps = CategoryMaps.from_value_lists(bundle_io.decode_json(sections["category_maps"]))
     labels = _labels_from_json(bundle_io.decode_json(sections["label_table"]))
     if len(labels) != cfg.label_count:
@@ -210,17 +208,17 @@ def load_model(path) -> CnnBundle:
     if maps.block_size != cfgj["cat_block_size"]:
         raise BundleError(f"{path}: category maps do not match the stored block size")
 
-    model = init_model(cfg, cfgj["vocab_size"], cfgj["cat_block_size"], seed=0)
-    expected = model.params()
-    for name, init_value in expected.items():
-        key = f"tensor:{name}"
-        if key not in sections:
-            raise BundleError(f"{path}: bundle lacks tensor {name!r}")
-        t = bundle_io.decode_tensor(sections[key], name)
-        if t.shape != init_value.shape:
-            raise BundleError(f"{path}: tensor {name} has shape {t.shape}, "
-                              f"expected {init_value.shape}")
-        model.set_param(name, t.astype(np.float32))
+    shapes = param_shapes(cfg, cfgj["vocab_size"], cfgj["cat_block_size"])
+    _require(path, sections, [f"tensor:{name}" for name in shapes])
+    params = {}
+    for name, shape in shapes.items():
+        t = bundle_io.decode_tensor(sections[f"tensor:{name}"], name)
+        if t.dtype != np.float32:
+            raise BundleError(f"{path}: tensor {name} is {t.dtype}, expected float32")
+        if t.shape != shape:
+            raise BundleError(f"{path}: tensor {name} has shape {t.shape}, expected {shape}")
+        params[name] = t
+    model = CnnModel(cfg, params, cfgj["cat_block_size"])
     if len(vocab) != model.vocab_size:
         raise BundleError(f"{path}: vocabulary size {len(vocab)} != embedding rows")
     return CnnBundle(model, vocab, maps, labels)
@@ -244,7 +242,7 @@ def save_stack_model(model: StackModel, labels: LabelTable, path):
         ("label_table", bundle_io.encode_json(_labels_json(labels))),
     ]
     for b in BASE_FIELDS:
-        sections.append((f"vocab:{b}", _vocab_bytes(model.base_vocabs[b])))
+        sections.append((f"vocab:{b}", vocab_to_bytes(model.base_vocabs[b])))
         sections.append((f"tensor:{b}:prior", bundle_io.encode_tensor(model.bases[b].class_log_prior)))
         sections.append((f"tensor:{b}:log_prob", bundle_io.encode_tensor(model.bases[b].feature_log_prob)))
     sections.append(("tensor:meta:prior", bundle_io.encode_tensor(model.meta.class_log_prior)))
@@ -256,6 +254,10 @@ def load_stack_model(path) -> StackBundle:
     model_type, sections = bundle_io.read_sections(path)
     if model_type != "stack":
         raise BundleError(f"{path}: expected a stack bundle, found {model_type!r}")
+    _require(path, sections, ["config", "label_table"]
+             + [f"vocab:{b}" for b in BASE_FIELDS]
+             + [f"tensor:{t}:{part}" for t in BASE_FIELDS + ("meta",)
+                for part in ("prior", "log_prob")])
     cfg = bundle_io.decode_json(sections["config"], "config")
     labels = _labels_from_json(bundle_io.decode_json(sections["label_table"]))
     if len(labels) != cfg["label_count"]:
@@ -270,7 +272,7 @@ def load_stack_model(path) -> StackBundle:
 
     model = StackModel(
         bases={b: mnb(b) for b in BASE_FIELDS},
-        base_vocabs={b: _vocab_from_bytes(sections[f"vocab:{b}"]) for b in BASE_FIELDS},
+        base_vocabs={b: _bundle_vocab(path, sections, f"vocab:{b}") for b in BASE_FIELDS},
         meta=mnb("meta"),
         label_count=cfg["label_count"],
         folds=cfg["folds"],

@@ -4,7 +4,8 @@ races, no ReLU boundary crossings within the step size)."""
 
 import numpy as np
 
-from tweetgeo.cnn import FIELDS, FeatureBatch, _windows, backward, field_matrix, forward
+from tweetgeo.cnn import (FIELDS, FeatureBatch, _windows, backward, conv_names, field_matrix,
+                         forward)
 from tweetgeo.nncore import cross_entropy_batch, relu
 from tweetgeo.textproc import PAD_INDEX
 
@@ -20,8 +21,8 @@ def smoothness_margin(model, batch: FeatureBatch) -> float:
         idx = batch.tokens[f]
         X = field_matrix(idx, model)
         for h in cfg.windows:
-            key = (None, h) if cfg.share_filters else (f, h)
-            pre = _windows(X, h) @ model.conv_w[key].T + model.conv_b[key]
+            w, bias = conv_names(cfg, f, h)
+            pre = _windows(X, h) @ model.params[w].T + model.params[bias]
             act = relu(pre)
             n_b, n_p, n_m = act.shape
             for b in range(n_b):
@@ -56,7 +57,7 @@ def fd_sweep(model, batch: FeatureBatch, labels, eps=1e-5, train=False,
 
     worst = 0.0
     n_checked = 0
-    for name, p in model.params().items():
+    for name, p in model.params.items():
         coords = [ix for ix in np.ndindex(p.shape)
                   if not (name == "embedding" and ix[0] == PAD_INDEX)]
         if sample is not None and len(coords) > sample:

@@ -6,7 +6,7 @@ from oracles import igr_oracle, mnb_posterior_exact
 from tweetgeo.bayes import (categorical_tokens, count_matrix,
                             fit_mnb, fit_stacking, igr_score, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
-                            predict_stacking, reduce_vocab, select_top_percent)
+                            reduce_vocab, select_top_percent)
 from tweetgeo.textproc import build_vocab
 
 # class A docs: "x x", "x y"; class B doc: "y"; features (x, y)
@@ -183,8 +183,7 @@ def test_meta_features_sum_to_five():
 def test_stacking_beats_or_matches_perfect_base():
     recs, labels = _separable_corpus(20)
     model = fit_stacking(recs, labels, 2, folds=5)
-    correct = sum(predict_stacking(model, r)[0] == y for r, y in zip(recs, labels))
-    acc = correct / len(recs)
+    acc = float(np.mean(np.argmax(posterior_stacking(model, recs), axis=1) == labels))
 
     # oracle: the text base alone, out-of-fold, must be perfect here
     from tweetgeo.bayes import base_tokens
@@ -204,12 +203,10 @@ def test_stacking_beats_or_matches_perfect_base():
 def test_predict_stacking_posterior_sums_to_one():
     recs, labels = _separable_corpus(10)
     model = fit_stacking(recs, labels, 2, folds=5)
-    label, post = predict_stacking(model, make_record(text="apple"))
-    assert post.sum() == pytest.approx(1.0, abs=1e-9)
-    assert label == 0
     empty = make_record(text="", user_description="", profile_location="", user_name="")
-    label2, post2 = predict_stacking(model, empty)
-    assert post2.sum() == pytest.approx(1.0, abs=1e-9)
+    post = posterior_stacking(model, [make_record(text="apple"), empty])
+    assert post.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert np.argmax(post[0]) == 0
 
 
 def test_posterior_stacking_batch_agrees_with_single():
@@ -217,7 +214,7 @@ def test_posterior_stacking_batch_agrees_with_single():
     model = fit_stacking(recs, labels, 2, folds=4)
     batch = posterior_stacking(model, recs[:5])
     for i in range(5):
-        _, single = predict_stacking(model, recs[i])
+        single = posterior_stacking(model, [recs[i]])[0]
         assert batch[i] == pytest.approx(single, abs=1e-12)
 
 
@@ -226,8 +223,8 @@ def test_stacking_agreement_case():
     recs, labels = _separable_corpus(15)
     model = fit_stacking(recs, labels, 2, folds=5)
     r = make_record(text="apple", profile_location="northtown", tweet_lang="en")
-    label, post = predict_stacking(model, r)
-    assert label == 0 and post[0] > 0.5
+    post = posterior_stacking(model, [r])[0]
+    assert np.argmax(post) == 0 and post[0] > 0.5
 
 
 def test_igr_scores_shape():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tweetgeo import bundle as bundle_io
 from tweetgeo.cli import main
 from tweetgeo.synth import SynthSpec, write_corpus
 from tweetgeo.textproc import load_vocab
@@ -41,6 +42,15 @@ def cnn_bundle(prep_dir, tmp_path_factory):
                "--log", str(out / "log.csv"), "--seed", "1"] + CNN_FLAGS)
     assert rc == 0
     return out / "cnn.gtlm"
+
+
+@pytest.fixture(scope="module")
+def stack_bundle(prep_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("stack") / "stack.gtlm"
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city",
+               "--model", "stacking", "--min-count", "3", "--out", str(out)])
+    assert rc == 0
+    return out
 
 
 def test_prepare_outputs_exist(prep_dir):
@@ -114,6 +124,29 @@ def test_eval_city_reports(cnn_bundle, prep_dir, tmp_path):
     assert float(summary["accuracy"]) <= float(summary["acc_top5"])
     assert (tmp_path / "per_class_pr.csv").exists()
     assert (tmp_path / "calibration.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["config", "label_table", "vocab:text", "vocab:cats",
+                                     "tensor:text:prior", "tensor:meta:log_prob"])
+def test_eval_stack_bundle_missing_section_exits_2(stack_bundle, prep_dir, tmp_path, capsys,
+                                                   section):
+    model_type, sections = bundle_io.read_sections(stack_bundle)
+    del sections[section]
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert repr(section) in capsys.readouterr().err
+
+
+def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp_path, capsys):
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    sections["vocabulary"] = sections["vocabulary"].rsplit(b"\n", 3)[0]
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_eval_country_omits_distance_metrics(prep_dir, tmp_path):
@@ -199,6 +232,19 @@ def test_config_file_preloads_defaults(corpus_dir, tmp_path):
     assert rc == 0
     assert (tmp_path / "p" / "dev.jsonl").read_text() != \
         (tmp_path / "p2" / "dev.jsonl").read_text()
+
+
+def test_config_file_rejects_unknown_keys_and_bad_values(corpus_dir, tmp_path, capsys):
+    args = ["prepare", "--data", str(corpus_dir / "raw.jsonl"),
+            "--city-table", str(corpus_dir / "cities.csv"), "--out-dir", str(tmp_path / "p")]
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("seed=4\nbatch_sise=7\n")
+    assert main(["--config", str(cfg)] + args) == 1
+    assert "batch_sise" in capsys.readouterr().err
+    cfg.write_text("batch_size=seven\n")
+    assert main(["--config", str(cfg)] + args) == 1
+    assert "batch_size" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_help_documents_all_defaults(capsys):

@@ -3,9 +3,9 @@ import pytest
 
 from fdcheck import fd_sweep, smoothness_margin
 from oracles import conv_maxpool_scan, forward_trace
-from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, backward, conv_maxpool,
+from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, _windows, backward, conv_names,
                           encode_features, field_matrix, forward, init_model,
-                          load_pretrained_embeddings, predict_proba)
+                          load_pretrained_embeddings, param_shapes, predict_proba)
 from tweetgeo.encode import CategoryMaps, UNK_CAT
 from tweetgeo.errors import DataError
 from tweetgeo.textproc import build_vocab
@@ -46,6 +46,28 @@ def test_config_validation():
         tiny_config(filters_per_window=0)
 
 
+def test_param_shapes_layout_and_init_rules():
+    cfg = tiny_config(share_filters=False)
+    shapes = param_shapes(cfg, 20, cat_block())
+    assert list(shapes)[:3] == ["embedding", "conv_w_text_h2", "conv_b_text_h2"]
+    assert list(shapes)[-4:] == ["conv_w_user_name_h3", "conv_b_user_name_h3",
+                                 "softmax_w", "softmax_b"]
+    assert shapes["embedding"] == (20, 4)
+    assert shapes["conv_w_profile_location_h3"] == (2, 12)
+    assert shapes["conv_b_profile_location_h3"] == (2,)
+    assert shapes["softmax_w"] == (3, cfg.pooled_size + cat_block())
+    model = init_model(cfg, 20, cat_block(), seed=0)
+    assert [(n, p.shape) for n, p in model.params.items()] == list(shapes.items())
+    assert not model.embedding[0].any()
+    assert np.abs(model.embedding).max() <= 0.25
+    for name, p in model.params.items():
+        assert p.dtype == np.float32
+        if p.ndim == 1:                       # biases
+            assert not p.any()
+        elif name != "embedding":
+            assert 0 < np.abs(p).max() <= np.sqrt(6.0 / sum(p.shape))
+
+
 def test_field_matrix_pad_rows_zero(rng):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=0)
@@ -63,10 +85,30 @@ def test_field_matrix_rejects_out_of_range():
         field_matrix(np.array([[25]]), model)
 
 
+def text_conv_maxpool(X, w, b):
+    """Convolve one field matrix X (n, k) with one filter bank (m, h*k) and
+    bias (m,) through the batch forward pass, as the text field of a single
+    record. Returns (pooled (m,), argmax (m,), pre-activations (p, m))."""
+    n, k = X.shape
+    m, hk = w.shape
+    cfg = CnnConfig(embed_dim=k, windows=(hk // k,), filters_per_window=m, dropout_rate=0.0,
+                    max_lens={f: n for f in FIELDS}, label_count=2)
+    model = init_model(cfg, n + 1, 1).astype(X.dtype)
+    model.embedding[1:] = X
+    w_name, b_name = conv_names(cfg, "text", hk // k)
+    model.params[w_name][:] = w
+    model.params[b_name][:] = b
+    tokens = {f: np.zeros((1, n), dtype=np.int64) for f in FIELDS}
+    tokens["text"][0] = np.arange(1, n + 1)
+    fwd = forward(model, FeatureBatch(tokens, np.zeros((1, 4), dtype=np.int64)))
+    _, _, pre, arg = fwd._caches[0]              # text field comes first
+    return fwd.theta_hat[0, :m], arg[0], pre[0]
+
+
 def test_conv_maxpool_hand_case():
     X = np.array([[1.0, 2.0], [3.0, -4.0]])
     w = np.array([[1.0, 1.0]])     # one filter, window 1
-    pooled, arg, pre = conv_maxpool(X, w, np.zeros(1))
+    pooled, arg, pre = text_conv_maxpool(X, w, np.zeros(1))
     assert pre[:, 0].tolist() == [3.0, -1.0]   # activations relu -> [3, 0]
     assert pooled.tolist() == [3.0]
     assert arg.tolist() == [0]
@@ -74,13 +116,13 @@ def test_conv_maxpool_hand_case():
 
 def test_conv_maxpool_zero_filters():
     X = np.arange(8.0).reshape(4, 2)
-    pooled, _, _ = conv_maxpool(X, np.zeros((3, 4)), np.zeros(3))
+    pooled, _, _ = text_conv_maxpool(X, np.zeros((3, 4)), np.zeros(3))
     assert pooled.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_conv_maxpool_rejects_short_input():
     with pytest.raises(ValueError):
-        conv_maxpool(np.zeros((2, 3)), np.zeros((1, 9)), np.zeros(1))
+        _windows(np.zeros((1, 2, 3)), 3)
 
 
 def test_conv_maxpool_matches_window_scan_oracle(rng):
@@ -89,7 +131,7 @@ def test_conv_maxpool_matches_window_scan_oracle(rng):
         X = rng.normal(size=(n, k))
         w = rng.normal(size=(m, h * k))
         b = rng.normal(size=m)
-        pooled, _, _ = conv_maxpool(X, w, b)
+        pooled, _, _ = text_conv_maxpool(X, w, b)
         for j in range(m):
             want = conv_maxpool_scan(X.tolist(), w[j].tolist(), float(b[j]))
             assert pooled[j] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -98,11 +140,9 @@ def test_conv_maxpool_matches_window_scan_oracle(rng):
 def test_forward_uniform_when_zeroed(rng):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=1)
-    for key in model.conv_w:
-        model.conv_w[key][:] = 0
-        model.conv_b[key][:] = 0
-    model.softmax_w[:] = 0
-    model.softmax_b[:] = 0
+    for name, p in model.params.items():
+        if name != "embedding":
+            p[:] = 0
     batch = tiny_batch(rng, cfg)
     for f in FIELDS:
         batch.tokens[f][:] = 0   # all fields empty (all PAD)
@@ -116,8 +156,9 @@ def test_forward_matches_pure_python_trace(rng):
     batch = tiny_batch(rng, cfg, b=2)
     got = forward(model, batch, train=False).probs
 
-    conv = {h: model.conv_w[(None, h)].tolist() for h in cfg.windows}
-    biases = {h: model.conv_b[(None, h)].tolist() for h in cfg.windows}
+    names = {h: conv_names(cfg, "text", h) for h in cfg.windows}
+    conv = {h: model.params[w].tolist() for h, (w, _) in names.items()}
+    biases = {h: model.params[b].tolist() for h, (_, b) in names.items()}
     for i in range(batch.size):
         want = forward_trace(
             model.embedding.tolist(), conv, biases,
@@ -182,10 +223,11 @@ def test_truncation_invariance(rng):
 def test_shared_filters_used_for_all_fields(rng):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=4)
-    assert set(model.conv_w) == {(None, 2), (None, 3)}
+    assert list(model.params) == ["embedding", "conv_w_h2", "conv_b_h2", "conv_w_h3",
+                                  "conv_b_h3", "softmax_w", "softmax_b"]
     cfg2 = tiny_config(share_filters=False)
     model2 = init_model(cfg2, 20, cat_block(), seed=4)
-    assert len(model2.conv_w) == len(FIELDS) * 2
+    assert len(model2.params) == 3 + len(FIELDS) * 2 * 2
     batch = tiny_batch(rng, cfg)
     p1 = forward(model, batch, train=False).probs
     p2 = forward(model2, batch, train=False).probs
@@ -203,6 +245,25 @@ def test_backward_pad_and_absent_token_grads_zero(rng):
     for tok in range(20):
         if tok not in present:
             assert not grads["embedding"][tok].any()
+
+
+def test_backward_relu_gate_is_zero_at_zero(rng):
+    # the ReLU subgradient at exactly 0 is 0: with every pre-activation at 0
+    # no gradient reaches the filters or the embedding
+    cfg = tiny_config()
+    model = init_model(cfg, 20, cat_block(), seed=8).astype(np.float64)
+    batch = tiny_batch(rng, cfg)
+    for h in cfg.windows:
+        w, b = conv_names(cfg, "text", h)
+        model.params[w][:] = 0
+        model.params[b][:] = 0
+    grads = backward(model, forward(model, batch), batch.labels)
+    for name, g in grads.items():
+        assert g.any() == name.startswith("softmax")
+    for h in cfg.windows:
+        model.params[conv_names(cfg, "text", h)[1]][:] = 1.0
+    grads = backward(model, forward(model, batch), batch.labels)
+    assert all(grads[conv_names(cfg, "text", h)[1]].any() for h in cfg.windows)
 
 
 def _smooth_case(seed_start=0, train=False):

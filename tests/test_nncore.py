@@ -3,20 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tweetgeo.nncore import (AdamState, adam_step, cross_entropy,
-                             cross_entropy_batch, dropout, relu, relu_backward,
-                             softmax, softmax_xent_backward)
+from tweetgeo.nncore import (AdamState, adam_step, cross_entropy_batch, dropout, relu,
+                             softmax)
 
 
 def test_relu_forward():
     assert relu(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
     assert not relu(np.array([-5.0, -0.1])).any()
-
-
-def test_relu_backward_gates_and_zero_at_zero():
-    x = np.array([3.0, -2.0, 0.0])
-    up = np.ones(3)
-    assert relu_backward(x, up).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_softmax_uniform_and_known_values():
@@ -46,30 +39,14 @@ def test_softmax_properties(rng):
 
 
 def test_cross_entropy_values():
-    assert cross_entropy(np.array([1.0, 0.0, 0.0]), 0) == 0.0
-    assert cross_entropy(np.full(4, 0.25), 2) == pytest.approx(math.log(4.0))
-    with pytest.raises(ValueError):
-        cross_entropy(np.full(4, 0.25), 4)
+    assert cross_entropy_batch(np.array([[1.0, 0.0, 0.0]]), np.array([0])) == 0.0
+    assert cross_entropy_batch(np.full((1, 4), 0.25), np.array([2])) == \
+        pytest.approx(math.log(4.0))
 
 
 def test_cross_entropy_clamps_zero_probability():
-    assert cross_entropy(np.array([1.0, 0.0]), 1) == pytest.approx(-math.log(1e-12))
-
-
-def test_softmax_xent_gradient_matches_finite_differences(rng):
-    # central differences at 64-bit, step 1e-3, away from any kink
-    for _ in range(20):
-        z = rng.normal(size=6)
-        label = int(rng.integers(0, 6))
-        g = softmax_xent_backward(softmax(z), label)
-        eps = 1e-3
-        for i in range(6):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            fd = (cross_entropy(softmax(zp), label) - cross_entropy(softmax(zm), label)) / (2 * eps)
-            denom = max(abs(fd), abs(g[i]), 1e-8)
-            assert abs(fd - g[i]) / denom <= 1e-4
+    assert cross_entropy_batch(np.array([[1.0, 0.0]]), np.array([1])) == \
+        pytest.approx(-math.log(1e-12))
 
 
 def test_dropout_identity_cases(rng):

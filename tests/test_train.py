@@ -47,13 +47,13 @@ def test_loss_decreases_on_fixed_batch():
     cfg = small_cfg()
     feats, vocab, maps = encoded(recs, ys, cfg)
     model = init_model(cfg, len(vocab), maps.block_size, seed=1)
-    states = {n: AdamState.for_param(p, lr=1e-2) for n, p in model.params().items()}
+    states = {n: AdamState.for_param(p, lr=1e-2) for n, p in model.params.items()}
     losses = []
     for step in range(10):
         fwd = forward(model, feats, train=False)
         losses.append(cross_entropy_batch(fwd.probs, ys))
         grads = backward(model, fwd, ys)
-        for n, p in model.params().items():
+        for n, p in model.params.items():
             adam_step(p, grads[n], states[n])
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -97,7 +97,7 @@ def test_train_deterministic_given_seed():
     tcfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=11)
     r1 = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
     r2 = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
-    for (n1, p1), (n2, p2) in zip(r1.model.params().items(), r2.model.params().items()):
+    for (n1, p1), (n2, p2) in zip(r1.model.params.items(), r2.model.params.items()):
         assert n1 == n2
         assert p1.tobytes() == p2.tobytes()
 
@@ -121,6 +121,22 @@ def test_train_rejects_empty_splits():
         train(empty, feats, cfg, TrainConfig(), len(vocab), maps.block_size)
     with pytest.raises(DataError):
         train(feats, empty, cfg, TrainConfig(), len(vocab), maps.block_size)
+
+
+@pytest.mark.parametrize("bad_label", [-1, 3])
+def test_train_rejects_out_of_range_training_labels(bad_label):
+    recs, ys = corpus(5)
+    cfg = small_cfg()
+    feats, vocab, maps = encoded(recs, ys, cfg)
+    feats.labels[0] = bad_label
+    with pytest.raises(DataError, match="training labels"):
+        train(feats, feats.take(np.arange(1, 6)), cfg, TrainConfig(max_epochs=1),
+              len(vocab), maps.block_size)
+    # a dev label of -1 (class unseen in training) is allowed: it counts as a miss
+    dev = feats.take(np.arange(0, 6))
+    dev.labels[0] = -1
+    feats.labels[0] = 0
+    train(feats, dev, cfg, TrainConfig(max_epochs=1), len(vocab), maps.block_size)
 
 
 def test_write_train_log(tmp_path):
@@ -152,7 +168,7 @@ def _trained_bundle(tmp_path, seed=2):
 def test_save_load_roundtrip_bit_exact(tmp_path):
     model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
     loaded = load_model(path)
-    for (n1, p1), (n2, p2) in zip(model.params().items(), loaded.model.params().items()):
+    for (n1, p1), (n2, p2) in zip(model.params.items(), loaded.model.params.items()):
         assert n1 == n2 and p1.tobytes() == p2.tobytes()
     assert loaded.vocab.index_to_token == vocab.index_to_token
     assert loaded.maps == maps
@@ -188,6 +204,14 @@ def test_load_rejects_label_count_mismatch(tmp_path):
     save_model(model, vocab, maps, bad_labels, bad)
     with pytest.raises(BundleError, match="label"):
         load_model(bad)
+
+
+def test_load_rejects_float64_tensors(tmp_path):
+    model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
+    wide = tmp_path / "wide.gtlm"
+    save_model(model.astype(np.float64), vocab, maps, labels, wide)
+    with pytest.raises(BundleError, match="tensor embedding is float64"):
+        load_model(wide)
 
 
 def test_stack_bundle_roundtrip(tmp_path):
