@@ -13,16 +13,17 @@ from tweetgeo.geo import assign_cities, load_city_table
 from tweetgeo.ingest import SplitSpec, dataset_stats, dedup_user_city, read_jsonl, split_by_user
 from tweetgeo.synth import SynthSpec, write_corpus
 
-workdir = Path(tempfile.mkdtemp(prefix="tweetgeo_demo_"))
-spec = SynthSpec(n_cities=6, n_countries=3, n_users=800,
-                 tweets_per_user=(1, 3), seed=42)
-write_corpus(spec, workdir / "raw.jsonl", workdir / "cities.csv")
-print(f"wrote synthetic corpus under {workdir}")
+with tempfile.TemporaryDirectory(prefix="tweetgeo_demo_") as tmp:
+    workdir = Path(tmp)
+    spec = SynthSpec(n_cities=6, n_countries=3, n_users=800,
+                     tweets_per_user=(1, 3), seed=42)
+    write_corpus(spec, workdir / "raw.jsonl", workdir / "cities.csv")
+    print(f"wrote synthetic corpus under {workdir}")
 
-records, skipped = read_jsonl(workdir / "raw.jsonl")
-print(f"\nparsed {len(records)} records, skipped {skipped}")
+    records, skipped = read_jsonl(workdir / "raw.jsonl")
+    print(f"\nparsed {len(records)} records, skipped {skipped}")
 
-table = load_city_table(workdir / "cities.csv")
+    table = load_city_table(workdir / "cities.csv")
 assign_cities(records, table)
 deduped = dedup_user_city(records, seed=7)
 print(f"after one-per-(user, city) dedup: {len(deduped)}")

@@ -10,7 +10,7 @@ text vocabulary to the top tokens by information gain ratio first.
 import numpy as np
 
 from tweetgeo.bayes import (base_tokens, count_matrix, fit_mnb, fit_stacking,
-                            igr_scores, posterior_stacking)
+                            igr_scores, posterior_stacking, predict_mnb)
 from tweetgeo.geo import assign_cities
 from tweetgeo.labels import city_labels
 from tweetgeo.synth import SynthSpec, generate
@@ -31,8 +31,7 @@ vocab = build_vocab(tokens, min_count=3)
 counts = count_matrix(tokens, vocab)
 base = fit_mnb(counts, ytr, len(labels), alpha=1e-2)
 te_counts = count_matrix([base_tokens(r, "text") for r in te], vocab)
-acc = float(np.mean(np.argmax(te_counts @ base.feature_log_prob.T
-                              + base.class_log_prior, axis=1) == yte))
+acc = float(np.mean(predict_mnb(base, te_counts)[0] == yte))
 print(f"  text-only NB accuracy: {acc:.4f} (vocabulary {len(vocab)})")
 
 print("\n== information gain ratio ranking ==")

@@ -2,13 +2,16 @@
 by two-layer stacking with out-of-fold predictions, plus information-gain-ratio
 vocabulary pruning for the feature-selected variant.
 
-All probability math is float64 and log-space.
+Bag-of-words counts are compressed sparse rows (`CsrCounts`), so memory grows
+with the number of non-zero (document, token) cells, not documents x
+vocabulary. All probability math is float64 and log-space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -19,13 +22,19 @@ from .textproc import Vocabulary, build_vocab, tokenize
 BASE_FIELDS = ("text", "user_description", "profile_location", "user_name", "cats")
 TEXT_BASES = ("text", "user_description", "profile_location", "user_name")
 
+GATHER_CELLS = 1 << 21   # (stored cell, class) products held at once by a posterior
+IGR_COLUMNS = 4096       # feature columns scored at once by igr_scores
+_ONE_LINE = str.maketrans("\r\n", "  ")
+
 
 def categorical_tokens(record) -> list[str]:
-    """The three categorical values and the time slot as synthetic bag tokens."""
+    """The three categorical values and the time slot as synthetic bag tokens.
+    Line breaks in the values become spaces: a vocabulary stores one token
+    per line."""
     return [
-        f"tl={record.tweet_lang}",
-        f"ul={record.user_lang}",
-        f"tz={record.timezone}",
+        f"tl={record.tweet_lang.translate(_ONE_LINE)}",
+        f"ul={record.user_lang.translate(_ONE_LINE)}",
+        f"tz={record.timezone.translate(_ONE_LINE)}",
         f"pt={time_slot(record.posted_at)}",
     ]
 
@@ -36,13 +45,68 @@ def base_tokens(record, base: str) -> list[str]:
     return tokenize(getattr(record, base))
 
 
-def count_matrix(token_lists, vocab: Vocabulary) -> np.ndarray:
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row pointers for cells listed in ascending row order."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+
+
+@dataclass(frozen=True)
+class CsrCounts:
+    """Document x feature counts in compressed sparse rows: row i stores the
+    distinct ascending columns indices[indptr[i]:indptr[i+1]] and their
+    positive counts in the same slots of `counts`."""
+    indptr: np.ndarray    # (N + 1,) int64
+    indices: np.ndarray   # (nnz,) int64
+    counts: np.ndarray    # (nnz,) float64
+    n_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.n_cols
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.n_cols
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored cell."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __getitem__(self, rows) -> CsrCounts:
+        """The rows picked by a slice, boolean mask or index array."""
+        rows = np.arange(self.shape[0])[rows]
+        starts, lens = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        cells = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+        return CsrCounts(indptr, self.indices[cells], self.counts[cells], self.n_cols)
+
+    def __array_function__(self, func, types, args, kwargs):
+        # np.count_nonzero counts stored cells, as on the dense matrix; any
+        # other numpy function needs an explicit array
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return int(self.counts.size)
+        return NotImplemented
+
+
+def as_csr(counts) -> CsrCounts:
+    """CsrCounts as given, or a dense (N, F) or (F,) count array converted
+    (zero cells are not stored)."""
+    if isinstance(counts, CsrCounts):
+        return counts
+    a = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    if a.ndim != 2:
+        raise ValueError("counts must be (n_docs, n_features) or (n_features,)")
+    rows, cols = np.nonzero(a)
+    return CsrCounts(_indptr(rows, a.shape[0]), cols, a[rows, cols], a.shape[1])
+
+
+def count_matrix(token_lists, vocab: Vocabulary) -> CsrCounts:
     """Bag-of-words counts (N, |vocab|); out-of-vocabulary tokens count as UNK."""
-    out = np.zeros((len(token_lists), len(vocab)), dtype=np.float64)
-    for i, toks in enumerate(token_lists):
-        for t in toks:
-            out[i, vocab.index(t)] += 1.0
-    return out
+    n, f = len(token_lists), len(vocab)
+    cols = np.array([vocab.index(t) for t in chain.from_iterable(token_lists)], dtype=np.int64)
+    rows = np.repeat(np.arange(n), [len(toks) for toks in token_lists])
+    cells, counts = np.unique(rows * f + cols, return_counts=True)
+    return CsrCounts(_indptr(cells // f, n), cells % f, counts.astype(np.float64), f)
 
 
 @dataclass
@@ -57,24 +121,34 @@ class MnbModel:
         return self.class_log_prior.shape[0]
 
 
-def fit_mnb(counts: np.ndarray, labels: np.ndarray, n_classes: int,
+def _class_counts(counts: CsrCounts, labels: np.ndarray,
+                  n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Summed counts per (class, feature), (L, F), and documents per class, (L,)."""
+    f = counts.n_cols
+    fc = np.bincount(labels[counts.row_ids()] * f + counts.indices, weights=counts.counts,
+                     minlength=n_classes * f).reshape(n_classes, f)
+    return fc, np.bincount(labels, minlength=n_classes).astype(np.float64)
+
+
+def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float, feature_space: str) -> MnbModel:
+    f = fc.shape[1]
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(class_n / class_n.sum())
+        log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f)
+    return MnbModel(log_prior, log_prob, alpha, feature_space)
+
+
+def fit_mnb(counts, labels: np.ndarray, n_classes: int,
             alpha: float = 1e-2, feature_space: str = "") -> MnbModel:
     """P(f|c) = (count(f,c) + alpha) / (sum_f count(f,c) + alpha*F);
     class prior = class document frequency."""
-    counts = np.asarray(counts, dtype=np.float64)
-    labels = np.asarray(labels)
-    if counts.ndim != 2 or counts.shape[1] == 0:
+    counts = as_csr(counts)
+    if counts.n_cols == 0:
         raise ValueError("counts must be (n_docs, n_features) with n_features >= 1")
     if counts.shape[0] == 0:
         raise ValueError("cannot fit on an empty corpus")
-    n, f = counts.shape
-    fc = np.zeros((n_classes, f), dtype=np.float64)
-    np.add.at(fc, labels, counts)
-    class_n = np.bincount(labels, minlength=n_classes).astype(np.float64)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(class_n / n)
-        log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f)
-    return MnbModel(log_prior, log_prob, alpha, feature_space)
+    fc, class_n = _class_counts(counts, np.asarray(labels), n_classes)
+    return _mnb(fc, class_n, alpha, feature_space)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -83,56 +157,90 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def posterior_mnb(model: MnbModel, counts: np.ndarray) -> np.ndarray:
-    """Normalized class posterior(s) for one count vector or a batch."""
-    counts = np.asarray(counts, dtype=np.float64)
-    single = counts.ndim == 1
-    jll = np.atleast_2d(counts) @ model.feature_log_prob.T + model.class_log_prior
+def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
+    """log P(c) + sum_f count_f * log P(f|c) for every row, (N, L): a gather of
+    log P(f|c) at the stored cells, summed per row, a block of rows at a time."""
+    n, indptr = counts.shape[0], counts.indptr
+    log_prob_t = model.feature_log_prob.T
+    budget = max(1, GATHER_CELLS // model.n_classes)
+    jll = np.zeros((n, model.n_classes))
+    r0 = 0
+    while r0 < n:
+        r1 = min(n, max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + budget, "right")) - 1))
+        a, b = indptr[r0], indptr[r1]
+        filled = indptr[r0:r1] < indptr[r0 + 1:r1 + 1]
+        if b > a:
+            cells = log_prob_t[counts.indices[a:b]] * counts.counts[a:b, None]
+            jll[r0:r1][filled] = np.add.reduceat(cells, indptr[r0:r1][filled] - a, axis=0)
+        r0 = r1
+    return jll + model.class_log_prior
+
+
+def posterior_mnb(model: MnbModel, counts) -> np.ndarray:
+    """Normalized class posteriors (N, L) of a count matrix; one (F,) count
+    vector gives one (L,) posterior."""
+    single = not isinstance(counts, CsrCounts) and np.ndim(counts) == 1
+    counts = as_csr(counts)
+    if counts.n_cols != model.feature_log_prob.shape[1]:
+        raise ValueError(f"counts have {counts.n_cols} features, the model "
+                         f"{model.feature_log_prob.shape[1]}")
+    jll = _joint_log_likelihood(model, counts)
     post = np.exp(jll - _logsumexp(jll, axis=-1)[:, None])
     return post[0] if single else post
 
 
-def predict_mnb(model: MnbModel, counts: np.ndarray):
+def predict_mnb(model: MnbModel, counts):
     """(argmax label, posterior vector); ties go to the smallest label index."""
     post = posterior_mnb(model, counts)
     label = np.argmax(post, axis=-1)  # first maximum
     return (int(label), post) if post.ndim == 1 else (label.astype(np.int64), post)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis. The terms are summed in sorted
+    order, so equal multisets of probabilities give bit-equal entropies."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p), 0.0)
+    return -np.sort(terms, axis=-1).sum(axis=-1)
+
+
+def _igr_columns(present_by_class: np.ndarray, docs_by_class: np.ndarray) -> np.ndarray:
+    """Information gain ratio of splitting documents on token presence, for
+    every column of the (L, F) per-class presence table.
+
+    IG = H(C) - H(C|T), IV = H(T); a column scores IG/IV, or 0 when its split
+    is degenerate (token in all documents or none).
+    """
+    present = np.asarray(present_by_class, dtype=np.float64).T   # (F, L)
+    totals = np.asarray(docs_by_class, dtype=np.float64)
+    n = totals.sum()
+    n_p = present.sum(axis=1)
+    n_a = n - n_p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_given = (n_p / n) * _entropy_bits(present / n_p[:, None]) \
+            + (n_a / n) * _entropy_bits((totals - present) / n_a[:, None])
+        iv = _entropy_bits(np.stack([n_p / n, n_a / n], axis=1))
+        igr = (_entropy_bits(totals / n) - h_given) / iv
+    return np.where((n_p > 0) & (n_a > 0), igr, 0.0)
 
 
 def igr_score(present_by_class: np.ndarray, docs_by_class: np.ndarray) -> float:
-    """Information gain ratio of splitting documents on token presence.
-
-    IG = H(C) - H(C|T), IV = H(T); returns IG/IV, or 0 when the split is
-    degenerate (token in all documents or none).
-    """
-    present = np.asarray(present_by_class, dtype=np.float64)
-    totals = np.asarray(docs_by_class, dtype=np.float64)
-    n = totals.sum()
-    n_p = present.sum()
-    n_a = n - n_p
-    if n == 0 or n_p == 0 or n_a == 0:
-        return 0.0
-    h_c = _entropy_bits(totals / n)
-    h_given = (n_p / n) * _entropy_bits(present / n_p) \
-        + (n_a / n) * _entropy_bits((totals - present) / n_a)
-    iv = _entropy_bits(np.array([n_p / n, n_a / n]))
-    if iv == 0.0:
-        return 0.0
-    return (h_c - h_given) / iv
+    """Information gain ratio of one token (see `_igr_columns`)."""
+    return float(_igr_columns(np.asarray(present_by_class)[:, None], docs_by_class)[0])
 
 
-def igr_scores(counts: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """IGR for every feature column, using document-level binary presence."""
-    binary = (np.asarray(counts) > 0).astype(np.float64)
-    present = np.zeros((n_classes, binary.shape[1]), dtype=np.float64)
-    np.add.at(present, np.asarray(labels), binary)
-    totals = np.bincount(labels, minlength=n_classes).astype(np.float64)
-    return np.array([igr_score(present[:, j], totals) for j in range(binary.shape[1])])
+def igr_scores(counts, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """IGR for every feature column, using document-level presence."""
+    counts = as_csr(counts)
+    labels = np.asarray(labels)
+    f = counts.n_cols
+    present = np.bincount(labels[counts.row_ids()] * f + counts.indices,
+                          minlength=n_classes * f).reshape(n_classes, f)
+    totals = np.bincount(labels, minlength=n_classes)
+    scores = np.empty(f)
+    for s in range(0, f, IGR_COLUMNS):
+        scores[s:s + IGR_COLUMNS] = _igr_columns(present[:, s:s + IGR_COLUMNS], totals)
+    return scores
 
 
 def select_top_percent(scores: dict[str, float], n_percent: float) -> list[str]:
@@ -144,7 +252,7 @@ def select_top_percent(scores: dict[str, float], n_percent: float) -> list[str]:
     return ranked[:keep]
 
 
-def reduce_vocab(vocab: Vocabulary, counts: np.ndarray, labels: np.ndarray,
+def reduce_vocab(vocab: Vocabulary, counts, labels: np.ndarray,
                  n_classes: int, n_percent: float) -> Vocabulary:
     """IGR-select the top n% of content tokens; PAD/UNK always survive."""
     scores = igr_scores(counts, labels, n_classes)
@@ -163,13 +271,12 @@ class StackModel:
     alpha: float = 1e-2
     igr_percent: Optional[float] = None
 
-    def meta_features(self, base_labels: np.ndarray) -> np.ndarray:
-        """One-hot encode the five base argmax labels into a (N, 5L) count matrix."""
-        n = base_labels.shape[0]
-        out = np.zeros((n, len(BASE_FIELDS) * self.label_count), dtype=np.float64)
-        cols = base_labels + np.arange(len(BASE_FIELDS)) * self.label_count
-        np.put_along_axis(out, cols, 1.0, axis=1)
-        return out
+    def meta_features(self, base_labels: np.ndarray) -> CsrCounts:
+        """One-hot encode the five base argmax labels as (N, 5L) counts."""
+        n, k = base_labels.shape
+        cols = base_labels + np.arange(k) * self.label_count
+        return CsrCounts(np.arange(0, n * k + 1, k), cols.ravel(), np.ones(n * k),
+                         k * self.label_count)
 
 
 def fit_stacking(records, labels, label_count: int, folds: int = 5,
@@ -194,20 +301,25 @@ def fit_stacking(records, labels, label_count: int, folds: int = 5,
             vocabs[b] = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
             counts[b] = count_matrix(tokens[b], vocabs[b])
 
+    # A fold's base is fit on all records' counts minus the held-out fold's;
+    # the counts are integers in float64, so the difference is exact.
+    totals = {b: _class_counts(counts[b], labels, label_count) for b in BASE_FIELDS}
     fold_of = np.arange(n) % folds
     oof = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)
     for j in range(folds):
-        tr, te = fold_of != j, fold_of == j
+        held = fold_of == j
         for bi, b in enumerate(BASE_FIELDS):
-            base = fit_mnb(counts[b][tr], labels[tr], label_count, alpha, feature_space=b)
-            oof[te, bi], _ = predict_mnb(base, counts[b][te])
+            held_counts = counts[b][held]
+            fc, class_n = _class_counts(held_counts, labels[held], label_count)
+            base = _mnb(totals[b][0] - fc, totals[b][1] - class_n, alpha, b)
+            oof[held, bi], _ = predict_mnb(base, held_counts)
 
     stack = StackModel(bases={}, base_vocabs=vocabs, meta=None, label_count=label_count,
                        folds=folds, alpha=alpha, igr_percent=igr_percent)
     stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count, alpha,
                          feature_space="meta")
     for b in BASE_FIELDS:
-        stack.bases[b] = fit_mnb(counts[b], labels, label_count, alpha, feature_space=b)
+        stack.bases[b] = _mnb(*totals[b], alpha, b)
     return stack
 
 

@@ -83,10 +83,6 @@ class CityTable:
             raise KeyError(f"unknown city_id {city_id}")
         return self.cities[i]
 
-    def coords_of(self, city_id: int) -> tuple[float, float]:
-        c = self.by_id(city_id)
-        return (c.lat, c.lon)
-
 
 def nearest_city(point, table: CityTable) -> int:
     """city_id of the table city closest to (lat, lon); ties -> smallest id.

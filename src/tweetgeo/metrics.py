@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geo import CityTable, haversine_km
+from .geo import haversine_km
 
 ACC161_RADIUS_KM = 161.0
 
@@ -43,11 +43,6 @@ def acc_top5(preds: list[Prediction]) -> float:
     if not preds:
         raise ValueError("no predictions")
     return sum(p.true_label in p.ranked_labels for p in preds) / len(preds)
-
-
-def label_coords_from_table(label_values: list[int], table: CityTable) -> np.ndarray:
-    """(L, 2) array of representative coordinates for city-id label values."""
-    return np.array([table.coords_of(v) for v in label_values], dtype=np.float64)
 
 
 def error_distances_km(preds: list[Prediction], label_coords: np.ndarray) -> np.ndarray:

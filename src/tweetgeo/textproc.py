@@ -116,7 +116,11 @@ def encode_tokens(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[in
 
 def vocab_to_bytes(vocab: Vocabulary) -> bytes:
     """Serialized vocabulary: a two-line header (min_count, size), then one
-    token per line in index order. Vocabulary files and model bundles share it."""
+    token per line in index order. Vocabulary files and model bundles share it.
+    A token containing a line break is refused, as it could not be read back."""
+    for t in vocab.index_to_token:
+        if "\n" in t or "\r" in t:
+            raise ValueError(f"vocabulary token {t!r} contains a line break")
     lines = [f"min_count={vocab.min_count}", f"size={len(vocab)}"] + vocab.index_to_token
     return ("\n".join(lines) + "\n").encode("utf-8")
 

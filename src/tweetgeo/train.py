@@ -127,6 +127,11 @@ def write_train_log(path, log: list):
 # ---------------------------------------------------------------------------
 # model bundles
 
+_CNN_CONFIG_KEYS = ("embed_dim", "windows", "filters_per_window", "dropout_rate", "max_lens",
+                   "label_count", "share_filters", "cat_block_size", "vocab_size")
+_STACK_CONFIG_KEYS = ("label_count", "folds", "alpha", "igr_percent")
+
+
 @dataclass
 class CnnBundle:
     model: CnnModel
@@ -139,6 +144,16 @@ def _require(path, sections: dict, names):
     for name in names:
         if name not in sections:
             raise BundleError(f"{path}: bundle lacks section {name!r}")
+
+
+def _bundle_config(path, sections: dict, keys) -> dict:
+    cfg = bundle_io.decode_json(sections["config"], "config")
+    if not isinstance(cfg, dict):
+        raise BundleError(f"{path}: config section is not a JSON object")
+    for key in keys:
+        if key not in cfg:
+            raise BundleError(f"{path}: config section lacks key {key!r}")
+    return cfg
 
 
 def _bundle_vocab(path, sections: dict, name: str) -> Vocabulary:
@@ -189,7 +204,7 @@ def load_model(path) -> CnnBundle:
     if model_type != "cnn":
         raise BundleError(f"{path}: expected a cnn bundle, found {model_type!r}")
     _require(path, sections, ("config", "vocabulary", "category_maps", "label_table"))
-    cfgj = bundle_io.decode_json(sections["config"], "config")
+    cfgj = _bundle_config(path, sections, _CNN_CONFIG_KEYS)
     cfg = CnnConfig(
         embed_dim=cfgj["embed_dim"],
         windows=tuple(cfgj["windows"]),
@@ -258,23 +273,27 @@ def load_stack_model(path) -> StackBundle:
              + [f"vocab:{b}" for b in BASE_FIELDS]
              + [f"tensor:{t}:{part}" for t in BASE_FIELDS + ("meta",)
                 for part in ("prior", "log_prob")])
-    cfg = bundle_io.decode_json(sections["config"], "config")
+    cfg = _bundle_config(path, sections, _STACK_CONFIG_KEYS)
+    n_labels = cfg["label_count"]
     labels = _labels_from_json(bundle_io.decode_json(sections["label_table"]))
-    if len(labels) != cfg["label_count"]:
+    if len(labels) != n_labels:
         raise BundleError(f"{path}: label table size != stored label count")
 
-    def mnb(tag: str) -> MnbModel:
+    def mnb(tag: str, n_features: int) -> MnbModel:
         prior = bundle_io.decode_tensor(sections[f"tensor:{tag}:prior"], tag)
         log_prob = bundle_io.decode_tensor(sections[f"tensor:{tag}:log_prob"], tag)
-        if log_prob.shape[0] != cfg["label_count"]:
-            raise BundleError(f"{path}: {tag} tensor rows != label count")
+        if prior.shape != (n_labels,) or log_prob.shape != (n_labels, n_features):
+            raise BundleError(f"{path}: {tag} tensors have shapes {prior.shape} and "
+                              f"{log_prob.shape}, expected ({n_labels},) and "
+                              f"({n_labels}, {n_features})")
         return MnbModel(prior, log_prob, cfg["alpha"], feature_space=tag)
 
+    vocabs = {b: _bundle_vocab(path, sections, f"vocab:{b}") for b in BASE_FIELDS}
     model = StackModel(
-        bases={b: mnb(b) for b in BASE_FIELDS},
-        base_vocabs={b: _bundle_vocab(path, sections, f"vocab:{b}") for b in BASE_FIELDS},
-        meta=mnb("meta"),
-        label_count=cfg["label_count"],
+        bases={b: mnb(b, len(vocabs[b])) for b in BASE_FIELDS},
+        base_vocabs=vocabs,
+        meta=mnb("meta", len(BASE_FIELDS) * n_labels),
+        label_count=n_labels,
         folds=cfg["folds"],
         alpha=cfg["alpha"],
         igr_percent=cfg["igr_percent"],

@@ -1,11 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain python loops and the math module (or
-exact Fractions), deliberately avoiding the library's own code paths.
+exact Fractions), deliberately avoiding the library's own code paths. The
+exception is the dense naive Bayes reference at the end: the dense-matrix
+numpy code that the sparse counts replaced.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 EARTH_R = 6371.0
 
@@ -128,3 +132,62 @@ def forward_trace(embedding, conv, biases, soft_w, soft_b, field_tokens, cat_pos
     exps = [math.exp(z - mx) for z in logits]
     s = sum(exps)
     return [e / s for e in exps]
+
+
+# --------------------------------------------------------------------------
+# dense naive Bayes reference: (N, F) count matrices, np.add.at class sums
+# and a full refit for every fold
+
+def densify(csr):
+    """Dense (N, F) matrix of a CsrCounts, checking its layout: distinct
+    ascending columns per row, positive float64 counts."""
+    n, f = csr.shape
+    out = [[0.0] * f for _ in range(n)]
+    for i in range(n):
+        cols = [int(c) for c in csr.indices[csr.indptr[i]:csr.indptr[i + 1]]]
+        assert cols == sorted(set(cols)), f"row {i}: columns {cols}"
+        for c, v in zip(cols, csr.counts[csr.indptr[i]:csr.indptr[i + 1]]):
+            assert v > 0
+            out[i][c] = float(v)
+    return np.array(out, dtype=np.float64).reshape(n, f)
+
+
+def count_matrix_dense(token_lists, vocab):
+    out = np.zeros((len(token_lists), len(vocab)), dtype=np.float64)
+    for i, toks in enumerate(token_lists):
+        for t in toks:
+            out[i, vocab.index(t)] += 1.0
+    return out
+
+
+def fit_mnb_dense(counts, labels, n_classes, alpha):
+    """(class_log_prior, feature_log_prob)."""
+    n, f = counts.shape
+    fc = np.zeros((n_classes, f), dtype=np.float64)
+    np.add.at(fc, labels, counts)
+    class_n = np.bincount(labels, minlength=n_classes).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        return (np.log(class_n / n),
+                np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f))
+
+
+def predict_mnb_dense(model, counts):
+    log_prior, log_prob = model
+    return np.argmax(counts @ log_prob.T + log_prior, axis=1)
+
+
+def fit_stacking_dense(token_lists, labels, label_count, vocabs, folds, alpha):
+    """Bases and meta model, each (class_log_prior, feature_log_prob), of
+    stacking with the given base vocabularies; token_lists and vocabs map
+    each base field to its token lists and vocabulary."""
+    counts = {b: count_matrix_dense(token_lists[b], vocabs[b]) for b in vocabs}
+    fold_of = np.arange(len(labels)) % folds
+    meta = np.zeros((len(labels), len(vocabs) * label_count))
+    for j in range(folds):
+        tr, te = fold_of != j, fold_of == j
+        for bi, b in enumerate(vocabs):
+            base = fit_mnb_dense(counts[b][tr], labels[tr], label_count, alpha)
+            pred = predict_mnb_dense(base, counts[b][te])
+            meta[np.flatnonzero(te), bi * label_count + pred] = 1.0
+    bases = {b: fit_mnb_dense(counts[b], labels, label_count, alpha) for b in vocabs}
+    return bases, fit_mnb_dense(meta, labels, label_count, alpha)

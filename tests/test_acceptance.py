@@ -17,9 +17,9 @@ from tweetgeo.cli import main
 from tweetgeo.cnn import CnnConfig, FIELDS, FeatureBatch, encode_features, forward, init_model, predict_proba
 from tweetgeo.geo import City, CityTable, haversine_km, nearest_city
 from tweetgeo.ingest import read_jsonl
+from tweetgeo.labels import city_labels
 from tweetgeo.metrics import (Prediction, acc_at_161, acc_top5, accuracy,
-                              calibration_bins, label_coords_from_table,
-                              median_error_km)
+                              calibration_bins, median_error_km)
 from tweetgeo.synth import SynthSpec, generate, write_corpus
 from tweetgeo.train import load_model, load_stack_model, save_model
 
@@ -222,7 +222,7 @@ def test_c06_metrics_oracle():
         City(5, "other", 10.0, 10.0, "AA", 1),
         City(6, "spare", 20.0, 20.0, "AA", 1),
     ])
-    coords = label_coords_from_table([1, 2, 3, 4, 5, 6], table)
+    coords = city_labels(table).coords_array()
 
     def pred(pred_label, in_top5):
         non_true = [l for l in range(1, 6) if l != pred_label]

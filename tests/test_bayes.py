@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_record
-from oracles import igr_oracle, mnb_posterior_exact
-from tweetgeo.bayes import (categorical_tokens, count_matrix,
-                            fit_mnb, fit_stacking, igr_score, igr_scores,
+from oracles import (count_matrix_dense, densify, fit_stacking_dense, igr_oracle,
+                     mnb_posterior_exact)
+from tweetgeo import bayes
+from tweetgeo.bayes import (BASE_FIELDS, as_csr, base_tokens, categorical_tokens,
+                            count_matrix, fit_mnb, fit_stacking, igr_score, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
                             reduce_vocab, select_top_percent)
 from tweetgeo.textproc import build_vocab
@@ -177,7 +179,7 @@ def test_meta_features_sum_to_five():
     base_labels = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 1, 1]])
     feats = model.meta_features(base_labels)
     assert feats.shape == (2, 5 * 2)
-    assert feats.sum(axis=1).tolist() == [5.0, 5.0]
+    assert densify(feats).sum(axis=1).tolist() == [5.0, 5.0]
 
 
 def test_stacking_beats_or_matches_perfect_base():
@@ -186,7 +188,6 @@ def test_stacking_beats_or_matches_perfect_base():
     acc = float(np.mean(np.argmax(posterior_stacking(model, recs), axis=1) == labels))
 
     # oracle: the text base alone, out-of-fold, must be perfect here
-    from tweetgeo.bayes import base_tokens
     tokens = [base_tokens(r, "text") for r in recs]
     vocab = build_vocab(tokens, min_count=1)
     counts = count_matrix(tokens, vocab)
@@ -229,7 +230,6 @@ def test_stacking_agreement_case():
 
 def test_igr_scores_shape():
     recs, labels = _separable_corpus(10)
-    from tweetgeo.bayes import base_tokens
     tokens = [base_tokens(r, "text") for r in recs]
     vocab = build_vocab(tokens, min_count=1)
     counts = count_matrix(tokens, vocab)
@@ -237,3 +237,118 @@ def test_igr_scores_shape():
     assert scores.shape == (len(vocab),)
     ix = vocab.token_to_index["apple"]
     assert scores[ix] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_igr_score_is_one_column_of_igr_scores(rng):
+    tokens = [[f"w{int(w)}" for w in rng.integers(0, 12, size=int(rng.integers(0, 6)))]
+              for _ in range(60)]
+    labels = rng.integers(0, 3, size=60)
+    vocab = build_vocab(tokens, min_count=1)
+    counts = count_matrix_dense(tokens, vocab)
+    scores = igr_scores(as_csr(counts), labels, 3)
+    docs = np.bincount(labels, minlength=3)
+    for j in range(len(vocab)):
+        present = np.array([np.sum((counts[:, j] > 0) & (labels == c)) for c in range(3)])
+        assert igr_score(present, docs) == pytest.approx(scores[j], abs=1e-15)
+        assert scores[j] == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
+
+
+def test_igr_ties_are_bit_equal_and_ranked_lexicographically(rng):
+    # tokens whose per-class presence counts are permutations of each other
+    # over equal-size classes have equal IGR; rounding must not order them
+    n_classes, per_class = 7, 40
+    labels = np.repeat(np.arange(n_classes), per_class)
+    tokens = [[] for _ in labels]
+    patterns = [rng.integers(0, per_class + 1, size=n_classes) for _ in range(30)]
+    for p, pattern in enumerate(patterns):
+        for q, perm in enumerate(rng.permutation(n_classes) for _ in range(4)):
+            name = f"t{p:02d}{'dcba'[q]}"   # permutations listed in reverse name order
+            for c, k in enumerate(pattern[perm]):
+                for d in range(int(k)):
+                    tokens[c * per_class + d].append(name)
+    vocab = build_vocab(tokens, min_count=1)
+    counts = count_matrix(tokens, vocab)
+    scores = igr_scores(counts, labels, n_classes)
+    for p in range(len(patterns)):
+        group = [scores[vocab.token_to_index[f"t{p:02d}{s}"]] for s in "abcd"
+                 if f"t{p:02d}{s}" in vocab]
+        assert len(set(group)) <= 1, group
+    by_token = {t: float(scores[vocab.token_to_index[t]]) for t in vocab.content_tokens}
+    ranked = select_top_percent(by_token, 100.0)
+    for a, b in zip(ranked, ranked[1:]):
+        assert by_token[a] > by_token[b] or (by_token[a] == by_token[b] and a < b)
+
+
+def test_count_matrix_densifies_to_dense_reference():
+    vocab = build_vocab([["a", "b", "b", "c"], ["c"]], min_count=1)
+    token_lists = [["b", "a", "b", "zz"], [], ["zz", "yy", "c"], [], ["a"] * 5, []]
+    csr = count_matrix(token_lists, vocab)
+    assert csr.shape == (6, len(vocab)) and csr.size == 6 * len(vocab)
+    assert csr.indptr.dtype == csr.indices.dtype == np.int64
+    assert csr.counts.dtype == np.float64
+    want = count_matrix_dense(token_lists, vocab)
+    assert np.array_equal(densify(csr), want)
+    assert np.count_nonzero(csr) == np.count_nonzero(want) == 6
+    assert np.array_equal(densify(count_matrix([], vocab)), np.zeros((0, len(vocab))))
+
+
+def test_csr_row_selection_and_dense_input_match_dense_rows(rng):
+    dense = rng.integers(0, 3, size=(9, 5)).astype(float)
+    dense[[2, 8]] = 0.0
+    csr = as_csr(dense)
+    assert np.array_equal(densify(csr), dense)
+    for rows in (np.array([8, 0, 2, 2]), dense[:, 0] > 0, slice(1, 7, 2), np.array([], dtype=int)):
+        assert np.array_equal(densify(csr[rows]), dense[rows])
+
+
+@pytest.mark.parametrize("gather_cells", [bayes.GATHER_CELLS, 1, 9])
+def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, gather_cells):
+    monkeypatch.setattr(bayes, "GATHER_CELLS", gather_cells)   # many row blocks
+    train = rng.integers(0, 4, size=(50, 30)).astype(float)
+    model = fit_mnb(train, rng.integers(0, 4, size=50), n_classes=4, alpha=0.1)
+    docs = rng.integers(0, 3, size=(40, 30)) * (rng.random((40, 30)) < 0.2)
+    docs[[0, 17, 39]] = 0
+    jll = docs @ model.feature_log_prob.T + model.class_log_prior
+    want = np.exp(jll - jll.max(axis=1, keepdims=True))
+    want /= want.sum(axis=1, keepdims=True)
+    got = posterior_mnb(model, as_csr(docs))
+    assert got.shape == (40, 4)
+    assert np.abs(got - want).max() <= 1e-12
+    assert got[0] == pytest.approx(np.exp(model.class_log_prior), abs=1e-15)   # empty row
+    with pytest.raises(ValueError, match="features"):
+        posterior_mnb(model, as_csr(docs[:, :29]))
+
+
+def _random_corpus(rng, n=90, n_classes=4):
+    words = [f"w{i}" for i in range(25)]
+    recs, labels = [], []
+    for i in range(n):
+        y = int(rng.integers(0, n_classes))
+        pick = lambda k: " ".join(rng.choice(words[y * 5:y * 5 + 8] + words[20:], size=k))
+        recs.append(make_record(user=f"u{i}", text=pick(int(rng.integers(0, 7))),
+                                user_description=pick(int(rng.integers(0, 3))),
+                                profile_location=pick(int(rng.integers(0, 2))),
+                                user_name=pick(1), tweet_lang=f"l{int(rng.integers(0, 3))}",
+                                tz=f"z{y}" if rng.random() < 0.6 else "z9",
+                                posted=int(rng.integers(0, 86400))))
+        labels.append(y)
+    return recs, np.array(labels)
+
+
+@pytest.mark.parametrize("igr_percent", [None, 40.0])
+def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
+    recs, labels = _random_corpus(rng)
+    model = fit_stacking(recs, labels, 4, folds=5, alpha=1e-2, igr_percent=igr_percent)
+    vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
+    tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
+    bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)
+    for b in BASE_FIELDS:
+        assert np.array_equal(model.bases[b].class_log_prior, bases[b][0])
+        assert np.array_equal(model.bases[b].feature_log_prob, bases[b][1])
+    assert np.array_equal(model.meta.class_log_prior, meta[0])
+    assert np.array_equal(model.meta.feature_log_prob, meta[1])
+
+
+def test_categorical_tokens_replace_line_breaks():
+    r = make_record(tweet_lang="e\nn", user_lang="fr\r", tz="Zone\r\nX")
+    assert categorical_tokens(r)[:3] == ["tl=e n", "ul=fr ", "tz=Zone  X"]

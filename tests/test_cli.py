@@ -139,6 +139,34 @@ def test_eval_stack_bundle_missing_section_exits_2(stack_bundle, prep_dir, tmp_p
     assert repr(section) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bundle, key", [("cnn_bundle", "embed_dim"), ("cnn_bundle", "vocab_size"),
+                                         ("stack_bundle", "alpha"), ("stack_bundle", "folds")])
+def test_eval_bundle_config_missing_key_exits_2(request, prep_dir, tmp_path, capsys, bundle, key):
+    model_type, sections = bundle_io.read_sections(request.getfixturevalue(bundle))
+    config = json.loads(sections["config"])
+    del config[key]
+    sections["config"] = bundle_io.encode_json(config)
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["tensor:text:log_prob", "tensor:meta:log_prob",
+                                     "tensor:cats:prior"])
+def test_eval_stack_bundle_with_mis_sized_tensor_exits_2(stack_bundle, prep_dir, tmp_path, capsys,
+                                                         section):
+    model_type, sections = bundle_io.read_sections(stack_bundle)
+    t = bundle_io.decode_tensor(sections[section])
+    sections[section] = bundle_io.encode_tensor(t[..., :-1])   # one feature (or label) short
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert section.split(":")[1] + " tensors have shapes" in capsys.readouterr().err
+
+
 def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp_path, capsys):
     model_type, sections = bundle_io.read_sections(cnn_bundle)
     sections["vocabulary"] = sections["vocabulary"].rsplit(b"\n", 3)[0]

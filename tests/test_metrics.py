@@ -3,9 +3,10 @@ import pytest
 
 from oracles import haversine_oracle_km
 from tweetgeo.geo import City, CityTable, haversine_km
+from tweetgeo.labels import city_labels
 from tweetgeo.metrics import (Prediction, acc_at_161, acc_top5, accuracy,
                               calibration_bins, error_distances_km,
-                              label_coords_from_table, median_error_km,
+                              median_error_km,
                               per_class_pr, ranked_top5, write_calibration,
                               write_metrics_summary, write_per_class_pr)
 
@@ -52,7 +53,7 @@ def _three_city_coords():
         City(2, "far", 0.0, 1.8, "AA", 10),        # ~200 km from origin
         City(3, "boundary", 0.0, LON_161, "AA", 10),
     ])
-    return table, label_coords_from_table([1, 2, 3], table)
+    return table, city_labels(table).coords_array()
 
 
 def test_error_distances_and_acc161_boundary_inclusive():

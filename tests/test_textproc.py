@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
                                Vocabulary, build_vocab, encode_tokens,
-                               load_vocab, save_vocab, tokenize)
+                               load_vocab, save_vocab, tokenize, vocab_to_bytes)
 
 
 def test_tokenize_lowercase_whitespace():
@@ -123,3 +123,9 @@ def test_load_vocab_rejects_bad_files(tmp_path):
     truncated.write_text("min_count=1\nsize=5\n<pad>\n<unk>\na\n")
     with pytest.raises(Exception, match="truncated"):
         load_vocab(truncated)
+
+
+@pytest.mark.parametrize("token", ["tz=Zone\nX", "tz=Zone\rX"])
+def test_vocab_to_bytes_refuses_line_breaks(token):
+    with pytest.raises(ValueError, match="line break"):
+        vocab_to_bytes(Vocabulary([PAD_TOKEN, UNK_TOKEN, token], min_count=1))

@@ -232,6 +232,28 @@ def test_stack_bundle_roundtrip(tmp_path):
     assert loaded.model.meta.class_log_prior.tobytes() == model.meta.class_log_prior.tobytes()
 
 
+def test_stack_bundle_roundtrip_with_line_break_in_timezone(tmp_path):
+    recs, ys = corpus(10)
+    recs[0].timezone = "Zone\nX"
+    labels = country_labels(recs)
+    model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=5, min_count=1)
+    path = tmp_path / "stack.gtlm"
+    save_stack_model(model, labels, path)
+    cats = load_stack_model(path).model.base_vocabs["cats"]
+    assert cats.index_to_token == model.base_vocabs["cats"].index_to_token
+    assert "tz=Zone X" in cats
+
+
+def test_stack_training_is_byte_identical_on_rerun(tmp_path):
+    recs, ys = corpus(12, seed=3)
+    labels = country_labels(recs)
+    for name in ("a.gtlm", "b.gtlm"):
+        model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=5,
+                             igr_percent=40.0, min_count=1)
+        save_stack_model(model, labels, tmp_path / name)
+    assert (tmp_path / "a.gtlm").read_bytes() == (tmp_path / "b.gtlm").read_bytes()
+
+
 def test_bundle_type_cross_loading_rejected(tmp_path):
     model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
     with pytest.raises(BundleError, match="stack"):
