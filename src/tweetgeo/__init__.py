@@ -9,8 +9,7 @@ and a deterministic synthetic-corpus generator for desk-scale experiments.
 from .bayes import (MnbModel, StackModel, fit_mnb, fit_stacking, igr_score,
                     posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
 from .cnn import (CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
-                  field_matrix, forward, init_model, load_pretrained_embeddings,
-                  predict_proba)
+                  forward, init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
 from .errors import BundleError, DataError
 from .geo import (City, CityTable, aggregate_cities, haversine_km,

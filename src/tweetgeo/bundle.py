@@ -6,6 +6,7 @@ small shape header; everything round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -39,30 +40,39 @@ def write_sections(path, model_type: str, sections: list[tuple[str, bytes]]):
             f.write(payload)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    b = f.read(n)
-    if len(b) != n:
+def _read_exact(f, n: int, what: str, end: int) -> bytes:
+    """n bytes from f, checked against the `end` of the file before reading,
+    so a corrupt length cannot ask for more memory than the file holds."""
+    if n > end - f.tell():
         raise BundleError(f"truncated bundle while reading {what}")
-    return b
+    return f.read(n)
+
+
+def _decode_name(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise BundleError(f"corrupt {what}: {e}") from e
 
 
 def read_sections(path) -> tuple[str, dict[str, bytes]]:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        end = os.fstat(f.fileno()).st_size
+        if _read_exact(f, 4, "magic", end) != MAGIC:
             raise BundleError(f"{path}: not a model bundle (bad magic)")
-        version = int.from_bytes(_read_exact(f, 2, "version"), "little")
+        version = int.from_bytes(_read_exact(f, 2, "version", end), "little")
         if version != VERSION:
             raise BundleError(f"{path}: unsupported bundle version {version}")
-        count = int.from_bytes(_read_exact(f, 2, "section count"), "little")
+        count = int.from_bytes(_read_exact(f, 2, "section count", end), "little")
         sections: dict[str, bytes] = {}
         for _ in range(count):
-            name_len = int.from_bytes(_read_exact(f, 2, "section name length"), "little")
-            name = _read_exact(f, name_len, "section name").decode("utf-8")
-            size = int.from_bytes(_read_exact(f, 8, f"length of {name}"), "little")
-            sections[name] = _read_exact(f, size, f"section {name}")
+            name_len = int.from_bytes(_read_exact(f, 2, "section name length", end), "little")
+            name = _decode_name(_read_exact(f, name_len, "section name", end), "section name")
+            size = int.from_bytes(_read_exact(f, 8, f"length of {name}", end), "little")
+            sections[name] = _read_exact(f, size, f"section {name}", end)
     if "model_type" not in sections:
         raise BundleError(f"{path}: bundle lacks a model_type section")
-    return sections.pop("model_type").decode("utf-8"), sections
+    return _decode_name(sections.pop("model_type"), "model_type section"), sections
 
 
 def encode_tensor(a: np.ndarray) -> bytes:
@@ -88,7 +98,10 @@ def decode_tensor(payload: bytes, what: str = "tensor") -> np.ndarray:
         n *= d
     if len(payload) != off + n * size:
         raise BundleError(f"{what}: payload length does not match shape {shape}")
-    return np.frombuffer(payload[off:], dtype=_DTYPES[size]).reshape(shape).copy()
+    try:
+        return np.frombuffer(payload[off:], dtype=_DTYPES[size]).reshape(shape).copy()
+    except ValueError as e:                   # more axes than numpy supports
+        raise BundleError(f"{what}: {e}") from e
 
 
 def encode_json(obj) -> bytes:

@@ -24,6 +24,10 @@ from .train import (TrainConfig, load_model, load_stack_model, save_model,
                     save_stack_model, train, write_train_log)
 
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}
+# `predict` scores its input this many valid records at a time: a multiple
+# of predict_proba's 256-record batch, so the CNN batches are the same as
+# for the whole input at once
+PREDICT_CHUNK = 4096
 
 
 def _windows_arg(s: str) -> tuple:
@@ -309,34 +313,44 @@ def cmd_eval(ns) -> int:
     return 0
 
 
+def _write_predictions(kind, b, records, min_prob, fout) -> tuple[int, int]:
+    """Score records and write one JSON line per kept prediction; returns
+    (written, filtered below min_prob)."""
+    written = filtered = 0
+    for r, p in zip(records, _probabilities(kind, b, records)):
+        ranked = metrics.ranked_top5(p)
+        top = float(p[ranked[0]])
+        if min_prob is not None and top < min_prob:
+            filtered += 1
+            continue
+        fout.write(json.dumps({
+            "user_id": r.user_id,
+            "ranked_labels": [b.labels.values[i] for i in ranked],
+            "ranked_probs": [float(p[i]) for i in ranked],
+            "top_prob": top,
+        }, ensure_ascii=False, sort_keys=True) + "\n")
+        written += 1
+    return written, filtered
+
+
 def cmd_predict(ns) -> int:
     kind, b = _load_any(ns.model_file)
     written = filtered = skipped = 0
     with open(ns.input, encoding="utf-8") as fin, \
             open(ns.out, "w", encoding="utf-8") as fout:
-        batch = []
+        chunk = []
         for line in fin:
-            if not line.strip():
-                continue
-            try:
-                batch.append(ingest.parse_record(line, require_coords=False))
-            except ingest.RecordSkip:
-                skipped += 1
-        if batch:
-            probs = _probabilities(kind, b, batch)
-            for r, p in zip(batch, probs):
-                ranked = metrics.ranked_top5(p)
-                top = float(p[ranked[0]])
-                if ns.min_prob is not None and top < ns.min_prob:
-                    filtered += 1
-                    continue
-                fout.write(json.dumps({
-                    "user_id": r.user_id,
-                    "ranked_labels": [b.labels.values[i] for i in ranked],
-                    "ranked_probs": [float(p[i]) for i in ranked],
-                    "top_prob": top,
-                }, ensure_ascii=False, sort_keys=True) + "\n")
-                written += 1
+            if line.strip():
+                try:
+                    chunk.append(ingest.parse_record(line, require_coords=False))
+                except ingest.RecordSkip:
+                    skipped += 1
+            if len(chunk) == PREDICT_CHUNK:
+                w, f = _write_predictions(kind, b, chunk, ns.min_prob, fout)
+                written, filtered, chunk = written + w, filtered + f, []
+        if chunk:
+            w, f = _write_predictions(kind, b, chunk, ns.min_prob, fout)
+            written, filtered = written + w, filtered + f
     _say(f"predict: {written} written, {filtered} below min-prob, {skipped} skipped")
     return 0
 

@@ -6,9 +6,10 @@ max-over-time pooling. Pooled features from the four fields are concatenated
 categorical one-hot block is appended, and a softmax layer produces the
 label distribution.
 
-Backward passes are written by hand; gradients flow only to the argmax
-pooling position of each filter (first position on ties) and never to the
-PAD embedding row.
+The convolution is computed once per distinct token of a batch rather than
+once per window position (see `forward`). Backward passes are written by
+hand; gradients flow only to the argmax pooling position of each filter
+(first position on ties) and never to the PAD embedding row.
 """
 
 from __future__ import annotations
@@ -175,28 +176,45 @@ def encode_features(records, vocab: Vocabulary, maps: CategoryMaps,
     return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
 
 
-def field_matrix(indices, model: CnnModel) -> np.ndarray:
-    """Embedding rows for one encoded field; PAD rows are zero."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= model.vocab_size):
-        raise ValueError("token index out of vocabulary range")
-    return model.embedding[idx]
+def _bank_fields(config: CnnConfig) -> list[tuple[str, ...]]:
+    """The fields each filter bank convolves: one bank for all four fields
+    when filters are shared, else one bank per field."""
+    return [FIELDS] if config.share_filters else [(f,) for f in FIELDS]
 
 
-def _windows(X: np.ndarray, h: int) -> np.ndarray:
-    """(B, n, k) -> (B, n-h+1, h*k): each row the h stacked word vectors."""
-    n = X.shape[1]
-    if n < h:
-        raise ValueError(f"field length {n} shorter than window {h}")
-    p = n - h + 1
-    return np.concatenate([X[:, o:o + p, :] for o in range(h)], axis=2)
+def _stacked_filters(model: CnnModel, field: str) -> np.ndarray:
+    """(sum(h)*m, k): the offset slices of every window of the bank that
+    `field` uses, window-major; row block (h, o) is W_h[:, o*k:(o+1)*k]."""
+    cfg = model.config
+    k, m = cfg.embed_dim, cfg.filters_per_window
+    return np.concatenate([
+        model.params[conv_names(cfg, field, h)[0]].reshape(m, h, k).transpose(1, 0, 2)
+        .reshape(h * m, k) for h in cfg.windows])
+
+
+def _block_offsets(config: CnnConfig) -> dict[int, int]:
+    """Window h -> first column of its row blocks in `_stacked_filters`."""
+    offsets, c = {}, 0
+    for h in config.windows:
+        offsets[h] = c
+        c += h * config.filters_per_window
+    return offsets
+
+
+@dataclass
+class _BankCache:
+    """What backward needs of one filter bank: the batch's distinct token ids
+    and, per field, each position's index into them."""
+    uniq: np.ndarray         # (U,) distinct token ids, ascending
+    inv: dict                # field -> (B, n) int64 indices into uniq
 
 
 @dataclass
 class ForwardPass:
     probs: np.ndarray        # (B, L)
     theta_hat: np.ndarray    # (B, D) pooled features (post-dropout) + one-hot block
-    _caches: list            # per (field, window): (idx, xw, pre, arg)
+    _banks: list             # one _BankCache per filter bank
+    _pools: dict             # (field, h) -> (argmax (B, m), ReLU gate (B, m) bool)
     _mask: np.ndarray        # dropout mask with survivor scaling
     _theta_dim: int
 
@@ -204,35 +222,67 @@ class ForwardPass:
 def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
             dropout_seed: int = 0) -> ForwardPass:
     """Run the classifier over a batch; train mode applies dropout to the
-    pooled vector before the categorical block is appended."""
+    pooled vector before the categorical block is appended.
+
+    Each bank multiplies its filters once per distinct token of the batch:
+    Zu = E[uniq] @ Wcat.T, and window h at position p pre-activates to
+    b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row of E is zero, so
+    an all-PAD window gives exactly b_h."""
     cfg = model.config
-    pooled_parts, caches = [], []
-    for f in FIELDS:
-        idx = batch.tokens[f]
-        X = field_matrix(idx, model)
-        for h in cfg.windows:
-            w, b = conv_names(cfg, f, h)
-            xw = _windows(X, h)                                  # (B, P, h*k)
-            pre = xw @ model.params[w].T + model.params[b]       # (B, P, m)
-            act = nncore.relu(pre)
-            pooled_parts.append(act.max(axis=1))
-            caches.append((idx, xw, pre, act.argmax(axis=1)))
-    theta = np.concatenate(pooled_parts, axis=1)                 # (B, 4*sum(m))
+    m = cfg.filters_per_window
+    offsets = _block_offsets(cfg)
+    banks, pools, pooled = [], {}, {}
+    for fields in _bank_fields(cfg):
+        idx = [np.asarray(batch.tokens[f], dtype=np.int64) for f in fields]
+        for f, t in zip(fields, idx):
+            if t.shape[1] < cfg.windows[-1]:
+                raise ValueError(f"field {f} length {t.shape[1]} shorter than window "
+                                 f"{cfg.windows[-1]}")
+        uniq, inv = np.unique(np.concatenate([t.ravel() for t in idx]), return_inverse=True)
+        if uniq.size and (uniq[0] < 0 or uniq[-1] >= model.vocab_size):
+            raise ValueError("token index out of vocabulary range")
+        zu = model.embedding[uniq] @ _stacked_filters(model, fields[0]).T   # (U, sum(h)*m)
+        cache = _BankCache(uniq, {})
+        start = 0
+        for f, t in zip(fields, idx):
+            inv_f = inv[start:start + t.size].reshape(t.shape)
+            start += t.size
+            cache.inv[f] = inv_f
+            for h in cfg.windows:
+                p = t.shape[1] - h + 1
+                c = offsets[h]
+                act = zu[inv_f[:, :p], c:c + m]                          # (B, P, m)
+                for o in range(1, h):
+                    act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
+                act += model.params[conv_names(cfg, f, h)[1]]
+                np.maximum(act, 0, out=act)
+                top = act.max(axis=1)
+                arg = (act == top[:, None, :]).argmax(axis=1)            # first max
+                pooled[f, h] = top
+                pools[f, h] = (arg, top > 0)
+        banks.append(cache)
+    theta = np.concatenate([pooled[f, h] for f in FIELDS for h in cfg.windows], axis=1)
     theta, mask = nncore.dropout(theta, cfg.dropout_rate, train=train, seed=dropout_seed)
 
     onehot = np.zeros((batch.size, model.cat_block_size), dtype=model.dtype)
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
     theta_hat = np.concatenate([theta, onehot], axis=1)          # (B, D)
     logits = theta_hat @ model.softmax_w.T + model.softmax_b
-    return ForwardPass(nncore.softmax(logits), theta_hat, caches, mask, theta.shape[1])
+    return ForwardPass(nncore.softmax(logits), theta_hat, banks, pools, mask, theta.shape[1])
 
 
 def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy over the batch for every
-    trainable tensor. The PAD embedding row stays exactly zero."""
+    trainable tensor. The PAD embedding row stays exactly zero.
+
+    The max-pool gradient reaches one position per (record, filter); its
+    value lands, per window offset, on one (distinct token, filter column)
+    cell of dZu, the gradient of the bank's Zu. Then dWcat = dZu.T @ E[uniq]
+    and dE[uniq] = dZu @ Wcat."""
     cfg = model.config
     b_sz = fwd.probs.shape[0]
-    m = cfg.filters_per_window
+    k, m = cfg.embed_dim, cfg.filters_per_window
+    offsets = _block_offsets(cfg)
 
     dlogits = fwd.probs.copy()
     dlogits[np.arange(b_sz), labels] -= 1.0
@@ -244,37 +294,35 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
 
     dtheta_hat = dlogits @ model.softmax_w
     dtheta = dtheta_hat[:, :fwd._theta_dim] * fwd._mask
-
-    ci = 0
-    col = 0
+    col = {}
     for f in FIELDS:
-        dX_by_field = None
-        idx_field = None
         for h in cfg.windows:
-            w, b = conv_names(cfg, f, h)
-            idx, xw, pre, arg = fwd._caches[ci]
-            ci += 1
-            dpooled = dtheta[:, col:col + m]
-            col += m
+            col[f, h] = len(col) * m
 
-            # gradient reaches only the argmax position, gated by ReLU there
-            pre_at = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0, :]
-            dval = dpooled * (pre_at > 0)
-            dpre = np.zeros_like(pre)
-            np.put_along_axis(dpre, arg[:, None, :], dval[:, None, :], axis=1)
-
-            grads[w] += np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))
-            grads[b] += dpre.sum(axis=(0, 1))
-
-            dxw = dpre @ model.params[w]                         # (B, P, h*k)
-            k = cfg.embed_dim
-            p = xw.shape[1]
-            if dX_by_field is None:
-                dX_by_field = np.zeros((b_sz, idx.shape[1], k), dtype=model.dtype)
-                idx_field = idx
-            for o in range(h):
-                dX_by_field[:, o:o + p, :] += dxw[:, :, o * k:(o + 1) * k]
-        np.add.at(grads["embedding"], idx_field, dX_by_field)
+    width = sum(cfg.windows) * m                  # columns of Zu
+    filters = np.arange(m)
+    for fields, cache in zip(_bank_fields(cfg), fwd._banks):
+        cells, values = [], []
+        for f in fields:
+            inv_f = cache.inv[f]
+            rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
+            for h in cfg.windows:
+                arg, gate = fwd._pools[f, h]
+                dval = dtheta[:, col[f, h]:col[f, h] + m] * gate       # (B, m)
+                grads[conv_names(cfg, f, h)[1]] += dval.sum(axis=0)
+                at = (rows + arg).ravel()            # flat (record, argmax) positions
+                for o in range(h):
+                    u = inv_f.take(at + o)
+                    cells.append(u * width + np.tile(offsets[h] + o * m + filters, b_sz))
+                    values.append(dval.ravel())
+        dzu = np.zeros((cache.uniq.size, width), dtype=model.dtype)
+        np.add.at(dzu.reshape(-1), np.concatenate(cells), np.concatenate(values))
+        eu = model.embedding[cache.uniq]
+        dw = dzu.T @ eu                                                   # (sum(h)*m, k)
+        for h in cfg.windows:
+            g = grads[conv_names(cfg, fields[0], h)[0]].reshape(m, h, k)
+            g += dw[offsets[h]:offsets[h] + h * m].reshape(h, m, k).transpose(1, 0, 2)
+        grads["embedding"][cache.uniq] += dzu @ _stacked_filters(model, fields[0])
     grads["embedding"][textproc.PAD_INDEX] = 0.0
     return grads
 

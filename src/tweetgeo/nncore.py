@@ -72,17 +72,32 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
-    """One Adam update with bias correction; mutates param and state in place.
+    """One Adam update with bias correction; mutates param, state.m and
+    state.v in place.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+
+    Each elementwise operation is the one the formula names, in its order,
+    so the result is bit-identical to evaluating it into new arrays; two
+    temporary arrays of the parameter's size are the only allocations.
     """
     if param.shape != grad.shape:
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(param.dtype)
+    m, v = state.m, state.v
+    num = np.multiply(grad, 1.0 - state.beta1)
+    m *= state.beta1
+    m += num
+    den = np.square(grad)
+    den *= 1.0 - state.beta2
+    v *= state.beta2
+    v += den
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=num)      # m_hat
+    num *= state.lr
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=den)      # v_hat
+    np.sqrt(den, out=den)
+    den += state.eps
+    num /= den
+    param -= num.astype(param.dtype, copy=False)
     return param, state

@@ -130,6 +130,9 @@ def write_train_log(path, log: list):
 _CNN_CONFIG_KEYS = ("embed_dim", "windows", "filters_per_window", "dropout_rate", "max_lens",
                    "label_count", "share_filters", "cat_block_size", "vocab_size")
 _STACK_CONFIG_KEYS = ("label_count", "folds", "alpha", "igr_percent")
+_CNN_INT_KEYS = ("embed_dim", "filters_per_window", "label_count", "cat_block_size",
+                 "vocab_size")
+_STACK_INT_KEYS = ("label_count", "folds")
 
 
 @dataclass
@@ -146,14 +149,30 @@ def _require(path, sections: dict, names):
             raise BundleError(f"{path}: bundle lacks section {name!r}")
 
 
-def _bundle_config(path, sections: dict, keys) -> dict:
+def _bundle_config(path, sections: dict, keys, int_keys) -> dict:
     cfg = bundle_io.decode_json(sections["config"], "config")
     if not isinstance(cfg, dict):
         raise BundleError(f"{path}: config section is not a JSON object")
     for key in keys:
         if key not in cfg:
             raise BundleError(f"{path}: config section lacks key {key!r}")
+    for key in int_keys:
+        if type(cfg[key]) is not int:
+            raise BundleError(f"{path}: config key {key!r} is not an integer")
     return cfg
+
+
+def _checked(path, what: str, build, obj):
+    """build(obj) for a decoded bundle section; a structure that build
+    rejects (a missing key, a wrong type, an invalid value) is a BundleError."""
+    try:
+        return build(obj)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+        raise BundleError(f"{path}: bad {what} section: {e!r}") from e
+
+
+def _json_section(path, sections: dict, name: str, build):
+    return _checked(path, name, build, bundle_io.decode_json(sections[name], name))
 
 
 def _bundle_vocab(path, sections: dict, name: str) -> Vocabulary:
@@ -204,19 +223,19 @@ def load_model(path) -> CnnBundle:
     if model_type != "cnn":
         raise BundleError(f"{path}: expected a cnn bundle, found {model_type!r}")
     _require(path, sections, ("config", "vocabulary", "category_maps", "label_table"))
-    cfgj = _bundle_config(path, sections, _CNN_CONFIG_KEYS)
-    cfg = CnnConfig(
-        embed_dim=cfgj["embed_dim"],
-        windows=tuple(cfgj["windows"]),
-        filters_per_window=cfgj["filters_per_window"],
-        dropout_rate=cfgj["dropout_rate"],
-        max_lens=cfgj["max_lens"],
-        label_count=cfgj["label_count"],
-        share_filters=cfgj["share_filters"],
-    )
+    cfgj = _bundle_config(path, sections, _CNN_CONFIG_KEYS, _CNN_INT_KEYS)
+    cfg = _checked(path, "config", lambda c: CnnConfig(
+        embed_dim=c["embed_dim"],
+        windows=tuple(c["windows"]),
+        filters_per_window=c["filters_per_window"],
+        dropout_rate=c["dropout_rate"],
+        max_lens=c["max_lens"],
+        label_count=c["label_count"],
+        share_filters=c["share_filters"],
+    ), cfgj)
     vocab = _bundle_vocab(path, sections, "vocabulary")
-    maps = CategoryMaps.from_value_lists(bundle_io.decode_json(sections["category_maps"]))
-    labels = _labels_from_json(bundle_io.decode_json(sections["label_table"]))
+    maps = _json_section(path, sections, "category_maps", CategoryMaps.from_value_lists)
+    labels = _json_section(path, sections, "label_table", _labels_from_json)
     if len(labels) != cfg.label_count:
         raise BundleError(f"{path}: label table size {len(labels)} != model "
                           f"label count {cfg.label_count}")
@@ -273,9 +292,9 @@ def load_stack_model(path) -> StackBundle:
              + [f"vocab:{b}" for b in BASE_FIELDS]
              + [f"tensor:{t}:{part}" for t in BASE_FIELDS + ("meta",)
                 for part in ("prior", "log_prob")])
-    cfg = _bundle_config(path, sections, _STACK_CONFIG_KEYS)
+    cfg = _bundle_config(path, sections, _STACK_CONFIG_KEYS, _STACK_INT_KEYS)
     n_labels = cfg["label_count"]
-    labels = _labels_from_json(bundle_io.decode_json(sections["label_table"]))
+    labels = _json_section(path, sections, "label_table", _labels_from_json)
     if len(labels) != n_labels:
         raise BundleError(f"{path}: label table size != stored label count")
 

@@ -4,8 +4,8 @@ races, no ReLU boundary crossings within the step size)."""
 
 import numpy as np
 
-from tweetgeo.cnn import (FIELDS, FeatureBatch, _windows, backward, conv_names, field_matrix,
-                         forward)
+from oracles import dense_conv
+from tweetgeo.cnn import FIELDS, FeatureBatch, backward, forward
 from tweetgeo.nncore import cross_entropy_batch, relu
 from tweetgeo.textproc import PAD_INDEX
 
@@ -19,10 +19,8 @@ def smoothness_margin(model, batch: FeatureBatch) -> float:
     cfg = model.config
     for f in FIELDS:
         idx = batch.tokens[f]
-        X = field_matrix(idx, model)
         for h in cfg.windows:
-            w, bias = conv_names(cfg, f, h)
-            pre = _windows(X, h) @ model.params[w].T + model.params[bias]
+            _, pre = dense_conv(model, batch, f, h)
             act = relu(pre)
             n_b, n_p, n_m = act.shape
             for b in range(n_b):

@@ -2,14 +2,19 @@
 
 Everything here is written with plain python loops and the math module (or
 exact Fractions), deliberately avoiding the library's own code paths. The
-exception is the dense naive Bayes reference at the end: the dense-matrix
-numpy code that the sparse counts replaced.
+exceptions are the two references at the end: the dense naive Bayes code
+that the sparse counts replaced, and the im2col CNN forward and backward and
+the out-of-place Adam that the distinct-token convolution and the in-place
+update replaced.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from tweetgeo import nncore
+from tweetgeo.cnn import FIELDS, conv_names
 
 EARTH_R = 6371.0
 
@@ -191,3 +196,104 @@ def fit_stacking_dense(token_lists, labels, label_count, vocabs, folds, alpha):
             meta[np.flatnonzero(te), bi * label_count + pred] = 1.0
     bases = {b: fit_mnb_dense(counts[b], labels, label_count, alpha) for b in vocabs}
     return bases, fit_mnb_dense(meta, labels, label_count, alpha)
+
+
+# --------------------------------------------------------------------------
+# dense CNN reference: the im2col forward, the dense backward and the
+# out-of-place Adam that the distinct-token convolution and in-place Adam
+# replaced. Works on a tweetgeo CnnModel and FeatureBatch.
+
+def field_matrix(indices, model):
+    """Embedding rows for one encoded field; PAD rows are zero."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= model.vocab_size):
+        raise ValueError("token index out of vocabulary range")
+    return model.embedding[idx]
+
+
+def im2col_windows(X, h):
+    """(B, n, k) -> (B, n-h+1, h*k): each row the h stacked word vectors."""
+    n = X.shape[1]
+    if n < h:
+        raise ValueError(f"field length {n} shorter than window {h}")
+    p = n - h + 1
+    return np.concatenate([X[:, o:o + p, :] for o in range(h)], axis=2)
+
+
+def dense_conv(model, batch, field, h):
+    """(im2col windows (B, P, h*k), pre-activations (B, P, m)) of one field
+    and window."""
+    w, b = conv_names(model.config, field, h)
+    xw = im2col_windows(field_matrix(batch.tokens[field], model), h)
+    return xw, xw @ model.params[w].T + model.params[b]
+
+
+def dense_forward(model, batch, train=False, dropout_seed=0):
+    """(probs, theta_hat, caches, mask); caches hold (idx, xw, pre, argmax)
+    per (field, window), field-major."""
+    pooled, caches = [], []
+    for f in FIELDS:
+        for h in model.config.windows:
+            xw, pre = dense_conv(model, batch, f, h)
+            act = nncore.relu(pre)
+            pooled.append(act.max(axis=1))
+            caches.append((batch.tokens[f], xw, pre, act.argmax(axis=1)))
+    theta = np.concatenate(pooled, axis=1)
+    theta, mask = nncore.dropout(theta, model.config.dropout_rate, train=train,
+                                 seed=dropout_seed)
+    onehot = np.zeros((batch.size, model.cat_block_size), dtype=model.dtype)
+    np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
+    theta_hat = np.concatenate([theta, onehot], axis=1)
+    probs = nncore.softmax(theta_hat @ model.softmax_w.T + model.softmax_b)
+    return probs, theta_hat, caches, mask
+
+
+def dense_backward(model, fwd, labels):
+    """Gradients of the mean cross-entropy for every tensor, from the output
+    of dense_forward: tensordot over the im2col windows and a scatter of
+    every window's input gradient back onto its token rows."""
+    probs, theta_hat, caches, mask = fwd
+    cfg = model.config
+    b_sz, m, k = probs.shape[0], cfg.filters_per_window, cfg.embed_dim
+    dlogits = probs.copy()
+    dlogits[np.arange(b_sz), labels] -= 1.0
+    dlogits /= b_sz
+    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    grads["softmax_w"] = dlogits.T @ theta_hat
+    grads["softmax_b"] = dlogits.sum(axis=0)
+    dtheta = (dlogits @ model.softmax_w)[:, :mask.shape[1]] * mask
+    ci = 0
+    for f in FIELDS:
+        dX = None
+        for h in cfg.windows:
+            w, b = conv_names(cfg, f, h)
+            idx, xw, pre, arg = caches[ci]
+            dpooled = dtheta[:, ci * m:(ci + 1) * m]
+            ci += 1
+            pre_at = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0, :]
+            dpre = np.zeros_like(pre)
+            np.put_along_axis(dpre, arg[:, None, :], (dpooled * (pre_at > 0))[:, None, :],
+                              axis=1)
+            grads[w] += np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))
+            grads[b] += dpre.sum(axis=(0, 1))
+            dxw = dpre @ model.params[w]
+            p = xw.shape[1]
+            if dX is None:
+                dX = np.zeros((b_sz, idx.shape[1], k), dtype=model.dtype)
+            for o in range(h):
+                dX[:, o:o + p, :] += dxw[:, :, o * k:(o + 1) * k]
+        np.add.at(grads["embedding"], idx, dX)
+    grads["embedding"][0] = 0.0
+    return grads
+
+
+def adam_step_reference(param, grad, state):
+    """Adam with new moment arrays on every step (the update, operation by
+    operation, that the in-place version must reproduce bit for bit)."""
+    state.t += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    param -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(param.dtype)
+    return param, state

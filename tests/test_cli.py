@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tweetgeo import bundle as bundle_io
+from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.cli import main
 from tweetgeo.synth import SynthSpec, write_corpus
 from tweetgeo.textproc import load_vocab
@@ -177,6 +177,25 @@ def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("byte, mask", [(7, 0xFF), (5, 0x01)])
+def test_eval_bundle_with_flipped_section_length_exits_2(cnn_bundle, prep_dir, tmp_path, capsys,
+                                                         byte, mask):
+    # the u64 length of the second section (config) grows past the file's end
+    raw = bytearray(cnn_bundle.read_bytes())
+    at = 8
+    for _ in range(2):
+        name_end = at + 2 + int.from_bytes(raw[at:at + 2], "little")
+        length_at, at = name_end, name_end + 8 + int.from_bytes(raw[name_end:name_end + 8],
+                                                               "little")
+    assert raw[length_at - 6:length_at] == b"config"
+    raw[length_at + byte] ^= mask
+    (tmp_path / "bad.gtlm").write_bytes(bytes(raw))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "truncated bundle while reading section config" in capsys.readouterr().err
+
+
 def test_eval_country_omits_distance_metrics(prep_dir, tmp_path):
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "country",
                "--model", "stacking", "--min-count", "3",
@@ -242,6 +261,35 @@ def test_predict_handles_malformed_and_empty(cnn_bundle, tmp_path):
                "--out", str(tmp_path / "eo.jsonl")])
     assert rc == 0
     assert (tmp_path / "eo.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("bundle, chunk", [("cnn_bundle", None), ("stack_bundle", 7)])
+def test_predict_streams_in_chunks_with_unchanged_output(request, prep_dir, tmp_path, capsys,
+                                                         monkeypatch, bundle, chunk):
+    # more valid records than one chunk, with blank and malformed lines between
+    # them; the output and summary equal those of scoring everything at once
+    rows = (prep_dir / "test.jsonl").read_text().splitlines()
+    lines = []
+    while len(lines) < cli.PREDICT_CHUNK + 300:
+        lines += rows + ["", "not-json"]
+    (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n")
+    argv = ["predict", "--model-file", str(request.getfixturevalue(bundle)),
+            "--input", str(tmp_path / "in.jsonl"), "--min-prob", "0.5"]
+    capsys.readouterr()
+    if chunk is not None:
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", chunk)
+    sizes = []
+    score = cli._probabilities
+    monkeypatch.setattr(cli, "_probabilities",
+                        lambda kind, b, records: sizes.append(len(records)) or score(kind, b, records))
+    assert main(argv + ["--out", str(tmp_path / "chunked.jsonl")]) == 0
+    chunked_say = capsys.readouterr().out
+    assert max(sizes) == cli.PREDICT_CHUNK and len(sizes) > 1
+    monkeypatch.setattr(cli, "PREDICT_CHUNK", 10 ** 9)
+    assert main(argv + ["--out", str(tmp_path / "whole.jsonl")]) == 0
+    assert capsys.readouterr().out == chunked_say
+    assert "skipped" in chunked_say and sizes[-1] == sum(sizes[:-1])
+    assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
 
 def test_config_file_preloads_defaults(corpus_dir, tmp_path):

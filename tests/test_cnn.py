@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fdcheck import fd_sweep, smoothness_margin
-from oracles import conv_maxpool_scan, forward_trace
-from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, _windows, backward, conv_names,
-                          encode_features, field_matrix, forward, init_model,
-                          load_pretrained_embeddings, param_shapes, predict_proba)
+from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
+                     forward_trace)
+from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, backward, conv_names,
+                          encode_features, forward, init_model, load_pretrained_embeddings,
+                          param_shapes, predict_proba)
 from tweetgeo.encode import CategoryMaps, UNK_CAT
 from tweetgeo.errors import DataError
 from tweetgeo.textproc import build_vocab
@@ -69,40 +70,62 @@ def test_param_shapes_layout_and_init_rules():
 
 
 def test_field_matrix_pad_rows_zero(rng):
+    # PAD rows contribute exact zeros: an all-PAD field pools to exactly
+    # relu(b), and a text field [5, PAD, ...] pools as the window scan over
+    # the rows [E[5], 0, ...]
+    cfg = tiny_config(dropout_rate=0.0)
+    model = init_model(cfg, 20, cat_block(), seed=0).astype(np.float64)
+    for h in cfg.windows:
+        model.params[conv_names(cfg, "text", h)[1]][:] = [0.3, -0.2]
+    tokens = {f: np.zeros((2, cfg.max_lens[f]), dtype=np.int64) for f in FIELDS}
+    tokens["text"][1, 0] = 5
+    theta = forward(model, FeatureBatch(tokens, np.zeros((2, 4), dtype=np.int64))).theta_hat
+    assert (theta[0, :cfg.pooled_size] == np.tile([0.3, 0.0], 8)).all()
+    assert (theta[1, 4:cfg.pooled_size] == np.tile([0.3, 0.0], 6)).all()
+    rows = np.zeros((cfg.max_lens["text"], cfg.embed_dim))
+    rows[0] = model.embedding[5]
+    for i, h in enumerate(cfg.windows):
+        w, b = (model.params[n] for n in conv_names(cfg, "text", h))
+        for j in range(2):
+            want = conv_maxpool_scan(rows.tolist(), w[j].tolist(), float(b[j]))
+            assert theta[1, 2 * i + j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_field_matrix_rejects_out_of_range(rng):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=0)
-    X = field_matrix(np.zeros((1, 6), dtype=np.int64), model)
-    assert not X.any()
-    X = field_matrix(np.array([[5, 0, 0]], dtype=np.int64), model)
-    assert (X[0, 0] == model.embedding[5]).all()
-    assert not X[0, 1:].any()
-    assert X.shape == (1, 3, cfg.embed_dim)
-
-
-def test_field_matrix_rejects_out_of_range():
-    model = init_model(tiny_config(), 20, cat_block(), seed=0)
-    with pytest.raises(ValueError):
-        field_matrix(np.array([[25]]), model)
+    for bad in (25, 20, -1):
+        batch = tiny_batch(rng, cfg)
+        batch.tokens["profile_location"][1, 2] = bad
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            forward(model, batch)
 
 
 def text_conv_maxpool(X, w, b):
     """Convolve one field matrix X (n, k) with one filter bank (m, h*k) and
     bias (m,) through the batch forward pass, as the text field of a single
-    record. Returns (pooled (m,), argmax (m,), pre-activations (p, m))."""
+    record. Returns (pooled (m,), argmax (m,), pre-activations (p, m)); the
+    pre-activations come from the dense im2col reference, and the pooled
+    values must equal their ReLU'd maximum at the argmax."""
     n, k = X.shape
     m, hk = w.shape
-    cfg = CnnConfig(embed_dim=k, windows=(hk // k,), filters_per_window=m, dropout_rate=0.0,
+    h = hk // k
+    cfg = CnnConfig(embed_dim=k, windows=(h,), filters_per_window=m, dropout_rate=0.0,
                     max_lens={f: n for f in FIELDS}, label_count=2)
     model = init_model(cfg, n + 1, 1).astype(X.dtype)
     model.embedding[1:] = X
-    w_name, b_name = conv_names(cfg, "text", hk // k)
+    w_name, b_name = conv_names(cfg, "text", h)
     model.params[w_name][:] = w
     model.params[b_name][:] = b
     tokens = {f: np.zeros((1, n), dtype=np.int64) for f in FIELDS}
     tokens["text"][0] = np.arange(1, n + 1)
-    fwd = forward(model, FeatureBatch(tokens, np.zeros((1, 4), dtype=np.int64)))
-    _, _, pre, arg = fwd._caches[0]              # text field comes first
-    return fwd.theta_hat[0, :m], arg[0], pre[0]
+    batch = FeatureBatch(tokens, np.zeros((1, 4), dtype=np.int64))
+    fwd = forward(model, batch)
+    pooled, arg = fwd.theta_hat[0, :m], fwd._pools["text", h][0][0]
+    pre = dense_conv(model, batch, "text", h)[1][0]
+    assert pooled == pytest.approx(np.maximum(pre[arg, np.arange(m)], 0), rel=1e-12, abs=1e-15)
+    assert pooled == pytest.approx(np.maximum(pre, 0).max(axis=0), rel=1e-12, abs=1e-15)
+    return pooled, arg, pre
 
 
 def test_conv_maxpool_hand_case():
@@ -120,9 +143,13 @@ def test_conv_maxpool_zero_filters():
     assert pooled.tolist() == [0.0, 0.0, 0.0]
 
 
-def test_conv_maxpool_rejects_short_input():
-    with pytest.raises(ValueError):
-        _windows(np.zeros((1, 2, 3)), 3)
+def test_conv_maxpool_rejects_short_input(rng):
+    cfg = tiny_config(windows=(3,))
+    model = init_model(cfg, 20, cat_block(), seed=0)
+    batch = tiny_batch(rng, cfg)
+    batch.tokens["text"] = batch.tokens["text"][:, :2]
+    with pytest.raises(ValueError, match="shorter than window 3"):
+        forward(model, batch)
 
 
 def test_conv_maxpool_matches_window_scan_oracle(rng):
@@ -358,3 +385,77 @@ def test_predict_proba_chunks_match_forward(rng):
     chunked = predict_proba(model, batch, batch_size=3)
     # float32 matmuls round differently across batch shapes
     assert chunked == pytest.approx(whole, abs=2e-6)
+
+
+def _reference_batch(rng, cfg, vocab_size=9, b=6):
+    """A batch with many PAD slots (and all-PAD windows), tokens repeated
+    inside a field and tokens shared across fields (small vocabulary); the
+    text of record 0 is all PAD."""
+    tokens = {}
+    for f in FIELDS:
+        t = rng.integers(1, vocab_size, size=(b, cfg.max_lens[f]))
+        t[rng.random(t.shape) < 0.45] = 0
+        t[1, 1:] = 0                           # a field with one leading token
+        tokens[f] = t.astype(np.int64)
+    tokens["text"][0] = 0
+    tokens["text"][2] = 3                      # one token repeated over a field
+    cat = np.stack([rng.choice(cat_block(), size=4, replace=False) for _ in range(b)])
+    labels = rng.integers(0, cfg.label_count, size=b).astype(np.int64)
+    return FeatureBatch(tokens, cat.astype(np.int64), labels)
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+@pytest.mark.parametrize("share", [True, False])
+@pytest.mark.parametrize("train", [False, True])
+def test_forward_backward_match_dense_reference(share, train):
+    cfg = tiny_config(windows=(1, 2, 3), filters_per_window=3, share_filters=share)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        model = init_model(cfg, 9, cat_block(), seed=seed).astype(np.float64)
+        for name, p in model.params.items():
+            if name.startswith("conv_b"):
+                p[:] = rng.normal(scale=0.2, size=p.shape)
+        batch = _reference_batch(rng, cfg)
+        fwd = forward(model, batch, train=train, dropout_seed=seed)
+        ref = dense_forward(model, batch, train=train, dropout_seed=seed)
+        assert _rel_err(fwd.probs, ref[0]) <= 1e-12
+        assert _rel_err(fwd.theta_hat, ref[1]) <= 1e-12
+        grads = backward(model, fwd, batch.labels)
+        want = dense_backward(model, ref, batch.labels)
+        assert list(grads) == list(want) == list(model.params)
+        for name in grads:
+            assert grads[name].shape == want[name].shape
+            assert _rel_err(grads[name], want[name]) <= 1e-12, name
+        assert not grads["embedding"][0].any()
+
+
+def test_forward_pass_caches_no_window_axis(rng):
+    # k=7 and windows 2, 3: no other dimension of this batch is 14 or 21,
+    # so any cached im2col-shaped (B, P, h*k) array would show up
+    cfg = tiny_config(embed_dim=7, share_filters=False)
+    model = init_model(cfg, 12, cat_block(), seed=0)
+    batch = tiny_batch(rng, cfg, vocab_size=12)
+    fwd = forward(model, batch, train=True, dropout_seed=1)
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, dict):
+            for v in x.values():
+                yield from arrays(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                yield from arrays(v)
+        elif hasattr(x, "__dataclass_fields__"):
+            yield from arrays(vars(x))
+
+    cached = list(arrays({k: v for k, v in vars(fwd).items()
+                          if k not in ("probs", "theta_hat")}))
+    assert cached
+    window_axes = {h * cfg.embed_dim for h in cfg.windows}
+    for a in cached:
+        assert not window_axes & set(a.shape), a.shape
+        assert a.ndim <= 2 and a.size <= batch.size * max(cfg.max_lens.values()) * 4

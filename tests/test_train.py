@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_record
+from tweetgeo import bundle as bundle_io
 from tweetgeo.bayes import fit_stacking
 from tweetgeo.cnn import CnnConfig, backward, encode_features, forward, init_model
 from tweetgeo.encode import build_category_maps
@@ -258,3 +260,47 @@ def test_bundle_type_cross_loading_rejected(tmp_path):
     model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
     with pytest.raises(BundleError, match="stack"):
         load_stack_model(path)
+
+
+@pytest.fixture(scope="module")
+def bundle_files(tmp_path_factory):
+    """A tiny CNN bundle and a small stack bundle, with their loaders."""
+    d = tmp_path_factory.mktemp("bundles")
+    recs, ys = corpus(4, seed=1)
+    cfg = small_cfg()
+    vocab = build_vocab([r.text.split() for r in recs], min_count=1)
+    maps = build_category_maps(recs)
+    labels = country_labels(recs)
+    save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps, labels,
+               d / "cnn.gtlm")
+    stack = fit_stacking(recs, labels.label_array(recs), len(labels), folds=2, min_count=1)
+    save_stack_model(stack, labels, d / "stack.gtlm")
+    return {"cnn": ((d / "cnn.gtlm").read_bytes(), load_model),
+            "stack": ((d / "stack.gtlm").read_bytes(), load_stack_model)}, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["cnn", "stack"]), cut=st.booleans(), data=st.data())
+def test_corrupt_bundle_loads_or_raises_bundle_error(bundle_files, kind, cut, data):
+    # any truncation, or any single-byte flip, of either bundle kind either
+    # loads or raises BundleError/DataError (exit 2), never another exception
+    bundles, d = bundle_files
+    raw, loader = bundles[kind]
+    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+    if cut:
+        bad = raw[:pos]
+    else:
+        mask = data.draw(st.integers(1, 255), label="mask")
+        bad = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+    (d / "bad.gtlm").write_bytes(bad)
+    try:
+        loader(d / "bad.gtlm")
+    except DataError:
+        pass
+
+
+def test_decode_tensor_rejects_more_axes_than_numpy_supports():
+    # a flipped ndim byte can describe a shape whose size matches the payload
+    payload = bytes([4, 66]) + (1).to_bytes(8, "little") * 66 + bytes(4)
+    with pytest.raises(BundleError, match="dimension"):
+        bundle_io.decode_tensor(payload)
