@@ -15,8 +15,8 @@ from tweetgeo.encode import build_category_maps
 from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
 from tweetgeo.labels import city_labels
-from tweetgeo.metrics import (Prediction, acc_at_161, acc_top5, accuracy,
-                              calibration_bins, median_error_km, ranked_top5)
+from tweetgeo.metrics import (acc_at_161, acc_top5, accuracy, calibration_bins,
+                              median_error_km, rank)
 from tweetgeo.synth import SynthSpec, generate
 from tweetgeo.textproc import build_vocab, tokenize
 from tweetgeo.train import TrainConfig, train
@@ -51,14 +51,10 @@ for row in result.log:
 print(f"best dev accuracy {result.best_dev_accuracy:.4f} at epoch {result.best_epoch}")
 
 feats = encode_features(te, vocab, maps, cfg)
-probs = predict_proba(result.model, feats)
-preds = []
-for r, p in zip(te, probs):
-    ranked = ranked_top5(p)
-    preds.append(Prediction(labels.record_label(r), ranked, float(p[ranked[0]]),
-                            true_coords=(r.lat, r.lon)))
+preds = rank(predict_proba(result.model, feats), labels.label_array(te),
+             [(r.lat, r.lon) for r in te])
 coords = labels.coords_array()
-print(f"\ntest metrics on {len(preds)} tweets:")
+print(f"\ntest metrics on {len(te)} tweets:")
 print(f"  accuracy        {accuracy(preds):.4f}")
 print(f"  acc@top5        {acc_top5(preds):.4f}")
 print(f"  acc@161km       {acc_at_161(preds, coords):.4f}")

@@ -18,12 +18,13 @@ from .ingest import (Record, SplitSpec, StatsReport, dataset_stats,
                      dedup_user_city, parse_record, read_jsonl,
                      resolve_coordinates, split_by_user, write_jsonl)
 from .labels import LabelTable, city_labels, country_labels
-from .metrics import (Prediction, acc_at_161, acc_top5, accuracy,
-                      calibration_bins, median_error_km, per_class_pr, ranked_top5)
+from .metrics import (Predictions, acc_at_161, acc_top5, accuracy, calibration_bins,
+                      median_error_km, per_class_pr, rank, ranked_top5)
 from .nncore import AdamState, adam_step, dropout, relu, softmax
 from .synth import SynthSpec, generate, write_corpus
 from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize
 from .train import (CnnBundle, StackBundle, TrainConfig, TrainResult,
-                    load_model, load_stack_model, save_model, save_stack_model, train)
+                    load_bundle, load_model, load_stack_model, save_model,
+                    save_stack_model, train)
 
 __version__ = "0.1.0"

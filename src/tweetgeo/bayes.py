@@ -114,7 +114,6 @@ class MnbModel:
     class_log_prior: np.ndarray    # (L,)
     feature_log_prob: np.ndarray   # (L, F)
     alpha: float
-    feature_space: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -130,16 +129,16 @@ def _class_counts(counts: CsrCounts, labels: np.ndarray,
     return fc, np.bincount(labels, minlength=n_classes).astype(np.float64)
 
 
-def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float, feature_space: str) -> MnbModel:
+def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
     f = fc.shape[1]
     with np.errstate(divide="ignore"):
         log_prior = np.log(class_n / class_n.sum())
         log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f)
-    return MnbModel(log_prior, log_prob, alpha, feature_space)
+    return MnbModel(log_prior, log_prob, alpha)
 
 
 def fit_mnb(counts, labels: np.ndarray, n_classes: int,
-            alpha: float = 1e-2, feature_space: str = "") -> MnbModel:
+            alpha: float = 1e-2) -> MnbModel:
     """P(f|c) = (count(f,c) + alpha) / (sum_f count(f,c) + alpha*F);
     class prior = class document frequency."""
     counts = as_csr(counts)
@@ -148,7 +147,7 @@ def fit_mnb(counts, labels: np.ndarray, n_classes: int,
     if counts.shape[0] == 0:
         raise ValueError("cannot fit on an empty corpus")
     fc, class_n = _class_counts(counts, np.asarray(labels), n_classes)
-    return _mnb(fc, class_n, alpha, feature_space)
+    return _mnb(fc, class_n, alpha)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -311,15 +310,14 @@ def fit_stacking(records, labels, label_count: int, folds: int = 5,
         for bi, b in enumerate(BASE_FIELDS):
             held_counts = counts[b][held]
             fc, class_n = _class_counts(held_counts, labels[held], label_count)
-            base = _mnb(totals[b][0] - fc, totals[b][1] - class_n, alpha, b)
+            base = _mnb(totals[b][0] - fc, totals[b][1] - class_n, alpha)
             oof[held, bi], _ = predict_mnb(base, held_counts)
 
     stack = StackModel(bases={}, base_vocabs=vocabs, meta=None, label_count=label_count,
                        folds=folds, alpha=alpha, igr_percent=igr_percent)
-    stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count, alpha,
-                         feature_space="meta")
+    stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count, alpha)
     for b in BASE_FIELDS:
-        stack.bases[b] = _mnb(*totals[b], alpha, b)
+        stack.bases[b] = _mnb(*totals[b], alpha)
     return stack
 
 

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bayes, bundle as bundle_io, geo, ingest, metrics, textproc
+from . import bayes, geo, ingest, metrics, textproc
 from .cnn import CnnConfig, DEFAULT_MAX_LENS, encode_features, predict_proba
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError
 from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels
-from .train import (TrainConfig, load_model, load_stack_model, save_model,
-                    save_stack_model, train, write_train_log)
+from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
+                    train, write_train_log)
 
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}
 # `predict` scores its input this many valid records at a time: a multiple
@@ -261,80 +261,67 @@ def cmd_train(ns) -> int:
     return 0
 
 
-def _load_any(path):
-    model_type, _ = bundle_io.read_sections(path)
-    if model_type == "cnn":
-        return "cnn", load_model(path)
-    if model_type == "stack":
-        return "stack", load_stack_model(path)
-    raise DataError(f"{path}: unknown model type {model_type!r}")
-
-
-def _probabilities(kind, b, records) -> np.ndarray:
-    if kind == "cnn":
+def _probabilities(b, records) -> np.ndarray:
+    if isinstance(b, CnnBundle):
         feats = encode_features(records, b.vocab, b.maps, b.model.config)
         return predict_proba(b.model, feats)
     return bayes.posterior_stacking(b.model, records)
 
 
 def cmd_eval(ns) -> int:
-    kind, b = _load_any(ns.model_file)
+    b = load_bundle(ns.model_file)
     if ns.task and ns.task != b.labels.task:
         raise DataError(f"bundle was trained for task {b.labels.task!r}, not {ns.task!r}")
     records, skipped = ingest.read_jsonl(ns.test)
     if not records:
         raise DataError(f"{ns.test}: no usable records")
+    field = b.labels.field
+    unlabeled = next((r for r in records if getattr(r, field) in (None, "")), None)
+    if unlabeled is not None:
+        raise DataError(f"{ns.test}: record of user {unlabeled.user_id!r} has no {field}")
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    probs = _probabilities(kind, b, records)
-    preds = []
-    for r, p in zip(records, probs):
-        ranked = metrics.ranked_top5(p)
-        preds.append(metrics.Prediction(
-            true_label=b.labels.record_label(r),
-            ranked_labels=ranked,
-            top_prob=float(p[ranked[0]]),
-            true_coords=(r.lat, r.lon),
-        ))
-
-    rows = [("n_test", float(len(preds))), ("skipped", float(skipped)),
-            ("accuracy", metrics.accuracy(preds)), ("acc_top5", metrics.acc_top5(preds))]
+    pred = metrics.rank(_probabilities(b, records), b.labels.label_array(records),
+                        [(r.lat, r.lon) for r in records])
+    rows = [("n_test", float(len(records))), ("skipped", float(skipped)),
+            ("accuracy", metrics.accuracy(pred)), ("acc_top5", metrics.acc_top5(pred))]
     if b.labels.task == TASK_CITY:
         coords = b.labels.coords_array()
-        rows.append(("acc_at_161", metrics.acc_at_161(preds, coords)))
-        rows.append(("median_error_km", metrics.median_error_km(preds, coords)))
+        rows.append(("acc_at_161", metrics.acc_at_161(pred, coords)))
+        rows.append(("median_error_km", metrics.median_error_km(pred, coords)))
     metrics.write_metrics_summary(out / "metrics_summary.csv", rows)
     metrics.write_per_class_pr(out / "per_class_pr.csv",
-                               metrics.per_class_pr(preds, len(b.labels)),
+                               metrics.per_class_pr(pred, len(b.labels)),
                                label_names=b.labels.values)
-    metrics.write_calibration(out / "calibration.csv", metrics.calibration_bins(preds))
+    metrics.write_calibration(out / "calibration.csv", metrics.calibration_bins(pred))
     _say("eval: " + "  ".join(f"{k}={v:.4f}" for k, v in rows))
     return 0
 
 
-def _write_predictions(kind, b, records, min_prob, fout) -> tuple[int, int]:
+def _write_predictions(b, records, min_prob, fout) -> tuple[int, int]:
     """Score records and write one JSON line per kept prediction; returns
     (written, filtered below min_prob)."""
-    written = filtered = 0
-    for r, p in zip(records, _probabilities(kind, b, records)):
-        ranked = metrics.ranked_top5(p)
-        top = float(p[ranked[0]])
+    probs = _probabilities(b, records)
+    pred = metrics.rank(probs)
+    ranked_probs = np.take_along_axis(probs, pred.ranked, axis=1).tolist()
+    written = 0
+    for r, ranked, rp, top in zip(records, pred.ranked.tolist(), ranked_probs,
+                                  pred.top_prob.tolist()):
         if min_prob is not None and top < min_prob:
-            filtered += 1
             continue
         fout.write(json.dumps({
             "user_id": r.user_id,
             "ranked_labels": [b.labels.values[i] for i in ranked],
-            "ranked_probs": [float(p[i]) for i in ranked],
+            "ranked_probs": rp,
             "top_prob": top,
         }, ensure_ascii=False, sort_keys=True) + "\n")
         written += 1
-    return written, filtered
+    return written, len(records) - written
 
 
 def cmd_predict(ns) -> int:
-    kind, b = _load_any(ns.model_file)
+    b = load_bundle(ns.model_file)
     written = filtered = skipped = 0
     with open(ns.input, encoding="utf-8") as fin, \
             open(ns.out, "w", encoding="utf-8") as fout:
@@ -346,10 +333,10 @@ def cmd_predict(ns) -> int:
                 except ingest.RecordSkip:
                     skipped += 1
             if len(chunk) == PREDICT_CHUNK:
-                w, f = _write_predictions(kind, b, chunk, ns.min_prob, fout)
+                w, f = _write_predictions(b, chunk, ns.min_prob, fout)
                 written, filtered, chunk = written + w, filtered + f, []
         if chunk:
-            w, f = _write_predictions(kind, b, chunk, ns.min_prob, fout)
+            w, f = _write_predictions(b, chunk, ns.min_prob, fout)
             written, filtered = written + w, filtered + f
     _say(f"predict: {written} written, {filtered} below min-prob, {skipped} skipped")
     return 0

@@ -56,7 +56,6 @@ class CityTable:
     """Immutable label space of cities. Cities are kept sorted by city_id."""
 
     cities: list[City]
-    earth_radius_km: float = EARTH_RADIUS_KM
     _lats: np.ndarray = field(init=False, repr=False)
     _lons: np.ndarray = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)

@@ -116,7 +116,7 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
     return Record(**fields)
 
 
-def read_jsonl(path, require_coords: bool = True) -> tuple[list[Record], int]:
+def read_jsonl(path) -> tuple[list[Record], int]:
     """Load records from a JSONL file; returns (records, skipped_count)."""
     records, skipped = [], 0
     with open(path, encoding="utf-8") as f:
@@ -124,7 +124,7 @@ def read_jsonl(path, require_coords: bool = True) -> tuple[list[Record], int]:
             if not line.strip():
                 continue
             try:
-                records.append(parse_record(line, require_coords=require_coords))
+                records.append(parse_record(line))
             except RecordSkip:
                 skipped += 1
     return records, skipped

@@ -30,6 +30,8 @@ class LabelTable:
         if self.task not in (TASK_COUNTRY, TASK_CITY):
             raise ValueError(f"unknown task {self.task!r}")
         self._index = {v: i for i, v in enumerate(self.values)}
+        # the Record attribute that holds this task's label
+        self.field = "country_code" if self.task == TASK_COUNTRY else "city_id"
 
     def __len__(self):
         return len(self.values)
@@ -38,13 +40,9 @@ class LabelTable:
         """Label index, or -1 for values outside the table."""
         return self._index.get(value, -1)
 
-    def record_label(self, record) -> int:
-        if self.task == TASK_COUNTRY:
-            return self.index_of(record.country_code)
-        return self.index_of(record.city_id)
-
     def label_array(self, records) -> np.ndarray:
-        return np.array([self.record_label(r) for r in records], dtype=np.int64)
+        return np.array([self.index_of(getattr(r, self.field)) for r in records],
+                        dtype=np.int64)
 
     def coords_array(self) -> np.ndarray:
         if self.coords is None:

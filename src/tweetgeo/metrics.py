@@ -17,93 +17,99 @@ import numpy as np
 from .geo import haversine_km
 
 ACC161_RADIUS_KM = 161.0
+CALIBRATION_BINS = 10   # [0, 0.1), ..., [0.9, 1.0]
 
 
 @dataclass
-class Prediction:
-    true_label: int                       # index into the label table; -1 if unseen
-    ranked_labels: list[int]              # top-5 label indices, best first
-    top_prob: float
-    true_coords: Optional[tuple] = None   # (lat, lon) of the original record
+class Predictions:
+    """N scored records as arrays; k = min(5, label count). Records scored
+    without truth (`predict`) have no true labels or coordinates."""
+    true_labels: Optional[np.ndarray]     # (N,) int64 label index; -1 if unseen
+    ranked: np.ndarray                    # (N, k) int64 label indices, best first
+    top_prob: np.ndarray                  # (N,) float64 probability of ranked[:, 0]
+    true_coords: Optional[np.ndarray] = None   # (N, 2) (lat, lon) of the records
 
 
-def ranked_top5(probs: np.ndarray) -> list[int]:
-    """Indices of the five highest probabilities; ties to the smaller index."""
-    order = np.argsort(-np.asarray(probs), kind="stable")
-    return [int(i) for i in order[:5]]
+def ranked_top5(probs: np.ndarray) -> np.ndarray:
+    """Indices of the five highest probabilities along the last axis, best
+    first; ties to the smaller index."""
+    return np.argsort(-np.asarray(probs), axis=-1, kind="stable")[..., :5].copy()
 
 
-def accuracy(preds: list[Prediction]) -> float:
-    if not preds:
+def rank(probs: np.ndarray, true_labels=None, true_coords=None) -> Predictions:
+    """Rank each row of an (N, L) probability matrix, with its truth if given."""
+    ranked = ranked_top5(probs)
+    top = np.take_along_axis(np.asarray(probs), ranked[:, :1], axis=1)[:, 0]
+    return Predictions(None if true_labels is None else np.asarray(true_labels, np.int64),
+                       ranked, top.astype(np.float64),
+                       None if true_coords is None else np.asarray(true_coords, np.float64))
+
+
+def _hits(pred: Predictions) -> np.ndarray:
+    return pred.ranked[:, 0] == pred.true_labels
+
+
+def _share(hits: np.ndarray) -> float:
+    """Share of records with a hit; hits has one row per record."""
+    if len(hits) == 0:
         raise ValueError("no predictions")
-    return sum(p.ranked_labels[0] == p.true_label for p in preds) / len(preds)
+    return np.count_nonzero(hits) / len(hits)
 
 
-def acc_top5(preds: list[Prediction]) -> float:
-    if not preds:
-        raise ValueError("no predictions")
-    return sum(p.true_label in p.ranked_labels for p in preds) / len(preds)
+def accuracy(pred: Predictions) -> float:
+    return _share(_hits(pred))
 
 
-def error_distances_km(preds: list[Prediction], label_coords: np.ndarray) -> np.ndarray:
+def acc_top5(pred: Predictions) -> float:
+    # a row ranks each label at most once, so it holds at most one hit
+    return _share(pred.ranked == pred.true_labels[:, None])
+
+
+def error_distances_km(pred: Predictions, label_coords: np.ndarray) -> np.ndarray:
     """Distance from each predicted label's coordinates to the true coordinates."""
-    pred_idx = np.array([p.ranked_labels[0] for p in preds], dtype=np.int64)
-    true_lat = np.array([p.true_coords[0] for p in preds], dtype=np.float64)
-    true_lon = np.array([p.true_coords[1] for p in preds], dtype=np.float64)
-    c = label_coords[pred_idx]
-    return haversine_km((c[:, 0], c[:, 1]), (true_lat, true_lon))
+    c, t = label_coords[pred.ranked[:, 0]], pred.true_coords
+    return haversine_km((c[:, 0], c[:, 1]), (t[:, 0], t[:, 1]))
 
 
-def acc_at_161(preds: list[Prediction], label_coords: np.ndarray) -> float:
+def acc_at_161(pred: Predictions, label_coords: np.ndarray) -> float:
     """Fraction predicted within 161 km of the true coordinates (inclusive)."""
-    d = error_distances_km(preds, label_coords)
+    d = error_distances_km(pred, label_coords)
     return float(np.mean(d <= ACC161_RADIUS_KM))
 
 
-def median_error_km(preds: list[Prediction], label_coords: np.ndarray) -> float:
+def median_error_km(pred: Predictions, label_coords: np.ndarray) -> float:
     # np.median averages the two middle values for even counts
-    return float(np.median(error_distances_km(preds, label_coords)))
+    return float(np.median(error_distances_km(pred, label_coords)))
 
 
-def per_class_pr(preds: list[Prediction], label_count: int):
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # num / den, and 0 where den is 0
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
+def per_class_pr(pred: Predictions, label_count: int):
     """Rows of (label, precision, recall, support); a never-predicted or
     unsupported label scores 0 by convention."""
-    tp = np.zeros(label_count)
-    pred_n = np.zeros(label_count)
-    support = np.zeros(label_count)
-    for p in preds:
-        g = p.ranked_labels[0]
-        pred_n[g] += 1
-        if 0 <= p.true_label < label_count:
-            support[p.true_label] += 1
-            if g == p.true_label:
-                tp[g] += 1
-    rows = []
-    for c in range(label_count):
-        prec = tp[c] / pred_n[c] if pred_n[c] else 0.0
-        rec = tp[c] / support[c] if support[c] else 0.0
-        rows.append((c, float(prec), float(rec), int(support[c])))
-    return rows
+    guess, truth = pred.ranked[:, 0], pred.true_labels
+    known = (truth >= 0) & (truth < label_count)
+    pred_n = np.bincount(guess, minlength=label_count)
+    support = np.bincount(truth[known], minlength=label_count)
+    tp = np.bincount(guess[known & (guess == truth)], minlength=label_count)
+    return list(zip(range(label_count), _ratio(tp, pred_n).tolist(),
+                    _ratio(tp, support).tolist(), support.tolist()))
 
 
-def calibration_bins(preds: list[Prediction], bin_width: float = 0.1):
+def calibration_bins(pred: Predictions):
     """Rows of (bin_low, bin_high, count_fraction, accuracy_within_bin) over
     top_prob; bins are [0,0.1), ..., [0.9,1.0] with the last bin closed."""
-    n_bins = int(round(1.0 / bin_width))
-    count = np.zeros(n_bins)
-    correct = np.zeros(n_bins)
-    for p in preds:
-        b = min(int(p.top_prob / bin_width), n_bins - 1)
-        count[b] += 1
-        if p.ranked_labels[0] == p.true_label:
-            correct[b] += 1
-    total = max(len(preds), 1)
-    rows = []
-    for b in range(n_bins):
-        acc = correct[b] / count[b] if count[b] else 0.0
-        rows.append((round(b * bin_width, 10), round((b + 1) * bin_width, 10),
-                     float(count[b] / total), float(acc)))
-    return rows
+    # widened before dividing: float32 CNN probabilities bin as float64
+    top = np.asarray(pred.top_prob, dtype=np.float64)
+    b = np.minimum((top / 0.1).astype(np.int64), CALIBRATION_BINS - 1)
+    count = np.bincount(b, minlength=CALIBRATION_BINS)
+    correct = np.bincount(b[_hits(pred)], minlength=CALIBRATION_BINS)
+    frac = count / max(len(b), 1)
+    return [(round(i * 0.1, 10), round((i + 1) * 0.1, 10), f, a)
+            for i, (f, a) in enumerate(zip(frac.tolist(), _ratio(correct, count).tolist()))]
 
 
 # ---------------------------------------------------------------------------

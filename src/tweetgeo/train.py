@@ -31,12 +31,11 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 3
     seed: int = 0
-    eval_every: int = 1
     lr: float = 1e-3
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.patience < 1 or self.eval_every < 1:
-            raise ValueError("batch_size, patience and eval_every must be >= 1")
+        if self.batch_size < 1 or self.patience < 1:
+            raise ValueError("batch_size and patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
@@ -100,9 +99,6 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
             for name, p in model.params.items():
                 adam_step(p, grads[name], states[name])
             step += 1
-        if epoch % tcfg.eval_every != 0 and epoch != tcfg.max_epochs:
-            log.append(EpochLog(epoch, float(np.mean(losses)), float("nan"), best_acc))
-            continue
         dev_acc = _dev_accuracy(model, dev_feats)
         if dev_acc > best_acc:
             best_acc, best_epoch, stale = dev_acc, epoch, 0
@@ -175,6 +171,16 @@ def _json_section(path, sections: dict, name: str, build):
     return _checked(path, name, build, bundle_io.decode_json(sections[name], name))
 
 
+def _tensor(path, sections: dict, name: str, dtype, shape: tuple) -> np.ndarray:
+    """The tensor:<name> section, which must have this dtype and shape."""
+    t = bundle_io.decode_tensor(sections[f"tensor:{name}"], name)
+    if t.dtype != dtype:
+        raise BundleError(f"{path}: tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
+    if t.shape != shape:
+        raise BundleError(f"{path}: tensor {name} has shape {t.shape}, expected {shape}")
+    return t
+
+
 def _bundle_vocab(path, sections: dict, name: str) -> Vocabulary:
     try:
         return vocab_from_bytes(sections[name], f"{path}: section {name!r}")
@@ -218,10 +224,7 @@ def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
     bundle_io.write_sections(path, "cnn", sections)
 
 
-def load_model(path) -> CnnBundle:
-    model_type, sections = bundle_io.read_sections(path)
-    if model_type != "cnn":
-        raise BundleError(f"{path}: expected a cnn bundle, found {model_type!r}")
+def _cnn_bundle(path, sections: dict) -> CnnBundle:
     _require(path, sections, ("config", "vocabulary", "category_maps", "label_table"))
     cfgj = _bundle_config(path, sections, _CNN_CONFIG_KEYS, _CNN_INT_KEYS)
     cfg = _checked(path, "config", lambda c: CnnConfig(
@@ -244,14 +247,8 @@ def load_model(path) -> CnnBundle:
 
     shapes = param_shapes(cfg, cfgj["vocab_size"], cfgj["cat_block_size"])
     _require(path, sections, [f"tensor:{name}" for name in shapes])
-    params = {}
-    for name, shape in shapes.items():
-        t = bundle_io.decode_tensor(sections[f"tensor:{name}"], name)
-        if t.dtype != np.float32:
-            raise BundleError(f"{path}: tensor {name} is {t.dtype}, expected float32")
-        if t.shape != shape:
-            raise BundleError(f"{path}: tensor {name} has shape {t.shape}, expected {shape}")
-        params[name] = t
+    params = {name: _tensor(path, sections, name, np.float32, shape)
+              for name, shape in shapes.items()}
     model = CnnModel(cfg, params, cfgj["cat_block_size"])
     if len(vocab) != model.vocab_size:
         raise BundleError(f"{path}: vocabulary size {len(vocab)} != embedding rows")
@@ -284,10 +281,7 @@ def save_stack_model(model: StackModel, labels: LabelTable, path):
     bundle_io.write_sections(path, "stack", sections)
 
 
-def load_stack_model(path) -> StackBundle:
-    model_type, sections = bundle_io.read_sections(path)
-    if model_type != "stack":
-        raise BundleError(f"{path}: expected a stack bundle, found {model_type!r}")
+def _stack_bundle(path, sections: dict) -> StackBundle:
     _require(path, sections, ["config", "label_table"]
              + [f"vocab:{b}" for b in BASE_FIELDS]
              + [f"tensor:{t}:{part}" for t in BASE_FIELDS + ("meta",)
@@ -299,13 +293,10 @@ def load_stack_model(path) -> StackBundle:
         raise BundleError(f"{path}: label table size != stored label count")
 
     def mnb(tag: str, n_features: int) -> MnbModel:
-        prior = bundle_io.decode_tensor(sections[f"tensor:{tag}:prior"], tag)
-        log_prob = bundle_io.decode_tensor(sections[f"tensor:{tag}:log_prob"], tag)
-        if prior.shape != (n_labels,) or log_prob.shape != (n_labels, n_features):
-            raise BundleError(f"{path}: {tag} tensors have shapes {prior.shape} and "
-                              f"{log_prob.shape}, expected ({n_labels},) and "
-                              f"({n_labels}, {n_features})")
-        return MnbModel(prior, log_prob, cfg["alpha"], feature_space=tag)
+        return MnbModel(_tensor(path, sections, f"{tag}:prior", np.float64, (n_labels,)),
+                        _tensor(path, sections, f"{tag}:log_prob", np.float64,
+                                (n_labels, n_features)),
+                        cfg["alpha"])
 
     vocabs = {b: _bundle_vocab(path, sections, f"vocab:{b}") for b in BASE_FIELDS}
     model = StackModel(
@@ -318,3 +309,22 @@ def load_stack_model(path) -> StackBundle:
         igr_percent=cfg["igr_percent"],
     )
     return StackBundle(model, labels)
+
+
+def load_bundle(path, expect: Optional[str] = None):
+    """A CnnBundle or StackBundle, by the model type the file declares; the
+    file is read once. With `expect`, any other model type is a BundleError."""
+    model_type, sections = bundle_io.read_sections(path)
+    loader = {"cnn": _cnn_bundle, "stack": _stack_bundle}.get(model_type)
+    if loader is None or expect not in (None, model_type):
+        raise BundleError(f"{path}: expected a {expect or 'cnn or stack'} bundle, "
+                          f"found {model_type!r}")
+    return loader(path, sections)
+
+
+def load_model(path) -> CnnBundle:
+    return load_bundle(path, "cnn")
+
+
+def load_stack_model(path) -> StackBundle:
+    return load_bundle(path, "stack")

@@ -18,8 +18,8 @@ from tweetgeo.cnn import CnnConfig, FIELDS, FeatureBatch, encode_features, forwa
 from tweetgeo.geo import City, CityTable, haversine_km, nearest_city
 from tweetgeo.ingest import read_jsonl
 from tweetgeo.labels import city_labels
-from tweetgeo.metrics import (Prediction, acc_at_161, acc_top5, accuracy,
-                              calibration_bins, median_error_km)
+from tweetgeo.metrics import (Predictions, acc_at_161, acc_top5, accuracy,
+                              calibration_bins, median_error_km, rank)
 from tweetgeo.synth import SynthSpec, generate, write_corpus
 from tweetgeo.train import load_model, load_stack_model, save_model
 
@@ -233,19 +233,21 @@ def test_c06_metrics_oracle():
         else:
             ranked = [pred_label] + non_true[:4]   # true label pushed out of top 5
         assert len(ranked) == len(set(ranked)) == 5
-        return Prediction(true_label=0, ranked_labels=ranked, top_prob=0.5,
-                          true_coords=(0.0, 0.0))
+        return ranked
 
     # 20 rows, all true label 0 at (0, 0):
     #   7 predict city 1 (0 km, correct)
     #   3 predict city 2 (~10.01 km, wrong; 2 keep the true label in top-5)
     #   5 predict city 3 (exactly 161.0 km, wrong; 2 keep it)
     #   5 predict city 4 (~200.15 km, wrong; 1 keeps it)
-    preds = ([pred(0, True)] * 7
-             + [pred(1, True)] * 2 + [pred(1, False)]
-             + [pred(2, True)] * 2 + [pred(2, False)] * 3
-             + [pred(3, True)] * 1 + [pred(3, False)] * 4)
-    assert len(preds) == 20
+    ranked = ([pred(0, True)] * 7
+              + [pred(1, True)] * 2 + [pred(1, False)]
+              + [pred(2, True)] * 2 + [pred(2, False)] * 3
+              + [pred(3, True)] * 1 + [pred(3, False)] * 4)
+    assert len(ranked) == 20
+    preds = Predictions(true_labels=np.zeros(20, dtype=np.int64),
+                        ranked=np.array(ranked, dtype=np.int64), top_prob=np.full(20, 0.5),
+                        true_coords=np.zeros((20, 2)))
 
     assert accuracy(preds) == 7 / 20
     assert acc_top5(preds) == (7 + 2 + 2 + 1) / 20
@@ -339,13 +341,7 @@ def test_c10_calibration_monotonicity(bench):
     records, _ = read_jsonl(bench.prep / "test.jsonl")
     feats = encode_features(records, b.vocab, b.maps, b.model.config)
     probs = predict_proba(b.model, feats)
-    preds = []
-    from tweetgeo.metrics import ranked_top5
-    for r, p in zip(records, probs):
-        ranked = ranked_top5(p)
-        preds.append(Prediction(true_label=b.labels.record_label(r),
-                                ranked_labels=ranked, top_prob=float(p[ranked[0]]),
-                                true_coords=(r.lat, r.lon)))
+    preds = rank(probs, b.labels.label_array(records), [(r.lat, r.lon) for r in records])
     overall = accuracy(preds)
     bins = calibration_bins(preds)
     top_bin = bins[-1]

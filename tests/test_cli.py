@@ -164,7 +164,50 @@ def test_eval_stack_bundle_with_mis_sized_tensor_exits_2(stack_bundle, prep_dir,
     rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
                "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
     assert rc == 2
-    assert section.split(":")[1] + " tensors have shapes" in capsys.readouterr().err
+    assert f"tensor {section.split(':', 1)[1]} has shape" in capsys.readouterr().err
+
+
+def test_eval_stack_bundle_with_float32_tensor_exits_2(stack_bundle, prep_dir, tmp_path, capsys):
+    model_type, sections = bundle_io.read_sections(stack_bundle)
+    t = bundle_io.decode_tensor(sections["tensor:text:log_prob"])
+    sections["tensor:text:log_prob"] = bundle_io.encode_tensor(t.astype("float32"))
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "tensor text:log_prob is float32, expected float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bundle", ["cnn_bundle", "stack_bundle"])
+def test_eval_reads_the_bundle_once(request, prep_dir, tmp_path, monkeypatch, bundle):
+    calls = []
+    read = bundle_io.read_sections
+    monkeypatch.setattr(bundle_io, "read_sections", lambda path: calls.append(path) or read(path))
+    rc = main(["eval", "--model-file", str(request.getfixturevalue(bundle)),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field, missing", [("city_id", None), ("country_code", "")])
+def test_eval_rejects_records_without_a_label(cnn_bundle, prep_dir, tmp_path, capsys,
+                                              field, missing):
+    bundle = cnn_bundle
+    if field == "country_code":
+        bundle = tmp_path / "country.gtlm"
+        assert main(["train", "--prep-dir", str(prep_dir), "--task", "country", "--model",
+                     "stacking", "--min-count", "3", "--out", str(bundle)]) == 0
+    rows = [json.loads(line) for line in (prep_dir / "test.jsonl").read_text().splitlines()]
+    rows[3][field] = missing
+    (tmp_path / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    rc = main(["eval", "--model-file", str(bundle),
+               "--test", str(tmp_path / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "test.jsonl") in err and repr(rows[3]["user_id"]) in err
+    assert f"has no {field}" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp_path, capsys):
@@ -281,7 +324,7 @@ def test_predict_streams_in_chunks_with_unchanged_output(request, prep_dir, tmp_
     sizes = []
     score = cli._probabilities
     monkeypatch.setattr(cli, "_probabilities",
-                        lambda kind, b, records: sizes.append(len(records)) or score(kind, b, records))
+                        lambda b, records: sizes.append(len(records)) or score(b, records))
     assert main(argv + ["--out", str(tmp_path / "chunked.jsonl")]) == 0
     chunked_say = capsys.readouterr().out
     assert max(sizes) == cli.PREDICT_CHUNK and len(sizes) > 1

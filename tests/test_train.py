@@ -11,8 +11,9 @@ from tweetgeo.errors import BundleError, DataError
 from tweetgeo.labels import LabelTable, country_labels
 from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch
 from tweetgeo.textproc import build_vocab
-from tweetgeo.train import (TrainConfig, load_model, load_stack_model, save_model,
-                            save_stack_model, train, write_train_log)
+from tweetgeo.train import (CnnBundle, TrainConfig, load_bundle, load_model,
+                            load_stack_model, save_model, save_stack_model, train,
+                            write_train_log)
 
 LENS = {"text": 8, "user_description": 6, "profile_location": 4, "user_name": 3}
 
@@ -81,10 +82,10 @@ def test_train_patience_one_restores_best_epoch():
     tr = feats.take(np.arange(1, len(recs), 3))
     tcfg = TrainConfig(batch_size=8, max_epochs=50, patience=1, seed=5, lr=5e-3)
     result = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
-    evaluated = [row for row in result.log if not np.isnan(row.dev_accuracy)]
-    # stopped exactly one epoch after the best one
-    assert evaluated[-1].epoch == result.best_epoch + 1
-    assert evaluated[-1].dev_accuracy <= result.best_dev_accuracy
+    # every epoch is evaluated; stopped exactly one epoch after the best one
+    assert [row.epoch for row in result.log] == list(range(1, len(result.log) + 1))
+    assert result.log[-1].epoch == result.best_epoch + 1
+    assert result.log[-1].dev_accuracy <= result.best_dev_accuracy
     # returned parameters really are the best epoch's: re-evaluate
     from tweetgeo.train import _dev_accuracy
     assert _dev_accuracy(result.model, dev) == pytest.approx(result.best_dev_accuracy)
@@ -102,16 +103,6 @@ def test_train_deterministic_given_seed():
     for (n1, p1), (n2, p2) in zip(r1.model.params.items(), r2.model.params.items()):
         assert n1 == n2
         assert p1.tobytes() == p2.tobytes()
-
-
-def test_train_eval_every_skips_dev_passes():
-    recs, ys = corpus(8)
-    cfg = small_cfg()
-    feats, vocab, maps = encoded(recs, ys, cfg)
-    tcfg = TrainConfig(batch_size=8, max_epochs=5, patience=10, seed=2, eval_every=2)
-    result = train(feats, feats, cfg, tcfg, len(vocab), maps.block_size)
-    evaluated = [row.epoch for row in result.log if not np.isnan(row.dev_accuracy)]
-    assert evaluated == [2, 4, 5]   # every 2nd epoch, plus the final one
 
 
 def test_train_rejects_empty_splits():
@@ -254,6 +245,31 @@ def test_stack_training_is_byte_identical_on_rerun(tmp_path):
                              igr_percent=40.0, min_count=1)
         save_stack_model(model, labels, tmp_path / name)
     assert (tmp_path / "a.gtlm").read_bytes() == (tmp_path / "b.gtlm").read_bytes()
+
+
+@pytest.mark.parametrize("tensor", ["text:prior", "cats:log_prob", "meta:log_prob"])
+def test_stack_load_rejects_non_float64_tensors(tmp_path, tensor):
+    recs, ys = corpus(6)
+    labels = country_labels(recs)
+    model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=2, min_count=1)
+    save_stack_model(model, labels, tmp_path / "stack.gtlm")
+    model_type, sections = bundle_io.read_sections(tmp_path / "stack.gtlm")
+    narrow = bundle_io.decode_tensor(sections[f"tensor:{tensor}"]).astype(np.float32)
+    sections[f"tensor:{tensor}"] = bundle_io.encode_tensor(narrow)
+    bundle_io.write_sections(tmp_path / "narrow.gtlm", model_type, list(sections.items()))
+    with pytest.raises(BundleError, match=f"tensor {tensor} is float32, expected float64"):
+        load_stack_model(tmp_path / "narrow.gtlm")
+
+
+def test_load_bundle_dispatches_on_model_type(tmp_path):
+    model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
+    assert isinstance(load_bundle(path), CnnBundle)
+    model_type, sections = bundle_io.read_sections(path)
+    bundle_io.write_sections(tmp_path / "odd.gtlm", "odd", list(sections.items()))
+    with pytest.raises(BundleError, match="expected a cnn or stack bundle, found 'odd'"):
+        load_bundle(tmp_path / "odd.gtlm")
+    with pytest.raises(BundleError, match="expected a cnn bundle, found 'odd'"):
+        load_model(tmp_path / "odd.gtlm")
 
 
 def test_bundle_type_cross_loading_rejected(tmp_path):
