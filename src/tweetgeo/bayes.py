@@ -113,7 +113,6 @@ def count_matrix(token_lists, vocab: Vocabulary) -> CsrCounts:
 class MnbModel:
     class_log_prior: np.ndarray    # (L,)
     feature_log_prob: np.ndarray   # (L, F)
-    alpha: float
 
     @property
     def n_classes(self) -> int:
@@ -134,7 +133,7 @@ def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
     with np.errstate(divide="ignore"):
         log_prior = np.log(class_n / class_n.sum())
         log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f)
-    return MnbModel(log_prior, log_prob, alpha)
+    return MnbModel(log_prior, log_prob)
 
 
 def fit_mnb(counts, labels: np.ndarray, n_classes: int,

@@ -211,8 +211,11 @@ def _load_prep(prep_dir):
     train_recs, _ = ingest.read_jsonl(prep / "train.jsonl")
     dev_recs, _ = ingest.read_jsonl(prep / "dev.jsonl")
     vocab = textproc.load_vocab(prep / "vocab.txt")
-    maps = CategoryMaps.from_value_lists(
-        json.loads((prep / "category_maps.json").read_text(encoding="utf-8")))
+    try:
+        maps = CategoryMaps.from_value_lists(
+            json.loads((prep / "category_maps.json").read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{prep / 'category_maps.json'}: bad category maps: {e!r}") from e
     table = geo.load_city_table(prep / "cities.csv")
     return train_recs, dev_recs, vocab, maps, table
 

@@ -20,7 +20,8 @@ EARTH_RADIUS_KM = 6371.0
 def _check_coords(lat, lon):
     lat = np.asarray(lat, dtype=np.float64)
     lon = np.asarray(lon, dtype=np.float64)
-    if np.any(np.abs(lat) > 90.0) or np.any(np.abs(lon) > 180.0):
+    # written so that NaN, which fails every comparison, fails the check too
+    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
         raise ValueError("coordinates out of range: lat in [-90,90], lon in [-180,180]")
     return lat, lon
 
@@ -131,11 +132,13 @@ def load_city_table(path) -> CityTable:
             raise DataError(f"city table {path} must have header {sorted(expected)}")
         for i, row in enumerate(reader, start=2):
             try:
+                lat, lon = float(row["lat"]), float(row["lon"])
+                _check_coords(lat, lon)
                 cities.append(City(
                     city_id=int(row["city_id"]),
                     name=row["name"],
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
+                    lat=lat,
+                    lon=lon,
                     country_code=row["country_code"],
                     population=int(row["population"]),
                 ))

@@ -52,12 +52,18 @@ class Record:
 
 def resolve_coordinates(point, bbox) -> Optional[tuple[float, float]]:
     """Pick coordinates: an explicit point wins; otherwise the center of a
-    bbox no wider than 0.1 degrees in both axes. Returns None when rejected."""
+    bbox no wider than 0.1 degrees in both axes. Returns None when rejected;
+    a bbox that is not a list of four numbers raises RecordSkip."""
     if point is not None:
         return (float(point[0]), float(point[1]))
     if bbox is None:
         return None
-    lat_min, lon_min, lat_max, lon_max = (float(v) for v in bbox)
+    if not isinstance(bbox, (list, tuple)):
+        raise RecordSkip("bad bbox")
+    try:
+        lat_min, lon_min, lat_max, lon_max = (float(v) for v in bbox)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise RecordSkip("bad bbox") from e
     if lat_min > lat_max or lon_min > lon_max:
         return None
     if (lat_max - lat_min) > MAX_BBOX_SPAN_DEG or (lon_max - lon_min) > MAX_BBOX_SPAN_DEG:
@@ -69,7 +75,7 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
     """One JSONL line -> Record. Raises RecordSkip on anything malformed."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # also an over-long integer, too deep nesting
         raise RecordSkip(f"bad json: {e}") from e
     if not isinstance(obj, dict):
         raise RecordSkip("line is not a json object")
@@ -96,7 +102,7 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
     if obj.get("lat") is not None and obj.get("lon") is not None:
         try:
             point = (float(obj["lat"]), float(obj["lon"]))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise RecordSkip("non-numeric coordinates") from e
     coords = resolve_coordinates(point, obj.get("bbox"))
     if coords is None:

@@ -29,6 +29,11 @@ class LabelTable:
     def __post_init__(self):
         if self.task not in (TASK_COUNTRY, TASK_CITY):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.coords is not None:
+            self.coords = [(float(lat), float(lon)) for lat, lon in self.coords]
+            if len(self.coords) != len(self.values):
+                raise ValueError(f"{len(self.coords)} coordinate pairs for "
+                                 f"{len(self.values)} labels")
         self._index = {v: i for i, v in enumerate(self.values)}
         # the Record attribute that holds this task's label
         self.field = "country_code" if self.task == TASK_COUNTRY else "city_id"

@@ -8,6 +8,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,12 +124,74 @@ def write_train_log(path, log: list):
 # ---------------------------------------------------------------------------
 # model bundles
 
-_CNN_CONFIG_KEYS = ("embed_dim", "windows", "filters_per_window", "dropout_rate", "max_lens",
-                   "label_count", "share_filters", "cat_block_size", "vocab_size")
+_CNN_MODEL_KEYS = ("cat_block_size", "vocab_size")     # CNN config keys beside CnnConfig's
 _STACK_CONFIG_KEYS = ("label_count", "folds", "alpha", "igr_percent")
-_CNN_INT_KEYS = ("embed_dim", "filters_per_window", "label_count", "cat_block_size",
-                 "vocab_size")
-_STACK_INT_KEYS = ("label_count", "folds")
+
+
+def _int_fields(cls) -> set:
+    """The fields that dataclass `cls` declares int; a config stores them as JSON integers."""
+    return {f.name for f in dataclasses.fields(cls) if f.type in (int, "int")}
+
+
+class _Reader:
+    """Checked access to a bundle's sections by name. A missing section, or
+    one whose content does not decode to what is asked for, is a BundleError
+    naming the file. Sections and config keys nobody asks for are ignored."""
+
+    def __init__(self, path, sections: dict):
+        self.path, self.sections = path, sections
+
+    def error(self, message: str) -> BundleError:
+        return BundleError(f"{self.path}: {message}")
+
+    def raw(self, name: str) -> bytes:
+        if name not in self.sections:
+            raise self.error(f"bundle lacks section {name!r}")
+        return self.sections[name]
+
+    def checked(self, name: str, build, *args):
+        """build(*args); what build rejects is a bad section `name`."""
+        try:
+            return build(*args)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+            raise self.error(f"bad {name} section: {e!r}") from e
+
+    def json(self, name: str, build):
+        return self.checked(name, build, bundle_io.decode_json(self.raw(name), name))
+
+    def config(self, keys, int_keys) -> dict:
+        """The config section's values for `keys`, each of `int_keys` a JSON integer."""
+        cfg = bundle_io.decode_json(self.raw("config"), "config")
+        if not isinstance(cfg, dict):
+            raise self.error("config section is not a JSON object")
+        for key in keys:
+            if key not in cfg:
+                raise self.error(f"config section lacks key {key!r}")
+            if key in int_keys and type(cfg[key]) is not int:
+                raise self.error(f"config key {key!r} is not an integer")
+        return {key: cfg[key] for key in keys}
+
+    def labels(self, count: int) -> LabelTable:
+        labels = self.json("label_table",
+                           lambda t: LabelTable(t["task"], t["values"], t.get("coords")))
+        if len(labels) != count:
+            raise self.error(f"label table size {len(labels)} != model label count {count}")
+        return labels
+
+    def vocab(self, name: str) -> Vocabulary:
+        try:
+            return vocab_from_bytes(self.raw(name), f"{self.path}: section {name!r}")
+        except DataError as e:
+            raise BundleError(str(e)) from e
+
+    def tensor(self, name: str, dtype, shape: tuple) -> np.ndarray:
+        """The tensor:<name> section, which must have this dtype and shape."""
+        t = bundle_io.decode_tensor(self.raw(f"tensor:{name}"), name)
+        if t.dtype != dtype:
+            raise self.error(f"tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
+        if t.shape != shape:
+            raise self.error(f"tensor {name} has shape {t.shape}, expected {shape}")
+        return t
 
 
 @dataclass
@@ -139,120 +202,35 @@ class CnnBundle:
     labels: LabelTable
 
 
-def _require(path, sections: dict, names):
-    for name in names:
-        if name not in sections:
-            raise BundleError(f"{path}: bundle lacks section {name!r}")
-
-
-def _bundle_config(path, sections: dict, keys, int_keys) -> dict:
-    cfg = bundle_io.decode_json(sections["config"], "config")
-    if not isinstance(cfg, dict):
-        raise BundleError(f"{path}: config section is not a JSON object")
-    for key in keys:
-        if key not in cfg:
-            raise BundleError(f"{path}: config section lacks key {key!r}")
-    for key in int_keys:
-        if type(cfg[key]) is not int:
-            raise BundleError(f"{path}: config key {key!r} is not an integer")
-    return cfg
-
-
-def _checked(path, what: str, build, obj):
-    """build(obj) for a decoded bundle section; a structure that build
-    rejects (a missing key, a wrong type, an invalid value) is a BundleError."""
-    try:
-        return build(obj)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
-        raise BundleError(f"{path}: bad {what} section: {e!r}") from e
-
-
-def _json_section(path, sections: dict, name: str, build):
-    return _checked(path, name, build, bundle_io.decode_json(sections[name], name))
-
-
-def _tensor(path, sections: dict, name: str, dtype, shape: tuple) -> np.ndarray:
-    """The tensor:<name> section, which must have this dtype and shape."""
-    t = bundle_io.decode_tensor(sections[f"tensor:{name}"], name)
-    if t.dtype != dtype:
-        raise BundleError(f"{path}: tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
-    if t.shape != shape:
-        raise BundleError(f"{path}: tensor {name} has shape {t.shape}, expected {shape}")
-    return t
-
-
-def _bundle_vocab(path, sections: dict, name: str) -> Vocabulary:
-    try:
-        return vocab_from_bytes(sections[name], f"{path}: section {name!r}")
-    except DataError as e:
-        raise BundleError(str(e)) from e
-
-
-def _labels_json(labels: LabelTable) -> dict:
-    return {"task": labels.task, "values": labels.values, "coords": labels.coords}
-
-
-def _labels_from_json(obj) -> LabelTable:
-    coords = obj.get("coords")
-    return LabelTable(obj["task"], obj["values"],
-                      coords=None if coords is None else [tuple(c) for c in coords])
-
-
 def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
                labels: LabelTable, path):
     """Write a CNN bundle; load_model(save_model(...)) is bit-exact."""
-    cfg = model.config
-    config = {
-        "embed_dim": cfg.embed_dim,
-        "windows": list(cfg.windows),
-        "filters_per_window": cfg.filters_per_window,
-        "dropout_rate": cfg.dropout_rate,
-        "max_lens": cfg.max_lens,
-        "label_count": cfg.label_count,
-        "share_filters": cfg.share_filters,
-        "cat_block_size": model.cat_block_size,
-        "vocab_size": model.vocab_size,
-    }
+    config = dataclasses.asdict(model.config) | {k: getattr(model, k) for k in _CNN_MODEL_KEYS}
     sections = [
         ("config", bundle_io.encode_json(config)),
         ("vocabulary", vocab_to_bytes(vocab)),
         ("category_maps", bundle_io.encode_json(maps.value_lists())),
-        ("label_table", bundle_io.encode_json(_labels_json(labels))),
+        ("label_table", bundle_io.encode_json(dataclasses.asdict(labels))),
     ]
-    for name, p in model.params.items():
-        sections.append((f"tensor:{name}", bundle_io.encode_tensor(p)))
+    sections += [(f"tensor:{n}", bundle_io.encode_tensor(p)) for n, p in model.params.items()]
     bundle_io.write_sections(path, "cnn", sections)
 
 
-def _cnn_bundle(path, sections: dict) -> CnnBundle:
-    _require(path, sections, ("config", "vocabulary", "category_maps", "label_table"))
-    cfgj = _bundle_config(path, sections, _CNN_CONFIG_KEYS, _CNN_INT_KEYS)
-    cfg = _checked(path, "config", lambda c: CnnConfig(
-        embed_dim=c["embed_dim"],
-        windows=tuple(c["windows"]),
-        filters_per_window=c["filters_per_window"],
-        dropout_rate=c["dropout_rate"],
-        max_lens=c["max_lens"],
-        label_count=c["label_count"],
-        share_filters=c["share_filters"],
-    ), cfgj)
-    vocab = _bundle_vocab(path, sections, "vocabulary")
-    maps = _json_section(path, sections, "category_maps", CategoryMaps.from_value_lists)
-    labels = _json_section(path, sections, "label_table", _labels_from_json)
-    if len(labels) != cfg.label_count:
-        raise BundleError(f"{path}: label table size {len(labels)} != model "
-                          f"label count {cfg.label_count}")
-    if maps.block_size != cfgj["cat_block_size"]:
-        raise BundleError(f"{path}: category maps do not match the stored block size")
+def _cnn_bundle(r: _Reader) -> CnnBundle:
+    names = [f.name for f in dataclasses.fields(CnnConfig)]
+    c = r.config(names + list(_CNN_MODEL_KEYS), _int_fields(CnnConfig) | set(_CNN_MODEL_KEYS))
+    cfg = r.checked("config", lambda: CnnConfig(**{name: c[name] for name in names}))
+    vocab = r.vocab("vocabulary")
+    maps = r.json("category_maps", CategoryMaps.from_value_lists)
+    labels = r.labels(cfg.label_count)
+    if maps.block_size != c["cat_block_size"]:
+        raise r.error("category maps do not match the stored block size")
+    if len(vocab) != c["vocab_size"]:
+        raise r.error(f"vocabulary size {len(vocab)} != embedding rows")
 
-    shapes = param_shapes(cfg, cfgj["vocab_size"], cfgj["cat_block_size"])
-    _require(path, sections, [f"tensor:{name}" for name in shapes])
-    params = {name: _tensor(path, sections, name, np.float32, shape)
-              for name, shape in shapes.items()}
-    model = CnnModel(cfg, params, cfgj["cat_block_size"])
-    if len(vocab) != model.vocab_size:
-        raise BundleError(f"{path}: vocabulary size {len(vocab)} != embedding rows")
-    return CnnBundle(model, vocab, maps, labels)
+    shapes = param_shapes(cfg, c["vocab_size"], c["cat_block_size"])
+    params = {name: r.tensor(name, np.float32, shape) for name, shape in shapes.items()}
+    return CnnBundle(CnnModel(cfg, params, c["cat_block_size"]), vocab, maps, labels)
 
 
 @dataclass
@@ -261,54 +239,41 @@ class StackBundle:
     labels: LabelTable
 
 
+def _stack_layout():
+    """Each MNB of a stack in bundle order (the bases, then the meta model)
+    as (tag, vocabulary section or None, prior tensor, log-prob tensor)."""
+    for tag in BASE_FIELDS + ("meta",):
+        yield tag, None if tag == "meta" else f"vocab:{tag}", f"{tag}:prior", f"{tag}:log_prob"
+
+
 def save_stack_model(model: StackModel, labels: LabelTable, path):
-    config = {
-        "label_count": model.label_count,
-        "folds": model.folds,
-        "alpha": model.alpha,
-        "igr_percent": model.igr_percent,
-    }
+    config = {k: getattr(model, k) for k in _STACK_CONFIG_KEYS}
     sections = [
         ("config", bundle_io.encode_json(config)),
-        ("label_table", bundle_io.encode_json(_labels_json(labels))),
+        ("label_table", bundle_io.encode_json(dataclasses.asdict(labels))),
     ]
-    for b in BASE_FIELDS:
-        sections.append((f"vocab:{b}", vocab_to_bytes(model.base_vocabs[b])))
-        sections.append((f"tensor:{b}:prior", bundle_io.encode_tensor(model.bases[b].class_log_prior)))
-        sections.append((f"tensor:{b}:log_prob", bundle_io.encode_tensor(model.bases[b].feature_log_prob)))
-    sections.append(("tensor:meta:prior", bundle_io.encode_tensor(model.meta.class_log_prior)))
-    sections.append(("tensor:meta:log_prob", bundle_io.encode_tensor(model.meta.feature_log_prob)))
+    for tag, vocab, prior, log_prob in _stack_layout():
+        mnb = model.meta if vocab is None else model.bases[tag]
+        if vocab is not None:
+            sections.append((vocab, vocab_to_bytes(model.base_vocabs[tag])))
+        sections += [(f"tensor:{prior}", bundle_io.encode_tensor(mnb.class_log_prior)),
+                     (f"tensor:{log_prob}", bundle_io.encode_tensor(mnb.feature_log_prob))]
     bundle_io.write_sections(path, "stack", sections)
 
 
-def _stack_bundle(path, sections: dict) -> StackBundle:
-    _require(path, sections, ["config", "label_table"]
-             + [f"vocab:{b}" for b in BASE_FIELDS]
-             + [f"tensor:{t}:{part}" for t in BASE_FIELDS + ("meta",)
-                for part in ("prior", "log_prob")])
-    cfg = _bundle_config(path, sections, _STACK_CONFIG_KEYS, _STACK_INT_KEYS)
+def _stack_bundle(r: _Reader) -> StackBundle:
+    cfg = r.config(_STACK_CONFIG_KEYS, _int_fields(StackModel))
     n_labels = cfg["label_count"]
-    labels = _json_section(path, sections, "label_table", _labels_from_json)
-    if len(labels) != n_labels:
-        raise BundleError(f"{path}: label table size != stored label count")
-
-    def mnb(tag: str, n_features: int) -> MnbModel:
-        return MnbModel(_tensor(path, sections, f"{tag}:prior", np.float64, (n_labels,)),
-                        _tensor(path, sections, f"{tag}:log_prob", np.float64,
-                                (n_labels, n_features)),
-                        cfg["alpha"])
-
-    vocabs = {b: _bundle_vocab(path, sections, f"vocab:{b}") for b in BASE_FIELDS}
-    model = StackModel(
-        bases={b: mnb(b, len(vocabs[b])) for b in BASE_FIELDS},
-        base_vocabs=vocabs,
-        meta=mnb("meta", len(BASE_FIELDS) * n_labels),
-        label_count=n_labels,
-        folds=cfg["folds"],
-        alpha=cfg["alpha"],
-        igr_percent=cfg["igr_percent"],
-    )
-    return StackBundle(model, labels)
+    labels = r.labels(n_labels)
+    vocabs, mnbs = {}, {}
+    for tag, vocab, prior, log_prob in _stack_layout():
+        if vocab is not None:
+            vocabs[tag] = r.vocab(vocab)
+        n_features = len(BASE_FIELDS) * n_labels if vocab is None else len(vocabs[tag])
+        mnbs[tag] = MnbModel(r.tensor(prior, np.float64, (n_labels,)),
+                             r.tensor(log_prob, np.float64, (n_labels, n_features)))
+    meta = mnbs.pop("meta")
+    return StackBundle(StackModel(bases=mnbs, base_vocabs=vocabs, meta=meta, **cfg), labels)
 
 
 def load_bundle(path, expect: Optional[str] = None):
@@ -319,7 +284,7 @@ def load_bundle(path, expect: Optional[str] = None):
     if loader is None or expect not in (None, model_type):
         raise BundleError(f"{path}: expected a {expect or 'cnn or stack'} bundle, "
                           f"found {model_type!r}")
-    return loader(path, sections)
+    return loader(_Reader(path, sections))
 
 
 def load_model(path) -> CnnBundle:

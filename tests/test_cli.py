@@ -1,8 +1,9 @@
 import json
+import shutil
 
 import pytest
 
-from tweetgeo import bundle as bundle_io, cli
+from tweetgeo import bundle as bundle_io, cli, ingest
 from tweetgeo.cli import main
 from tweetgeo.synth import SynthSpec, write_corpus
 from tweetgeo.textproc import load_vocab
@@ -78,6 +79,55 @@ def test_prepare_missing_city_table_errors(corpus_dir, tmp_path):
                "--city-table", str(corpus_dir / "nope.csv"),
                "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+BAD_BBOXES = [[1, 2, 3], "abc", {"a": 1}, [None, 1, 2, 3], 5]
+BAD_BBOX_LINES = [json.dumps({"user_id": f"bb{i}", "text": "hi", "lat": None, "lon": None,
+                              "bbox": bbox}) for i, bbox in enumerate(BAD_BBOXES)]
+
+
+def test_prepare_skips_lines_with_a_malformed_bbox(corpus_dir, prep_dir, tmp_path, capsys):
+    raw = (corpus_dir / "raw.jsonl").read_text().splitlines()
+    (tmp_path / "raw.jsonl").write_text("\n".join(BAD_BBOX_LINES[:3] + raw + BAD_BBOX_LINES[3:])
+                                        + "\n")
+    _, skipped = ingest.read_jsonl(corpus_dir / "raw.jsonl")
+    capsys.readouterr()
+    rc = main(["prepare", "--data", str(tmp_path / "raw.jsonl"),
+               "--city-table", str(corpus_dir / "cities.csv"),
+               "--out-dir", str(tmp_path / "p"), "--seed", "4",
+               "--test-fraction", "0.2", "--dev-users", "60", "--min-count", "3"])
+    assert rc == 0
+    assert f"(+{skipped + len(BAD_BBOX_LINES)} skipped)" in capsys.readouterr().out
+    for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "vocab.txt", "stats.csv"):
+        assert (tmp_path / "p" / name).read_bytes() == (prep_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("lat", ["nan", "inf", "95.0"])
+def test_prepare_bad_city_coordinates_exit_2_naming_the_row(corpus_dir, tmp_path, capsys, lat):
+    lines = (corpus_dir / "cities.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    row[2] = lat
+    lines[2] = ",".join(row)
+    (tmp_path / "cities.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["prepare", "--data", str(corpus_dir / "raw.jsonl"),
+               "--city-table", str(tmp_path / "cities.csv"), "--out-dir", str(tmp_path / "p")])
+    assert rc == 2
+    assert f"{tmp_path / 'cities.csv'}:3: bad city row" in capsys.readouterr().err
+
+
+NO_UNK_FIRST = '{"tweet_lang": ["en"], "user_lang": ["<unk-cat>"], "timezone": ["<unk-cat>"]}'
+
+
+@pytest.mark.parametrize("maps", ["{not json", NO_UNK_FIRST], ids=["not-json", "unk-not-first"])
+def test_train_corrupt_category_maps_exits_2(prep_dir, tmp_path, capsys, maps):
+    prep = tmp_path / "prep"
+    shutil.copytree(prep_dir, prep)
+    (prep / "category_maps.json").write_text(maps)
+    rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", "stacking",
+               "--out", str(tmp_path / "s.gtlm")])
+    assert rc == 2
+    assert f"{prep / 'category_maps.json'}: bad category maps" in capsys.readouterr().err
+    assert not (tmp_path / "s.gtlm").exists()
 
 
 def test_usage_error_exit_code():
@@ -304,6 +354,17 @@ def test_predict_handles_malformed_and_empty(cnn_bundle, tmp_path):
                "--out", str(tmp_path / "eo.jsonl")])
     assert rc == 0
     assert (tmp_path / "eo.jsonl").read_text() == ""
+
+
+def test_predict_skips_lines_with_a_malformed_bbox(cnn_bundle, prep_dir, tmp_path, capsys):
+    rows = (prep_dir / "test.jsonl").read_text().splitlines()
+    (tmp_path / "in.jsonl").write_text("\n".join(BAD_BBOX_LINES + rows) + "\n")
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(cnn_bundle), "--input", str(tmp_path / "in.jsonl"),
+               "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 0
+    assert len((tmp_path / "o.jsonl").read_text().splitlines()) == len(rows)
+    assert f"{len(BAD_BBOX_LINES)} skipped" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bundle, chunk", [("cnn_bundle", None), ("stack_bundle", 7)])

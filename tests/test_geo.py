@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+from tweetgeo.errors import DataError
 from tweetgeo.geo import (City, CityTable, aggregate_cities, haversine_km,
                           load_city_table, nearest_city, save_city_table)
 
@@ -112,3 +114,22 @@ def test_city_table_rejects_duplicates_and_empty():
         CityTable([])
     with pytest.raises(Exception):
         CityTable([City(1, "a", 0, 0, "AA", 1), City(1, "b", 1, 1, "AA", 1)])
+
+
+@pytest.mark.parametrize("lat, lon", [("nan", "0.0"), ("0.0", "nan"), ("inf", "0.0"),
+                                      ("95.0", "0.0"), ("0.0", "-181.0")])
+def test_load_city_table_rejects_bad_coordinates_naming_the_row(tmp_path, small_table,
+                                                               lat, lon):
+    path = tmp_path / "cities.csv"
+    save_city_table(small_table, path)
+    lines = path.read_text().splitlines()
+    lines[3] = f"3,gamma,{lat},{lon},GB,8000000"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: bad city row")):
+        load_city_table(path)
+
+
+def test_city_table_rejects_nan_coordinates():
+    for lat, lon in [(math.nan, 0.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="out of range"):
+            CityTable([City(1, "a", lat, lon, "AA", 1)])

@@ -57,6 +57,26 @@ def test_resolve_rejects_wide_or_degenerate_bbox():
     assert resolve_coordinates(None, None) is None
 
 
+@pytest.mark.parametrize("bbox", [[1, 2, 3], "abc", {"a": 1}, [None, 1, 2, 3], 5, "1234",
+                                  [40.0, -80.0, 40.05, -79.95, 0.0], [10 ** 400, 0, 0, 0]])
+def test_parse_skips_malformed_bbox_unless_a_point_is_given(bbox):
+    with pytest.raises(RecordSkip, match="bad bbox"):
+        parse_record(jsonl_line(lat=None, lon=None, bbox=bbox))
+    with pytest.raises(RecordSkip, match="bad bbox"):
+        parse_record(jsonl_line(lat=None, lon=None, bbox=bbox), require_coords=False)
+    r = parse_record(jsonl_line(lat=40.0, lon=-80.0, bbox=bbox))
+    assert (r.lat, r.lon) == (40.0, -80.0)
+
+
+@pytest.mark.parametrize("line", ['{"user_id": "u1", "lat": 1%s, "lon": 0}' % ("0" * 400),
+                                  '{"user_id": "u1", "lat": %s, "lon": 0}' % ("1" * 5000),
+                                  "[" * 100_000],
+                         ids=["overflowing-float", "too-many-digits", "too-deep"])
+def test_parse_skips_unconvertible_numbers_and_deep_nesting(line):
+    with pytest.raises(RecordSkip):
+        parse_record(line)
+
+
 def test_read_jsonl_counts_skips(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join([jsonl_line(), "oops", jsonl_line(lat=99.0)]) + "\n")

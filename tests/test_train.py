@@ -1,9 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_record
-from tweetgeo import bundle as bundle_io
+from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.bayes import fit_stacking
 from tweetgeo.cnn import CnnConfig, backward, encode_features, forward, init_model
 from tweetgeo.encode import build_category_maps
@@ -315,8 +318,94 @@ def test_corrupt_bundle_loads_or_raises_bundle_error(bundle_files, kind, cut, da
         pass
 
 
+@pytest.mark.parametrize("coords", [[[40.0, -80.0]], [[40.0, -80.0, 1.0]] * 3,
+                                    [["north", "west"]] * 3],
+                         ids=["too-few", "not-pairs", "not-numbers"])
+def test_load_rejects_label_coords_that_do_not_fit_the_labels(bundle_files, tmp_path, coords):
+    # eval indexes the coordinates by label, so a misfit must fail at load
+    bundles, d = bundle_files
+    model_type, sections = bundle_io.read_sections(d / "stack.gtlm")
+    table = json.loads(sections["label_table"])
+    assert len(table["values"]) == 3
+    sections["label_table"] = bundle_io.encode_json(dict(table, coords=coords))
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    with pytest.raises(BundleError, match="bad label_table section"):
+        load_stack_model(tmp_path / "bad.gtlm")
+
+
 def test_decode_tensor_rejects_more_axes_than_numpy_supports():
     # a flipped ndim byte can describe a shape whose size matches the payload
     payload = bytes([4, 66]) + (1).to_bytes(8, "little") * 66 + bytes(4)
     with pytest.raises(BundleError, match="dimension"):
         bundle_io.decode_tensor(payload)
+
+
+CNN_CONFIG_JSON = ('{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim": 8, '
+                   '"filters_per_window": 4, "label_count": 3, "max_lens": '
+                   '{"profile_location": 4, "text": 8, "user_description": 6, "user_name": 3}, '
+                   '"share_filters": %s, "vocab_size": 16, "windows": [2, 3]}')
+CNN_HEAD_SECTIONS = ["config", "vocabulary", "category_maps", "label_table", "tensor:embedding"]
+CNN_TAIL_SECTIONS = ["tensor:softmax_w", "tensor:softmax_b"]
+SHARED_CONV_SECTIONS = ["tensor:conv_w_h2", "tensor:conv_b_h2",
+                        "tensor:conv_w_h3", "tensor:conv_b_h3"]
+PER_FIELD_CONV_SECTIONS = [
+    "tensor:conv_w_text_h2", "tensor:conv_b_text_h2",
+    "tensor:conv_w_text_h3", "tensor:conv_b_text_h3",
+    "tensor:conv_w_user_description_h2", "tensor:conv_b_user_description_h2",
+    "tensor:conv_w_user_description_h3", "tensor:conv_b_user_description_h3",
+    "tensor:conv_w_profile_location_h2", "tensor:conv_b_profile_location_h2",
+    "tensor:conv_w_profile_location_h3", "tensor:conv_b_profile_location_h3",
+    "tensor:conv_w_user_name_h2", "tensor:conv_b_user_name_h2",
+    "tensor:conv_w_user_name_h3", "tensor:conv_b_user_name_h3"]
+STACK_SECTIONS = [
+    "config", "label_table",
+    "vocab:text", "tensor:text:prior", "tensor:text:log_prob",
+    "vocab:user_description", "tensor:user_description:prior",
+    "tensor:user_description:log_prob",
+    "vocab:profile_location", "tensor:profile_location:prior",
+    "tensor:profile_location:log_prob",
+    "vocab:user_name", "tensor:user_name:prior", "tensor:user_name:log_prob",
+    "vocab:cats", "tensor:cats:prior", "tensor:cats:log_prob",
+    "tensor:meta:prior", "tensor:meta:log_prob"]
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_cnn_bundle_layout_is_pinned(tmp_path, share):
+    recs, ys = corpus(4, seed=1)
+    cfg = dataclasses.replace(small_cfg(), share_filters=share)
+    vocab = build_vocab([r.text.split() for r in recs], min_count=1)
+    maps = build_category_maps(recs)
+    save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps,
+               country_labels(recs), tmp_path / "cnn.gtlm")
+    model_type, sections = bundle_io.read_sections(tmp_path / "cnn.gtlm")
+    convs = SHARED_CONV_SECTIONS if share else PER_FIELD_CONV_SECTIONS
+    assert model_type == "cnn"
+    assert list(sections) == CNN_HEAD_SECTIONS + convs + CNN_TAIL_SECTIONS
+    assert sections["config"] == (CNN_CONFIG_JSON % str(share).lower()).encode()
+
+
+def test_stack_bundle_layout_is_pinned(bundle_files):
+    bundles, d = bundle_files
+    model_type, sections = bundle_io.read_sections(d / "stack.gtlm")
+    assert model_type == "stack"
+    assert list(sections) == STACK_SECTIONS
+    assert sections["config"] == \
+        b'{"alpha": 0.01, "folds": 2, "igr_percent": null, "label_count": 3}'
+
+
+@pytest.mark.parametrize("kind", ["cnn", "stack"])
+def test_unknown_sections_and_config_keys_are_ignored(bundle_files, tmp_path, kind):
+    # a newer writer may add sections and config keys; this reader skips them
+    bundles, d = bundle_files
+    raw, loader = bundles[kind]
+    (tmp_path / "old.gtlm").write_bytes(raw)
+    model_type, sections = bundle_io.read_sections(tmp_path / "old.gtlm")
+    config = json.loads(sections["config"])
+    config["added_later"] = {"any": [1, 2.5, None]}
+    sections["config"] = bundle_io.encode_json(config)
+    sections["provenance"] = bundle_io.encode_json({"seed": 7})
+    bundle_io.write_sections(tmp_path / "new.gtlm", model_type, list(sections.items()))
+    recs, ys = corpus(4, seed=5)
+    old = cli._probabilities(loader(tmp_path / "old.gtlm"), recs)
+    new = cli._probabilities(loader(tmp_path / "new.gtlm"), recs)
+    assert old.tobytes() == new.tobytes()
