@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .encode import time_slot
+from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
 from .textproc import Vocabulary, build_vocab, tokenize
 
-BASE_FIELDS = ("text", "user_description", "profile_location", "user_name", "cats")
-TEXT_BASES = ("text", "user_description", "profile_location", "user_name")
+BASE_FIELDS = TEXT_FIELDS + ("cats",)
+CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
 
 GATHER_CELLS = 1 << 21   # (stored cell, class) products held at once by a posterior
 IGR_COLUMNS = 4096       # feature columns scored at once by igr_scores
@@ -31,12 +32,9 @@ def categorical_tokens(record) -> list[str]:
     """The three categorical values and the time slot as synthetic bag tokens.
     Line breaks in the values become spaces: a vocabulary stores one token
     per line."""
-    return [
-        f"tl={record.tweet_lang.translate(_ONE_LINE)}",
-        f"ul={record.user_lang.translate(_ONE_LINE)}",
-        f"tz={record.timezone.translate(_ONE_LINE)}",
-        f"pt={time_slot(record.posted_at)}",
-    ]
+    tokens = [f"{p}={getattr(record, f).translate(_ONE_LINE)}"
+              for p, f in zip(CAT_PREFIXES, CATEGORICAL_FIELDS)]
+    return tokens + [f"pt={time_slot(record.posted_at)}"]
 
 
 def base_tokens(record, base: str) -> list[str]:
@@ -119,13 +117,20 @@ class MnbModel:
         return self.class_log_prior.shape[0]
 
 
+def _class_table(counts: CsrCounts, labels: np.ndarray, n_classes: int,
+                 weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """(L, F) per-(class, feature) sums of `weights` over the stored cells;
+    with no weights, the number of each class's documents holding the feature."""
+    f = counts.n_cols
+    return np.bincount(labels[counts.row_ids()] * f + counts.indices, weights=weights,
+                       minlength=n_classes * f).reshape(n_classes, f)
+
+
 def _class_counts(counts: CsrCounts, labels: np.ndarray,
                   n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Summed counts per (class, feature), (L, F), and documents per class, (L,)."""
-    f = counts.n_cols
-    fc = np.bincount(labels[counts.row_ids()] * f + counts.indices, weights=counts.counts,
-                     minlength=n_classes * f).reshape(n_classes, f)
-    return fc, np.bincount(labels, minlength=n_classes).astype(np.float64)
+    return (_class_table(counts, labels, n_classes, counts.counts),
+            np.bincount(labels, minlength=n_classes).astype(np.float64))
 
 
 def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
@@ -232,8 +237,7 @@ def igr_scores(counts, labels: np.ndarray, n_classes: int) -> np.ndarray:
     counts = as_csr(counts)
     labels = np.asarray(labels)
     f = counts.n_cols
-    present = np.bincount(labels[counts.row_ids()] * f + counts.indices,
-                          minlength=n_classes * f).reshape(n_classes, f)
+    present = _class_table(counts, labels, n_classes)
     totals = np.bincount(labels, minlength=n_classes)
     scores = np.empty(f)
     for s in range(0, f, IGR_COLUMNS):
@@ -295,7 +299,7 @@ def fit_stacking(records, labels, label_count: int, folds: int = 5,
     counts = {b: count_matrix(tokens[b], vocabs[b]) for b in BASE_FIELDS}
 
     if igr_percent is not None:
-        for b in TEXT_BASES:
+        for b in TEXT_FIELDS:
             vocabs[b] = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
             counts[b] = count_matrix(tokens[b], vocabs[b])
 

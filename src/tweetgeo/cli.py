@@ -24,7 +24,7 @@ from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_
                     train, write_train_log)
 
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}
-# `predict` scores its input this many valid records at a time: a multiple
+# `eval` and `predict` score this many valid records at a time: a multiple
 # of predict_proba's 256-record batch, so the CNN batches are the same as
 # for the whole input at once
 PREDICT_CHUNK = 4096
@@ -160,10 +160,6 @@ def _apply_config_defaults(parser, commands: dict, overrides: dict):
 # ---------------------------------------------------------------------------
 # commands
 
-def _say(*parts):
-    print(*parts)
-
-
 def cmd_prepare(ns) -> int:
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,9 +193,9 @@ def cmd_prepare(ns) -> int:
         f.write("stat,value\n")
         for k, v in vars(stats).items():
             f.write(f"{k},{v!r}\n")
-    _say(f"prepare: {len(records)} parsed (+{skipped} skipped), {len(deduped)} after dedup -> "
-         f"train {len(train_recs)} / dev {len(dev_recs)} / test {len(test_recs)}; "
-         f"vocab {len(vocab)}")
+    print(f"prepare: {len(records)} parsed (+{skipped} skipped), {len(deduped)} after dedup -> "
+          f"train {len(train_recs)} / dev {len(dev_recs)} / test {len(test_recs)}; "
+          f"vocab {len(vocab)}")
     return 0
 
 
@@ -245,8 +241,8 @@ def cmd_train(ns) -> int:
         save_model(result.model, vocab, maps, labels, ns.out)
         if ns.log:
             write_train_log(ns.log, result.log)
-        _say(f"train: cnn task={ns.task} best dev acc {result.best_dev_accuracy:.4f} "
-             f"at epoch {result.best_epoch}; bundle -> {ns.out}")
+        print(f"train: cnn task={ns.task} best dev acc {result.best_dev_accuracy:.4f} "
+              f"at epoch {result.best_epoch}; bundle -> {ns.out}")
     else:
         igr = ns.igr_top_percent
         if ns.model == "stacking+" and igr is None:
@@ -259,8 +255,8 @@ def cmd_train(ns) -> int:
         model = bayes.fit_stacking(train_recs, y, len(labels), folds=ns.folds,
                                    alpha=ns.alpha, igr_percent=igr, min_count=ns.min_count)
         save_stack_model(model, labels, ns.out)
-        _say(f"train: {ns.model} task={ns.task} folds={ns.folds} "
-             f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
+        print(f"train: {ns.model} task={ns.task} folds={ns.folds} "
+              f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
     return 0
 
 
@@ -285,8 +281,13 @@ def cmd_eval(ns) -> int:
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pred = metrics.rank(_probabilities(b, records), b.labels.label_array(records),
-                        [(r.lat, r.lon) for r in records])
+    # a chunk's probabilities are dropped once its top five are ranked
+    chunks = [metrics.rank(_probabilities(b, records[i:i + PREDICT_CHUNK]))
+              for i in range(0, len(records), PREDICT_CHUNK)]
+    pred = metrics.Predictions(b.labels.label_array(records),
+                               np.concatenate([c.ranked for c in chunks]),
+                               np.concatenate([c.top_prob for c in chunks]),
+                               np.array([(r.lat, r.lon) for r in records], dtype=np.float64))
     rows = [("n_test", float(len(records))), ("skipped", float(skipped)),
             ("accuracy", metrics.accuracy(pred)), ("acc_top5", metrics.acc_top5(pred))]
     if b.labels.task == TASK_CITY:
@@ -298,7 +299,7 @@ def cmd_eval(ns) -> int:
                                metrics.per_class_pr(pred, len(b.labels)),
                                label_names=b.labels.values)
     metrics.write_calibration(out / "calibration.csv", metrics.calibration_bins(pred))
-    _say("eval: " + "  ".join(f"{k}={v:.4f}" for k, v in rows))
+    print("eval: " + "  ".join(f"{k}={v:.4f}" for k, v in rows))
     return 0
 
 
@@ -329,19 +330,18 @@ def cmd_predict(ns) -> int:
     with open(ns.input, encoding="utf-8") as fin, \
             open(ns.out, "w", encoding="utf-8") as fout:
         chunk = []
-        for line in fin:
-            if line.strip():
-                try:
-                    chunk.append(ingest.parse_record(line, require_coords=False))
-                except ingest.RecordSkip:
-                    skipped += 1
+        for r in ingest.parse_lines(fin, require_coords=False):
+            if isinstance(r, ingest.RecordSkip):
+                skipped += 1
+                continue
+            chunk.append(r)
             if len(chunk) == PREDICT_CHUNK:
                 w, f = _write_predictions(b, chunk, ns.min_prob, fout)
                 written, filtered, chunk = written + w, filtered + f, []
         if chunk:
             w, f = _write_predictions(b, chunk, ns.min_prob, fout)
             written, filtered = written + w, filtered + f
-    _say(f"predict: {written} written, {filtered} below min-prob, {skipped} skipped")
+    print(f"predict: {written} written, {filtered} below min-prob, {skipped} skipped")
     return 0
 
 

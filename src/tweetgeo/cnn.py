@@ -22,9 +22,10 @@ import numpy as np
 from . import nncore, textproc
 from .encode import CategoryMaps, onehot_block
 from .errors import DataError
+from .ingest import TEXT_FIELDS
 from .textproc import Vocabulary, encode_tokens, tokenize
 
-FIELDS = ("text", "user_description", "profile_location", "user_name")
+FIELDS = TEXT_FIELDS
 
 DEFAULT_MAX_LENS = {"text": 50, "user_description": 50, "profile_location": 10, "user_name": 5}
 

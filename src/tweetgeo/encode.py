@@ -2,14 +2,16 @@
 10-minute posting-time slot, assembled into one sparse one-hot block.
 
 Each categorical map reserves index 0 for values never seen in training.
-The one-hot block concatenates TL, UL, TZ, then 144 time slots; exactly four
-positions are active for any record.
+The one-hot block concatenates the maps in `CATEGORICAL_FIELDS` order (TL, UL,
+TZ), then 144 time slots; exactly four positions are active for any record.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+from .ingest import CATEGORICAL_FIELDS
+from .textproc import ranked_by_frequency
 
 UNK_CAT = "<unk-cat>"
 N_TIME_SLOTS = 144
@@ -23,66 +25,51 @@ def time_slot(posted_at: int) -> int:
     return (posted_at % 86400) // _SLOT_SECONDS
 
 
-def _freq_map(values) -> dict[str, int]:
-    counts = Counter(values)
-    ordered = sorted(counts, key=lambda v: (-counts[v], v))
-    out = {UNK_CAT: 0}
-    for i, v in enumerate(ordered, start=1):
-        out[v] = i
-    return out
-
-
 @dataclass
 class CategoryMaps:
-    """value -> dense index maps for the three categorical fields."""
+    """value -> dense index maps, one attribute per name in `CATEGORICAL_FIELDS`."""
 
     tweet_lang: dict[str, int]
     user_lang: dict[str, int]
     timezone: dict[str, int]
 
     @property
-    def sizes(self) -> tuple[int, int, int]:
-        return (len(self.tweet_lang), len(self.user_lang), len(self.timezone))
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(getattr(self, f)) for f in CATEGORICAL_FIELDS)
 
     @property
     def block_size(self) -> int:
-        tl, ul, tz = self.sizes
-        return tl + ul + tz + N_TIME_SLOTS
+        return sum(self.sizes) + N_TIME_SLOTS
 
     def value_lists(self) -> dict[str, list[str]]:
         """Index-ordered value lists, for serialization."""
-        out = {}
-        for name in ("tweet_lang", "user_lang", "timezone"):
-            m = getattr(self, name)
-            out[name] = [v for v, _ in sorted(m.items(), key=lambda kv: kv[1])]
-        return out
+        return {f: sorted(getattr(self, f), key=getattr(self, f).get) for f in CATEGORICAL_FIELDS}
 
     @classmethod
     def from_value_lists(cls, lists: dict[str, list[str]]) -> "CategoryMaps":
         maps = {}
-        for name in ("tweet_lang", "user_lang", "timezone"):
-            values = lists[name]
-            if not values or values[0] != UNK_CAT:
-                raise ValueError(f"{name} map must start with {UNK_CAT}")
-            maps[name] = {v: i for i, v in enumerate(values)}
+        for f in CATEGORICAL_FIELDS:
+            values = lists[f]
+            maps[f] = {v: i for i, v in enumerate(values)}
+            if not values or values[0] != UNK_CAT or len(maps[f]) != len(values):
+                raise ValueError(f"{f} map must start with {UNK_CAT} and list each value once")
         return cls(**maps)
 
 
 def build_category_maps(train_records) -> CategoryMaps:
-    """Index observed values by descending train frequency, ties lexicographic."""
-    return CategoryMaps(
-        tweet_lang=_freq_map(r.tweet_lang for r in train_records),
-        user_lang=_freq_map(r.user_lang for r in train_records),
-        timezone=_freq_map(r.timezone for r in train_records),
-    )
+    """Index observed values by descending train frequency, ties lexicographic.
+    A value equal to UNK_CAT is read as unknown: it keeps index 0."""
+    return CategoryMaps.from_value_lists({
+        f: [UNK_CAT] + [v for v in ranked_by_frequency(getattr(r, f) for r in train_records)
+                        if v != UNK_CAT]
+        for f in CATEGORICAL_FIELDS})
 
 
 def onehot_block(record, maps: CategoryMaps) -> list[int]:
     """Active positions (exactly 4) in the concatenated TL|UL|TZ|PT one-hot vector."""
-    tl, ul, tz = maps.sizes
-    return [
-        maps.tweet_lang.get(record.tweet_lang, 0),
-        tl + maps.user_lang.get(record.user_lang, 0),
-        tl + ul + maps.timezone.get(record.timezone, 0),
-        tl + ul + tz + time_slot(record.posted_at),
-    ]
+    out, offset = [], 0
+    for f in CATEGORICAL_FIELDS:
+        m = getattr(maps, f)
+        out.append(offset + m.get(getattr(record, f), 0))
+        offset += len(m)
+    return out + [offset + time_slot(record.posted_at)]

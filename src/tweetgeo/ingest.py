@@ -11,21 +11,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 
-TEXT_FIELDS = ("text", "user_description", "user_name", "profile_location")
-STRING_FIELDS = TEXT_FIELDS + ("tweet_lang", "user_lang", "timezone", "country_code")
+# field groups, in the order both model families read them
+TEXT_FIELDS = ("text", "user_description", "profile_location", "user_name")
+CATEGORICAL_FIELDS = ("tweet_lang", "user_lang", "timezone")
+STRING_FIELDS = TEXT_FIELDS + CATEGORICAL_FIELDS + ("country_code",)
 MAX_BBOX_SPAN_DEG = 0.1
 
 
 class RecordSkip(Exception):
-    """Raised when an input line cannot become a valid Record."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Raised when an input line cannot become a valid Record; str() is the reason."""
 
 
 @dataclass
@@ -50,20 +49,27 @@ class Record:
                 self.profile_location, self.lat or 0.0, self.lon or 0.0)
 
 
+def _numbers(values, reason: str) -> tuple[float, ...]:
+    """JSON numbers (int or float, not bool) as floats, else RecordSkip(reason)."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise RecordSkip(reason)
+    try:
+        return tuple(map(float, values))
+    except OverflowError as e:   # an integer too large for a float
+        raise RecordSkip(reason) from e
+
+
 def resolve_coordinates(point, bbox) -> Optional[tuple[float, float]]:
     """Pick coordinates: an explicit point wins; otherwise the center of a
-    bbox no wider than 0.1 degrees in both axes. Returns None when rejected;
-    a bbox that is not a list of four numbers raises RecordSkip."""
+    bbox no wider than 0.1 degrees in both axes. Returns None when rejected; a
+    point or bbox that is not two or four JSON numbers raises RecordSkip."""
     if point is not None:
-        return (float(point[0]), float(point[1]))
+        return _numbers(point, "non-numeric coordinates")
     if bbox is None:
         return None
-    if not isinstance(bbox, (list, tuple)):
+    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise RecordSkip("bad bbox")
-    try:
-        lat_min, lon_min, lat_max, lon_max = (float(v) for v in bbox)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise RecordSkip("bad bbox") from e
+    lat_min, lon_min, lat_max, lon_max = _numbers(bbox, "bad bbox")
     if lat_min > lat_max or lon_min > lon_max:
         return None
     if (lat_max - lat_min) > MAX_BBOX_SPAN_DEG or (lon_max - lon_min) > MAX_BBOX_SPAN_DEG:
@@ -98,12 +104,8 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
         raise RecordSkip("posted_at must be a non-negative integer")
     fields["posted_at"] = posted_at
 
-    point = None
-    if obj.get("lat") is not None and obj.get("lon") is not None:
-        try:
-            point = (float(obj["lat"]), float(obj["lon"]))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise RecordSkip("non-numeric coordinates") from e
+    lat, lon = obj.get("lat"), obj.get("lon")
+    point = (lat, lon) if lat is not None and lon is not None else None
     coords = resolve_coordinates(point, obj.get("bbox"))
     if coords is None:
         if require_coords:
@@ -122,24 +124,31 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
     return Record(**fields)
 
 
+def parse_lines(lines: Iterable[str], require_coords: bool = True) -> Iterator:
+    """Each non-blank line as a Record, or as the RecordSkip that says why not."""
+    for line in lines:
+        if line.strip():
+            try:
+                yield parse_record(line, require_coords)
+            except RecordSkip as e:
+                yield e
+
+
 def read_jsonl(path) -> tuple[list[Record], int]:
     """Load records from a JSONL file; returns (records, skipped_count)."""
     records, skipped = [], 0
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            try:
-                records.append(parse_record(line))
-            except RecordSkip:
+        for r in parse_lines(f):
+            if isinstance(r, RecordSkip):
                 skipped += 1
+            else:
+                records.append(r)
     return records, skipped
 
 
 def record_to_json(r: Record) -> str:
-    obj = asdict(r)
-    obj["bbox"] = None  # coordinates are already resolved
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    # coordinates are already resolved, so the bbox is written as null
+    return json.dumps({**vars(r), "bbox": None}, ensure_ascii=False, sort_keys=True)
 
 
 def write_jsonl(records: Iterable[Record], path):
@@ -242,12 +251,8 @@ def dataset_stats(records: list[Record]) -> StatsReport:
     per-country and per-city tweet count means and population sigmas."""
     if not records:
         return StatsReport()
-    by_country: dict[str, int] = {}
-    by_city: dict[int, int] = {}
-    for r in records:
-        by_country[r.country_code] = by_country.get(r.country_code, 0) + 1
-        if r.city_id is not None:
-            by_city[r.city_id] = by_city.get(r.city_id, 0) + 1
+    by_country = Counter(r.country_code for r in records)
+    by_city = Counter(r.city_id for r in records if r.city_id is not None)
     c_mean, c_std = _mean_std(list(by_country.values()))
     ci_mean, ci_std = _mean_std(list(by_city.values()))
     return StatsReport(

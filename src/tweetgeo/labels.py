@@ -8,13 +8,13 @@ kept alongside so evaluation needs no extra table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geo import CityTable
+from .textproc import ranked_by_frequency
 
 TASK_COUNTRY = "country"
 TASK_CITY = "city"
@@ -56,9 +56,7 @@ class LabelTable:
 
 
 def country_labels(train_records) -> LabelTable:
-    counts = Counter(r.country_code for r in train_records)
-    ordered = sorted(counts, key=lambda c: (-counts[c], c))
-    return LabelTable(TASK_COUNTRY, ordered)
+    return LabelTable(TASK_COUNTRY, ranked_by_frequency(r.country_code for r in train_records))
 
 
 def city_labels(table: CityTable) -> LabelTable:

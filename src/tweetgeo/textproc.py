@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .errors import DataError
@@ -37,6 +38,14 @@ _TOKEN_RE = re.compile(
 )
 
 _RUN_RE = re.compile(r"(.)\1{3,}", re.UNICODE)
+
+
+def ranked_by_frequency(values: Iterable, min_count: int = 1) -> list:
+    """The distinct values seen at least `min_count` times, most frequent
+    first, ties ascending: the order of vocabularies, category maps and country labels."""
+    counts = Counter(values)
+    return sorted((v for v, c in counts.items() if c >= min_count),
+                  key=lambda v: (-counts[v], v))
 
 
 def _squeeze_runs(token: str) -> str:
@@ -71,13 +80,12 @@ class Vocabulary:
 
     index_to_token: list[str]
     min_count: int
-    token_to_index: dict[str, int] = None
+    token_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if self.index_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError("indices 0 and 1 are reserved for PAD and UNK")
-        if self.token_to_index is None:
-            self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
+        self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
         if len(self.token_to_index) != len(self.index_to_token):
             raise ValueError("duplicate token in vocabulary")
 
@@ -97,11 +105,7 @@ class Vocabulary:
 
 def build_vocab(token_streams: Iterable[Iterable[str]], min_count: int = 10) -> Vocabulary:
     """Count tokens across all streams and keep those with frequency >= min_count."""
-    counts = Counter()
-    for stream in token_streams:
-        counts.update(stream)
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
-                  key=lambda t: (-counts[t], t))
+    kept = ranked_by_frequency(chain.from_iterable(token_streams), min_count)
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_count=min_count)
 
 

@@ -115,6 +115,115 @@ def test_prepare_bad_city_coordinates_exit_2_naming_the_row(corpus_dir, tmp_path
     assert f"{tmp_path / 'cities.csv'}:3: bad city row" in capsys.readouterr().err
 
 
+PINNED_CITIES = ("city_id,name,lat,lon,country_code,population\n"
+                 "1,Zürich,47.37,8.54,CH,400000\n"
+                 "2,Lyon,45.76,4.84,FR,500000\n"
+                 "3,Köln,50.94,6.96,DE,1000000\n")
+
+
+def _pinned_line(user, text, lat=None, lon=None, **kw):
+    return json.dumps({"user_id": user, "text": text, "lat": lat, "lon": lon, **kw},
+                      ensure_ascii=False)
+
+
+# u1 tweets twice from Zürich (one survives dedup), u3 has only a bbox, one
+# line is not JSON and u8 has no coordinates at all
+PINNED_CORPUS = [
+    _pinned_line("u1", "Grüezi mitenand #Zürich", 47.37, 8.54, user_name="Üli",
+                 tweet_lang="de", user_lang="de", timezone="Bern", posted_at=3600,
+                 country_code="CH"),
+    _pinned_line("u1", "wieder in Zürich", 47.38, 8.55, user_name="Üli", tweet_lang="de",
+                 user_lang="de", timezone="Bern", posted_at=7200, country_code="CH"),
+    _pinned_line("u2", "Bonjour à tous, café!", 45.76, 4.84, user_description="lyonnais",
+                 tweet_lang="fr", user_lang="fr", timezone="Paris", posted_at=90000,
+                 country_code="FR"),
+    "{not json",
+    _pinned_line("u3", "Guten Morgen Köln 🌞", bbox=[50.9, 6.9, 50.95, 6.95], tweet_lang="de",
+                 user_lang="en", timezone="Berlin", posted_at=45000, country_code="DE"),
+    _pinned_line("u4", "café in Lyon", 45.7, 4.9, profile_location="Lyon, France",
+                 tweet_lang="fr", user_lang="fr", timezone="Paris", posted_at=600,
+                 country_code="FR"),
+    _pinned_line("u5", "Kölsch im Dom-Viertel", 50.94, 6.96, tweet_lang="de", user_lang="de",
+                 timezone="Berlin", posted_at=86399, country_code="DE"),
+    _pinned_line("u6", "bonjour Zürich", 47.4, 8.5, tweet_lang="fr", user_lang="de",
+                 timezone="Bern", posted_at=1234, country_code="CH"),
+    _pinned_line("u7", "Alaaf!", 50.95, 6.97, user_description="Kölner Jeck", tweet_lang="de",
+                 user_lang="de", timezone="Berlin", posted_at=43200, country_code="DE"),
+    _pinned_line("u8", "nowhere", tweet_lang="en", user_lang="en", country_code="GB"),
+]
+
+PINNED_PREPARE = {
+    "category_maps.json": (
+        '{\n "timezone": [\n  "<unk-cat>",\n  "Bern",\n  "Paris"\n ],\n'
+        ' "tweet_lang": [\n  "<unk-cat>",\n  "fr",\n  "de"\n ],\n'
+        ' "user_lang": [\n  "<unk-cat>",\n  "de",\n  "fr"\n ]\n}'
+    ),
+    "cities.csv": PINNED_CITIES.replace("\n", "\r\n"),   # csv.writer line ends
+    "dev.jsonl": (
+        '{"bbox": null, "city_id": 3, "country_code": "DE", "lat": 50.95, "lon": 6.97, '
+        '"posted_at": 43200, "profile_location": "", "text": "Alaaf!", "timezone": "Berlin", '
+        '"tweet_lang": "de", "user_description": "Kölner Jeck", "user_id": "u7", '
+        '"user_lang": "de", "user_name": ""}\n'
+    ),
+    "stats.csv": (
+        "stat,value\nn_tweets,7\nn_users,7\nn_timezones,3\nn_languages,2\nn_countries,3\n"
+        "tweets_per_country_mean,2.3333333333333335\n"
+        "tweets_per_country_std,0.4714045207910317\n"
+        "n_cities,3\n"
+        "tweets_per_city_mean,2.3333333333333335\n"
+        "tweets_per_city_std,0.4714045207910317\n"
+    ),
+    "test.jsonl": (
+        '{"bbox": null, "city_id": 3, "country_code": "DE", "lat": 50.925, '
+        '"lon": 6.925000000000001, "posted_at": 45000, "profile_location": "", '
+        '"text": "Guten Morgen Köln 🌞", "timezone": "Berlin", "tweet_lang": "de", '
+        '"user_description": "", "user_id": "u3", "user_lang": "en", "user_name": ""}\n'
+        '{"bbox": null, "city_id": 3, "country_code": "DE", "lat": 50.94, "lon": 6.96, '
+        '"posted_at": 86399, "profile_location": "", "text": "Kölsch im Dom-Viertel", '
+        '"timezone": "Berlin", "tweet_lang": "de", "user_description": "", "user_id": "u5", '
+        '"user_lang": "de", "user_name": ""}\n'
+    ),
+    "train.jsonl": (
+        '{"bbox": null, "city_id": 1, "country_code": "CH", "lat": 47.37, "lon": 8.54, '
+        '"posted_at": 3600, "profile_location": "", "text": "Grüezi mitenand #Zürich", '
+        '"timezone": "Bern", "tweet_lang": "de", "user_description": "", "user_id": "u1", '
+        '"user_lang": "de", "user_name": "Üli"}\n'
+        '{"bbox": null, "city_id": 2, "country_code": "FR", "lat": 45.76, "lon": 4.84, '
+        '"posted_at": 90000, "profile_location": "", "text": "Bonjour à tous, café!", '
+        '"timezone": "Paris", "tweet_lang": "fr", "user_description": "lyonnais", '
+        '"user_id": "u2", "user_lang": "fr", "user_name": ""}\n'
+        '{"bbox": null, "city_id": 2, "country_code": "FR", "lat": 45.7, "lon": 4.9, '
+        '"posted_at": 600, "profile_location": "Lyon, France", "text": "café in Lyon", '
+        '"timezone": "Paris", "tweet_lang": "fr", "user_description": "", "user_id": "u4", '
+        '"user_lang": "fr", "user_name": ""}\n'
+        '{"bbox": null, "city_id": 1, "country_code": "CH", "lat": 47.4, "lon": 8.5, '
+        '"posted_at": 1234, "profile_location": "", "text": "bonjour Zürich", '
+        '"timezone": "Bern", "tweet_lang": "fr", "user_description": "", "user_id": "u6", '
+        '"user_lang": "de", "user_name": ""}\n'
+    ),
+    "vocab.txt": "".join(f"{t}\n" for t in [
+        "min_count=1", "size=16", "<pad>", "<unk>", ",", "bonjour", "café", "lyon", "!",
+        "#zürich", "france", "grüezi", "in", "lyonnais", "mitenand", "tous", "zürich", "à"]),
+}
+
+
+def test_prepare_output_bytes_are_pinned(tmp_path, capsys):
+    # a hand-written corpus, no RNG: every file `prepare` writes equals a
+    # literal, so a rewrite of parsing, dedup, splitting, vocabulary, maps or
+    # stats that changes one byte fails here
+    (tmp_path / "raw.jsonl").write_text("\n".join(PINNED_CORPUS) + "\n", encoding="utf-8")
+    (tmp_path / "cities.csv").write_text(PINNED_CITIES, encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["prepare", "--data", str(tmp_path / "raw.jsonl"),
+               "--city-table", str(tmp_path / "cities.csv"), "--out-dir", str(tmp_path / "p"),
+               "--seed", "3", "--test-fraction", "0.34", "--dev-users", "1", "--min-count", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out == ("prepare: 8 parsed (+2 skipped), 7 after dedup -> "
+                                       "train 4 / dev 1 / test 2; vocab 16\n")
+    written = {p.name: p.read_bytes() for p in (tmp_path / "p").iterdir()}
+    assert written == {name: text.encode("utf-8") for name, text in PINNED_PREPARE.items()}
+
+
 NO_UNK_FIRST = '{"tweet_lang": ["en"], "user_lang": ["<unk-cat>"], "timezone": ["<unk-cat>"]}'
 
 
@@ -134,6 +243,28 @@ def test_usage_error_exit_code():
     assert main(["train"]) == 1            # missing required flags
     assert main(["frobnicate"]) == 1       # unknown command
     assert main(["--help"]) == 0
+
+
+def test_sentinel_valued_category_prepares_and_trains(corpus_dir, tmp_path):
+    # a raw categorical value equal to the unknown-value sentinel is read as
+    # unknown, so the maps `prepare` writes are ones `train` accepts
+    raw = [json.loads(line) for line in (corpus_dir / "raw.jsonl").read_text().splitlines()]
+    for i, obj in enumerate(raw):
+        if i % 5 == 0:
+            obj["timezone"] = obj["tweet_lang"] = "<unk-cat>"
+    (tmp_path / "raw.jsonl").write_text("".join(json.dumps(o) + "\n" for o in raw))
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--data", str(tmp_path / "raw.jsonl"),
+                 "--city-table", str(corpus_dir / "cities.csv"), "--out-dir", str(prep),
+                 "--seed", "4", "--test-fraction", "0.2", "--dev-users", "60",
+                 "--min-count", "3"]) == 0
+    maps = json.loads((prep / "category_maps.json").read_text())
+    assert all(values.count("<unk-cat>") == 1 and values[0] == "<unk-cat>"
+               for values in maps.values())
+    assert main(["train", "--prep-dir", str(prep), "--task", "city", "--model", "stacking",
+                 "--min-count", "3", "--out", str(tmp_path / "s.gtlm")]) == 0
+    assert main(["train", "--prep-dir", str(prep), "--task", "city", "--model", "cnn",
+                 "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS, "--max-epochs", "1"]) == 0
 
 
 def test_train_cnn_writes_bundle_and_monotone_log(cnn_bundle):
@@ -309,6 +440,33 @@ def test_eval_twice_is_byte_identical(cnn_bundle, prep_dir, tmp_path):
         assert rc == 0
     for name in ("metrics_summary.csv", "per_class_pr.csv", "calibration.csv"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("bundle, chunk", [("cnn_bundle", None), ("stack_bundle", 7)])
+def test_eval_scores_in_chunks_with_unchanged_output(request, prep_dir, tmp_path, monkeypatch,
+                                                     bundle, chunk):
+    # more test records than one chunk: the reports equal those of scoring
+    # every record at once
+    rows = (prep_dir / "test.jsonl").read_text().splitlines()
+    lines = []
+    while len(lines) < cli.PREDICT_CHUNK + 300:
+        lines += rows
+    (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--model-file", str(request.getfixturevalue(bundle)),
+            "--test", str(tmp_path / "test.jsonl")]
+    if chunk is not None:
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", chunk)
+    sizes = []
+    score = cli._probabilities
+    monkeypatch.setattr(cli, "_probabilities",
+                        lambda b, records: sizes.append(len(records)) or score(b, records))
+    assert main(argv + ["--out-dir", str(tmp_path / "chunked")]) == 0
+    assert max(sizes) == cli.PREDICT_CHUNK and sum(sizes) == len(lines)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK", 10 ** 9)
+    assert main(argv + ["--out-dir", str(tmp_path / "whole")]) == 0
+    for name in ("metrics_summary.csv", "per_class_pr.csv", "calibration.csv"):
+        assert (tmp_path / "chunked" / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes()
 
 
 def test_eval_task_mismatch_errors(cnn_bundle, prep_dir, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import make_record
@@ -79,3 +81,30 @@ def test_value_lists_roundtrip():
     maps = build_category_maps([make_record(tweet_lang="en", user_lang="fr", tz="UTC")])
     again = CategoryMaps.from_value_lists(maps.value_lists())
     assert again == maps
+
+
+@pytest.mark.parametrize("field, kw", [("tweet_lang", "tweet_lang"), ("user_lang", "user_lang"),
+                                       ("timezone", "tz")])
+def test_sentinel_valued_category_is_read_as_unknown(field, kw):
+    # a training value equal to the sentinel must not take its index away
+    recs = [make_record(**{kw: UNK_CAT})] * 3 + [make_record(**{kw: "a"})] * 2 \
+        + [make_record(**{kw: "b"})]
+    maps = build_category_maps(recs)
+    assert getattr(maps, field) == {UNK_CAT: 0, "a": 1, "b": 2}
+    for r in recs + [make_record(**{kw: "unseen"})]:
+        block = onehot_block(r, maps)
+        starts = [0, *itertools.accumulate(maps.sizes)]
+        assert all(lo <= b < hi for b, lo, hi in zip(block, starts, starts[1:]))
+    assert onehot_block(recs[0], maps) == onehot_block(make_record(**{kw: "unseen"}), maps)
+    lists = maps.value_lists()
+    assert all(values[0] == UNK_CAT for values in lists.values())
+    assert CategoryMaps.from_value_lists(lists) == maps
+
+
+def test_value_lists_with_a_repeated_value_are_rejected():
+    # a repeat would leave the map smaller than its list, so a value's index
+    # could land in the next field's block
+    lists = {"tweet_lang": [UNK_CAT, "en", "fr", "en"], "user_lang": [UNK_CAT],
+             "timezone": [UNK_CAT]}
+    with pytest.raises(ValueError, match="tweet_lang map must start with <unk-cat> and list"):
+        CategoryMaps.from_value_lists(lists)

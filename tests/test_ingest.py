@@ -196,3 +196,30 @@ def test_stats_counts_distincts():
     assert stats.n_timezones == 2
     assert stats.n_cities == 2
     assert stats.tweets_per_city_mean == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("coords", [{"lat": True, "lon": True}, {"lat": "40.5", "lon": -80.0},
+                                    {"lat": 40.0, "lon": False}, {"lat": [40.0], "lon": -80.0},
+                                    {"lat": {"v": 1}, "lon": 0}],
+                         ids=["bools", "string-lat", "bool-lon", "list-lat", "object-lat"])
+def test_parse_skips_a_point_that_is_not_json_numbers(coords):
+    for require in (True, False):
+        with pytest.raises(RecordSkip, match="non-numeric coordinates"):
+            parse_record(json.dumps({"user_id": "u", **coords}), require_coords=require)
+
+
+@pytest.mark.parametrize("bbox", [["40", "-80", "40.05", "-79.95"], [40.0, -80.0, 40.05, True],
+                                  [False, False, False, False]],
+                         ids=["strings", "one-bool", "bools"])
+def test_parse_skips_a_bbox_that_is_not_json_numbers(bbox):
+    with pytest.raises(RecordSkip, match="bad bbox"):
+        parse_record(jsonl_line(lat=None, lon=None, bbox=bbox))
+    with pytest.raises(RecordSkip, match="bad bbox"):
+        resolve_coordinates(None, bbox)
+
+
+def test_parse_keeps_integer_coordinates():
+    r = parse_record('{"user_id": "u", "lat": 40, "lon": -80}')
+    assert (r.lat, r.lon) == (40.0, -80.0) and type(r.lat) is float
+    r = parse_record(jsonl_line(lat=None, lon=None, bbox=[40, -80, 40, -80]))
+    assert (r.lat, r.lon) == (40.0, -80.0)
