@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,8 @@ import numpy as np
 from . import bayes, geo, ingest, metrics, textproc
 from .cnn import CnnConfig, DEFAULT_MAX_LENS, encode_features, predict_proba
 from .encode import CategoryMaps, build_category_maps
-from .errors import DataError
-from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels
+from .errors import DataError, open_utf8
+from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels, require_labels
 from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
                     train, write_train_log)
 
@@ -50,7 +53,6 @@ def build_parser():
         description="Geolocation of short messages at country or city level.")
     parser.add_argument("--config", help="key=value file preloading flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser("prepare", help="filter, dedup, assign cities, split, build vocab/maps")
     p.add_argument("--data", required=True, help="raw JSONL corpus")
@@ -64,7 +66,6 @@ def build_parser():
     p.add_argument("--min-count", type=int, default=10,
                    help="vocabulary frequency cutoff (default 10)")
     p.set_defaults(func=cmd_prepare)
-    commands["prepare"] = p
 
     p = sub.add_parser("train", help="train a model on a prepared directory")
     p.add_argument("--prep-dir", required=True, help="output directory of `prepare`")
@@ -104,7 +105,6 @@ def build_parser():
     p.add_argument("--min-count", type=int, default=10,
                    help="frequency cutoff for stacking base vocabularies (default 10)")
     p.set_defaults(func=cmd_train)
-    commands["train"] = p
 
     p = sub.add_parser("eval", help="score a model bundle on a labeled test split")
     p.add_argument("--model-file", required=True)
@@ -113,7 +113,6 @@ def build_parser():
     p.add_argument("--task", choices=(TASK_COUNTRY, TASK_CITY),
                    help="cross-check against the bundle's task")
     p.set_defaults(func=cmd_eval)
-    commands["eval"] = p
 
     p = sub.add_parser("predict", help="rank locations for unlabeled JSONL records")
     p.add_argument("--model-file", required=True)
@@ -122,13 +121,12 @@ def build_parser():
     p.add_argument("--min-prob", type=float, default=None,
                    help="drop predictions whose winning probability is below this")
     p.set_defaults(func=cmd_predict)
-    commands["predict"] = p
-    return parser, commands
+    return parser, sub.choices
 
 
 def _load_config_file(path) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -199,13 +197,15 @@ def cmd_prepare(ns) -> int:
     return 0
 
 
-def _load_prep(prep_dir):
+def _load_prep(prep_dir, task):
     prep = Path(prep_dir)
     for name in ("train.jsonl", "dev.jsonl", "vocab.txt", "category_maps.json", "cities.csv"):
         if not (prep / name).exists():
             raise DataError(f"{prep / name} missing; run `tweetgeo prepare` first")
     train_recs, _ = ingest.read_jsonl(prep / "train.jsonl")
     dev_recs, _ = ingest.read_jsonl(prep / "dev.jsonl")
+    require_labels(train_recs, task, prep / "train.jsonl")
+    require_labels(dev_recs, task, prep / "dev.jsonl")
     vocab = textproc.load_vocab(prep / "vocab.txt")
     try:
         maps = CategoryMaps.from_value_lists(
@@ -217,25 +217,18 @@ def _load_prep(prep_dir):
 
 
 def cmd_train(ns) -> int:
-    train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir)
+    train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir, ns.task)
     labels = city_labels(table) if ns.task == TASK_CITY else country_labels(train_recs)
 
     if ns.model == "cnn":
-        ccfg = CnnConfig(
-            embed_dim=ns.embed_dim,
-            windows=ns.windows,
-            filters_per_window=ns.filters,
-            dropout_rate=ns.dropout,
-            max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS},
-            label_count=len(labels),
-            share_filters=ns.share_filters,
-        )
+        ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
+                         dropout_rate=ns.dropout, label_count=len(labels),
+                         max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS},
+                         share_filters=ns.share_filters)
         tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
-        train_feats = encode_features(train_recs, vocab, maps, ccfg,
-                                      labels.label_array(train_recs))
-        dev_feats = encode_features(dev_recs, vocab, maps, ccfg,
-                                    labels.label_array(dev_recs))
+        train_feats, dev_feats = (encode_features(recs, vocab, maps, ccfg, labels.label_array(recs))
+                                  for recs in (train_recs, dev_recs))
         result = train(train_feats, dev_feats, ccfg, tcfg, len(vocab), maps.block_size,
                        vectors_path=ns.vectors, vocab=vocab)
         save_model(result.model, vocab, maps, labels, ns.out)
@@ -244,11 +237,8 @@ def cmd_train(ns) -> int:
         print(f"train: cnn task={ns.task} best dev acc {result.best_dev_accuracy:.4f} "
               f"at epoch {result.best_epoch}; bundle -> {ns.out}")
     else:
-        igr = ns.igr_top_percent
-        if ns.model == "stacking+" and igr is None:
-            igr = IGR_DEFAULTS[ns.task]
-        if ns.model == "stacking":
-            igr = None
+        igr = None if ns.model == "stacking" else (
+            IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
         y = labels.label_array(train_recs)
         if np.any(y < 0):
             raise DataError("training records with labels outside the label table")
@@ -267,33 +257,41 @@ def _probabilities(b, records) -> np.ndarray:
     return bayes.posterior_stacking(b.model, records)
 
 
+def _scored_chunks(b, path, counts: Counter, require_coords: bool):
+    """Yield the valid records of a JSONL file PREDICT_CHUNK at a time, each
+    chunk with its probabilities; counts["skipped"] counts the other lines."""
+    def records():
+        for r in ingest.iter_jsonl(path, require_coords):
+            if isinstance(r, ingest.RecordSkip):
+                counts["skipped"] += 1
+            else:
+                yield r
+    valid = records()
+    while chunk := list(islice(valid, PREDICT_CHUNK)):
+        yield chunk, _probabilities(b, chunk)
+
+
 def cmd_eval(ns) -> int:
     b = load_bundle(ns.model_file)
     if ns.task and ns.task != b.labels.task:
         raise DataError(f"bundle was trained for task {b.labels.task!r}, not {ns.task!r}")
-    records, skipped = ingest.read_jsonl(ns.test)
-    if not records:
+    counts, parts = Counter(), []
+    # a chunk's records and probabilities are dropped once its top five are ranked
+    for records, probs in _scored_chunks(b, ns.test, counts, require_coords=True):
+        require_labels(records, b.labels.task, ns.test)
+        parts.append(metrics.rank(probs, b.labels.label_array(records),
+                                  [(r.lat, r.lon) for r in records]))
+    if not parts:
         raise DataError(f"{ns.test}: no usable records")
-    field = b.labels.field
-    unlabeled = next((r for r in records if getattr(r, field) in (None, "")), None)
-    if unlabeled is not None:
-        raise DataError(f"{ns.test}: record of user {unlabeled.user_id!r} has no {field}")
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # a chunk's probabilities are dropped once its top five are ranked
-    chunks = [metrics.rank(_probabilities(b, records[i:i + PREDICT_CHUNK]))
-              for i in range(0, len(records), PREDICT_CHUNK)]
-    pred = metrics.Predictions(b.labels.label_array(records),
-                               np.concatenate([c.ranked for c in chunks]),
-                               np.concatenate([c.top_prob for c in chunks]),
-                               np.array([(r.lat, r.lon) for r in records], dtype=np.float64))
-    rows = [("n_test", float(len(records))), ("skipped", float(skipped)),
+    pred = metrics.concat(parts)
+    rows = [("n_test", float(len(pred.ranked))), ("skipped", float(counts["skipped"])),
             ("accuracy", metrics.accuracy(pred)), ("acc_top5", metrics.acc_top5(pred))]
     if b.labels.task == TASK_CITY:
         coords = b.labels.coords_array()
         rows.append(("acc_at_161", metrics.acc_at_161(pred, coords)))
         rows.append(("median_error_km", metrics.median_error_km(pred, coords)))
+    out = Path(ns.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     metrics.write_metrics_summary(out / "metrics_summary.csv", rows)
     metrics.write_per_class_pr(out / "per_class_pr.csv",
                                metrics.per_class_pr(pred, len(b.labels)),
@@ -303,45 +301,26 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def _write_predictions(b, records, min_prob, fout) -> tuple[int, int]:
-    """Score records and write one JSON line per kept prediction; returns
-    (written, filtered below min_prob)."""
-    probs = _probabilities(b, records)
-    pred = metrics.rank(probs)
-    ranked_probs = np.take_along_axis(probs, pred.ranked, axis=1).tolist()
-    written = 0
-    for r, ranked, rp, top in zip(records, pred.ranked.tolist(), ranked_probs,
-                                  pred.top_prob.tolist()):
-        if min_prob is not None and top < min_prob:
-            continue
-        fout.write(json.dumps({
-            "user_id": r.user_id,
-            "ranked_labels": [b.labels.values[i] for i in ranked],
-            "ranked_probs": rp,
-            "top_prob": top,
-        }, ensure_ascii=False, sort_keys=True) + "\n")
-        written += 1
-    return written, len(records) - written
-
-
 def cmd_predict(ns) -> int:
+    src = os.stat(ns.input)   # a missing input fails before the output is created
+    if os.path.exists(ns.out) and os.path.samestat(src, os.stat(ns.out)):
+        raise ValueError(f"--out {ns.out} is the --input file")
     b = load_bundle(ns.model_file)
-    written = filtered = skipped = 0
-    with open(ns.input, encoding="utf-8") as fin, \
-            open(ns.out, "w", encoding="utf-8") as fout:
-        chunk = []
-        for r in ingest.parse_lines(fin, require_coords=False):
-            if isinstance(r, ingest.RecordSkip):
-                skipped += 1
-                continue
-            chunk.append(r)
-            if len(chunk) == PREDICT_CHUNK:
-                w, f = _write_predictions(b, chunk, ns.min_prob, fout)
-                written, filtered, chunk = written + w, filtered + f, []
-        if chunk:
-            w, f = _write_predictions(b, chunk, ns.min_prob, fout)
-            written, filtered = written + w, filtered + f
-    print(f"predict: {written} written, {filtered} below min-prob, {skipped} skipped")
+    counts = Counter()
+    with open(ns.out, "w", encoding="utf-8") as fout:
+        for records, probs in _scored_chunks(b, ns.input, counts, require_coords=False):
+            top5 = metrics.ranked_top5(probs)
+            for r, ranked, rp in zip(records, top5.tolist(),
+                                     np.take_along_axis(probs, top5, axis=1).tolist()):
+                if ns.min_prob is not None and rp[0] < ns.min_prob:
+                    counts["filtered"] += 1
+                    continue
+                row = {"user_id": r.user_id, "ranked_labels": [b.labels.values[i] for i in ranked],
+                       "ranked_probs": rp, "top_prob": rp[0]}
+                fout.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                counts["written"] += 1
+    print(f"predict: {counts['written']} written, {counts['filtered']} below min-prob, "
+          f"{counts['skipped']} skipped")
     return 0
 
 
@@ -355,19 +334,12 @@ def main(argv=None) -> int:
         if known.config:
             _apply_config_defaults(parser, commands, _load_config_file(known.config))
         ns = parser.parse_args(argv)
+        return ns.func(ns)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    except DataError as e:
+    except (OSError, ValueError) as e:   # a DataError is a ValueError
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return ns.func(ns)
-    except (DataError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, (DataError, OSError)) else 1
     except Exception:
         traceback.print_exc()
         return 3

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nncore, textproc
 from .encode import CategoryMaps, onehot_block
-from .errors import DataError
+from .errors import DataError, open_utf8
 from .ingest import TEXT_FIELDS
 from .textproc import Vocabulary, encode_tokens, tokenize
 
@@ -120,7 +120,7 @@ class CnnModel:
 
 
 def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
-               seed: int = 0, dtype=np.float32) -> CnnModel:
+               seed: int = 0) -> CnnModel:
     """Seeded initialization in `param_shapes` order: the embedding uniform in
     [-0.25, 0.25] (PAD row zero), every other matrix Glorot-uniform with bound
     sqrt(6 / (rows + cols)), biases zero."""
@@ -128,13 +128,13 @@ def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
     params = {}
     for name, shape in param_shapes(config, vocab_size, cat_block_size).items():
         if name == "embedding":
-            p = rng.uniform(-0.25, 0.25, size=shape).astype(dtype)
+            p = rng.uniform(-0.25, 0.25, size=shape).astype(np.float32)
             p[textproc.PAD_INDEX] = 0.0
         elif len(shape) == 2:
             bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            p = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            p = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         else:
-            p = np.zeros(shape, dtype=dtype)
+            p = np.zeros(shape, dtype=np.float32)
         params[name] = p
     return CnnModel(config, params, cat_block_size)
 
@@ -217,7 +217,6 @@ class ForwardPass:
     _banks: list             # one _BankCache per filter bank
     _pools: dict             # (field, h) -> (argmax (B, m), ReLU gate (B, m) bool)
     _mask: np.ndarray        # dropout mask with survivor scaling
-    _theta_dim: int
 
 
 def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
@@ -269,7 +268,7 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
     theta_hat = np.concatenate([theta, onehot], axis=1)          # (B, D)
     logits = theta_hat @ model.softmax_w.T + model.softmax_b
-    return ForwardPass(nncore.softmax(logits), theta_hat, banks, pools, mask, theta.shape[1])
+    return ForwardPass(nncore.softmax(logits), theta_hat, banks, pools, mask)
 
 
 def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str, np.ndarray]:
@@ -294,7 +293,7 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     grads["softmax_b"] = dlogits.sum(axis=0)
 
     dtheta_hat = dlogits @ model.softmax_w
-    dtheta = dtheta_hat[:, :fwd._theta_dim] * fwd._mask
+    dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
     col = {}
     for f in FIELDS:
         for h in cfg.windows:
@@ -333,7 +332,7 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
     file ("<count> <dim>" header, then "word v1 .. v_dim" lines). Words not
     in the file keep their random init; PAD stays zero. Returns the number
     of rows replaced."""
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         header = f.readline().strip()
         if not header:
             return 0

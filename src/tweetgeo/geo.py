@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_utf8
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -125,7 +125,7 @@ def aggregate_cities(raw: list[City], radius_km: float = 50.0) -> CityTable:
 def load_city_table(path) -> CityTable:
     """Read a city table CSV: city_id,name,lat,lon,country_code,population."""
     cities = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_utf8(path, newline="") as f:
         reader = csv.DictReader(f)
         expected = {"city_id", "name", "lat", "lon", "country_code", "population"}
         if reader.fieldnames is None or not expected.issubset(reader.fieldnames):

@@ -77,11 +77,12 @@ def resolve_coordinates(point, bbox) -> Optional[tuple[float, float]]:
     return ((lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0)
 
 
-def parse_record(line: str, require_coords: bool = True) -> Record:
-    """One JSONL line -> Record. Raises RecordSkip on anything malformed."""
+def parse_record(line, require_coords: bool = True) -> Record:
+    """One JSONL line (str, or bytes that must be UTF-8) -> Record. Raises
+    RecordSkip on anything malformed."""
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as e:   # also an over-long integer, too deep nesting
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except (ValueError, RecursionError) as e:   # also not UTF-8, an over-long int, deep nesting
         raise RecordSkip(f"bad json: {e}") from e
     if not isinstance(obj, dict):
         raise RecordSkip("line is not a json object")
@@ -98,6 +99,10 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
         if not isinstance(v, str):
             raise RecordSkip(f"field {name} is not a string")
         fields[name] = v
+    try:
+        "".join(fields.values()).encode("utf-8")
+    except UnicodeEncodeError as e:   # a lone surrogate, from a \ud800-\udfff escape
+        raise RecordSkip("a string field is not valid unicode") from e
 
     posted_at = obj.get("posted_at", 0)
     if not isinstance(posted_at, int) or isinstance(posted_at, bool) or posted_at < 0:
@@ -124,25 +129,26 @@ def parse_record(line: str, require_coords: bool = True) -> Record:
     return Record(**fields)
 
 
-def parse_lines(lines: Iterable[str], require_coords: bool = True) -> Iterator:
-    """Each non-blank line as a Record, or as the RecordSkip that says why not."""
-    for line in lines:
-        if line.strip():
-            try:
-                yield parse_record(line, require_coords)
-            except RecordSkip as e:
-                yield e
+def iter_jsonl(path, require_coords: bool = True) -> Iterator:
+    """Each non-blank line of a JSONL file as a Record, or as the RecordSkip that
+    says why not; lines are decoded one by one, so one that is not UTF-8 is one skip."""
+    with open(path, "rb") as f:
+        for line in f:
+            if line.strip():
+                try:
+                    yield parse_record(line, require_coords)
+                except RecordSkip as e:
+                    yield e
 
 
 def read_jsonl(path) -> tuple[list[Record], int]:
     """Load records from a JSONL file; returns (records, skipped_count)."""
     records, skipped = [], 0
-    with open(path, encoding="utf-8") as f:
-        for r in parse_lines(f):
-            if isinstance(r, RecordSkip):
-                skipped += 1
-            else:
-                records.append(r)
+    for r in iter_jsonl(path):
+        if isinstance(r, RecordSkip):
+            skipped += 1
+        else:
+            records.append(r)
     return records, skipped
 
 

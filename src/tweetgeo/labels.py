@@ -13,11 +13,21 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DataError
 from .geo import CityTable
 from .textproc import ranked_by_frequency
 
 TASK_COUNTRY = "country"
 TASK_CITY = "city"
+LABEL_FIELDS = {TASK_COUNTRY: "country_code", TASK_CITY: "city_id"}   # Record attributes
+
+
+def require_labels(records, task: str, source):
+    """DataError naming source unless every record carries the task's label."""
+    field = LABEL_FIELDS[task]
+    unlabeled = next((r for r in records if getattr(r, field) in (None, "")), None)
+    if unlabeled is not None:
+        raise DataError(f"{source}: record of user {unlabeled.user_id!r} has no {field}")
 
 
 @dataclass
@@ -27,7 +37,7 @@ class LabelTable:
     coords: Optional[list] = None   # city task: [(lat, lon)] aligned with values
 
     def __post_init__(self):
-        if self.task not in (TASK_COUNTRY, TASK_CITY):
+        if self.task not in LABEL_FIELDS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.coords is not None:
             self.coords = [(float(lat), float(lon)) for lat, lon in self.coords]
@@ -35,8 +45,7 @@ class LabelTable:
                 raise ValueError(f"{len(self.coords)} coordinate pairs for "
                                  f"{len(self.values)} labels")
         self._index = {v: i for i, v in enumerate(self.values)}
-        # the Record attribute that holds this task's label
-        self.field = "country_code" if self.task == TASK_COUNTRY else "city_id"
+        self.field = LABEL_FIELDS[self.task]
 
     def __len__(self):
         return len(self.values)

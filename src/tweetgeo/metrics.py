@@ -23,7 +23,7 @@ CALIBRATION_BINS = 10   # [0, 0.1), ..., [0.9, 1.0]
 @dataclass
 class Predictions:
     """N scored records as arrays; k = min(5, label count). Records scored
-    without truth (`predict`) have no true labels or coordinates."""
+    without truth have no true labels or coordinates."""
     true_labels: Optional[np.ndarray]     # (N,) int64 label index; -1 if unseen
     ranked: np.ndarray                    # (N, k) int64 label indices, best first
     top_prob: np.ndarray                  # (N,) float64 probability of ranked[:, 0]
@@ -43,6 +43,12 @@ def rank(probs: np.ndarray, true_labels=None, true_coords=None) -> Predictions:
     return Predictions(None if true_labels is None else np.asarray(true_labels, np.int64),
                        ranked, top.astype(np.float64),
                        None if true_coords is None else np.asarray(true_coords, np.float64))
+
+
+def concat(parts: list[Predictions]) -> Predictions:
+    """The rows of ranked chunks with their truth, in order."""
+    return Predictions(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("true_labels", "ranked", "top_prob", "true_coords")))
 
 
 def _hits(pred: Predictions) -> np.ndarray:
@@ -115,26 +121,22 @@ def calibration_bins(pred: Predictions):
 # ---------------------------------------------------------------------------
 # CSV reports
 
+def _write_csv(path, header: list, rows):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_metrics_summary(path, rows: list[tuple[str, float]]):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        for name, value in rows:
-            w.writerow([name, repr(float(value))])
+    _write_csv(path, ["metric", "value"], ([name, repr(float(v))] for name, v in rows))
 
 
-def write_per_class_pr(path, rows, label_names=None):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["label_index", "label", "precision", "recall", "support"])
-        for c, prec, rec, sup in rows:
-            name = label_names[c] if label_names is not None else c
-            w.writerow([c, name, repr(prec), repr(rec), sup])
+def write_per_class_pr(path, rows, label_names):
+    _write_csv(path, ["label_index", "label", "precision", "recall", "support"],
+               ([c, label_names[c], repr(prec), repr(rec), sup] for c, prec, rec, sup in rows))
 
 
 def write_calibration(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_low", "bin_high", "count_fraction", "accuracy"])
-        for lo, hi, frac, acc in rows:
-            w.writerow([lo, hi, repr(frac), repr(acc)])
+    _write_csv(path, ["bin_low", "bin_high", "count_fraction", "accuracy"],
+               ([lo, hi, repr(frac), repr(acc)] for lo, hi, frac, acc in rows))

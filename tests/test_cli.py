@@ -1,5 +1,7 @@
 import json
 import shutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -245,6 +247,98 @@ def test_usage_error_exit_code():
     assert main(["--help"]) == 0
 
 
+NOT_UTF8_LINE = b'{"user_id": "latin1", "text": "caf\xe9", "lat": 40.0, "lon": -80.0}\n'
+LONE_SURROGATE_LINE = b'{"user_id": "lone", "text": "\\udc80", "lat": 40.0, "lon": -80.0}\n'
+
+
+def _appended(src, dst, tail: bytes) -> str:
+    dst.write_bytes(src.read_bytes() + tail)
+    return str(dst)
+
+
+def _prepare_argv(c, data=None, cities=None):
+    return ["prepare", "--data", data or str(c.corpus / "raw.jsonl"),
+            "--city-table", cities or str(c.corpus / "cities.csv"), "--out-dir", str(c.tmp / "p"),
+            "--seed", "4", "--test-fraction", "0.2", "--dev-users", "60", "--min-count", "3"]
+
+
+def _config_argv(c, make):
+    make(c.tmp / "run.cfg")
+    return ["--config", str(c.tmp / "run.cfg")] + _prepare_argv(c)
+
+
+def _empty_country_code(c):
+    prep = c.tmp / "prep"
+    shutil.copytree(c.prep, prep)
+    rows = [json.loads(line) for line in (prep / "train.jsonl").read_text().splitlines()]
+    rows[5]["country_code"] = ""
+    (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return ["train", "--prep-dir", str(prep), "--task", "country", "--model", "stacking",
+            "--min-count", "3", "--out", str(c.tmp / "s.gtlm")]
+
+
+def _vectors_not_utf8(c):
+    (c.tmp / "vec.txt").write_bytes(b"1 16\ncaf\xe9" + b" 0.5" * 16 + b"\n")
+    return ["train", "--prep-dir", str(c.prep), "--task", "city", "--model", "cnn",
+            "--out", str(c.tmp / "c.gtlm"), "--vectors", str(c.tmp / "vec.txt"), *CNN_FLAGS]
+
+
+def _predict_argv(c, input_path, out):
+    return ["predict", "--model-file", str(c.bundle()), "--input", input_path, "--out", out]
+
+
+# (expected exit code, argv builder, what stderr or the output must then show)
+BAD_INPUT_CASES = {
+    "prepare-line-not-utf8": (0, lambda c: _prepare_argv(
+        c, data=_appended(c.corpus / "raw.jsonl", c.tmp / "raw.jsonl", NOT_UTF8_LINE)),
+        lambda c, out, err: "(+1 skipped)" in out),
+    "prepare-lone-surrogate": (0, lambda c: _prepare_argv(
+        c, data=_appended(c.corpus / "raw.jsonl", c.tmp / "raw.jsonl", LONE_SURROGATE_LINE)),
+        lambda c, out, err: "(+1 skipped)" in out),
+    "eval-line-not-utf8": (0, lambda c: [
+        "eval", "--model-file", str(c.bundle()), "--out-dir", str(c.tmp / "rep"),
+        "--test", _appended(c.prep / "test.jsonl", c.tmp / "t.jsonl", NOT_UTF8_LINE)],
+        lambda c, out, err: "skipped=1.0000" in out),
+    "predict-line-not-utf8": (0, lambda c: _predict_argv(
+        c, _appended(c.prep / "test.jsonl", c.tmp / "t.jsonl", NOT_UTF8_LINE),
+        str(c.tmp / "o.jsonl")), lambda c, out, err: "1 skipped" in out),
+    "prepare-city-table-not-utf8": (2, lambda c: _prepare_argv(
+        c, cities=_appended(c.corpus / "cities.csv", c.tmp / "cities.csv",
+                            b"999,Z\xfcrich,47.37,8.54,CH,400000\n")),
+        lambda c, out, err: f"{c.tmp / 'cities.csv'}: not UTF-8" in err),
+    "train-vectors-not-utf8": (2, _vectors_not_utf8,
+                               lambda c, out, err: f"{c.tmp / 'vec.txt'}: not UTF-8" in err),
+    "config-missing": (2, lambda c: ["--config", str(c.tmp / "none.cfg")] + _prepare_argv(c),
+                       lambda c, out, err: str(c.tmp / "none.cfg") in err),
+    "config-directory": (2, lambda c: _config_argv(c, Path.mkdir),
+                         lambda c, out, err: str(c.tmp / "run.cfg") in err),
+    "config-not-utf8": (2, lambda c: _config_argv(c, lambda p: p.write_bytes(b"seed=\xe9\n")),
+                        lambda c, out, err: f"{c.tmp / 'run.cfg'}: not UTF-8" in err),
+    "predict-out-is-input": (1, lambda c: _predict_argv(
+        c, _appended(c.prep / "test.jsonl", c.tmp / "t.jsonl", b""), str(c.tmp / "t.jsonl")),
+        lambda c, out, err: (c.tmp / "t.jsonl").read_text() == (c.prep / "test.jsonl").read_text()),
+    "predict-input-missing": (2, lambda c: _predict_argv(c, str(c.tmp / "none.jsonl"),
+                                                         str(c.tmp / "o.jsonl")),
+                              lambda c, out, err: not (c.tmp / "o.jsonl").exists()),
+    "train-country-empty-code": (2, _empty_country_code,
+                                 lambda c, out, err: "has no country_code" in err),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_CASES))
+def test_bad_input_gets_its_exit_code_without_a_traceback(request, corpus_dir, prep_dir,
+                                                          tmp_path, capsys, case):
+    rc_expected, make_argv, shows = BAD_INPUT_CASES[case]
+    c = SimpleNamespace(corpus=corpus_dir, prep=prep_dir, tmp=tmp_path,
+                        bundle=lambda: request.getfixturevalue("cnn_bundle"))
+    argv = make_argv(c)
+    capsys.readouterr()
+    assert main(argv) == rc_expected
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert shows(c, out, err), (out, err)
+
+
 def test_sentinel_valued_category_prepares_and_trains(corpus_dir, tmp_path):
     # a raw categorical value equal to the unknown-value sentinel is read as
     # unknown, so the maps `prepare` writes are ones `train` accepts
@@ -442,15 +536,18 @@ def test_eval_twice_is_byte_identical(cnn_bundle, prep_dir, tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
-@pytest.mark.parametrize("bundle, chunk", [("cnn_bundle", None), ("stack_bundle", 7)])
+@pytest.mark.parametrize("bundle, chunk, noise", [
+    pytest.param("cnn_bundle", None, [], id="cnn_bundle-None"),
+    pytest.param("stack_bundle", 7, [], id="stack_bundle-7"),
+    pytest.param("stack_bundle", 7, ["", "not-json"], id="stack_bundle-7-blank-and-malformed")])
 def test_eval_scores_in_chunks_with_unchanged_output(request, prep_dir, tmp_path, monkeypatch,
-                                                     bundle, chunk):
-    # more test records than one chunk: the reports equal those of scoring
-    # every record at once
+                                                     bundle, chunk, noise):
+    # more test records than one chunk, with any noise lines between them:
+    # the reports equal those of scoring every record at once
     rows = (prep_dir / "test.jsonl").read_text().splitlines()
     lines = []
     while len(lines) < cli.PREDICT_CHUNK + 300:
-        lines += rows
+        lines += rows + noise
     (tmp_path / "test.jsonl").write_text("\n".join(lines) + "\n")
     argv = ["eval", "--model-file", str(request.getfixturevalue(bundle)),
             "--test", str(tmp_path / "test.jsonl")]
@@ -461,7 +558,11 @@ def test_eval_scores_in_chunks_with_unchanged_output(request, prep_dir, tmp_path
     monkeypatch.setattr(cli, "_probabilities",
                         lambda b, records: sizes.append(len(records)) or score(b, records))
     assert main(argv + ["--out-dir", str(tmp_path / "chunked")]) == 0
-    assert max(sizes) == cli.PREDICT_CHUNK and sum(sizes) == len(lines)
+    n_bad = lines.count("not-json")
+    assert max(sizes) == cli.PREDICT_CHUNK
+    assert sum(sizes) == len(lines) - n_bad - lines.count("")
+    summary = (tmp_path / "chunked" / "metrics_summary.csv").read_text()
+    assert f"skipped,{float(n_bad)!r}" in summary.splitlines()
     monkeypatch.setattr(cli, "PREDICT_CHUNK", 10 ** 9)
     assert main(argv + ["--out-dir", str(tmp_path / "whole")]) == 0
     for name in ("metrics_summary.csv", "per_class_pr.csv", "calibration.csv"):

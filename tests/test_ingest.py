@@ -223,3 +223,27 @@ def test_parse_keeps_integer_coordinates():
     assert (r.lat, r.lon) == (40.0, -80.0) and type(r.lat) is float
     r = parse_record(jsonl_line(lat=None, lon=None, bbox=[40, -80, 40, -80]))
     assert (r.lat, r.lon) == (40.0, -80.0)
+
+
+@pytest.mark.parametrize("line", [
+    b'{"user_id": "u", "text": "caf\xe9", "lat": 40.0, "lon": -80.0}',
+    b'{"user_id": "u", "extra": "\xff", "lat": 40.0, "lon": -80.0}',
+    b'{"user_id": "u", "text": "\xed\xb2\x80", "lat": 40.0, "lon": -80.0}',
+    b'{"user_id": "u", "text": "\\udc80", "lat": 40.0, "lon": -80.0}',
+    b'{"user_id": "\\ud83d", "lat": 40.0, "lon": -80.0}',
+], ids=["latin1-text", "bad-byte-in-unread-field", "encoded-surrogate", "escaped-surrogate",
+        "escaped-surrogate-user"])
+def test_parse_skips_a_line_that_is_not_utf8(line):
+    with pytest.raises(RecordSkip):
+        parse_record(line)
+
+
+def test_read_jsonl_skips_lines_that_are_not_utf8_one_at_a_time(tmp_path):
+    # an escaped surrogate pair is one character, and CRLF line ends parse
+    path = tmp_path / "in.jsonl"
+    good = jsonl_line(text="caf\u00e9").encode("utf-8")
+    pair = b'{"user_id": "v", "text": "\\ud83d\\ude00", "lat": 1.0, "lon": 2.0}'
+    path.write_bytes(b"\r\n".join([good, b'{"user_id": "u", "text": "\xe9"}', pair]) + b"\r\n")
+    records, skipped = read_jsonl(path)
+    assert skipped == 1
+    assert [r.text for r in records] == ["caf\u00e9", "\U0001F600"]
