@@ -37,16 +37,6 @@ def _windows_arg(s: str) -> tuple:
     return tuple(int(x) for x in str(s).split(","))
 
 
-def _bool_arg(s) -> bool:
-    if isinstance(s, bool):
-        return s
-    if str(s).lower() in ("1", "true", "yes"):
-        return True
-    if str(s).lower() in ("0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {s!r}")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tweetgeo",
@@ -90,8 +80,6 @@ def build_parser():
                    help="epoch budget (default 20)")
     p.add_argument("--patience", type=int, default=3,
                    help="dev evaluations without improvement before stopping (default 3)")
-    p.add_argument("--share-filters", type=_bool_arg, default=True,
-                   help="apply one filter bank to all four text fields (default true)")
     for f, n in DEFAULT_MAX_LENS.items():
         p.add_argument(f"--max-len-{f.replace('_', '-')}", type=int, default=n,
                        help=f"token budget for the {f} field (default {n})")
@@ -223,8 +211,7 @@ def cmd_train(ns) -> int:
     if ns.model == "cnn":
         ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
                          dropout_rate=ns.dropout, label_count=len(labels),
-                         max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS},
-                         share_filters=ns.share_filters)
+                         max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
         tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
         train_feats, dev_feats = (encode_features(recs, vocab, maps, ccfg, labels.label_array(recs))
@@ -257,11 +244,11 @@ def _probabilities(b, records) -> np.ndarray:
     return bayes.posterior_stacking(b.model, records)
 
 
-def _scored_chunks(b, path, counts: Counter, require_coords: bool):
-    """Yield the valid records of a JSONL file PREDICT_CHUNK at a time, each
-    chunk with its probabilities; counts["skipped"] counts the other lines."""
+def _scored_chunks(b, f, counts: Counter, require_coords: bool):
+    """Yield the valid records of a binary JSONL file PREDICT_CHUNK at a time,
+    each chunk with its probabilities; counts["skipped"] counts the other lines."""
     def records():
-        for r in ingest.iter_jsonl(path, require_coords):
+        for r in ingest.iter_jsonl(f, require_coords):
             if isinstance(r, ingest.RecordSkip):
                 counts["skipped"] += 1
             else:
@@ -275,18 +262,20 @@ def cmd_eval(ns) -> int:
     b = load_bundle(ns.model_file)
     if ns.task and ns.task != b.labels.task:
         raise DataError(f"bundle was trained for task {b.labels.task!r}, not {ns.task!r}")
+    city = b.labels.task == TASK_CITY    # only city metrics read the true coordinates
     counts, parts = Counter(), []
     # a chunk's records and probabilities are dropped once its top five are ranked
-    for records, probs in _scored_chunks(b, ns.test, counts, require_coords=True):
-        require_labels(records, b.labels.task, ns.test)
-        parts.append(metrics.rank(probs, b.labels.label_array(records),
-                                  [(r.lat, r.lon) for r in records]))
+    with open(ns.test, "rb") as f:
+        for records, probs in _scored_chunks(b, f, counts, require_coords=city):
+            require_labels(records, b.labels.task, ns.test)
+            parts.append(metrics.rank(probs, b.labels.label_array(records),
+                                      [(r.lat, r.lon) for r in records] if city else None))
     if not parts:
         raise DataError(f"{ns.test}: no usable records")
     pred = metrics.concat(parts)
     rows = [("n_test", float(len(pred.ranked))), ("skipped", float(counts["skipped"])),
             ("accuracy", metrics.accuracy(pred)), ("acc_top5", metrics.acc_top5(pred))]
-    if b.labels.task == TASK_CITY:
+    if city:
         coords = b.labels.coords_array()
         rows.append(("acc_at_161", metrics.acc_at_161(pred, coords)))
         rows.append(("median_error_km", metrics.median_error_km(pred, coords)))
@@ -302,23 +291,25 @@ def cmd_eval(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
-    src = os.stat(ns.input)   # a missing input fails before the output is created
-    if os.path.exists(ns.out) and os.path.samestat(src, os.stat(ns.out)):
-        raise ValueError(f"--out {ns.out} is the --input file")
     b = load_bundle(ns.model_file)
     counts = Counter()
-    with open(ns.out, "w", encoding="utf-8") as fout:
-        for records, probs in _scored_chunks(b, ns.input, counts, require_coords=False):
-            top5 = metrics.ranked_top5(probs)
-            for r, ranked, rp in zip(records, top5.tolist(),
-                                     np.take_along_axis(probs, top5, axis=1).tolist()):
-                if ns.min_prob is not None and rp[0] < ns.min_prob:
-                    counts["filtered"] += 1
-                    continue
-                row = {"user_id": r.user_id, "ranked_labels": [b.labels.values[i] for i in ranked],
-                       "ranked_probs": rp, "top_prob": rp[0]}
-                fout.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-                counts["written"] += 1
+    # the input is opened first, so an input that cannot be read leaves no output
+    with open(ns.input, "rb") as fin:
+        if os.path.exists(ns.out) and os.path.samestat(os.fstat(fin.fileno()), os.stat(ns.out)):
+            raise ValueError(f"--out {ns.out} is the --input file")
+        with open(ns.out, "w", encoding="utf-8") as fout:
+            for records, probs in _scored_chunks(b, fin, counts, require_coords=False):
+                top5 = metrics.ranked_top5(probs)
+                for r, ranked, rp in zip(records, top5.tolist(),
+                                         np.take_along_axis(probs, top5, axis=1).tolist()):
+                    if ns.min_prob is not None and rp[0] < ns.min_prob:
+                        counts["filtered"] += 1
+                        continue
+                    row = {"user_id": r.user_id,
+                           "ranked_labels": [b.labels.values[i] for i in ranked],
+                           "ranked_probs": rp, "top_prob": rp[0]}
+                    fout.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                    counts["written"] += 1
     print(f"predict: {counts['written']} written, {counts['filtered']} below min-prob, "
           f"{counts['skipped']} skipped")
     return 0

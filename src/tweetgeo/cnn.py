@@ -1,10 +1,11 @@
 """Multi-field convolutional text classifier.
 
 Per text field: embedding lookup -> windowed convolution with ReLU ->
-max-over-time pooling. Pooled features from the four fields are concatenated
-(field-major, windows ascending inside a field), dropout is applied, the
-categorical one-hot block is appended, and a softmax layer produces the
-label distribution.
+max-over-time pooling. There is one filter bank per window size, and every
+field is convolved with the same banks. Pooled features from the four fields
+are concatenated (field-major, windows ascending inside a field), dropout is
+applied, the categorical one-hot block is appended, and a softmax layer
+produces the label distribution.
 
 The convolution is computed once per distinct token of a batch rather than
 once per window position (see `forward`). Backward passes are written by
@@ -38,7 +39,6 @@ class CnnConfig:
     dropout_rate: float = 0.5
     max_lens: dict = dc_field(default_factory=lambda: dict(DEFAULT_MAX_LENS))
     label_count: int = 2
-    share_filters: bool = True
 
     def __post_init__(self):
         self.windows = tuple(sorted(set(int(h) for h in self.windows)))
@@ -61,10 +61,9 @@ class CnnConfig:
         return len(FIELDS) * len(self.windows) * self.filters_per_window
 
 
-def conv_names(config: CnnConfig, field: str, h: int) -> tuple[str, str]:
-    """Names of the filter bank and bias that window h applies to `field`."""
-    tag = f"h{h}" if config.share_filters else f"{field}_h{h}"
-    return f"conv_w_{tag}", f"conv_b_{tag}"
+def conv_names(h: int) -> tuple[str, str]:
+    """Names of the filter bank and bias of window h, shared by every field."""
+    return f"conv_w_h{h}", f"conv_b_h{h}"
 
 
 def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dict[str, tuple]:
@@ -72,12 +71,10 @@ def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dic
     initialization, training and bundles."""
     k, m = config.embed_dim, config.filters_per_window
     shapes = {"embedding": (vocab_size, k)}
-    # a shared bank is named once, not once per field
-    for f in FIELDS[:1] if config.share_filters else FIELDS:
-        for h in config.windows:
-            w, b = conv_names(config, f, h)
-            shapes[w] = (m, h * k)
-            shapes[b] = (m,)
+    for h in config.windows:
+        w, b = conv_names(h)
+        shapes[w] = (m, h * k)
+        shapes[b] = (m,)
     shapes["softmax_w"] = (config.label_count, config.pooled_size + cat_block_size)
     shapes["softmax_b"] = (config.label_count,)
     return shapes
@@ -177,19 +174,13 @@ def encode_features(records, vocab: Vocabulary, maps: CategoryMaps,
     return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
 
 
-def _bank_fields(config: CnnConfig) -> list[tuple[str, ...]]:
-    """The fields each filter bank convolves: one bank for all four fields
-    when filters are shared, else one bank per field."""
-    return [FIELDS] if config.share_filters else [(f,) for f in FIELDS]
-
-
-def _stacked_filters(model: CnnModel, field: str) -> np.ndarray:
-    """(sum(h)*m, k): the offset slices of every window of the bank that
-    `field` uses, window-major; row block (h, o) is W_h[:, o*k:(o+1)*k]."""
+def _stacked_filters(model: CnnModel) -> np.ndarray:
+    """(sum(h)*m, k): the offset slices of every window's filters,
+    window-major; row block (h, o) is W_h[:, o*k:(o+1)*k]."""
     cfg = model.config
     k, m = cfg.embed_dim, cfg.filters_per_window
     return np.concatenate([
-        model.params[conv_names(cfg, field, h)[0]].reshape(m, h, k).transpose(1, 0, 2)
+        model.params[conv_names(h)[0]].reshape(m, h, k).transpose(1, 0, 2)
         .reshape(h * m, k) for h in cfg.windows])
 
 
@@ -203,18 +194,11 @@ def _block_offsets(config: CnnConfig) -> dict[int, int]:
 
 
 @dataclass
-class _BankCache:
-    """What backward needs of one filter bank: the batch's distinct token ids
-    and, per field, each position's index into them."""
-    uniq: np.ndarray         # (U,) distinct token ids, ascending
-    inv: dict                # field -> (B, n) int64 indices into uniq
-
-
-@dataclass
 class ForwardPass:
     probs: np.ndarray        # (B, L)
     theta_hat: np.ndarray    # (B, D) pooled features (post-dropout) + one-hot block
-    _banks: list             # one _BankCache per filter bank
+    _uniq: np.ndarray        # (U,) the batch's distinct token ids, ascending
+    _inv: dict               # field -> (B, n) int64 index of each position's token in _uniq
     _pools: dict             # (field, h) -> (argmax (B, m), ReLU gate (B, m) bool)
     _mask: np.ndarray        # dropout mask with survivor scaling
 
@@ -224,43 +208,40 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     """Run the classifier over a batch; train mode applies dropout to the
     pooled vector before the categorical block is appended.
 
-    Each bank multiplies its filters once per distinct token of the batch:
-    Zu = E[uniq] @ Wcat.T, and window h at position p pre-activates to
-    b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row of E is zero, so
-    an all-PAD window gives exactly b_h."""
+    The filters are multiplied once per distinct token of the batch, over all
+    four fields: Zu = E[uniq] @ Wcat.T, and window h at position p
+    pre-activates to b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row
+    of E is zero, so an all-PAD window gives exactly b_h."""
     cfg = model.config
     m = cfg.filters_per_window
     offsets = _block_offsets(cfg)
-    banks, pools, pooled = [], {}, {}
-    for fields in _bank_fields(cfg):
-        idx = [np.asarray(batch.tokens[f], dtype=np.int64) for f in fields]
-        for f, t in zip(fields, idx):
-            if t.shape[1] < cfg.windows[-1]:
-                raise ValueError(f"field {f} length {t.shape[1]} shorter than window "
-                                 f"{cfg.windows[-1]}")
-        uniq, inv = np.unique(np.concatenate([t.ravel() for t in idx]), return_inverse=True)
-        if uniq.size and (uniq[0] < 0 or uniq[-1] >= model.vocab_size):
-            raise ValueError("token index out of vocabulary range")
-        zu = model.embedding[uniq] @ _stacked_filters(model, fields[0]).T   # (U, sum(h)*m)
-        cache = _BankCache(uniq, {})
-        start = 0
-        for f, t in zip(fields, idx):
-            inv_f = inv[start:start + t.size].reshape(t.shape)
-            start += t.size
-            cache.inv[f] = inv_f
-            for h in cfg.windows:
-                p = t.shape[1] - h + 1
-                c = offsets[h]
-                act = zu[inv_f[:, :p], c:c + m]                          # (B, P, m)
-                for o in range(1, h):
-                    act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
-                act += model.params[conv_names(cfg, f, h)[1]]
-                np.maximum(act, 0, out=act)
-                top = act.max(axis=1)
-                arg = (act == top[:, None, :]).argmax(axis=1)            # first max
-                pooled[f, h] = top
-                pools[f, h] = (arg, top > 0)
-        banks.append(cache)
+    tokens = {f: np.asarray(batch.tokens[f], dtype=np.int64) for f in FIELDS}
+    for f, t in tokens.items():
+        if t.shape[1] < cfg.windows[-1]:
+            raise ValueError(f"field {f} length {t.shape[1]} shorter than window "
+                             f"{cfg.windows[-1]}")
+    uniq, inv = np.unique(np.concatenate([t.ravel() for t in tokens.values()]),
+                          return_inverse=True)
+    if uniq.size and (uniq[0] < 0 or uniq[-1] >= model.vocab_size):
+        raise ValueError("token index out of vocabulary range")
+    zu = model.embedding[uniq] @ _stacked_filters(model).T              # (U, sum(h)*m)
+    inv_by_field, pools, pooled = {}, {}, {}
+    start = 0
+    for f, t in tokens.items():
+        inv_f = inv_by_field[f] = inv[start:start + t.size].reshape(t.shape)
+        start += t.size
+        for h in cfg.windows:
+            p = t.shape[1] - h + 1
+            c = offsets[h]
+            act = zu[inv_f[:, :p], c:c + m]                              # (B, P, m)
+            for o in range(1, h):
+                act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
+            act += model.params[conv_names(h)[1]]
+            np.maximum(act, 0, out=act)
+            top = act.max(axis=1)
+            arg = (act == top[:, None, :]).argmax(axis=1)                # first max
+            pooled[f, h] = top
+            pools[f, h] = (arg, top > 0)
     theta = np.concatenate([pooled[f, h] for f in FIELDS for h in cfg.windows], axis=1)
     theta, mask = nncore.dropout(theta, cfg.dropout_rate, train=train, seed=dropout_seed)
 
@@ -268,7 +249,7 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
     theta_hat = np.concatenate([theta, onehot], axis=1)          # (B, D)
     logits = theta_hat @ model.softmax_w.T + model.softmax_b
-    return ForwardPass(nncore.softmax(logits), theta_hat, banks, pools, mask)
+    return ForwardPass(nncore.softmax(logits), theta_hat, uniq, inv_by_field, pools, mask)
 
 
 def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str, np.ndarray]:
@@ -277,8 +258,8 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
 
     The max-pool gradient reaches one position per (record, filter); its
     value lands, per window offset, on one (distinct token, filter column)
-    cell of dZu, the gradient of the bank's Zu. Then dWcat = dZu.T @ E[uniq]
-    and dE[uniq] = dZu @ Wcat."""
+    cell of dZu, the gradient of Zu. Then dWcat = dZu.T @ E[uniq] and
+    dE[uniq] = dZu @ Wcat."""
     cfg = model.config
     b_sz = fwd.probs.shape[0]
     k, m = cfg.embed_dim, cfg.filters_per_window
@@ -294,35 +275,30 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
 
     dtheta_hat = dlogits @ model.softmax_w
     dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
-    col = {}
-    for f in FIELDS:
-        for h in cfg.windows:
-            col[f, h] = len(col) * m
 
     width = sum(cfg.windows) * m                  # columns of Zu
     filters = np.arange(m)
-    for fields, cache in zip(_bank_fields(cfg), fwd._banks):
-        cells, values = [], []
-        for f in fields:
-            inv_f = cache.inv[f]
-            rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
-            for h in cfg.windows:
-                arg, gate = fwd._pools[f, h]
-                dval = dtheta[:, col[f, h]:col[f, h] + m] * gate       # (B, m)
-                grads[conv_names(cfg, f, h)[1]] += dval.sum(axis=0)
-                at = (rows + arg).ravel()            # flat (record, argmax) positions
-                for o in range(h):
-                    u = inv_f.take(at + o)
-                    cells.append(u * width + np.tile(offsets[h] + o * m + filters, b_sz))
-                    values.append(dval.ravel())
-        dzu = np.zeros((cache.uniq.size, width), dtype=model.dtype)
-        np.add.at(dzu.reshape(-1), np.concatenate(cells), np.concatenate(values))
-        eu = model.embedding[cache.uniq]
-        dw = dzu.T @ eu                                                   # (sum(h)*m, k)
+    cells, values, col = [], [], 0                # col: first column of (f, h) in theta
+    for f in FIELDS:
+        inv_f = fwd._inv[f]
+        rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
         for h in cfg.windows:
-            g = grads[conv_names(cfg, fields[0], h)[0]].reshape(m, h, k)
-            g += dw[offsets[h]:offsets[h] + h * m].reshape(h, m, k).transpose(1, 0, 2)
-        grads["embedding"][cache.uniq] += dzu @ _stacked_filters(model, fields[0])
+            arg, gate = fwd._pools[f, h]
+            dval = dtheta[:, col:col + m] * gate                         # (B, m)
+            col += m
+            grads[conv_names(h)[1]] += dval.sum(axis=0)
+            at = (rows + arg).ravel()                # flat (record, argmax) positions
+            for o in range(h):
+                u = inv_f.take(at + o)
+                cells.append(u * width + np.tile(offsets[h] + o * m + filters, b_sz))
+                values.append(dval.ravel())
+    dzu = np.zeros((fwd._uniq.size, width), dtype=model.dtype)
+    np.add.at(dzu.reshape(-1), np.concatenate(cells), np.concatenate(values))
+    dw = dzu.T @ model.embedding[fwd._uniq]                              # (sum(h)*m, k)
+    for h in cfg.windows:
+        g = grads[conv_names(h)[0]].reshape(m, h, k)
+        g += dw[offsets[h]:offsets[h] + h * m].reshape(h, m, k).transpose(1, 0, 2)
+    grads["embedding"][fwd._uniq] += dzu @ _stacked_filters(model)
     grads["embedding"][textproc.PAD_INDEX] = 0.0
     return grads
 

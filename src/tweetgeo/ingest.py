@@ -129,26 +129,27 @@ def parse_record(line, require_coords: bool = True) -> Record:
     return Record(**fields)
 
 
-def iter_jsonl(path, require_coords: bool = True) -> Iterator:
-    """Each non-blank line of a JSONL file as a Record, or as the RecordSkip that
-    says why not; lines are decoded one by one, so one that is not UTF-8 is one skip."""
-    with open(path, "rb") as f:
-        for line in f:
-            if line.strip():
-                try:
-                    yield parse_record(line, require_coords)
-                except RecordSkip as e:
-                    yield e
+def iter_jsonl(f, require_coords: bool = True) -> Iterator:
+    """Each non-blank line of a JSONL file opened in binary mode as a Record, or
+    as the RecordSkip that says why not; lines are decoded one by one, so one
+    that is not UTF-8 is one skip."""
+    for line in f:
+        if line.strip():
+            try:
+                yield parse_record(line, require_coords)
+            except RecordSkip as e:
+                yield e
 
 
 def read_jsonl(path) -> tuple[list[Record], int]:
     """Load records from a JSONL file; returns (records, skipped_count)."""
     records, skipped = [], 0
-    for r in iter_jsonl(path):
-        if isinstance(r, RecordSkip):
-            skipped += 1
-        else:
-            records.append(r)
+    with open(path, "rb") as f:
+        for r in iter_jsonl(f):
+            if isinstance(r, RecordSkip):
+                skipped += 1
+            else:
+                records.append(r)
     return records, skipped
 
 

@@ -46,9 +46,12 @@ def rank(probs: np.ndarray, true_labels=None, true_coords=None) -> Predictions:
 
 
 def concat(parts: list[Predictions]) -> Predictions:
-    """The rows of ranked chunks with their truth, in order."""
-    return Predictions(*(np.concatenate([getattr(p, f) for p in parts])
-                         for f in ("true_labels", "ranked", "top_prob", "true_coords")))
+    """The rows of ranked chunks with their truth, in order; truth the chunks
+    were ranked without stays None."""
+    def join(name):
+        arrays = [getattr(p, name) for p in parts]
+        return None if arrays[0] is None else np.concatenate(arrays)
+    return Predictions(*map(join, ("true_labels", "ranked", "top_prob", "true_coords")))
 
 
 def _hits(pred: Predictions) -> np.ndarray:

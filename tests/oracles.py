@@ -246,7 +246,7 @@ def im2col_windows(X, h):
 def dense_conv(model, batch, field, h):
     """(im2col windows (B, P, h*k), pre-activations (B, P, m)) of one field
     and window."""
-    w, b = conv_names(model.config, field, h)
+    w, b = conv_names(h)
     xw = im2col_windows(field_matrix(batch.tokens[field], model), h)
     return xw, xw @ model.params[w].T + model.params[b]
 
@@ -289,7 +289,7 @@ def dense_backward(model, fwd, labels):
     for f in FIELDS:
         dX = None
         for h in cfg.windows:
-            w, b = conv_names(cfg, f, h)
+            w, b = conv_names(h)
             idx, xw, pre, arg = caches[ci]
             dpooled = dtheta[:, ci * m:(ci + 1) * m]
             ci += 1

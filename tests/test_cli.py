@@ -1,4 +1,5 @@
 import json
+import shlex
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import pytest
 
 from tweetgeo import bundle as bundle_io, cli, ingest
 from tweetgeo.cli import main
+from tweetgeo.cnn import FIELDS
 from tweetgeo.synth import SynthSpec, write_corpus
 from tweetgeo.textproc import load_vocab
 from tweetgeo.train import load_stack_model
@@ -320,6 +322,8 @@ BAD_INPUT_CASES = {
     "predict-input-missing": (2, lambda c: _predict_argv(c, str(c.tmp / "none.jsonl"),
                                                          str(c.tmp / "o.jsonl")),
                               lambda c, out, err: not (c.tmp / "o.jsonl").exists()),
+    "predict-input-directory": (2, lambda c: _predict_argv(c, str(c.tmp), str(c.tmp / "o.jsonl")),
+                                lambda c, out, err: not (c.tmp / "o.jsonl").exists()),
     "train-country-empty-code": (2, _empty_country_code,
                                  lambda c, out, err: "has no country_code" in err),
 }
@@ -482,6 +486,39 @@ def test_eval_rejects_records_without_a_label(cnn_bundle, prep_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert str(tmp_path / "test.jsonl") in err and repr(rows[3]["user_id"]) in err
     assert f"has no {field}" in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("task, n_test, skipped", [("country", 30, 0), ("city", 29, 1)])
+def test_eval_needs_coordinates_only_for_city_bundles(prep_dir, tmp_path, capsys,
+                                                       task, n_test, skipped):
+    # only the city metrics read a record's true coordinates
+    assert main(["train", "--prep-dir", str(prep_dir), "--task", task, "--model", "stacking",
+                 "--min-count", "3", "--out", str(tmp_path / "m.gtlm")]) == 0
+    rows = [json.loads(line) for line in (prep_dir / "test.jsonl").read_text().splitlines()][:30]
+    rows[4]["lat"] = rows[4]["lon"] = None
+    (tmp_path / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main(["eval", "--model-file", str(tmp_path / "m.gtlm"),
+                 "--test", str(tmp_path / "test.jsonl"), "--out-dir", str(tmp_path / "rep")]) == 0
+    assert f"n_test={n_test}.0000  skipped={skipped}.0000" in capsys.readouterr().out
+
+
+def test_eval_refuses_a_per_field_filter_bundle(cnn_bundle, prep_dir, tmp_path, capsys):
+    # the per-field layout (one filter bank per field and window) is no longer
+    # read: such a bundle is a data error naming the first shared bank it lacks
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    config = json.loads(sections["config"])
+    shared = {n: sections.pop(n) for n in list(sections) if n.startswith("tensor:conv_")}
+    per_field = [(f"tensor:conv_{wb}_{f}_h{h}", shared[f"tensor:conv_{wb}_h{h}"])
+                 for f in FIELDS for h in config["windows"] for wb in "wb"]
+    sections["config"] = bundle_io.encode_json(config | {"share_filters": False})
+    items = list(sections.items())
+    bundle_io.write_sections(tmp_path / "per_field.gtlm", model_type,
+                             items[:5] + per_field + items[5:])
+    assert main(["eval", "--model-file", str(tmp_path / "per_field.gtlm"),
+                 "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")]) == 2
+    assert "bundle lacks section 'tensor:conv_w_h2'" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
 
 
@@ -684,6 +721,38 @@ def test_config_file_rejects_unknown_keys_and_bad_values(corpus_dir, tmp_path, c
     assert main(["--config", str(cfg)] + args) == 1
     assert "batch_size" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+def test_removed_share_filters_knob_is_a_usage_error(prep_dir, tmp_path, capsys):
+    argv = ["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
+            "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS]
+    assert main(argv + ["--share-filters", "false"]) == 1
+    assert "--share-filters" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("share_filters=false\n")
+    assert main(["--config", str(tmp_path / "run.cfg")] + argv) == 1
+    assert "share_filters" in capsys.readouterr().err
+    assert not (tmp_path / "c.gtlm").exists()
+
+
+def _readme_commands() -> list[str]:
+    """The commands of the README's "Command line" bash block, one string each."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_commands_parse():
+    parser, _ = cli.build_parser()
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "tweetgeo", line
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_help_documents_all_defaults(capsys):

@@ -48,14 +48,13 @@ def test_config_validation():
 
 
 def test_param_shapes_layout_and_init_rules():
-    cfg = tiny_config(share_filters=False)
+    cfg = tiny_config()
     shapes = param_shapes(cfg, 20, cat_block())
-    assert list(shapes)[:3] == ["embedding", "conv_w_text_h2", "conv_b_text_h2"]
-    assert list(shapes)[-4:] == ["conv_w_user_name_h3", "conv_b_user_name_h3",
-                                 "softmax_w", "softmax_b"]
+    assert list(shapes) == ["embedding", "conv_w_h2", "conv_b_h2", "conv_w_h3", "conv_b_h3",
+                            "softmax_w", "softmax_b"]
     assert shapes["embedding"] == (20, 4)
-    assert shapes["conv_w_profile_location_h3"] == (2, 12)
-    assert shapes["conv_b_profile_location_h3"] == (2,)
+    assert shapes["conv_w_h3"] == (2, 12)
+    assert shapes["conv_b_h3"] == (2,)
     assert shapes["softmax_w"] == (3, cfg.pooled_size + cat_block())
     model = init_model(cfg, 20, cat_block(), seed=0)
     assert [(n, p.shape) for n, p in model.params.items()] == list(shapes.items())
@@ -76,7 +75,7 @@ def test_field_matrix_pad_rows_zero(rng):
     cfg = tiny_config(dropout_rate=0.0)
     model = init_model(cfg, 20, cat_block(), seed=0).astype(np.float64)
     for h in cfg.windows:
-        model.params[conv_names(cfg, "text", h)[1]][:] = [0.3, -0.2]
+        model.params[conv_names(h)[1]][:] = [0.3, -0.2]
     tokens = {f: np.zeros((2, cfg.max_lens[f]), dtype=np.int64) for f in FIELDS}
     tokens["text"][1, 0] = 5
     theta = forward(model, FeatureBatch(tokens, np.zeros((2, 4), dtype=np.int64))).theta_hat
@@ -85,7 +84,7 @@ def test_field_matrix_pad_rows_zero(rng):
     rows = np.zeros((cfg.max_lens["text"], cfg.embed_dim))
     rows[0] = model.embedding[5]
     for i, h in enumerate(cfg.windows):
-        w, b = (model.params[n] for n in conv_names(cfg, "text", h))
+        w, b = (model.params[n] for n in conv_names(h))
         for j in range(2):
             want = conv_maxpool_scan(rows.tolist(), w[j].tolist(), float(b[j]))
             assert theta[1, 2 * i + j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -114,7 +113,7 @@ def text_conv_maxpool(X, w, b):
                     max_lens={f: n for f in FIELDS}, label_count=2)
     model = init_model(cfg, n + 1, 1).astype(X.dtype)
     model.embedding[1:] = X
-    w_name, b_name = conv_names(cfg, "text", h)
+    w_name, b_name = conv_names(h)
     model.params[w_name][:] = w
     model.params[b_name][:] = b
     tokens = {f: np.zeros((1, n), dtype=np.int64) for f in FIELDS}
@@ -183,7 +182,7 @@ def test_forward_matches_pure_python_trace(rng):
     batch = tiny_batch(rng, cfg, b=2)
     got = forward(model, batch, train=False).probs
 
-    names = {h: conv_names(cfg, "text", h) for h in cfg.windows}
+    names = {h: conv_names(h) for h in cfg.windows}
     conv = {h: model.params[w].tolist() for h, (w, _) in names.items()}
     biases = {h: model.params[b].tolist() for h, (_, b) in names.items()}
     for i in range(batch.size):
@@ -248,17 +247,16 @@ def test_truncation_invariance(rng):
 
 
 def test_shared_filters_used_for_all_fields(rng):
-    cfg = tiny_config()
+    # one bank per window: moving the window-2 bias moves the window-2
+    # pooled block of every field and no window-3 block
+    cfg = tiny_config(dropout_rate=0.0)
     model = init_model(cfg, 20, cat_block(), seed=4)
-    assert list(model.params) == ["embedding", "conv_w_h2", "conv_b_h2", "conv_w_h3",
-                                  "conv_b_h3", "softmax_w", "softmax_b"]
-    cfg2 = tiny_config(share_filters=False)
-    model2 = init_model(cfg2, 20, cat_block(), seed=4)
-    assert len(model2.params) == 3 + len(FIELDS) * 2 * 2
     batch = tiny_batch(rng, cfg)
-    p1 = forward(model, batch, train=False).probs
-    p2 = forward(model2, batch, train=False).probs
-    assert p1.shape == p2.shape == (batch.size, 3)
+    before = forward(model, batch).theta_hat[:, :cfg.pooled_size]
+    model.params["conv_b_h2"] += 1.0
+    after = forward(model, batch).theta_hat[:, :cfg.pooled_size]
+    changed = (before != after).any(axis=0).reshape(len(FIELDS), len(cfg.windows), -1)
+    assert changed[:, 0].all() and not changed[:, 1].any()
 
 
 def test_backward_pad_and_absent_token_grads_zero(rng):
@@ -281,16 +279,16 @@ def test_backward_relu_gate_is_zero_at_zero(rng):
     model = init_model(cfg, 20, cat_block(), seed=8).astype(np.float64)
     batch = tiny_batch(rng, cfg)
     for h in cfg.windows:
-        w, b = conv_names(cfg, "text", h)
+        w, b = conv_names(h)
         model.params[w][:] = 0
         model.params[b][:] = 0
     grads = backward(model, forward(model, batch), batch.labels)
     for name, g in grads.items():
         assert g.any() == name.startswith("softmax")
     for h in cfg.windows:
-        model.params[conv_names(cfg, "text", h)[1]][:] = 1.0
+        model.params[conv_names(h)[1]][:] = 1.0
     grads = backward(model, forward(model, batch), batch.labels)
-    assert all(grads[conv_names(cfg, "text", h)[1]].any() for h in cfg.windows)
+    assert all(grads[conv_names(h)[1]].any() for h in cfg.windows)
 
 
 def _smooth_case(seed_start=0, train=False):
@@ -317,19 +315,6 @@ def test_train_mode_gradients_match_finite_differences(rng):
     worst, _ = fd_sweep(model, batch, batch.labels, eps=1e-5, train=True,
                         dropout_seed=3, sample=25, rng=rng)
     assert worst <= 1e-4
-
-
-def test_per_field_filters_gradients(rng):
-    cfg = tiny_config(share_filters=False)
-    rng2 = np.random.default_rng(1)
-    model = init_model(cfg, 20, cat_block(), seed=11).astype(np.float64)
-    batch = tiny_batch(rng2, cfg)
-    if smoothness_margin(model, batch) > 1e-3:
-        worst, _ = fd_sweep(model, batch, batch.labels, eps=1e-5, sample=10, rng=rng)
-        assert worst <= 1e-4
-    fwd = forward(model, batch, train=False)
-    grads = backward(model, fwd, batch.labels)
-    assert f"conv_w_text_h2" in grads
 
 
 def test_load_pretrained_embeddings(tmp_path, rng):
@@ -408,10 +393,9 @@ def _rel_err(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
-@pytest.mark.parametrize("share", [True, False])
 @pytest.mark.parametrize("train", [False, True])
-def test_forward_backward_match_dense_reference(share, train):
-    cfg = tiny_config(windows=(1, 2, 3), filters_per_window=3, share_filters=share)
+def test_forward_backward_match_dense_reference(train):
+    cfg = tiny_config(windows=(1, 2, 3), filters_per_window=3)
     for seed in range(8):
         rng = np.random.default_rng(seed)
         model = init_model(cfg, 9, cat_block(), seed=seed).astype(np.float64)
@@ -435,7 +419,7 @@ def test_forward_backward_match_dense_reference(share, train):
 def test_forward_pass_caches_no_window_axis(rng):
     # k=7 and windows 2, 3: no other dimension of this batch is 14 or 21,
     # so any cached im2col-shaped (B, P, h*k) array would show up
-    cfg = tiny_config(embed_dim=7, share_filters=False)
+    cfg = tiny_config(embed_dim=7)
     model = init_model(cfg, 12, cat_block(), seed=0)
     batch = tiny_batch(rng, cfg, vocab_size=12)
     fwd = forward(model, batch, train=True, dropout_seed=1)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -340,23 +339,13 @@ def test_decode_tensor_rejects_more_axes_than_numpy_supports():
         bundle_io.decode_tensor(payload)
 
 
-CNN_CONFIG_JSON = ('{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim": 8, '
-                   '"filters_per_window": 4, "label_count": 3, "max_lens": '
-                   '{"profile_location": 4, "text": 8, "user_description": 6, "user_name": 3}, '
-                   '"share_filters": %s, "vocab_size": 16, "windows": [2, 3]}')
-CNN_HEAD_SECTIONS = ["config", "vocabulary", "category_maps", "label_table", "tensor:embedding"]
-CNN_TAIL_SECTIONS = ["tensor:softmax_w", "tensor:softmax_b"]
-SHARED_CONV_SECTIONS = ["tensor:conv_w_h2", "tensor:conv_b_h2",
-                        "tensor:conv_w_h3", "tensor:conv_b_h3"]
-PER_FIELD_CONV_SECTIONS = [
-    "tensor:conv_w_text_h2", "tensor:conv_b_text_h2",
-    "tensor:conv_w_text_h3", "tensor:conv_b_text_h3",
-    "tensor:conv_w_user_description_h2", "tensor:conv_b_user_description_h2",
-    "tensor:conv_w_user_description_h3", "tensor:conv_b_user_description_h3",
-    "tensor:conv_w_profile_location_h2", "tensor:conv_b_profile_location_h2",
-    "tensor:conv_w_profile_location_h3", "tensor:conv_b_profile_location_h3",
-    "tensor:conv_w_user_name_h2", "tensor:conv_b_user_name_h2",
-    "tensor:conv_w_user_name_h3", "tensor:conv_b_user_name_h3"]
+CNN_CONFIG_JSON = (b'{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim": 8, '
+                   b'"filters_per_window": 4, "label_count": 3, "max_lens": '
+                   b'{"profile_location": 4, "text": 8, "user_description": 6, "user_name": 3}, '
+                   b'"vocab_size": 16, "windows": [2, 3]}')
+CNN_SECTIONS = ["config", "vocabulary", "category_maps", "label_table", "tensor:embedding",
+                "tensor:conv_w_h2", "tensor:conv_b_h2", "tensor:conv_w_h3", "tensor:conv_b_h3",
+                "tensor:softmax_w", "tensor:softmax_b"]
 STACK_SECTIONS = [
     "config", "label_table",
     "vocab:text", "tensor:text:prior", "tensor:text:log_prob",
@@ -369,19 +358,29 @@ STACK_SECTIONS = [
     "tensor:meta:prior", "tensor:meta:log_prob"]
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_cnn_bundle_layout_is_pinned(tmp_path, share):
-    recs, ys = corpus(4, seed=1)
-    cfg = dataclasses.replace(small_cfg(), share_filters=share)
-    vocab = build_vocab([r.text.split() for r in recs], min_count=1)
-    maps = build_category_maps(recs)
-    save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps,
-               country_labels(recs), tmp_path / "cnn.gtlm")
-    model_type, sections = bundle_io.read_sections(tmp_path / "cnn.gtlm")
-    convs = SHARED_CONV_SECTIONS if share else PER_FIELD_CONV_SECTIONS
+def test_cnn_bundle_layout_is_pinned(bundle_files):
+    bundles, d = bundle_files
+    model_type, sections = bundle_io.read_sections(d / "cnn.gtlm")
     assert model_type == "cnn"
-    assert list(sections) == CNN_HEAD_SECTIONS + convs + CNN_TAIL_SECTIONS
-    assert sections["config"] == (CNN_CONFIG_JSON % str(share).lower()).encode()
+    assert list(sections) == CNN_SECTIONS
+    assert sections["config"] == CNN_CONFIG_JSON
+
+
+def test_bundle_with_a_share_filters_key_loads_and_scores_the_same(bundle_files, tmp_path):
+    # writers that still had a per-field filter layout stored "share_filters":
+    # true in the config of every shared-filter bundle; such a bundle loads,
+    # scores the same, and saves back without the key
+    bundles, d = bundle_files
+    model_type, sections = bundle_io.read_sections(d / "cnn.gtlm")
+    sections["config"] = CNN_CONFIG_JSON.replace(b'"vocab_size"',
+                                                 b'"share_filters": true, "vocab_size"')
+    bundle_io.write_sections(tmp_path / "old.gtlm", model_type, list(sections.items()))
+    old = load_model(tmp_path / "old.gtlm")
+    recs, ys = corpus(4, seed=5)
+    assert cli._probabilities(old, recs).tobytes() == \
+        cli._probabilities(load_model(d / "cnn.gtlm"), recs).tobytes()
+    save_model(old.model, old.vocab, old.maps, old.labels, tmp_path / "resaved.gtlm")
+    assert (tmp_path / "resaved.gtlm").read_bytes() == (d / "cnn.gtlm").read_bytes()
 
 
 def test_stack_bundle_layout_is_pinned(bundle_files):
