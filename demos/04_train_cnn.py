@@ -10,7 +10,7 @@ calibration table.
 
 import numpy as np
 
-from tweetgeo.cnn import CnnConfig, encode_features, predict_proba
+from tweetgeo.cnn import VOCAB_FIELDS, CnnConfig, encode_features, predict_proba
 from tweetgeo.encode import build_category_maps
 from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
@@ -27,9 +27,7 @@ records = dedup_user_city(records, seed=3)
 tr, dev, te = split_by_user(records, SplitSpec(0.15, 100, seed=3))
 print(f"splits: train {len(tr)} / dev {len(dev)} / test {len(te)}")
 
-vocab = build_vocab(
-    (tokenize(getattr(r, f)) for r in tr
-     for f in ("text", "user_description", "profile_location")), min_count=5)
+vocab = build_vocab((tokenize(getattr(r, f)) for r in tr for f in VOCAB_FIELDS), min_count=5)
 maps = build_category_maps(tr)
 labels = city_labels(table)
 print(f"vocabulary {len(vocab)} entries, one-hot block {maps.block_size}, "

@@ -6,9 +6,9 @@ fused with categorical features, a stacked multinomial naive-Bayes baseline
 and a deterministic synthetic-corpus generator for desk-scale experiments.
 """
 
-from .bayes import (MnbModel, StackModel, fit_mnb, fit_stacking, igr_score,
+from .bayes import (MnbModel, StackModel, count_matrix, fit_mnb, fit_stacking, igr_scores,
                     posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
-from .cnn import (CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
+from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
                   forward, init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
 from .errors import BundleError, DataError
@@ -20,7 +20,7 @@ from .ingest import (Record, SplitSpec, StatsReport, dataset_stats,
 from .labels import LabelTable, city_labels, country_labels
 from .metrics import (Predictions, acc_at_161, acc_top5, accuracy, calibration_bins,
                       median_error_km, per_class_pr, rank, ranked_top5)
-from .nncore import AdamState, adam_step, dropout, relu, softmax
+from .nncore import AdamState, adam_step, dropout, softmax
 from .synth import SynthSpec, generate, write_corpus
 from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize
 from .train import (CnnBundle, StackBundle, TrainConfig, TrainResult,

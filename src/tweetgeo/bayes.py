@@ -86,18 +86,6 @@ class CsrCounts:
         return NotImplemented
 
 
-def as_csr(counts) -> CsrCounts:
-    """CsrCounts as given, or a dense (N, F) or (F,) count array converted
-    (zero cells are not stored)."""
-    if isinstance(counts, CsrCounts):
-        return counts
-    a = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError("counts must be (n_docs, n_features) or (n_features,)")
-    rows, cols = np.nonzero(a)
-    return CsrCounts(_indptr(rows, a.shape[0]), cols, a[rows, cols], a.shape[1])
-
-
 def count_matrix(token_lists, vocab: Vocabulary) -> CsrCounts:
     """Bag-of-words counts (N, |vocab|); out-of-vocabulary tokens count as UNK."""
     n, f = len(token_lists), len(vocab)
@@ -141,11 +129,10 @@ def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
     return MnbModel(log_prior, log_prob)
 
 
-def fit_mnb(counts, labels: np.ndarray, n_classes: int,
+def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
             alpha: float = 1e-2) -> MnbModel:
     """P(f|c) = (count(f,c) + alpha) / (sum_f count(f,c) + alpha*F);
     class prior = class document frequency."""
-    counts = as_csr(counts)
     if counts.n_cols == 0:
         raise ValueError("counts must be (n_docs, n_features) with n_features >= 1")
     if counts.shape[0] == 0:
@@ -179,24 +166,19 @@ def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     return jll + model.class_log_prior
 
 
-def posterior_mnb(model: MnbModel, counts) -> np.ndarray:
-    """Normalized class posteriors (N, L) of a count matrix; one (F,) count
-    vector gives one (L,) posterior."""
-    single = not isinstance(counts, CsrCounts) and np.ndim(counts) == 1
-    counts = as_csr(counts)
+def posterior_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
+    """Normalized class posteriors (N, L) of a count matrix."""
     if counts.n_cols != model.feature_log_prob.shape[1]:
         raise ValueError(f"counts have {counts.n_cols} features, the model "
                          f"{model.feature_log_prob.shape[1]}")
     jll = _joint_log_likelihood(model, counts)
-    post = np.exp(jll - _logsumexp(jll, axis=-1)[:, None])
-    return post[0] if single else post
+    return np.exp(jll - _logsumexp(jll, axis=-1)[:, None])
 
 
-def predict_mnb(model: MnbModel, counts):
-    """(argmax label, posterior vector); ties go to the smallest label index."""
+def predict_mnb(model: MnbModel, counts: CsrCounts) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax labels (N,), posteriors (N, L)); ties go to the smallest label index."""
     post = posterior_mnb(model, counts)
-    label = np.argmax(post, axis=-1)  # first maximum
-    return (int(label), post) if post.ndim == 1 else (label.astype(np.int64), post)
+    return np.argmax(post, axis=-1).astype(np.int64), post   # first maximum
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -227,14 +209,8 @@ def _igr_columns(present_by_class: np.ndarray, docs_by_class: np.ndarray) -> np.
     return np.where((n_p > 0) & (n_a > 0), igr, 0.0)
 
 
-def igr_score(present_by_class: np.ndarray, docs_by_class: np.ndarray) -> float:
-    """Information gain ratio of one token (see `_igr_columns`)."""
-    return float(_igr_columns(np.asarray(present_by_class)[:, None], docs_by_class)[0])
-
-
-def igr_scores(counts, labels: np.ndarray, n_classes: int) -> np.ndarray:
+def igr_scores(counts: CsrCounts, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """IGR for every feature column, using document-level presence."""
-    counts = as_csr(counts)
     labels = np.asarray(labels)
     f = counts.n_cols
     present = _class_table(counts, labels, n_classes)
@@ -254,7 +230,7 @@ def select_top_percent(scores: dict[str, float], n_percent: float) -> list[str]:
     return ranked[:keep]
 
 
-def reduce_vocab(vocab: Vocabulary, counts, labels: np.ndarray,
+def reduce_vocab(vocab: Vocabulary, counts: CsrCounts, labels: np.ndarray,
                  n_classes: int, n_percent: float) -> Vocabulary:
     """IGR-select the top n% of content tokens; PAD/UNK always survive."""
     scores = igr_scores(counts, labels, n_classes)
@@ -287,6 +263,8 @@ def fit_stacking(records, labels, label_count: int, folds: int = 5,
     """Two-layer stacking: five per-field MNB bases produce out-of-fold argmax
     labels (folds assigned round-robin by record position); a meta MNB is fit
     on their one-hot encoding; bases are then refit on all records."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     n = len(records)
     labels = np.asarray(labels, dtype=np.int64)
     if folds < 2:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, geo, ingest, metrics, textproc
-from .cnn import CnnConfig, DEFAULT_MAX_LENS, encode_features, predict_proba
+from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_features,
+                  predict_proba)
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError, open_utf8
 from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels, require_labels
@@ -28,9 +29,9 @@ from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_
 
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}
 # `eval` and `predict` score this many valid records at a time: a multiple
-# of predict_proba's 256-record batch, so the CNN batches are the same as
-# for the whole input at once
-PREDICT_CHUNK = 4096
+# of predict_proba's batch, so the CNN batches are the same as for the whole
+# input at once
+PREDICT_CHUNK = 16 * INFER_BATCH
 
 
 def _windows_arg(s: str) -> tuple:
@@ -165,7 +166,7 @@ def cmd_prepare(ns) -> int:
     geo.save_city_table(table, out / "cities.csv")
 
     streams = (textproc.tokenize(getattr(r, f))
-               for r in train_recs for f in ("text", "user_description", "profile_location"))
+               for r in train_recs for f in VOCAB_FIELDS)
     vocab = textproc.build_vocab(streams, min_count=ns.min_count)
     textproc.save_vocab(vocab, out / "vocab.txt")
 
@@ -291,6 +292,8 @@ def cmd_eval(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
+    if ns.min_prob is not None and not 0.0 <= ns.min_prob <= 1.0:
+        raise ValueError(f"--min-prob must lie in [0, 1], got {ns.min_prob}")
     b = load_bundle(ns.model_file)
     counts = Counter()
     # the input is opened first, so an input that cannot be read leaves no output

@@ -27,6 +27,10 @@ from .ingest import TEXT_FIELDS
 from .textproc import Vocabulary, encode_tokens, tokenize
 
 FIELDS = TEXT_FIELDS
+# the fields whose tokens make up the word vocabulary; user_name is encoded
+# with it but adds no words
+VOCAB_FIELDS = ("text", "user_description", "profile_location")
+INFER_BATCH = 256   # records per forward pass in predict_proba
 
 DEFAULT_MAX_LENS = {"text": 50, "user_description": 50, "profile_location": 10, "user_name": 5}
 
@@ -340,10 +344,11 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
     return loaded
 
 
-def predict_proba(model: CnnModel, batch: FeatureBatch, batch_size: int = 256) -> np.ndarray:
-    """Inference-mode probabilities over the whole batch, chunked."""
+def predict_proba(model: CnnModel, batch: FeatureBatch) -> np.ndarray:
+    """Inference-mode probabilities over the whole batch, INFER_BATCH records
+    at a time."""
     outs = []
-    for s in range(0, batch.size, batch_size):
-        idx = np.arange(s, min(s + batch_size, batch.size))
+    for s in range(0, batch.size, INFER_BATCH):
+        idx = np.arange(s, min(s + INFER_BATCH, batch.size))
         outs.append(forward(model, batch.take(idx), train=False).probs)
     return np.concatenate(outs, axis=0)

@@ -1,4 +1,4 @@
-"""Minimal numeric kernel: ReLU, stable softmax, batch cross-entropy,
+"""Minimal numeric kernel: stable softmax, batch cross-entropy,
 inverted dropout, and Adam, as plain functions over numpy arrays. The
 backward pass lives with the model (`cnn.backward`).
 
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-12
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,9 +59,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
@@ -86,18 +80,18 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
     state.t += 1
     m, v = state.m, state.v
-    num = np.multiply(grad, 1.0 - state.beta1)
-    m *= state.beta1
+    num = np.multiply(grad, 1.0 - BETA1)
+    m *= BETA1
     m += num
     den = np.square(grad)
-    den *= 1.0 - state.beta2
-    v *= state.beta2
+    den *= 1.0 - BETA2
+    v *= BETA2
     v += den
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=num)      # m_hat
+    np.divide(m, 1.0 - BETA1 ** state.t, out=num)      # m_hat
     num *= state.lr
-    np.divide(v, 1.0 - state.beta2 ** state.t, out=den)      # v_hat
+    np.divide(v, 1.0 - BETA2 ** state.t, out=den)      # v_hat
     np.sqrt(den, out=den)
-    den += state.eps
+    den += EPS
     num /= den
     param -= num.astype(param.dtype, copy=False)
     return param, state

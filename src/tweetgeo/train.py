@@ -9,6 +9,7 @@ bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,8 @@ class TrainConfig:
             raise ValueError("batch_size and patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -191,6 +194,9 @@ class _Reader:
             raise self.error(f"tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
         if t.shape != shape:
             raise self.error(f"tensor {name} has shape {t.shape}, expected {shape}")
+        # NaN only: a stack prior is -inf for a class with no training documents
+        if np.isnan(t).any():
+            raise self.error(f"tensor {name} holds NaN")
         return t
 
 

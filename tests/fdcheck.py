@@ -6,7 +6,7 @@ import numpy as np
 
 from oracles import dense_conv
 from tweetgeo.cnn import FIELDS, FeatureBatch, backward, forward
-from tweetgeo.nncore import cross_entropy_batch, relu
+from tweetgeo.nncore import cross_entropy_batch
 from tweetgeo.textproc import PAD_INDEX
 
 
@@ -21,7 +21,7 @@ def smoothness_margin(model, batch: FeatureBatch) -> float:
         idx = batch.tokens[f]
         for h in cfg.windows:
             _, pre = dense_conv(model, batch, f, h)
-            act = relu(pre)
+            act = np.maximum(pre, 0)
             n_b, n_p, n_m = act.shape
             for b in range(n_b):
                 contents = [tuple(idx[b, o:o + h]) for o in range(n_p)]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from tweetgeo import nncore
+from tweetgeo.bayes import CsrCounts
 from tweetgeo.cnn import FIELDS, conv_names
 
 EARTH_R = 6371.0
@@ -180,6 +181,31 @@ def densify(csr):
     return np.array(out, dtype=np.float64).reshape(n, f)
 
 
+def csr_counts(dense):
+    """CsrCounts of a dense (N, F) count matrix, zero cells not stored: the
+    inverse of densify."""
+    a = np.asarray(dense, dtype=np.float64)
+    indptr, indices, counts = [0], [], []
+    for row in a:
+        for c, v in enumerate(row):
+            if v:
+                indices.append(c)
+                counts.append(float(v))
+        indptr.append(len(indices))
+    return CsrCounts(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+                     np.array(counts, dtype=np.float64), a.shape[1])
+
+
+def presence_corpus(present, docs):
+    """(counts, labels) of a one-feature corpus with docs[c] documents in
+    class c, the first present[c] of which hold the feature once."""
+    rows, labels = [], []
+    for c, (p, d) in enumerate(zip(present, docs)):
+        rows += [[1.0]] * int(p) + [[0.0]] * int(d - p)
+        labels += [c] * int(d)
+    return csr_counts(rows), np.array(labels, dtype=np.int64)
+
+
 def count_matrix_dense(token_lists, vocab):
     out = np.zeros((len(token_lists), len(vocab)), dtype=np.float64)
     for i, toks in enumerate(token_lists):
@@ -258,7 +284,7 @@ def dense_forward(model, batch, train=False, dropout_seed=0):
     for f in FIELDS:
         for h in model.config.windows:
             xw, pre = dense_conv(model, batch, f, h)
-            act = nncore.relu(pre)
+            act = np.maximum(pre, 0)
             pooled.append(act.max(axis=1))
             caches.append((batch.tokens[f], xw, pre, act.argmax(axis=1)))
     theta = np.concatenate(pooled, axis=1)
@@ -313,10 +339,11 @@ def dense_backward(model, fwd, labels):
 def adam_step_reference(param, grad, state):
     """Adam with new moment arrays on every step (the update, operation by
     operation, that the in-place version must reproduce bit for bit)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(param.dtype)
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * np.square(grad)
+    m_hat = state.m / (1.0 - beta1 ** state.t)
+    v_hat = state.v / (1.0 - beta2 ** state.t)
+    param -= (state.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
     return param, state

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from fdcheck import fd_sweep, smoothness_margin
-from oracles import haversine_oracle_km, igr_oracle, mnb_posterior_exact, nearest_scan
-from tweetgeo.bayes import fit_mnb, posterior_mnb, posterior_stacking
+from oracles import (csr_counts, haversine_oracle_km, igr_oracle, mnb_posterior_exact,
+                     nearest_scan, presence_corpus)
+from tweetgeo.bayes import fit_mnb, igr_scores, posterior_mnb, posterior_stacking
 from tweetgeo.cli import main
 from tweetgeo.cnn import CnnConfig, FIELDS, FeatureBatch, encode_features, forward, init_model, predict_proba
 from tweetgeo.geo import City, CityTable, haversine_km, nearest_city
@@ -133,9 +134,9 @@ def test_c02_probability_normalization(bench, rng):
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-6
     assert (probs >= 0).all()
 
-    mnb = fit_mnb(rng.integers(0, 5, size=(40, 12)).astype(float),
+    mnb = fit_mnb(csr_counts(rng.integers(0, 5, size=(40, 12))),
                   rng.integers(0, 3, size=40), n_classes=3, alpha=1e-2)
-    docs = rng.integers(0, 6, size=(1000, 12)).astype(float)
+    docs = csr_counts(rng.integers(0, 6, size=(1000, 12)))
     post = posterior_mnb(mnb, docs)
     assert np.abs(post.sum(axis=1) - 1.0).max() <= 1e-6
 
@@ -151,17 +152,17 @@ def test_c02_probability_normalization(bench, rng):
 
 def test_c03_mnb_oracle_equivalence():
     # six documents: class A {"x x", "x y", "x"}, class B {"y", "y x", "y y"}
-    counts = np.array([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]], dtype=float)
+    counts = csr_counts([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]])
     labels = np.array([0, 0, 0, 1, 1, 1])
     m = fit_mnb(counts, labels, n_classes=2, alpha=0.01)
     class_docs = [[[2, 0], [1, 1], [1, 0]], [[0, 1], [1, 1], [0, 2]]]
     worst = 0.0
     for doc in ([1, 0], [0, 1], [2, 1], [0, 0], [3, 2], [1, 4]):
         want = mnb_posterior_exact(class_docs, doc, 0.01)
-        got = posterior_mnb(m, np.array(doc, dtype=float))
+        got = posterior_mnb(m, csr_counts([doc]))[0]
         worst = max(worst, float(np.abs(got - np.array(want)).max()))
     assert worst <= 1e-12
-    assert posterior_mnb(m, np.array([1.0, 0.0]))[0] == pytest.approx(401 / 502, abs=1e-12)
+    assert posterior_mnb(m, csr_counts([[1.0, 0.0]]))[0, 0] == pytest.approx(401 / 502, abs=1e-12)
     print(f"\n[criterion 3] PASS mnb oracle: max |posterior - exact Bayes| = {worst:.2e}")
 
 
@@ -169,12 +170,12 @@ def test_c03_mnb_oracle_equivalence():
 # 4. IGR correctness
 
 def test_c04_igr_correctness():
-    from tweetgeo.bayes import igr_score
-    got = igr_score(np.array([30, 5, 0]), np.array([40, 30, 30]))
+    # one-feature corpora with these per-class presence and document counts
+    got = float(igr_scores(*presence_corpus([30, 5, 0], [40, 30, 30]), 3)[0])
     want = igr_oracle([30, 5, 0], [40, 30, 30])
     assert got == pytest.approx(want, abs=1e-9)
     assert got == pytest.approx(0.44381142970432105, abs=1e-9)
-    assert igr_score(np.array([10, 20]), np.array([10, 20])) == 0.0
+    assert igr_scores(*presence_corpus([10, 20], [10, 20]), 2)[0] == 0.0
     print(f"\n[criterion 4] PASS igr: toy table {got:.12f} matches entropy oracle, "
           "degenerate split -> 0")
 

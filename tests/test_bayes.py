@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import make_record
-from oracles import (count_matrix_dense, densify, fit_stacking_dense, igr_oracle,
-                     mnb_posterior_exact)
+from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
+                     mnb_posterior_exact, presence_corpus)
 from tweetgeo import bayes
-from tweetgeo.bayes import (BASE_FIELDS, as_csr, base_tokens, categorical_tokens,
-                            count_matrix, fit_mnb, fit_stacking, igr_score, igr_scores,
+from tweetgeo.bayes import (BASE_FIELDS, base_tokens, categorical_tokens,
+                            count_matrix, fit_mnb, fit_stacking, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
                             reduce_vocab, select_top_percent)
 from tweetgeo.textproc import build_vocab
 
 # class A docs: "x x", "x y"; class B doc: "y"; features (x, y)
-HAND_COUNTS = np.array([[2, 0], [1, 1], [0, 1]], dtype=float)
+HAND_COUNTS = csr_counts([[2, 0], [1, 1], [0, 1]])
 HAND_LABELS = np.array([0, 0, 1])
 
 
@@ -26,89 +26,95 @@ def test_fit_mnb_hand_values_alpha_one():
 
 
 def test_fit_mnb_single_class_predicts_it():
-    m = fit_mnb(np.array([[1.0, 2.0]]), np.array([0]), n_classes=1, alpha=0.5)
-    label, post = predict_mnb(m, np.array([5.0, 0.0]))
-    assert label == 0 and post.tolist() == [1.0]
+    m = fit_mnb(csr_counts([[1.0, 2.0]]), np.array([0]), n_classes=1, alpha=0.5)
+    label, post = predict_mnb(m, csr_counts([[5.0, 0.0]]))
+    assert label.tolist() == [0] and post.tolist() == [[1.0]]
 
 
 def test_fit_mnb_symmetry():
-    counts = np.array([[3, 1], [1, 3]], dtype=float)
+    counts = csr_counts([[3, 1], [1, 3]])
     m = fit_mnb(counts, np.array([0, 1]), n_classes=2, alpha=0.01)
     assert m.feature_log_prob[0, 0] == pytest.approx(m.feature_log_prob[1, 1], abs=1e-12)
 
 
 def test_fit_mnb_rejects_empty():
     with pytest.raises(ValueError):
-        fit_mnb(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+        fit_mnb(csr_counts(np.zeros((0, 2))), np.zeros(0, dtype=int), 2)
     with pytest.raises(ValueError):
-        fit_mnb(np.zeros((2, 0)), np.array([0, 1]), 2)
+        fit_mnb(csr_counts(np.zeros((2, 0))), np.array([0, 1]), 2)
 
 
 def test_predict_empty_doc_returns_prior():
     m = fit_mnb(HAND_COUNTS, HAND_LABELS, n_classes=2, alpha=1.0)
-    _, post = predict_mnb(m, np.zeros(2))
-    assert post == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+    _, post = predict_mnb(m, csr_counts(np.zeros((1, 2))))
+    assert post[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
 def test_predict_hand_doc():
     m = fit_mnb(HAND_COUNTS, HAND_LABELS, n_classes=2, alpha=1.0)
-    label, post = predict_mnb(m, np.array([1.0, 0.0]))
-    assert label == 0
+    label, post = predict_mnb(m, csr_counts([[1.0, 0.0]]))
+    assert label.tolist() == [0]
     assert post.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_posterior_matches_exact_bayes_six_docs():
     # A: "x x", "x y", "x"; B: "y", "y x", "y y"
-    counts = np.array([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]], dtype=float)
+    counts = csr_counts([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]])
     labels = np.array([0, 0, 0, 1, 1, 1])
     m = fit_mnb(counts, labels, n_classes=2, alpha=0.01)
     class_docs = [[[2, 0], [1, 1], [1, 0]], [[0, 1], [1, 1], [0, 2]]]
     for doc in ([1, 0], [0, 1], [2, 1], [0, 0], [3, 2]):
         want = mnb_posterior_exact(class_docs, doc, 0.01)
-        got = posterior_mnb(m, np.array(doc, dtype=float))
+        got = posterior_mnb(m, csr_counts([doc]))[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_posterior_frozen_exact_values():
     # exact fractions for the six-document corpus, alpha = 1/100
-    counts = np.array([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]], dtype=float)
+    counts = csr_counts([[2, 0], [1, 1], [1, 0], [0, 1], [1, 1], [0, 2]])
     m = fit_mnb(counts, np.array([0, 0, 0, 1, 1, 1]), n_classes=2, alpha=0.01)
-    assert posterior_mnb(m, np.array([1.0, 0.0]))[0] == pytest.approx(401 / 502, abs=1e-12)
-    assert posterior_mnb(m, np.array([0.0, 1.0]))[1] == pytest.approx(401 / 502, abs=1e-12)
-    assert posterior_mnb(m, np.array([0.0, 0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert posterior_mnb(m, csr_counts([[1.0, 0.0]]))[0, 0] == pytest.approx(401 / 502, abs=1e-12)
+    assert posterior_mnb(m, csr_counts([[0.0, 1.0]]))[0, 1] == pytest.approx(401 / 502, abs=1e-12)
+    assert posterior_mnb(m, csr_counts([[0.0, 0.0]]))[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mnb_scaling_invariance_without_smoothing():
     counts = np.array([[4, 1], [1, 3]], dtype=float)
     labels = np.array([0, 1])
-    docs = [np.array([2.0, 1.0]), np.array([0.0, 3.0]), np.array([5.0, 5.0])]
-    m1 = fit_mnb(counts, labels, 2, alpha=0.0)
-    m2 = fit_mnb(counts * 7, labels, 2, alpha=0.0)
-    for d in docs:
-        assert predict_mnb(m1, d)[0] == predict_mnb(m2, d)[0]
+    docs = csr_counts([[2.0, 1.0], [0.0, 3.0], [5.0, 5.0]])
+    m1 = fit_mnb(csr_counts(counts), labels, 2, alpha=0.0)
+    m2 = fit_mnb(csr_counts(counts * 7), labels, 2, alpha=0.0)
+    assert predict_mnb(m1, docs)[0].tolist() == predict_mnb(m2, docs)[0].tolist()
 
 
 def test_mnb_argmax_tie_goes_to_smaller_index():
-    counts = np.array([[1, 1], [1, 1]], dtype=float)
+    counts = csr_counts([[1, 1], [1, 1]])
     m = fit_mnb(counts, np.array([0, 1]), 2, alpha=1.0)
-    label, post = predict_mnb(m, np.array([1.0, 1.0]))
-    assert post[0] == pytest.approx(post[1], abs=1e-15)
-    assert label == 0
+    label, post = predict_mnb(m, csr_counts([[1.0, 1.0]]))
+    assert post[0, 0] == pytest.approx(post[0, 1], abs=1e-15)
+    assert label.tolist() == [0]
+
+
+def _igr(present, docs) -> float:
+    """IGR of the one feature of a corpus with these per-class presence and
+    document counts."""
+    counts, labels = presence_corpus(present, docs)
+    return float(igr_scores(counts, labels, len(docs))[0])
 
 
 def test_igr_degenerate_split_is_zero():
-    assert igr_score(np.array([10, 20]), np.array([10, 20])) == 0.0
-    assert igr_score(np.array([0, 0]), np.array([10, 20])) == 0.0
+    assert _igr([10, 20], [10, 20]) == 0.0
+    assert _igr([0, 0], [10, 20]) == 0.0
 
 
 def test_igr_perfect_indicator_balanced_two_class():
     # token present exactly in one of two equal classes: IG = IV = 1 bit
-    assert igr_score(np.array([10, 0]), np.array([10, 10])) == pytest.approx(1.0, abs=1e-12)
+    assert _igr([10, 0], [10, 10]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_igr_three_class_frozen_value():
     # docs [40, 30, 30], present [30, 5, 0]; frozen from an exact computation
-    got = igr_score(np.array([30, 5, 0]), np.array([40, 30, 30]))
+    got = _igr([30, 5, 0], [40, 30, 30])
     assert got == pytest.approx(0.44381142970432105, abs=1e-9)
     assert got == pytest.approx(igr_oracle([30, 5, 0], [40, 30, 30]), abs=1e-12)
 
@@ -117,7 +123,7 @@ def test_igr_matches_oracle_on_random_tables(rng):
     for _ in range(50):
         docs = rng.integers(1, 30, size=3)
         present = np.array([int(rng.integers(0, d + 1)) for d in docs])
-        got = igr_score(present, docs)
+        got = _igr(present, docs)
         assert got == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
         assert got >= 0.0
 
@@ -239,17 +245,16 @@ def test_igr_scores_shape():
     assert scores[ix] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_igr_score_is_one_column_of_igr_scores(rng):
+def test_igr_scores_match_oracle_per_column(rng):
     tokens = [[f"w{int(w)}" for w in rng.integers(0, 12, size=int(rng.integers(0, 6)))]
               for _ in range(60)]
     labels = rng.integers(0, 3, size=60)
     vocab = build_vocab(tokens, min_count=1)
     counts = count_matrix_dense(tokens, vocab)
-    scores = igr_scores(as_csr(counts), labels, 3)
+    scores = igr_scores(csr_counts(counts), labels, 3)
     docs = np.bincount(labels, minlength=3)
     for j in range(len(vocab)):
         present = np.array([np.sum((counts[:, j] > 0) & (labels == c)) for c in range(3)])
-        assert igr_score(present, docs) == pytest.approx(scores[j], abs=1e-15)
         assert scores[j] == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
 
 
@@ -292,10 +297,10 @@ def test_count_matrix_densifies_to_dense_reference():
     assert np.array_equal(densify(count_matrix([], vocab)), np.zeros((0, len(vocab))))
 
 
-def test_csr_row_selection_and_dense_input_match_dense_rows(rng):
+def test_csr_row_selection_matches_dense_rows(rng):
     dense = rng.integers(0, 3, size=(9, 5)).astype(float)
     dense[[2, 8]] = 0.0
-    csr = as_csr(dense)
+    csr = csr_counts(dense)
     assert np.array_equal(densify(csr), dense)
     for rows in (np.array([8, 0, 2, 2]), dense[:, 0] > 0, slice(1, 7, 2), np.array([], dtype=int)):
         assert np.array_equal(densify(csr[rows]), dense[rows])
@@ -305,18 +310,18 @@ def test_csr_row_selection_and_dense_input_match_dense_rows(rng):
 def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, gather_cells):
     monkeypatch.setattr(bayes, "GATHER_CELLS", gather_cells)   # many row blocks
     train = rng.integers(0, 4, size=(50, 30)).astype(float)
-    model = fit_mnb(train, rng.integers(0, 4, size=50), n_classes=4, alpha=0.1)
+    model = fit_mnb(csr_counts(train), rng.integers(0, 4, size=50), n_classes=4, alpha=0.1)
     docs = rng.integers(0, 3, size=(40, 30)) * (rng.random((40, 30)) < 0.2)
     docs[[0, 17, 39]] = 0
     jll = docs @ model.feature_log_prob.T + model.class_log_prior
     want = np.exp(jll - jll.max(axis=1, keepdims=True))
     want /= want.sum(axis=1, keepdims=True)
-    got = posterior_mnb(model, as_csr(docs))
+    got = posterior_mnb(model, csr_counts(docs))
     assert got.shape == (40, 4)
     assert np.abs(got - want).max() <= 1e-12
     assert got[0] == pytest.approx(np.exp(model.class_log_prior), abs=1e-15)   # empty row
     with pytest.raises(ValueError, match="features"):
-        posterior_mnb(model, as_csr(docs[:, :29]))
+        posterior_mnb(model, csr_counts(docs[:, :29]))
 
 
 def _random_corpus(rng, n=90, n_classes=4):

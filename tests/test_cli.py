@@ -4,6 +4,7 @@ import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tweetgeo import bundle as bundle_io, cli, ingest
@@ -380,6 +381,32 @@ def test_train_rejects_bad_dropout(prep_dir, tmp_path):
     assert rc == 1
 
 
+def _train_writes_nothing(prep_dir, tmp_path, capsys, model, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", model,
+               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
+               "--min-count", "3", *CNN_FLAGS, f"{flag}={value}"])
+    assert rc == 1
+    assert f"{flag[2:]} must be finite and > 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.001", "0", "inf"])
+def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(
+        prep_dir, tmp_path, capsys, value):
+    # unchecked, nan trains on NaN losses and a negative rate by gradient ascent
+    _train_writes_nothing(prep_dir, tmp_path, capsys, "cnn", "--lr", value)
+
+
+@pytest.mark.parametrize("model, value", [("stacking", "-1"), ("stacking", "0"),
+                                          ("stacking+", "nan"), ("stacking+", "inf")])
+def test_train_rejects_a_stacking_alpha_that_is_not_positive_and_finite(
+        prep_dir, tmp_path, capsys, model, value):
+    # unchecked, -1 writes a NaN bundle and 0 one that eval crashes on
+    _train_writes_nothing(prep_dir, tmp_path, capsys, model, "--alpha", value)
+
+
 def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city",
                "--model", "stacking+", "--igr-top-percent", "40",
@@ -455,6 +482,35 @@ def test_eval_stack_bundle_with_float32_tensor_exits_2(stack_bundle, prep_dir, t
                "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
     assert rc == 2
     assert "tensor text:log_prob is float32, expected float64" in capsys.readouterr().err
+
+
+def _with_cell(bundle, tmp_path, section, value):
+    """A copy of `bundle` whose tensor `section` holds `value` in one cell."""
+    model_type, sections = bundle_io.read_sections(bundle)
+    t = bundle_io.decode_tensor(sections[section]).copy()
+    t.flat[t.size // 2] = value
+    sections[section] = bundle_io.encode_tensor(t)
+    bundle_io.write_sections(tmp_path / "cell.gtlm", model_type, list(sections.items()))
+    return tmp_path / "cell.gtlm"
+
+
+@pytest.mark.parametrize("bundle, section", [("cnn_bundle", "tensor:embedding"),
+                                             ("stack_bundle", "tensor:text:log_prob")])
+def test_eval_refuses_a_bundle_tensor_holding_nan(request, prep_dir, tmp_path, capsys,
+                                                  bundle, section):
+    bad = _with_cell(request.getfixturevalue(bundle), tmp_path, section, np.nan)
+    rc = main(["eval", "--model-file", str(bad),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert f"tensor {section.split(':', 1)[1]} holds NaN" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_eval_accepts_a_minus_inf_stack_prior(stack_bundle, prep_dir, tmp_path):
+    # the log prior of a class with no training documents
+    bad = _with_cell(stack_bundle, tmp_path, "tensor:meta:prior", -np.inf)
+    assert main(["eval", "--model-file", str(bad),
+                 "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")]) == 0
 
 
 @pytest.mark.parametrize("bundle", ["cnn_bundle", "stack_bundle"])
@@ -633,6 +689,15 @@ def test_predict_accounting_and_min_prob(cnn_bundle, prep_dir, tmp_path, capsys)
     kept = [json.loads(l) for l in (tmp_path / "high.jsonl").read_text().splitlines()]
     assert all(r["top_prob"] >= 0.9 for r in kept)
     assert len(kept) <= n_rows
+
+
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+def test_predict_rejects_a_min_prob_outside_0_1(cnn_bundle, prep_dir, tmp_path, capsys, value):
+    rc = main(["predict", "--model-file", str(cnn_bundle), "--input", str(prep_dir / "test.jsonl"),
+               "--out", str(tmp_path / "preds.jsonl"), f"--min-prob={value}"])
+    assert rc == 1
+    assert "--min-prob must lie in [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_predict_handles_malformed_and_empty(cnn_bundle, tmp_path):

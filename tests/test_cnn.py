@@ -4,6 +4,7 @@ import pytest
 from fdcheck import fd_sweep, smoothness_margin
 from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
                      forward_trace)
+from tweetgeo import cnn
 from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, backward, conv_names,
                           encode_features, forward, init_model, load_pretrained_embeddings,
                           param_shapes, predict_proba)
@@ -362,12 +363,13 @@ def test_load_pretrained_reports_bad_line_number(tmp_path):
         load_pretrained_embeddings(model, vec, vocab)
 
 
-def test_predict_proba_chunks_match_forward(rng):
+def test_predict_proba_chunks_match_forward(rng, monkeypatch):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=9)
     batch = tiny_batch(rng, cfg, b=10)
     whole = forward(model, batch, train=False).probs
-    chunked = predict_proba(model, batch, batch_size=3)
+    monkeypatch.setattr(cnn, "INFER_BATCH", 3)
+    chunked = predict_proba(model, batch)
     # float32 matmuls round differently across batch shapes
     assert chunked == pytest.approx(whole, abs=2e-6)
 

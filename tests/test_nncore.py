@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import adam_step_reference
-from tweetgeo.nncore import (AdamState, adam_step, cross_entropy_batch, dropout, relu,
-                             softmax)
-
-
-def test_relu_forward():
-    assert relu(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
-    assert not relu(np.array([-5.0, -0.1])).any()
+from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch, dropout, softmax
 
 
 def test_softmax_uniform_and_known_values():
