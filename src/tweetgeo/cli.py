@@ -38,6 +38,13 @@ def _windows_arg(s: str) -> tuple:
     return tuple(int(x) for x in str(s).split(","))
 
 
+def _min_count_arg(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"a frequency cutoff must be >= 1, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tweetgeo",
@@ -54,7 +61,7 @@ def build_parser():
                    help="fraction of users held out for test (default 0.10)")
     p.add_argument("--dev-users", type=int, default=50_000,
                    help="users whose tweets form the dev set (default 50000)")
-    p.add_argument("--min-count", type=int, default=10,
+    p.add_argument("--min-count", type=_min_count_arg, default=10,
                    help="vocabulary frequency cutoff (default 10)")
     p.set_defaults(func=cmd_prepare)
 
@@ -91,7 +98,7 @@ def build_parser():
     p.add_argument("--igr-top-percent", type=float, default=None,
                    help="stacking+: keep this %% of tokens by information gain ratio "
                         "(default 40 for city, 55 for country)")
-    p.add_argument("--min-count", type=int, default=10,
+    p.add_argument("--min-count", type=_min_count_arg, default=10,
                    help="frequency cutoff for stacking base vocabularies (default 10)")
     p.set_defaults(func=cmd_train)
 
@@ -148,6 +155,8 @@ def _apply_config_defaults(parser, commands: dict, overrides: dict):
 # commands
 
 def cmd_prepare(ns) -> int:
+    spec = ingest.SplitSpec(test_user_fraction=ns.test_fraction,
+                            dev_user_count=ns.dev_users, seed=ns.seed)
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = geo.load_city_table(ns.city_table)
@@ -156,8 +165,6 @@ def cmd_prepare(ns) -> int:
         raise DataError(f"{ns.data}: no usable records")
     geo.assign_cities(records, table)
     deduped = ingest.dedup_user_city(records, seed=ns.seed)
-    spec = ingest.SplitSpec(test_user_fraction=ns.test_fraction,
-                            dev_user_count=ns.dev_users, seed=ns.seed)
     train_recs, dev_recs, test_recs = ingest.split_by_user(deduped, spec)
 
     ingest.write_jsonl(train_recs, out / "train.jsonl")

@@ -8,9 +8,12 @@ applied, the categorical one-hot block is appended, and a softmax layer
 produces the label distribution.
 
 The convolution is computed once per distinct token of a batch rather than
-once per window position (see `forward`). Backward passes are written by
-hand; gradients flow only to the argmax pooling position of each filter
-(first position on ties) and never to the PAD embedding row.
+once per window position, and pooling stops at each field's first window
+that is PAD in every record of the batch (see `forward`). Scoring
+(`predict_proba`) keeps no argmax, since no backward follows. Backward
+passes are written by hand; gradients flow only to the argmax pooling
+position of each filter (first position on ties) and never to the PAD
+embedding row.
 """
 
 from __future__ import annotations
@@ -210,12 +213,26 @@ class ForwardPass:
 def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
             dropout_seed: int = 0) -> ForwardPass:
     """Run the classifier over a batch; train mode applies dropout to the
-    pooled vector before the categorical block is appended.
+    pooled vector before the categorical block is appended. In either mode
+    the pass keeps what `backward` reads.
 
     The filters are multiplied once per distinct token of the batch, over all
     four fields: Zu = E[uniq] @ Wcat.T, and window h at position p
     pre-activates to b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row
-    of E is zero, so an all-PAD window gives exactly b_h."""
+    of E is zero, so an all-PAD window gives exactly b_h.
+
+    Pooling stops at the first all-PAD window of each field: if the batch's
+    last real token of a field sits in column last - 1, window h is pooled
+    over positions [0, min(P, last + 1)). Every later window is also all PAD,
+    so it gets the same value as the one at `last`; neither the max nor the
+    first-max position changes."""
+    return _forward(model, batch, train, dropout_seed, keep_pools=True)
+
+
+def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: int,
+             keep_pools: bool) -> ForwardPass:
+    """`forward`; without keep_pools it skips the argmax and ReLU gate that
+    only `backward` reads, and the pass it returns cannot be back-propagated."""
     cfg = model.config
     m = cfg.filters_per_window
     offsets = _block_offsets(cfg)
@@ -224,28 +241,28 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
         if t.shape[1] < cfg.windows[-1]:
             raise ValueError(f"field {f} length {t.shape[1]} shorter than window "
                              f"{cfg.windows[-1]}")
-    uniq, inv = np.unique(np.concatenate([t.ravel() for t in tokens.values()]),
-                          return_inverse=True)
-    if uniq.size and (uniq[0] < 0 or uniq[-1] >= model.vocab_size):
-        raise ValueError("token index out of vocabulary range")
+    uniq, inv = _distinct(np.concatenate([t.ravel() for t in tokens.values()]),
+                          model.vocab_size)
     zu = model.embedding[uniq] @ _stacked_filters(model).T              # (U, sum(h)*m)
     inv_by_field, pools, pooled = {}, {}, {}
     start = 0
     for f, t in tokens.items():
         inv_f = inv_by_field[f] = inv[start:start + t.size].reshape(t.shape)
         start += t.size
+        real = np.flatnonzero((t != textproc.PAD_INDEX).any(axis=0))
+        last = real[-1] + 1 if real.size else 0        # one past the last real column
         for h in cfg.windows:
-            p = t.shape[1] - h + 1
+            p = min(t.shape[1] - h + 1, last + 1)
             c = offsets[h]
-            act = zu[inv_f[:, :p], c:c + m]                              # (B, P, m)
+            act = zu[inv_f[:, :p], c:c + m]                              # (B, p, m)
             for o in range(1, h):
                 act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
             act += model.params[conv_names(h)[1]]
             np.maximum(act, 0, out=act)
-            top = act.max(axis=1)
-            arg = (act == top[:, None, :]).argmax(axis=1)                # first max
-            pooled[f, h] = top
-            pools[f, h] = (arg, top > 0)
+            top = pooled[f, h] = act.max(axis=1)
+            if keep_pools:
+                arg = (act == top[:, None, :]).argmax(axis=1)            # first max
+                pools[f, h] = (arg, top > 0)
     theta = np.concatenate([pooled[f, h] for f in FIELDS for h in cfg.windows], axis=1)
     theta, mask = nncore.dropout(theta, cfg.dropout_rate, train=train, seed=dropout_seed)
 
@@ -254,6 +271,20 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     theta_hat = np.concatenate([theta, onehot], axis=1)          # (B, D)
     logits = theta_hat @ model.softmax_w.T + model.softmax_b
     return ForwardPass(nncore.softmax(logits), theta_hat, uniq, inv_by_field, pools, mask)
+
+
+def _distinct(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct ids and each id's index among them, as
+    np.unique(ids, return_inverse=True) gives them, through a presence table
+    over the vocabulary."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ValueError("token index out of vocabulary range")
+    present = np.zeros(vocab_size, dtype=bool)
+    present[ids] = True
+    uniq = np.flatnonzero(present)
+    slot = np.zeros(vocab_size, dtype=np.int64)
+    slot[uniq] = np.arange(uniq.size)
+    return uniq, slot[ids]
 
 
 def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str, np.ndarray]:
@@ -346,9 +377,9 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
 
 def predict_proba(model: CnnModel, batch: FeatureBatch) -> np.ndarray:
     """Inference-mode probabilities over the whole batch, INFER_BATCH records
-    at a time."""
+    at a time. No argmax or ReLU gate is kept, since no backward follows."""
     outs = []
     for s in range(0, batch.size, INFER_BATCH):
         idx = np.arange(s, min(s + INFER_BATCH, batch.size))
-        outs.append(forward(model, batch.take(idx), train=False).probs)
+        outs.append(_forward(model, batch.take(idx), False, 0, keep_pools=False).probs)
     return np.concatenate(outs, axis=0)

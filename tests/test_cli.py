@@ -407,6 +407,39 @@ def test_train_rejects_a_stacking_alpha_that_is_not_positive_and_finite(
     _train_writes_nothing(prep_dir, tmp_path, capsys, model, "--alpha", value)
 
 
+PREPARE_FLAG_ERRORS = {"--test-fraction": "test_user_fraction must be in (0, 1)",
+                       "--dev-users": "dev_user_count must be >= 0",
+                       "--min-count": "a frequency cutoff must be >= 1"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--test-fraction", "nan"), ("--test-fraction", "1.5"), ("--test-fraction", "-0.2"),
+    ("--dev-users", "-5"), ("--min-count", "-3"), ("--min-count", "0")])
+def test_prepare_rejects_a_bad_split_or_cutoff_before_writing(
+        corpus_dir, tmp_path, capsys, flag, value):
+    # unchecked until --out-dir existed, a bad split left an empty directory;
+    # a cutoff below 1 went into vocab.txt
+    out = tmp_path / "prep"
+    rc = main(["prepare", "--data", str(corpus_dir / "raw.jsonl"),
+               "--city-table", str(corpus_dir / "cities.csv"), "--out-dir", str(out),
+               f"{flag}={value}"])
+    assert rc == 1
+    assert PREPARE_FLAG_ERRORS[flag] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, value", [("stacking", "0"), ("stacking+", "-2"), ("cnn", "0")])
+def test_train_rejects_a_min_count_below_one(prep_dir, tmp_path, capsys, model, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", model,
+               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
+               *CNN_FLAGS, f"--min-count={value}"])
+    assert rc == 1
+    assert "a frequency cutoff must be >= 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city",
                "--model", "stacking+", "--igr-top-percent", "40",

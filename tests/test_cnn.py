@@ -92,13 +92,18 @@ def test_field_matrix_pad_rows_zero(rng):
 
 
 def test_field_matrix_rejects_out_of_range(rng):
+    # a negative id must not wrap around to a row at the end of the table
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=0)
-    for bad in (25, 20, -1):
+    runs = (lambda b: forward(model, b, train=False),
+            lambda b: forward(model, b, train=True, dropout_seed=1),
+            lambda b: predict_proba(model, b))
+    for bad in (25, 20, -1, -20, -21):
         batch = tiny_batch(rng, cfg)
         batch.tokens["profile_location"][1, 2] = bad
-        with pytest.raises(ValueError, match="out of vocabulary"):
-            forward(model, batch)
+        for run in runs:
+            with pytest.raises(ValueError, match="out of vocabulary range"):
+                run(batch)
 
 
 def text_conv_maxpool(X, w, b):
@@ -363,6 +368,15 @@ def test_load_pretrained_reports_bad_line_number(tmp_path):
         load_pretrained_embeddings(model, vec, vocab)
 
 
+@pytest.mark.parametrize("infer_batch", [10, 256])
+def test_predict_proba_in_one_chunk_equals_forward(rng, monkeypatch, infer_batch):
+    cfg = tiny_config()
+    model = init_model(cfg, 20, cat_block(), seed=9)
+    batch = tiny_batch(rng, cfg, b=10)
+    monkeypatch.setattr(cnn, "INFER_BATCH", infer_batch)
+    assert np.array_equal(predict_proba(model, batch), forward(model, batch, train=False).probs)
+
+
 def test_predict_proba_chunks_match_forward(rng, monkeypatch):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=9)
@@ -445,3 +459,74 @@ def test_forward_pass_caches_no_window_axis(rng):
     for a in cached:
         assert not window_axes & set(a.shape), a.shape
         assert a.ndim <= 2 and a.size <= batch.size * max(cfg.max_lens.values()) * 4
+
+
+def _pass_and_grads(model, batch, train):
+    fwd = forward(model, batch, train=train, dropout_seed=3)
+    return fwd, backward(model, fwd, batch.labels)
+
+
+def _with_pad_columns(batch, n):
+    return FeatureBatch({f: np.pad(t, ((0, 0), (0, n))) for f, t in batch.tokens.items()},
+                        batch.cat_positions, batch.labels)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [False, True])
+def test_trailing_pad_columns_change_nothing(train, dtype):
+    # every field already ends in an all-PAD window of each size, so more
+    # PAD columns add only windows equal to it; pooling stops at the first
+    # all-PAD window, so every output bit stays where it was
+    cfg = tiny_config(windows=(1, 2, 3), filters_per_window=3)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        model = init_model(cfg, 9, cat_block(), seed=seed).astype(dtype)
+        for h in cfg.windows:
+            model.params[conv_names(h)[1]][:] = rng.normal(scale=0.2, size=3)
+        reference = _reference_batch(rng, cfg)
+        batch = _with_pad_columns(reference, max(cfg.windows))
+        wide = _with_pad_columns(reference, max(cfg.windows) + 4)
+        fwd, grads = _pass_and_grads(model, batch, train)
+        wide_fwd, wide_grads = _pass_and_grads(model, wide, train)
+        assert np.array_equal(fwd.probs, wide_fwd.probs)
+        assert np.array_equal(fwd.theta_hat, wide_fwd.theta_hat)
+        assert list(grads) == list(wide_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], wide_grads[name]), name
+        if not train:
+            assert np.array_equal(predict_proba(model, batch), predict_proba(model, wide))
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_all_pad_field_and_inner_pad_match_dense_reference(train):
+    # profile_location is PAD in every record; text has PAD between real
+    # tokens and ends in columns that are PAD for the whole batch. Positive
+    # biases make the all-PAD window the max of some filters, so pooling
+    # must reach it, and dropping it would also move the argmax
+    cfg = tiny_config(windows=(1, 2, 3), filters_per_window=3, dropout_rate=0.25)
+    text = np.array([[4, 0, 5, 0, 0, 0], [6, 1, 7, 2, 0, 0], [3, 3, 0, 0, 0, 0]])
+    hit_pad_window = False
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        model = init_model(cfg, 9, cat_block(), seed=seed).astype(np.float64)
+        for h in cfg.windows:
+            model.params[conv_names(h)[1]][:] = rng.normal(loc=0.1, scale=0.2, size=3)
+        batch = _reference_batch(rng, cfg, b=3)
+        batch.tokens["text"] = text.copy()
+        batch.tokens["profile_location"][:] = 0
+        fwd = forward(model, batch, train=train, dropout_seed=seed)
+        ref = dense_forward(model, batch, train=train, dropout_seed=seed)
+        assert _rel_err(fwd.probs, ref[0]) <= 1e-12
+        assert _rel_err(fwd.theta_hat, ref[1]) <= 1e-12
+        grads = backward(model, fwd, batch.labels)
+        want = dense_backward(model, ref, batch.labels)
+        for name in grads:
+            assert _rel_err(grads[name], want[name]) <= 1e-12, name
+        for h in cfg.windows:
+            arg, gate = fwd._pools["text", h]
+            hit_pad_window |= bool((gate & (arg == 4)).any())   # the window at column 4
+            pad_arg, _ = fwd._pools["profile_location", h]
+            assert not pad_arg.any()                             # all-PAD: first position
+        if not train:
+            assert np.array_equal(predict_proba(model, batch), fwd.probs)
+    assert hit_pad_window
