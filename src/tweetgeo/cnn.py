@@ -207,7 +207,7 @@ class ForwardPass:
     _uniq: np.ndarray        # (U,) the batch's distinct token ids, ascending
     _inv: dict               # field -> (B, n) int64 index of each position's token in _uniq
     _pools: dict             # (field, h) -> (argmax (B, m), ReLU gate (B, m) bool)
-    _mask: np.ndarray        # dropout mask with survivor scaling
+    _mask: np.ndarray        # dropout mask with survivor scaling; None without keep_pools
 
 
 def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
@@ -231,8 +231,9 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
 
 def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: int,
              keep_pools: bool) -> ForwardPass:
-    """`forward`; without keep_pools it skips the argmax and ReLU gate that
-    only `backward` reads, and the pass it returns cannot be back-propagated."""
+    """`forward`; without keep_pools (inference only) it skips the argmax, the
+    ReLU gate and the dropout mask that only `backward` reads, and the pass it
+    returns cannot be back-propagated."""
     cfg = model.config
     m = cfg.filters_per_window
     offsets = _block_offsets(cfg)
@@ -264,7 +265,9 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
                 arg = (act == top[:, None, :]).argmax(axis=1)            # first max
                 pools[f, h] = (arg, top > 0)
     theta = np.concatenate([pooled[f, h] for f in FIELDS for h in cfg.windows], axis=1)
-    theta, mask = nncore.dropout(theta, cfg.dropout_rate, train=train, seed=dropout_seed)
+    mask = None
+    if keep_pools:
+        theta, mask = nncore.dropout(theta, cfg.dropout_rate, train=train, seed=dropout_seed)
 
     onehot = np.zeros((batch.size, model.cat_block_size), dtype=model.dtype)
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
@@ -377,9 +380,10 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
 
 def predict_proba(model: CnnModel, batch: FeatureBatch) -> np.ndarray:
     """Inference-mode probabilities over the whole batch, INFER_BATCH records
-    at a time. No argmax or ReLU gate is kept, since no backward follows."""
+    at a time. No argmax, ReLU gate or dropout mask is kept, since no backward
+    follows. A batch of 0 records gives a (0, L) matrix, as `forward` does."""
     outs = []
-    for s in range(0, batch.size, INFER_BATCH):
+    for s in range(0, max(batch.size, 1), INFER_BATCH):
         idx = np.arange(s, min(s + INFER_BATCH, batch.size))
         outs.append(_forward(model, batch.take(idx), False, 0, keep_pools=False).probs)
     return np.concatenate(outs, axis=0)

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DataError, open_utf8
 
 EARTH_RADIUS_KM = 6371.0
+# (point, city) distances computed at once by `assign_cities`; 2^16 float64
+# cells keep each temporary at 512 KiB, so memory does not grow with the corpus
+NEAREST_BLOCK_CELLS = 1 << 16
 
 
 def _check_coords(lat, lon):
@@ -34,12 +37,16 @@ def haversine_km(a, b):
     """
     lat1, lon1 = _check_coords(*a)
     lat2, lon2 = _check_coords(*b)
-    scalar = lat1.ndim == 0 and lat2.ndim == 0
+    d = _haversine(lat1, lon1, lat2, lon2)
+    return float(d) if lat1.ndim == 0 and lat2.ndim == 0 else d
+
+
+def _haversine(lat1, lon1, lat2, lon2):
+    """`haversine_km` on float64 arrays already checked, broadcasting."""
     p1, l1 = np.radians(lat1), np.radians(lon1)
     p2, l2 = np.radians(lat2), np.radians(lon2)
     h = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-    return float(d) if scalar else d
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 
 
 @dataclass(frozen=True)
@@ -85,22 +92,33 @@ class CityTable:
 
 
 def nearest_city(point, table: CityTable) -> int:
-    """city_id of the table city closest to (lat, lon); ties -> smallest id.
-
-    Cities are stored in ascending id order and np.argmin returns the first
-    minimum, which implements the tie-break.
-    """
+    """city_id of the table city closest to (lat, lon); ties -> smallest id."""
     lat, lon = point
-    d = haversine_km((np.full(len(table), lat), np.full(len(table), lon)),
-                     (table._lats, table._lons))
-    return int(table._ids[int(np.argmin(d))])
+    return int(_nearest_ids([lat], [lon], table)[0])
 
 
 def assign_cities(records, table: CityTable):
-    """Set record.city_id to the nearest table city for every record."""
-    for r in records:
-        r.city_id = nearest_city((r.lat, r.lon), table)
+    """Set record.city_id to the nearest table city for every record of a list."""
+    ids = _nearest_ids([r.lat for r in records], [r.lon for r in records], table)
+    for r, city_id in zip(records, ids.tolist()):
+        r.city_id = city_id
     return records
+
+
+def _nearest_ids(lat, lon, table: CityTable) -> np.ndarray:
+    """city_id of the nearest table city for each point, as an int64 array.
+
+    Distances are computed NEAREST_BLOCK_CELLS (point, city) pairs at a time,
+    each pair with the same float ops as a scalar `haversine_km` call. Cities
+    are stored in ascending id order and np.argmin returns the first minimum,
+    which implements the tie-break."""
+    lat, lon = _check_coords(lat, lon)
+    rows = max(1, NEAREST_BLOCK_CELLS // len(table))
+    nearest = np.empty(lat.shape, dtype=np.int64)
+    for s in range(0, lat.size, rows):
+        d = _haversine(lat[s:s + rows, None], lon[s:s + rows, None], table._lats, table._lons)
+        nearest[s:s + rows] = np.argmin(d, axis=1)
+    return table._ids[nearest]
 
 
 def aggregate_cities(raw: list[City], radius_km: float = 50.0) -> CityTable:

@@ -27,16 +27,9 @@ UNK_INDEX = 1
 URL_SENTINEL = "<url>"
 USER_SENTINEL = "<user>"
 
-_TOKEN_RE = re.compile(
-    r"""(?P<url>https?://\S+|www\.\S+)
-      | (?P<user>@\w+)
-      | (?P<hashtag>\#\w+)
-      | (?P<word>\w+)
-      | (?P<other>\S)
-    """,
-    re.VERBOSE | re.UNICODE,
-)
-
+# one flat alternation, matched in C by findall: URL, mention, hashtag, word,
+# any other non-space character, tried in that order at each position
+_TOKEN_RE = re.compile(r"https?://\S+|www\.\S+|@\w+|\#\w+|\w+|\S", re.UNICODE)
 _RUN_RE = re.compile(r"(.)\1{3,}", re.UNICODE)
 
 
@@ -54,15 +47,18 @@ def _squeeze_runs(token: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Split text into tokens; deterministic, empty string -> empty list."""
+    low = text.lower()
+    tokens = _TOKEN_RE.findall(low)
+    # without these the text holds no mention, no URL and no run to squeeze
+    if not ("@" in low or "://" in low or "www." in low or _RUN_RE.search(low)):
+        return tokens
     out = []
-    for m in _TOKEN_RE.finditer(text.lower()):
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "url":
+    for tok in tokens:
+        if tok.startswith(("http://", "https://", "www.")):
             out.append(URL_SENTINEL)
-        elif kind == "user":
+        elif tok[0] == "@" and len(tok) > 1:
             out.append(USER_SENTINEL)
-        elif kind in ("hashtag", "word"):
+        elif len(tok) > 3:
             out.append(_squeeze_runs(tok))
         else:
             out.append(tok)

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
+
+# `pytest --hypothesis-profile=ci` draws 1000 examples per property test
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

@@ -2,13 +2,15 @@
 
 Everything here is written with plain python loops and the math module (or
 exact Fractions), deliberately avoiding the library's own code paths. The
-exceptions are the two references at the end: the dense naive Bayes code
-that the sparse counts replaced, and the im2col CNN forward and backward and
-the out-of-place Adam that the distinct-token convolution and the in-place
-update replaced.
+exceptions are the references at the end: the dense naive Bayes code that
+the sparse counts replaced, the im2col CNN forward and backward and the
+out-of-place Adam that the distinct-token convolution and the in-place update
+replaced, and the match-by-match tokenizer that the one-pass tokenizer
+replaced.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from tweetgeo import nncore
 from tweetgeo.bayes import CsrCounts
 from tweetgeo.cnn import FIELDS, conv_names
+from tweetgeo.textproc import URL_SENTINEL, USER_SENTINEL
 
 EARTH_R = 6371.0
 
@@ -347,3 +350,41 @@ def adam_step_reference(param, grad, state):
     v_hat = state.v / (1.0 - beta2 ** state.t)
     param -= (state.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
     return param, state
+
+
+# --------------------------------------------------------------------------
+# match-by-match tokenizer: one named group per token kind, classified by
+# the group that matched, and a run squeeze on every hashtag and word
+
+_TOKEN_RE = re.compile(
+    r"""(?P<url>https?://\S+|www\.\S+)
+      | (?P<user>@\w+)
+      | (?P<hashtag>\#\w+)
+      | (?P<word>\w+)
+      | (?P<other>\S)
+    """,
+    re.VERBOSE | re.UNICODE,
+)
+
+_RUN_RE = re.compile(r"(.)\1{3,}", re.UNICODE)
+
+
+def _squeeze_runs(token: str) -> str:
+    return _RUN_RE.sub(lambda m: m.group(1) * 3, token)
+
+
+def tokenize_scan(text: str) -> list[str]:
+    """Split text into tokens; deterministic, empty string -> empty list."""
+    out = []
+    for m in _TOKEN_RE.finditer(text.lower()):
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "url":
+            out.append(URL_SENTINEL)
+        elif kind == "user":
+            out.append(USER_SENTINEL)
+        elif kind in ("hashtag", "word"):
+            out.append(_squeeze_runs(tok))
+        else:
+            out.append(tok)
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import shutil
@@ -227,6 +228,70 @@ def test_prepare_output_bytes_are_pinned(tmp_path, capsys):
                                        "train 4 / dev 1 / test 2; vocab 16\n")
     written = {p.name: p.read_bytes() for p in (tmp_path / "p").iterdir()}
     assert written == {name: text.encode("utf-8") for name, text in PINNED_PREPARE.items()}
+
+
+# texts that take the tokenizer's per-token path: mentions, URLs, hashtags,
+# letter runs and Unicode whose lowercase form changes length or letters
+GOLDEN_TEXTS = [
+    "@Bob check https://t.co/XyZ #NYC!!",
+    "WWW.Example.com/a?b=1 sooooo gooooood",
+    "wwww.x.com http:// x hhhttp://y.z",
+    "@ # @@x ##y !!!! ....",
+    "@aaaa #yaaaay __init__ ____ aaaa",
+    "İİİİ İstanbul STRAßE ΣΣΣΣ όσος",
+    "\U0001F600\U0001F600\U0001F600\U0001F600 café\u0301 e-mail a@b.c x://y",
+    "HTTPS://T.CO/Q mid@word 1111 2222222",
+]
+# (lat, lon) of planted tweets: on a city, halfway between two cities, at the
+# antipode of city 1 and at a pole
+GOLDEN_POINTS = [(-42.0, -174.0), (-42.0, -159.5), (42.0, 6.0), (90.0, 0.0), (-28.0, -116.0)]
+
+GOLDEN_SHA256 = {
+    "category_maps.json": "a4f7f3ff5f73d82e25727f95927872e7ebf1e0273e8c355ed1fd9f36b1304bb4",
+    "cities.csv": "e8999f6e0d3e1efb3d24b6098a27388d0636a02c2a4bfd98b61b834cd84f996a",
+    "dev.jsonl": "261c1541a7c721ac220bc9935b820e062576caa2b3760b1b0abe37cf85146c42",
+    "stats.csv": "bd69cbd2aa43092e60c7aa2b8a98f1bec50d49dfcc561dc89efae825a5d01cf1",
+    "test.jsonl": "7127f29b80556688bcd05e6749f791397a2885a50405ad3fc744de404569af28",
+    "train.jsonl": "4f18ae8bdfdc96d82313a639bd04291c18e594038356fff907ec627851b43294",
+    "vocab.txt": "0a51014a88bb5e72f0b220af174d20d60240fe497cd89fe018fbfa4846a04037",
+}
+
+
+def _golden_corpus(root: Path) -> None:
+    """A 6-city synth corpus plus 40 planted tweets of GOLDEN_TEXTS."""
+    write_corpus(SynthSpec(n_cities=6, n_countries=2, n_users=150, seed=13),
+                 root / "raw.jsonl", root / "cities.csv")
+    n = len(GOLDEN_TEXTS)
+    lines = []
+    for i in range(40):
+        lat, lon = GOLDEN_POINTS[i % len(GOLDEN_POINTS)]
+        lines.append(json.dumps({
+            "user_id": f"planted{i}", "text": GOLDEN_TEXTS[i % n],
+            "user_description": GOLDEN_TEXTS[(i + 1) % n],
+            "profile_location": GOLDEN_TEXTS[(i + 2) % n],
+            "user_name": GOLDEN_TEXTS[(i + 3) % n],
+            "tweet_lang": "en", "user_lang": "en", "timezone": f"tz{i % 3}",
+            "posted_at": 1000 + i, "lat": lat, "lon": lon, "country_code": "C0"},
+            ensure_ascii=False))
+    with open(root / "raw.jsonl", "a", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def test_prepare_golden_digest(tmp_path):
+    # sha256 of every file `prepare` writes on a synth corpus with planted
+    # tweets, so that nearest-city search and tokenizing stay byte for byte
+    _golden_corpus(tmp_path)
+    rc = main(["prepare", "--data", str(tmp_path / "raw.jsonl"),
+               "--city-table", str(tmp_path / "cities.csv"), "--out-dir", str(tmp_path / "p"),
+               "--seed", "5", "--test-fraction", "0.2", "--dev-users", "10",
+               "--min-count", "1"])
+    assert rc == 0
+    vocab = load_vocab(tmp_path / "p" / "vocab.txt").index_to_token
+    assert {"<user>", "<url>", "#yaaay", "sooo", "goood", "111", "www", "hhhttp", "σσσς",
+            "__init__"} <= set(vocab)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "p").iterdir()}
+    assert written == GOLDEN_SHA256
 
 
 NO_UNK_FIRST = '{"tweet_lang": ["en"], "user_lang": ["<unk-cat>"], "timezone": ["<unk-cat>"]}'

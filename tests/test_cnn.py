@@ -377,6 +377,16 @@ def test_predict_proba_in_one_chunk_equals_forward(rng, monkeypatch, infer_batch
     assert np.array_equal(predict_proba(model, batch), forward(model, batch, train=False).probs)
 
 
+def test_predict_proba_of_no_records_equals_forward(rng):
+    cfg = tiny_config()
+    model = init_model(cfg, 20, cat_block(), seed=9)
+    empty = tiny_batch(rng, cfg, b=3).take(np.arange(0))
+    probs = predict_proba(model, empty)
+    ref = forward(model, empty, train=False).probs
+    assert probs.shape == ref.shape == (0, cfg.label_count)
+    assert probs.dtype == ref.dtype
+
+
 def test_predict_proba_chunks_match_forward(rng, monkeypatch):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=9)

@@ -5,6 +5,8 @@ from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
                                Vocabulary, build_vocab, encode_tokens,
                                load_vocab, save_vocab, tokenize, vocab_to_bytes)
 
+from oracles import tokenize_scan
+
 
 def test_tokenize_lowercase_whitespace():
     assert tokenize("Hello NYC") == ["hello", "nyc"]
@@ -32,10 +34,38 @@ def test_tokenize_www_url():
     assert tokenize("see www.example.com now") == ["see", "<url>", "now"]
 
 
+@pytest.mark.parametrize("text, tokens", [
+    ("wwww.x.com", ["www", ".", "x", ".", "com"]),
+    ("http:// x", ["http", ":", "/", "/", "x"]),
+    ("@", ["@"]),
+    ("#", ["#"]),
+    ("!!!!", ["!", "!", "!", "!"]),
+    ("@aaaa", ["<user>"]),
+    ("#yaaaay", ["#yaaay"]),
+    ("İİİİ", ["i", "\u0307"] * 4),
+    ("__init__", ["__init__"]),
+])
+def test_tokenize_edge_cases(text, tokens):
+    assert tokenize(text) == tokens == tokenize_scan(text)
+
+
+# pieces that start or end URLs, mentions, hashtags and words, characters
+# whose lowercase form is longer or differs, and emoji; each may repeat
+TOKEN_PIECES = list("@#:/.wWhHtTpPsS_!a1 \n") + [
+    "http", "https", "www", "://", "İ", "ß", "Σ", "ς", "\u212a", "ǅ", "\u0307",
+    "\U0001F600"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(TOKEN_PIECES), st.integers(1, 5)), max_size=16)
+       .map(lambda runs: "".join(piece * n for piece, n in runs)))
+def test_tokenize_matches_scan_oracle(s):
+    assert tokenize(s) == tokenize_scan(s)
+
+
 @given(st.text(max_size=80))
 def test_tokenize_deterministic_and_spaceless(s):
     toks = tokenize(s)
-    assert toks == tokenize(s)
+    assert toks == tokenize(s) == tokenize_scan(s)
     assert all(t and not t.isspace() for t in toks)
 
 
