@@ -23,8 +23,9 @@ from .textproc import Vocabulary, build_vocab, tokenize
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
 CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
 
-GATHER_CELLS = 1 << 21   # (stored cell, class) products held at once by a posterior
-IGR_COLUMNS = 4096       # feature columns scored at once by igr_scores
+FOLDS = 5                # stacking cross-validation folds
+ALPHA = 1e-2             # additive smoothing of every MNB
+GATHER_CELLS = 1 << 21   # (cell, class) products a posterior or igr_scores holds at once
 _ONE_LINE = str.maketrans("\r\n", "  ")
 
 
@@ -130,7 +131,7 @@ def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
 
 
 def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
-            alpha: float = 1e-2) -> MnbModel:
+            alpha: float = ALPHA) -> MnbModel:
     """P(f|c) = (count(f,c) + alpha) / (sum_f count(f,c) + alpha*F);
     class prior = class document frequency."""
     if counts.n_cols == 0:
@@ -216,8 +217,9 @@ def igr_scores(counts: CsrCounts, labels: np.ndarray, n_classes: int) -> np.ndar
     present = _class_table(counts, labels, n_classes)
     totals = np.bincount(labels, minlength=n_classes)
     scores = np.empty(f)
-    for s in range(0, f, IGR_COLUMNS):
-        scores[s:s + IGR_COLUMNS] = _igr_columns(present[:, s:s + IGR_COLUMNS], totals)
+    block = max(1, GATHER_CELLS // n_classes)
+    for s in range(0, f, block):
+        scores[s:s + block] = _igr_columns(present[:, s:s + block], totals)
     return scores
 
 
@@ -245,8 +247,8 @@ class StackModel:
     base_vocabs: dict                # base field -> Vocabulary
     meta: MnbModel
     label_count: int
-    folds: int = 5
-    alpha: float = 1e-2
+    folds: int = FOLDS
+    alpha: float = ALPHA
     igr_percent: Optional[float] = None
 
     def meta_features(self, base_labels: np.ndarray) -> CsrCounts:
@@ -257,8 +259,8 @@ class StackModel:
                          k * self.label_count)
 
 
-def fit_stacking(records, labels, label_count: int, folds: int = 5,
-                 alpha: float = 1e-2, igr_percent: Optional[float] = None,
+def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
+                 alpha: float = ALPHA, igr_percent: Optional[float] = None,
                  min_count: int = 1) -> StackModel:
     """Two-layer stacking: five per-field MNB bases produce out-of-fold argmax
     labels (folds assigned round-robin by record position); a meta MNB is fit

@@ -56,13 +56,13 @@ def build_parser():
     p.add_argument("--data", required=True, help="raw JSONL corpus")
     p.add_argument("--city-table", required=True, help="city CSV (id,name,lat,lon,country,population)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float, default=0.10,
-                   help="fraction of users held out for test (default 0.10)")
-    p.add_argument("--dev-users", type=int, default=50_000,
-                   help="users whose tweets form the dev set (default 50000)")
-    p.add_argument("--min-count", type=_min_count_arg, default=10,
-                   help="vocabulary frequency cutoff (default 10)")
+    p.add_argument("--seed", type=int, default=ingest.SplitSpec.seed)
+    p.add_argument("--test-fraction", type=float, default=ingest.SplitSpec.test_user_fraction,
+                   help="fraction of users held out for test (default %(default)s)")
+    p.add_argument("--dev-users", type=int, default=ingest.SplitSpec.dev_user_count,
+                   help="users whose tweets form the dev set (default %(default)s)")
+    p.add_argument("--min-count", type=_min_count_arg, default=textproc.MIN_COUNT,
+                   help="vocabulary frequency cutoff (default %(default)s)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model on a prepared directory")
@@ -71,35 +71,38 @@ def build_parser():
     p.add_argument("--model", required=True, choices=("cnn", "stacking", "stacking+"))
     p.add_argument("--out", required=True, help="model bundle path")
     p.add_argument("--log", help="per-epoch training log CSV (cnn only)")
-    p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
-    p.add_argument("--embed-dim", type=int, default=300,
-                   help="word vector dimension (default 300)")
-    p.add_argument("--windows", type=_windows_arg, default=(3, 4, 5),
-                   help="comma-separated filter window sizes (default 3,4,5)")
-    p.add_argument("--filters", type=int, default=128,
-                   help="filters per window size (default 128)")
-    p.add_argument("--dropout", type=float, default=0.5,
-                   help="dropout rate on the pooled vector (default 0.5)")
-    p.add_argument("--batch-size", type=int, default=1024,
-                   help="mini-batch size (default 1024)")
-    p.add_argument("--lr", type=float, default=1e-3,
-                   help="Adam learning rate (default 0.001)")
-    p.add_argument("--max-epochs", type=int, default=20,
-                   help="epoch budget (default 20)")
-    p.add_argument("--patience", type=int, default=3,
-                   help="dev evaluations without improvement before stopping (default 3)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="training seed (default %(default)s)")
+    p.add_argument("--embed-dim", type=int, default=CnnConfig.embed_dim,
+                   help="word vector dimension (default %(default)s)")
+    # a string default goes through `type` too, and help shows it in the flag's form
+    p.add_argument("--windows", type=_windows_arg, default=",".join(map(str, CnnConfig.windows)),
+                   help="comma-separated filter window sizes (default %(default)s)")
+    p.add_argument("--filters", type=int, default=CnnConfig.filters_per_window,
+                   help="filters per window size (default %(default)s)")
+    p.add_argument("--dropout", type=float, default=CnnConfig.dropout_rate,
+                   help="dropout rate on the pooled vector (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="mini-batch size (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr,
+                   help="Adam learning rate (default %(default)s)")
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs,
+                   help="epoch budget (default %(default)s)")
+    p.add_argument("--patience", type=int, default=TrainConfig.patience,
+                   help="dev evaluations without improvement before stopping (default %(default)s)")
     for f, n in DEFAULT_MAX_LENS.items():
         p.add_argument(f"--max-len-{f.replace('_', '-')}", type=int, default=n,
-                       help=f"token budget for the {f} field (default {n})")
+                       help=f"token budget for the {f} field (default %(default)s)")
     p.add_argument("--vectors", help="pretrained embedding text file ('<count> <dim>' header)")
-    p.add_argument("--alpha", type=float, default=1e-2,
-                   help="naive Bayes additive smoothing (default 0.01)")
-    p.add_argument("--folds", type=int, default=5, help="stacking folds (default 5)")
+    p.add_argument("--alpha", type=float, default=bayes.ALPHA,
+                   help="naive Bayes additive smoothing (default %(default)s)")
+    p.add_argument("--folds", type=int, default=bayes.FOLDS,
+                   help="stacking folds (default %(default)s)")
     p.add_argument("--igr-top-percent", type=float, default=None,
-                   help="stacking+: keep this %% of tokens by information gain ratio "
-                        "(default 40 for city, 55 for country)")
-    p.add_argument("--min-count", type=_min_count_arg, default=10,
-                   help="frequency cutoff for stacking base vocabularies (default 10)")
+                   help="stacking+: keep this %% of tokens by information gain ratio (default "
+                        + ", ".join(f"{v:g} for {t}" for t, v in IGR_DEFAULTS.items()) + ")")
+    p.add_argument("--min-count", type=_min_count_arg, default=textproc.MIN_COUNT,
+                   help="frequency cutoff for stacking base vocabularies (default %(default)s)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model bundle on a labeled test split")
@@ -157,8 +160,6 @@ def _apply_config_defaults(parser, commands: dict, overrides: dict):
 def cmd_prepare(ns) -> int:
     spec = ingest.SplitSpec(test_user_fraction=ns.test_fraction,
                             dev_user_count=ns.dev_users, seed=ns.seed)
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = geo.load_city_table(ns.city_table)
     records, skipped = ingest.read_jsonl(ns.data)
     if not records:
@@ -167,6 +168,8 @@ def cmd_prepare(ns) -> int:
     deduped = ingest.dedup_user_city(records, seed=ns.seed)
     train_recs, dev_recs, test_recs = ingest.split_by_user(deduped, spec)
 
+    out = Path(ns.out_dir)    # made only once the splits exist, so a failure leaves none
+    out.mkdir(parents=True, exist_ok=True)
     ingest.write_jsonl(train_recs, out / "train.jsonl")
     ingest.write_jsonl(dev_recs, out / "dev.jsonl")
     ingest.write_jsonl(test_recs, out / "test.jsonl")

@@ -94,7 +94,6 @@ class CnnModel:
 
     config: CnnConfig
     params: dict                               # name -> ndarray
-    cat_block_size: int
 
     @property
     def embedding(self) -> np.ndarray:
@@ -117,10 +116,13 @@ class CnnModel:
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 
+    @property
+    def cat_block_size(self) -> int:
+        return self.softmax_w.shape[1] - self.config.pooled_size
+
     def astype(self, dtype) -> "CnnModel":
         """Copy of the model with all tensors cast to dtype (for 64-bit checks)."""
-        return CnnModel(self.config, {n: p.astype(dtype) for n, p in self.params.items()},
-                        self.cat_block_size)
+        return CnnModel(self.config, {n: p.astype(dtype) for n, p in self.params.items()})
 
 
 def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
@@ -140,7 +142,7 @@ def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
         else:
             p = np.zeros(shape, dtype=np.float32)
         params[name] = p
-    return CnnModel(config, params, cat_block_size)
+    return CnnModel(config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +372,14 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
                 if i == textproc.PAD_INDEX:
                     continue
                 try:
-                    model.embedding[i] = np.array([float(v) for v in cols[1:]],
-                                                  dtype=model.dtype)
+                    row = np.array([float(v) for v in cols[1:]])
                 except ValueError as e:
                     raise DataError(f"{path}:{ln}: bad float: {e}") from e
+                # NaN fails the comparison; a float32 row takes no value past its range
+                if not np.all(np.abs(row) <= np.finfo(model.dtype).max):
+                    raise DataError(f"{path}:{ln}: values must be finite and within "
+                                    f"{model.dtype} range")
+                model.embedding[i] = row
                 loaded += 1
     return loaded
 

@@ -26,6 +26,7 @@ UNK_INDEX = 1
 
 URL_SENTINEL = "<url>"
 USER_SENTINEL = "<user>"
+MIN_COUNT = 10   # the paper's vocabulary frequency cutoff
 
 # one flat alternation, matched in C by findall: URL, mention, hashtag, word,
 # any other non-space character, tried in that order at each position
@@ -99,7 +100,7 @@ class Vocabulary:
         return self.index_to_token[2:]
 
 
-def build_vocab(token_streams: Iterable[Iterable[str]], min_count: int = 10) -> Vocabulary:
+def build_vocab(token_streams: Iterable[Iterable[str]], min_count: int = MIN_COUNT) -> Vocabulary:
     """Count tokens across all streams and keep those with frequency >= min_count."""
     kept = ranked_by_frequency(chain.from_iterable(token_streams), min_count)
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_count=min_count)

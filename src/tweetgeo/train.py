@@ -61,7 +61,10 @@ class TrainResult:
 
 
 def _dev_accuracy(model: CnnModel, dev: FeatureBatch) -> float:
+    """NaN when a probability is not finite."""
     probs = predict_proba(model, dev)
+    if not np.isfinite(probs).all():
+        return math.nan
     return float(np.mean(np.argmax(probs, axis=1) == dev.labels))
 
 
@@ -70,7 +73,8 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
           vectors_path=None, vocab: Optional[Vocabulary] = None) -> TrainResult:
     """Train a freshly initialized model; keep the parameters of the epoch
     with the best dev accuracy and stop once `patience` evaluations pass
-    without improvement."""
+    without improvement. An epoch whose mean loss or dev probabilities are
+    not finite is a ValueError."""
     if train_feats.size == 0:
         raise DataError("empty training split")
     if dev_feats.size == 0:
@@ -103,13 +107,16 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
             for name, p in model.params.items():
                 adam_step(p, grads[name], states[name])
             step += 1
-        dev_acc = _dev_accuracy(model, dev_feats)
+        loss, dev_acc = float(np.mean(losses)), _dev_accuracy(model, dev_feats)
+        if not (math.isfinite(loss) and math.isfinite(dev_acc)):
+            raise ValueError(f"training diverged at epoch {epoch}: mean loss {loss}, dev "
+                             f"accuracy {dev_acc}; try a learning rate (--lr) below {tcfg.lr:g}")
         if dev_acc > best_acc:
             best_acc, best_epoch, stale = dev_acc, epoch, 0
             best = {name: p.copy() for name, p in model.params.items()}
         else:
             stale += 1
-        log.append(EpochLog(epoch, float(np.mean(losses)), dev_acc, best_acc))
+        log.append(EpochLog(epoch, loss, dev_acc, best_acc))
         if stale >= tcfg.patience:
             break
     model.params = best
@@ -127,7 +134,6 @@ def write_train_log(path, log: list):
 # ---------------------------------------------------------------------------
 # model bundles
 
-_CNN_MODEL_KEYS = ("cat_block_size", "vocab_size")     # CNN config keys beside CnnConfig's
 _STACK_CONFIG_KEYS = ("label_count", "folds", "alpha", "igr_percent")
 
 
@@ -211,9 +217,8 @@ class CnnBundle:
 def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
                labels: LabelTable, path):
     """Write a CNN bundle; load_model(save_model(...)) is bit-exact."""
-    config = dataclasses.asdict(model.config) | {k: getattr(model, k) for k in _CNN_MODEL_KEYS}
     sections = [
-        ("config", bundle_io.encode_json(config)),
+        ("config", bundle_io.encode_json(dataclasses.asdict(model.config))),
         ("vocabulary", vocab_to_bytes(vocab)),
         ("category_maps", bundle_io.encode_json(maps.value_lists())),
         ("label_table", bundle_io.encode_json(dataclasses.asdict(labels))),
@@ -223,20 +228,14 @@ def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
 
 
 def _cnn_bundle(r: _Reader) -> CnnBundle:
-    names = [f.name for f in dataclasses.fields(CnnConfig)]
-    c = r.config(names + list(_CNN_MODEL_KEYS), _int_fields(CnnConfig) | set(_CNN_MODEL_KEYS))
-    cfg = r.checked("config", lambda: CnnConfig(**{name: c[name] for name in names}))
+    c = r.config([f.name for f in dataclasses.fields(CnnConfig)], _int_fields(CnnConfig))
+    cfg = r.checked("config", lambda: CnnConfig(**c))
     vocab = r.vocab("vocabulary")
     maps = r.json("category_maps", CategoryMaps.from_value_lists)
     labels = r.labels(cfg.label_count)
-    if maps.block_size != c["cat_block_size"]:
-        raise r.error("category maps do not match the stored block size")
-    if len(vocab) != c["vocab_size"]:
-        raise r.error(f"vocabulary size {len(vocab)} != embedding rows")
-
-    shapes = param_shapes(cfg, c["vocab_size"], c["cat_block_size"])
+    shapes = param_shapes(cfg, len(vocab), maps.block_size)
     params = {name: r.tensor(name, np.float32, shape) for name, shape in shapes.items()}
-    return CnnBundle(CnnModel(cfg, params, c["cat_block_size"]), vocab, maps, labels)
+    return CnnBundle(CnnModel(cfg, params), vocab, maps, labels)
 
 
 @dataclass

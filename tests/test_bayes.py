@@ -258,6 +258,24 @@ def test_igr_scores_match_oracle_per_column(rng):
         assert scores[j] == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
 
 
+@pytest.mark.parametrize("gather_cells", [1, 7, 40])
+def test_igr_scores_in_column_blocks_match_oracle(rng, monkeypatch, gather_cells):
+    # a block holds GATHER_CELLS // 3 (feature, class) columns: 1, 2 and 13 here
+    tokens = [[f"w{int(w)}" for w in rng.integers(0, 30, size=int(rng.integers(0, 8)))]
+              for _ in range(80)]
+    labels = rng.integers(0, 3, size=80)
+    vocab = build_vocab(tokens, min_count=1)
+    counts = count_matrix_dense(tokens, vocab)
+    whole = igr_scores(csr_counts(counts), labels, 3)
+    monkeypatch.setattr(bayes, "GATHER_CELLS", gather_cells)
+    scores = igr_scores(csr_counts(counts), labels, 3)
+    assert scores.tobytes() == whole.tobytes()
+    docs = np.bincount(labels, minlength=3)
+    for j in range(len(vocab)):
+        present = np.bincount(labels[counts[:, j] > 0], minlength=3)
+        assert scores[j] == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
+
+
 def test_igr_ties_are_bit_equal_and_ranked_lexicographically(rng):
     # tokens whose per-class presence counts are permutations of each other
     # over equal-size classes have equal IGR; rounding must not order them

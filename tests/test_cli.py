@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import shlex
 import shutil
@@ -8,12 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tweetgeo import bundle as bundle_io, cli, ingest
+from tweetgeo import bayes, bundle as bundle_io, cli, ingest
+from tweetgeo.bayes import StackModel, fit_stacking
 from tweetgeo.cli import main
-from tweetgeo.cnn import FIELDS
+from tweetgeo.cnn import FIELDS, CnnConfig
 from tweetgeo.synth import SynthSpec, write_corpus
-from tweetgeo.textproc import load_vocab
-from tweetgeo.train import load_stack_model
+from tweetgeo.textproc import build_vocab, load_vocab
+from tweetgeo.train import TrainConfig, load_stack_model
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +353,13 @@ def _vectors_not_utf8(c):
             "--out", str(c.tmp / "c.gtlm"), "--vectors", str(c.tmp / "vec.txt"), *CNN_FLAGS]
 
 
+def _vectors_not_finite(c):
+    word = load_vocab(c.prep / "vocab.txt").content_tokens[0]
+    (c.tmp / "vec.txt").write_text(f"1 16\n{word}" + " nan" * 16 + "\n")
+    return ["train", "--prep-dir", str(c.prep), "--task", "city", "--model", "cnn",
+            "--out", str(c.tmp / "c.gtlm"), "--vectors", str(c.tmp / "vec.txt"), *CNN_FLAGS]
+
+
 def _predict_argv(c, input_path, out):
     return ["predict", "--model-file", str(c.bundle()), "--input", input_path, "--out", out]
 
@@ -376,6 +385,9 @@ BAD_INPUT_CASES = {
         lambda c, out, err: f"{c.tmp / 'cities.csv'}: not UTF-8" in err),
     "train-vectors-not-utf8": (2, _vectors_not_utf8,
                                lambda c, out, err: f"{c.tmp / 'vec.txt'}: not UTF-8" in err),
+    "train-vectors-not-finite": (2, _vectors_not_finite, lambda c, out, err: (
+        f"{c.tmp / 'vec.txt'}:2: values must be finite" in err
+        and not (c.tmp / "c.gtlm").exists())),
     "config-missing": (2, lambda c: ["--config", str(c.tmp / "none.cfg")] + _prepare_argv(c),
                        lambda c, out, err: str(c.tmp / "none.cfg") in err),
     "config-directory": (2, lambda c: _config_argv(c, Path.mkdir),
@@ -472,25 +484,105 @@ def test_train_rejects_a_stacking_alpha_that_is_not_positive_and_finite(
     _train_writes_nothing(prep_dir, tmp_path, capsys, model, "--alpha", value)
 
 
-PREPARE_FLAG_ERRORS = {"--test-fraction": "test_user_fraction must be in (0, 1)",
-                       "--dev-users": "dev_user_count must be >= 0",
-                       "--min-count": "a frequency cutoff must be >= 1"}
+TEST_FRACTION_ERROR = (1, "test_user_fraction must be in (0, 1)")
+MIN_COUNT_ERROR = (1, "a frequency cutoff must be >= 1")
+# (flag, value) -> (exit code, what stderr shows); a --data or --city-table
+# value names a file in the test's directory
+PREPARE_FLAG_ERRORS = {
+    ("--test-fraction", "nan"): TEST_FRACTION_ERROR,
+    ("--test-fraction", "1.5"): TEST_FRACTION_ERROR,
+    ("--test-fraction", "-0.2"): TEST_FRACTION_ERROR,
+    ("--dev-users", "-5"): (1, "dev_user_count must be >= 0"),
+    ("--min-count", "-3"): MIN_COUNT_ERROR,
+    ("--min-count", "0"): MIN_COUNT_ERROR,
+    ("--dev-users", "50000"): (1, "dev_user_count 50000 >= 378 non-test users"),
+    ("--city-table", "missing.csv"): (2, "missing.csv"),
+    ("--data", "no-records.jsonl"): (2, "no-records.jsonl: no usable records"),
+}
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--test-fraction", "nan"), ("--test-fraction", "1.5"), ("--test-fraction", "-0.2"),
-    ("--dev-users", "-5"), ("--min-count", "-3"), ("--min-count", "0")])
+@pytest.mark.parametrize("flag, value", list(PREPARE_FLAG_ERRORS))
 def test_prepare_rejects_a_bad_split_or_cutoff_before_writing(
         corpus_dir, tmp_path, capsys, flag, value):
     # unchecked until --out-dir existed, a bad split left an empty directory;
-    # a cutoff below 1 went into vocab.txt
+    # a cutoff below 1 went into vocab.txt. A missing city table, a corpus
+    # with no usable record or a split that cannot be made also left one.
+    rc_expected, message = PREPARE_FLAG_ERRORS[flag, value]
+    (tmp_path / "no-records.jsonl").write_text("{not json\n")
+    if flag in ("--data", "--city-table"):
+        value = tmp_path / value
     out = tmp_path / "prep"
     rc = main(["prepare", "--data", str(corpus_dir / "raw.jsonl"),
                "--city-table", str(corpus_dir / "cities.csv"), "--out-dir", str(out),
                f"{flag}={value}"])
-    assert rc == 1
-    assert PREPARE_FLAG_ERRORS[flag] in capsys.readouterr().err
+    assert rc == rc_expected
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults(corpus_dir, prep_dir, tmp_path, monkeypatch):
+    # each default is read from the type or constant that owns it
+    class Stop(Exception):
+        pass
+
+    seen = {}
+
+    def stop_at(name):
+        def record(*args, **kwargs):
+            seen[name] = args, kwargs
+            raise Stop
+        return record
+
+    monkeypatch.setattr(ingest, "split_by_user", stop_at("split"))
+    monkeypatch.setattr(cli, "train", stop_at("cnn"))
+    monkeypatch.setattr(bayes, "fit_stacking", stop_at("stacking"))
+    parser, _ = cli.build_parser()
+    prepare = parser.parse_args(["prepare", "--data", str(corpus_dir / "raw.jsonl"),
+                                 "--city-table", str(corpus_dir / "cities.csv"),
+                                 "--out-dir", str(tmp_path / "p")])
+    train = {model: parser.parse_args(["train", "--prep-dir", str(prep_dir), "--task", "city",
+                                       "--model", model, "--out", str(tmp_path / "m.gtlm")])
+             for model in ("cnn", "stacking")}
+    for ns in (prepare, *train.values()):
+        with pytest.raises(Stop):
+            ns.func(ns)
+    assert seen["split"][0][1] == ingest.SplitSpec()
+    ccfg, tcfg = seen["cnn"][0][2:4]
+    assert ccfg == CnnConfig(label_count=4)
+    assert tcfg == TrainConfig()
+    stacking = inspect.signature(fit_stacking).parameters
+    kwargs = seen["stacking"][1]
+    assert kwargs["folds"] == stacking["folds"].default == StackModel.folds
+    assert kwargs["alpha"] == stacking["alpha"].default == StackModel.alpha
+    # one frequency cutoff for both --min-count flags and build_vocab
+    assert prepare.min_count == kwargs["min_count"] == \
+        inspect.signature(build_vocab).parameters["min_count"].default
+
+
+@pytest.mark.parametrize("command", list(cli.build_parser()[1]))
+def test_every_subcommand_help_renders(capsys, command):
+    # argparse expands a help string's %(default)s only when it renders that help
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: tweetgeo {command}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflows of diverging
+@pytest.mark.parametrize("flags, shows", [
+    ([], "mean loss nan"), (["--batch-size", "100000", "--max-epochs", "1"], "dev accuracy nan")],
+    ids=["many-steps", "one-step"])
+def test_train_that_diverges_writes_nothing(prep_dir, tmp_path, capsys, flags, shows):
+    # unchecked, it logged nan for every epoch and wrote a bundle eval refused;
+    # an epoch of one step has a finite loss, taken before the step blew up
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
+               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
+               *CNN_FLAGS, *flags, "--lr", "1e30"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "training diverged at epoch 1:" in err and shows in err
+    assert "--lr" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("model, value", [("stacking", "0"), ("stacking+", "-2"), ("cnn", "0")])
@@ -543,7 +635,7 @@ def test_eval_stack_bundle_missing_section_exits_2(stack_bundle, prep_dir, tmp_p
     assert repr(section) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bundle, key", [("cnn_bundle", "embed_dim"), ("cnn_bundle", "vocab_size"),
+@pytest.mark.parametrize("bundle, key", [("cnn_bundle", "embed_dim"), ("cnn_bundle", "label_count"),
                                          ("stack_bundle", "alpha"), ("stack_bundle", "folds")])
 def test_eval_bundle_config_missing_key_exits_2(request, prep_dir, tmp_path, capsys, bundle, key):
     model_type, sections = bundle_io.read_sections(request.getfixturevalue(bundle))

@@ -368,6 +368,19 @@ def test_load_pretrained_reports_bad_line_number(tmp_path):
         load_pretrained_embeddings(model, vec, vocab)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
+def test_load_pretrained_rejects_values_a_float32_row_cannot_hold(tmp_path, value):
+    # unchecked, a NaN row trained to a bundle that eval then refused
+    vocab = build_vocab([["a"] * 2], min_count=2)
+    model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
+    before = model.embedding.copy()
+    vec = tmp_path / "vectors.txt"
+    vec.write_text(f"1 4\na 1 2 {value} 4\n")
+    with pytest.raises(DataError, match=f"{vec}:2: values must be finite"):
+        load_pretrained_embeddings(model, vec, vocab)
+    assert model.embedding.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("infer_batch", [10, 256])
 def test_predict_proba_in_one_chunk_equals_forward(rng, monkeypatch, infer_batch):
     cfg = tiny_config()

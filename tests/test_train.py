@@ -8,11 +8,11 @@ from conftest import make_record
 from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.bayes import fit_stacking
 from tweetgeo.cnn import CnnConfig, backward, encode_features, forward, init_model
-from tweetgeo.encode import build_category_maps
+from tweetgeo.encode import CategoryMaps, build_category_maps
 from tweetgeo.errors import BundleError, DataError
 from tweetgeo.labels import LabelTable, country_labels
 from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch
-from tweetgeo.textproc import build_vocab
+from tweetgeo.textproc import Vocabulary, build_vocab
 from tweetgeo.train import (CnnBundle, TrainConfig, load_bundle, load_model,
                             load_stack_model, save_model, save_stack_model, train,
                             write_train_log)
@@ -339,10 +339,16 @@ def test_decode_tensor_rejects_more_axes_than_numpy_supports():
         bundle_io.decode_tensor(payload)
 
 
-CNN_CONFIG_JSON = (b'{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim": 8, '
+CNN_CONFIG_JSON = (b'{"dropout_rate": 0.3, "embed_dim": 8, '
                    b'"filters_per_window": 4, "label_count": 3, "max_lens": '
                    b'{"profile_location": 4, "text": 8, "user_description": 6, "user_name": 3}, '
-                   b'"vocab_size": 16, "windows": [2, 3]}')
+                   b'"windows": [2, 3]}')
+# the same config from writers that also stored the sizes the vocabulary and
+# category-map sections fix
+OLD_CNN_CONFIG_JSON = (b'{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim": 8, '
+                       b'"filters_per_window": 4, "label_count": 3, "max_lens": '
+                       b'{"profile_location": 4, "text": 8, "user_description": 6, '
+                       b'"user_name": 3}, "vocab_size": 16, "windows": [2, 3]}')
 CNN_SECTIONS = ["config", "vocabulary", "category_maps", "label_table", "tensor:embedding",
                 "tensor:conv_w_h2", "tensor:conv_b_h2", "tensor:conv_w_h3", "tensor:conv_b_h3",
                 "tensor:softmax_w", "tensor:softmax_b"]
@@ -366,14 +372,12 @@ def test_cnn_bundle_layout_is_pinned(bundle_files):
     assert sections["config"] == CNN_CONFIG_JSON
 
 
-def test_bundle_with_a_share_filters_key_loads_and_scores_the_same(bundle_files, tmp_path):
-    # writers that still had a per-field filter layout stored "share_filters":
-    # true in the config of every shared-filter bundle; such a bundle loads,
-    # scores the same, and saves back without the key
+def _old_config_loads_the_same(bundle_files, tmp_path, config: bytes):
+    """A copy of the CNN bundle with this config loads, scores the same, and
+    saves back to the current bytes."""
     bundles, d = bundle_files
     model_type, sections = bundle_io.read_sections(d / "cnn.gtlm")
-    sections["config"] = CNN_CONFIG_JSON.replace(b'"vocab_size"',
-                                                 b'"share_filters": true, "vocab_size"')
+    sections["config"] = config
     bundle_io.write_sections(tmp_path / "old.gtlm", model_type, list(sections.items()))
     old = load_model(tmp_path / "old.gtlm")
     recs, ys = corpus(4, seed=5)
@@ -381,6 +385,32 @@ def test_bundle_with_a_share_filters_key_loads_and_scores_the_same(bundle_files,
         cli._probabilities(load_model(d / "cnn.gtlm"), recs).tobytes()
     save_model(old.model, old.vocab, old.maps, old.labels, tmp_path / "resaved.gtlm")
     assert (tmp_path / "resaved.gtlm").read_bytes() == (d / "cnn.gtlm").read_bytes()
+
+
+def test_bundle_with_a_share_filters_key_loads_and_scores_the_same(bundle_files, tmp_path):
+    # writers that still had a per-field filter layout stored "share_filters":
+    # true in the config of every shared-filter bundle
+    _old_config_loads_the_same(bundle_files, tmp_path, OLD_CNN_CONFIG_JSON.replace(
+        b'"vocab_size"', b'"share_filters": true, "vocab_size"'))
+
+
+def test_bundle_with_stored_sizes_loads_and_scores_the_same(bundle_files, tmp_path):
+    _old_config_loads_the_same(bundle_files, tmp_path, OLD_CNN_CONFIG_JSON)
+
+
+@pytest.mark.parametrize("grow, tensor", [("vocabulary", "embedding"),
+                                          ("category_maps", "softmax_w")])
+def test_load_rejects_sections_that_do_not_fit_the_tensors(tmp_path, grow, tensor):
+    # the vocabulary fixes the embedding rows, the category maps softmax_w's columns
+    model, vocab, maps, labels, feats, path = _trained_bundle(tmp_path)
+    if grow == "vocabulary":
+        vocab = Vocabulary(vocab.index_to_token + ["extra"], min_count=vocab.min_count)
+    else:
+        lists = maps.value_lists()
+        maps = CategoryMaps.from_value_lists(lists | {"timezone": lists["timezone"] + ["Mars"]})
+    save_model(model, vocab, maps, labels, tmp_path / "bad.gtlm")
+    with pytest.raises(BundleError, match=f"tensor {tensor} has shape"):
+        load_model(tmp_path / "bad.gtlm")
 
 
 def test_stack_bundle_layout_is_pinned(bundle_files):
