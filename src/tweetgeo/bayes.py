@@ -115,21 +115,6 @@ def _class_table(counts: CsrCounts, labels: np.ndarray, n_classes: int,
                        minlength=n_classes * f).reshape(n_classes, f)
 
 
-def _class_counts(counts: CsrCounts, labels: np.ndarray,
-                  n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Summed counts per (class, feature), (L, F), and documents per class, (L,)."""
-    return (_class_table(counts, labels, n_classes, counts.counts),
-            np.bincount(labels, minlength=n_classes).astype(np.float64))
-
-
-def _mnb(fc: np.ndarray, class_n: np.ndarray, alpha: float) -> MnbModel:
-    f = fc.shape[1]
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(class_n / class_n.sum())
-        log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True) + alpha * f)
-    return MnbModel(log_prior, log_prob)
-
-
 def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
             alpha: float = ALPHA) -> MnbModel:
     """P(f|c) = (count(f,c) + alpha) / (sum_f count(f,c) + alpha*F);
@@ -138,8 +123,14 @@ def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
         raise ValueError("counts must be (n_docs, n_features) with n_features >= 1")
     if counts.shape[0] == 0:
         raise ValueError("cannot fit on an empty corpus")
-    fc, class_n = _class_counts(counts, np.asarray(labels), n_classes)
-    return _mnb(fc, class_n, alpha)
+    labels = np.asarray(labels)
+    fc = _class_table(counts, labels, n_classes, counts.counts)
+    class_n = np.bincount(labels, minlength=n_classes).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(class_n / class_n.sum())
+        log_prob = np.log(fc + alpha) - np.log(fc.sum(axis=1, keepdims=True)
+                                               + alpha * counts.n_cols)
+    return MnbModel(log_prior, log_prob)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -283,24 +274,19 @@ def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
             vocabs[b] = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
             counts[b] = count_matrix(tokens[b], vocabs[b])
 
-    # A fold's base is fit on all records' counts minus the held-out fold's;
-    # the counts are integers in float64, so the difference is exact.
-    totals = {b: _class_counts(counts[b], labels, label_count) for b in BASE_FIELDS}
     fold_of = np.arange(n) % folds
     oof = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)
     for j in range(folds):
         held = fold_of == j
         for bi, b in enumerate(BASE_FIELDS):
-            held_counts = counts[b][held]
-            fc, class_n = _class_counts(held_counts, labels[held], label_count)
-            base = _mnb(totals[b][0] - fc, totals[b][1] - class_n, alpha)
-            oof[held, bi], _ = predict_mnb(base, held_counts)
+            base = fit_mnb(counts[b][~held], labels[~held], label_count, alpha)
+            oof[held, bi], _ = predict_mnb(base, counts[b][held])
 
     stack = StackModel(bases={}, base_vocabs=vocabs, meta=None, label_count=label_count,
                        folds=folds, alpha=alpha, igr_percent=igr_percent)
     stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count, alpha)
     for b in BASE_FIELDS:
-        stack.bases[b] = _mnb(*totals[b], alpha)
+        stack.bases[b] = fit_mnb(counts[b], labels, label_count, alpha)
     return stack
 
 

@@ -255,9 +255,11 @@ def _probabilities(b, records) -> np.ndarray:
     return bayes.posterior_stacking(b.model, records)
 
 
-def _scored_chunks(b, f, counts: Counter, require_coords: bool):
+def _scored_chunks(b, model_file, f, counts: Counter, require_coords: bool):
     """Yield the valid records of a binary JSONL file PREDICT_CHUNK at a time,
-    each chunk with its probabilities; counts["skipped"] counts the other lines."""
+    each chunk with its probabilities; counts["skipped"] counts the other lines.
+    A chunk whose probabilities are not all finite is a DataError naming the
+    bundle `model_file`, raised before the caller sees the chunk."""
     def records():
         for r in ingest.iter_jsonl(f, require_coords):
             if isinstance(r, ingest.RecordSkip):
@@ -266,7 +268,11 @@ def _scored_chunks(b, f, counts: Counter, require_coords: bool):
                 yield r
     valid = records()
     while chunk := list(islice(valid, PREDICT_CHUNK)):
-        yield chunk, _probabilities(b, chunk)
+        probs = _probabilities(b, chunk)
+        if not np.isfinite(probs).all():
+            raise DataError(f"{model_file}: the model scores non-finite probabilities; "
+                            "its weights overflow")
+        yield chunk, probs
 
 
 def cmd_eval(ns) -> int:
@@ -277,7 +283,7 @@ def cmd_eval(ns) -> int:
     counts, parts = Counter(), []
     # a chunk's records and probabilities are dropped once its top five are ranked
     with open(ns.test, "rb") as f:
-        for records, probs in _scored_chunks(b, f, counts, require_coords=city):
+        for records, probs in _scored_chunks(b, ns.model_file, f, counts, require_coords=city):
             require_labels(records, b.labels.task, ns.test)
             parts.append(metrics.rank(probs, b.labels.label_array(records),
                                       [(r.lat, r.lon) for r in records] if city else None))
@@ -311,7 +317,8 @@ def cmd_predict(ns) -> int:
         if os.path.exists(ns.out) and os.path.samestat(os.fstat(fin.fileno()), os.stat(ns.out)):
             raise ValueError(f"--out {ns.out} is the --input file")
         with open(ns.out, "w", encoding="utf-8") as fout:
-            for records, probs in _scored_chunks(b, fin, counts, require_coords=False):
+            for records, probs in _scored_chunks(b, ns.model_file, fin, counts,
+                                                 require_coords=False):
                 top5 = metrics.ranked_top5(probs)
                 for r, ranked, rp in zip(records, top5.tolist(),
                                          np.take_along_axis(probs, top5, axis=1).tolist()):

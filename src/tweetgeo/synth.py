@@ -4,42 +4,50 @@ Every city owns a disjoint set of signature tokens that appear only in tweets
 from that city, so the labeling task is solvable exactly; city frequencies
 follow a Zipf-like law with a configurable exponent, timestamps concentrate in
 a city-specific daily window, and languages/timezones correlate with the city.
+A spec holds up to MAX_CITIES (3,360) cities, past the paper's ~3,000 labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import City, CityTable, save_city_table
+from .geo import EARTH_RADIUS_KM, City, CityTable, save_city_table
 from .ingest import Record, write_jsonl
 
 _DAY = 86400
 _EPOCH_BASE = 1_483_228_800  # 2017-01-01T00:00:00Z, a midnight
+SIGNATURE_TOKENS_PER_CITY = 8
+# chance that each text field carries the city signature; at least one field
+# always does, so the joint task stays exactly solvable while any single
+# field alone is an imperfect predictor
+SIGNATURE_FIELD_PROBS = (0.85, 0.6, 0.7)
+GRID_CITIES = 120          # a 10 x 12 world grid; every later city rings one of its points
+RING_KM = 30.0             # ring r of a grid point lies RING_KM * sqrt(r) km from it
+MAX_CITIES = 28 * GRID_CITIES
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 @dataclass
 class SynthSpec:
     n_cities: int = 5
     n_countries: int = 2
-    signature_tokens_per_city: int = 8
     noise_vocab_size: int = 60
     tokens_per_field: tuple[int, int] = (4, 9)
     n_users: int = 1000
     tweets_per_user: tuple[int, int] = (1, 1)
     class_skew: float = 0.0
     seed: int = 0
-    # chance that each text field carries the city signature; at least one
-    # field always does, so the joint task stays exactly solvable while any
-    # single field alone is an imperfect predictor
-    signature_field_probs: tuple[float, float, float] = (0.85, 0.6, 0.7)
 
     def __post_init__(self):
         if not (self.n_cities >= self.n_countries >= 1):
             raise ValueError("need n_cities >= n_countries >= 1")
-        if self.signature_tokens_per_city < 1 or self.noise_vocab_size < 1:
-            raise ValueError("token pools must be non-empty")
+        if self.n_cities > MAX_CITIES:
+            raise ValueError(f"n_cities must be <= {MAX_CITIES}, got {self.n_cities}")
+        if self.noise_vocab_size < 1:
+            raise ValueError("the noise vocabulary must be non-empty")
         lo, hi = self.tokens_per_field
         if not (1 <= lo <= hi):
             raise ValueError("tokens_per_field must be a sane (lo, hi) range")
@@ -48,30 +56,41 @@ class SynthSpec:
             raise ValueError("tweets_per_user range must fit the number of cities")
         if self.class_skew < 0:
             raise ValueError("class_skew must be >= 0")
-        if len(self.signature_field_probs) != 3 or \
-                not all(0.0 <= p <= 1.0 for p in self.signature_field_probs):
-            raise ValueError("signature_field_probs must be three probabilities")
+
+
+def _destination(lat: float, lon: float, km: float, bearing: float) -> tuple[float, float]:
+    """The point `km` along the great circle that leaves (lat, lon) at
+    `bearing` (radians clockwise from north), in degrees rounded to 6 places."""
+    p1, l1, d = math.radians(lat), math.radians(lon), km / EARTH_RADIUS_KM
+    p2 = math.asin(math.sin(p1) * math.cos(d) + math.cos(p1) * math.sin(d) * math.cos(bearing))
+    l2 = l1 + math.atan2(math.sin(bearing) * math.sin(d) * math.cos(p1),
+                         math.cos(d) - math.sin(p1) * math.sin(p2))
+    return round(math.degrees(p2), 6), round((math.degrees(l2) + 180.0) % 360.0 - 180.0, 6)
 
 
 def city_grid(spec: SynthSpec) -> CityTable:
-    """Cities on a coarse world grid (several hundred km apart), country
-    assigned round-robin, population decreasing with city index."""
+    """Cities 0-119 on a coarse world grid (several hundred km apart). City
+    i >= 120 is ring r = i // 120 of grid city i % 120: RING_KM * sqrt(r) km
+    from it at bearing r times the golden angle, a sunflower spiral. Up to
+    MAX_CITIES, any two cities lie >= 29.9 km apart and every ring city
+    within 161 km of its grid city. Country assigned round-robin, population
+    decreasing with city index."""
     cities = []
     for i in range(spec.n_cities):
-        row, col = divmod(i, 12)
+        ring, anchor = divmod(i, GRID_CITIES)
+        row, col = divmod(anchor, 12)
+        lat, lon = -42.0 + 14.0 * row, -174.0 + 29.0 * col
+        if ring:
+            lat, lon = _destination(lat, lon, RING_KM * math.sqrt(ring), ring * _GOLDEN_ANGLE)
         cities.append(City(
             city_id=i + 1,
             name=f"city{i}",
-            lat=-42.0 + 14.0 * row,
-            lon=-174.0 + 29.0 * col,
+            lat=lat,
+            lon=lon,
             country_code=f"C{i % spec.n_countries}",
             population=1_000_000 // (i + 1),
         ))
     return CityTable(cities)
-
-
-def _signature(i: int, spec: SynthSpec) -> list[str]:
-    return [f"sig{i}w{j}" for j in range(spec.signature_tokens_per_city)]
 
 
 def generate(spec: SynthSpec) -> tuple[list[Record], CityTable]:
@@ -85,7 +104,8 @@ def generate(spec: SynthSpec) -> tuple[list[Record], CityTable]:
                              spec.class_skew)
     weights /= weights.sum()
 
-    sig_pool = [_signature(i, spec) for i in range(spec.n_cities)]
+    sig_pool = [[f"sig{i}w{j}" for j in range(SIGNATURE_TOKENS_PER_CITY)]
+                for i in range(spec.n_cities)]
 
     def field_text(city_idx: int, with_signature: bool) -> str:
         lo, hi = spec.tokens_per_field
@@ -93,7 +113,7 @@ def generate(spec: SynthSpec) -> tuple[list[Record], CityTable]:
         toks = []
         for t in range(n_tok):
             if with_signature and (t == 0 or rng.random() < 0.7):
-                toks.append(sig_pool[city_idx][int(rng.integers(0, spec.signature_tokens_per_city))])
+                toks.append(sig_pool[city_idx][int(rng.integers(0, SIGNATURE_TOKENS_PER_CITY))])
             else:
                 toks.append(noise[int(rng.integers(0, spec.noise_vocab_size))])
         return " ".join(toks)
@@ -106,7 +126,7 @@ def generate(spec: SynthSpec) -> tuple[list[Record], CityTable]:
         for ci in visited:
             ci = int(ci)
             c = cities[ci]
-            p_text, p_desc, p_loc = spec.signature_field_probs
+            p_text, p_desc, p_loc = SIGNATURE_FIELD_PROBS
             carries = [rng.random() < p_text, rng.random() < p_desc, rng.random() < p_loc]
             if not any(carries):
                 carries[int(rng.integers(0, 3))] = True

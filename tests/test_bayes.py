@@ -342,11 +342,12 @@ def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, gather_cells)
         posterior_mnb(model, csr_counts(docs[:, :29]))
 
 
-def _random_corpus(rng, n=90, n_classes=4):
+def _random_corpus(rng, n=90, n_classes=4, classes=None):
+    """Random records and their labels; `classes`, if given, fixes each record's class."""
     words = [f"w{i}" for i in range(25)]
     recs, labels = [], []
     for i in range(n):
-        y = int(rng.integers(0, n_classes))
+        y = int(rng.integers(0, n_classes)) if classes is None else int(classes[i])
         pick = lambda k: " ".join(rng.choice(words[y * 5:y * 5 + 8] + words[20:], size=k))
         recs.append(make_record(user=f"u{i}", text=pick(int(rng.integers(0, 7))),
                                 user_description=pick(int(rng.integers(0, 3))),
@@ -358,18 +359,26 @@ def _random_corpus(rng, n=90, n_classes=4):
     return recs, np.array(labels)
 
 
+def _fold_confined_corpus(rng, n=90, folds=5):
+    """Classes 0-2 at random, except that class 3 fills fold 2 and no other:
+    that fold's bases see no class 3 and give it a -inf prior."""
+    classes = rng.integers(0, 3, size=n)
+    classes[2::folds] = 3
+    return _random_corpus(rng, n, classes=classes)
+
+
 @pytest.mark.parametrize("igr_percent", [None, 40.0])
 def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
-    recs, labels = _random_corpus(rng)
-    model = fit_stacking(recs, labels, 4, folds=5, alpha=1e-2, igr_percent=igr_percent)
-    vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
-    tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
-    bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)
-    for b in BASE_FIELDS:
-        assert np.array_equal(model.bases[b].class_log_prior, bases[b][0])
-        assert np.array_equal(model.bases[b].feature_log_prob, bases[b][1])
-    assert np.array_equal(model.meta.class_log_prior, meta[0])
-    assert np.array_equal(model.meta.feature_log_prob, meta[1])
+    for recs, labels in (_random_corpus(rng), _fold_confined_corpus(rng)):
+        model = fit_stacking(recs, labels, 4, folds=5, alpha=1e-2, igr_percent=igr_percent)
+        vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
+        tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
+        bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)
+        for b in BASE_FIELDS:
+            assert np.array_equal(model.bases[b].class_log_prior, bases[b][0])
+            assert np.array_equal(model.bases[b].feature_log_prob, bases[b][1])
+        assert np.array_equal(model.meta.class_log_prior, meta[0])
+        assert np.array_equal(model.meta.feature_log_prob, meta[1])
 
 
 def test_categorical_tokens_replace_line_breaks():

@@ -1,8 +1,11 @@
 import hashlib
 import inspect
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -694,6 +697,28 @@ def test_eval_refuses_a_bundle_tensor_holding_nan(request, prep_dir, tmp_path, c
     assert rc == 2
     assert f"tensor {section.split(':', 1)[1]} holds NaN" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_a_bundle_that_scores_non_finite_probabilities_exits_2(cnn_bundle, prep_dir, tmp_path):
+    # finite weights whose logits overflow; pytest turns numpy's overflow
+    # warning into an error, so the CLI runs in a child process
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    w = bundle_io.decode_tensor(sections["tensor:softmax_w"])
+    sections["tensor:softmax_w"] = bundle_io.encode_tensor(np.full_like(w, 3e38))
+    bad = tmp_path / "overflow.gtlm"
+    bundle_io.write_sections(bad, model_type, list(sections.items()))
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    test = str(prep_dir / "test.jsonl")
+    for argv in (["eval", "--test", test, "--out-dir", str(tmp_path / "rep")],
+                 ["predict", "--input", test, "--out", str(tmp_path / "pred.jsonl")]):
+        proc = subprocess.run([sys.executable, "-m", "tweetgeo.cli", *argv, "--model-file", str(bad)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {bad}: the model scores non-finite probabilities" in proc.stderr
+    assert not (tmp_path / "rep").exists()
+    assert (tmp_path / "pred.jsonl").read_text() == ""
 
 
 def test_eval_accepts_a_minus_inf_stack_prior(stack_bundle, prep_dir, tmp_path):
