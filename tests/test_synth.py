@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tweetgeo.geo import _haversine, assign_cities, load_city_table, nearest_city, save_city_table
+from tweetgeo.geo import (assign_cities, haversine_km, load_city_table, nearest_city,
+                          save_city_table)
 from tweetgeo.ingest import parse_record, record_to_json
 from tweetgeo.synth import MAX_CITIES, SynthSpec, city_grid, generate, write_corpus
 
@@ -40,7 +41,7 @@ def test_every_city_is_apart_yet_has_a_neighbour_within_161_km():
     lon = np.array([c.lon for c in table.cities])
     nearest = np.empty(len(lat))
     for s in range(0, len(lat), 256):
-        d = _haversine(lat[s:s + 256, None], lon[s:s + 256, None], lat, lon)
+        d = haversine_km((lat[s:s + 256, None], lon[s:s + 256, None]), (lat, lon))
         d[np.arange(len(d)), np.arange(s, s + len(d))] = np.inf
         nearest[s:s + 256] = d.min(axis=1)
     # tweets scatter +-0.04 degrees (< 6.3 km) around their city
