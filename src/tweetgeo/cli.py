@@ -268,7 +268,9 @@ def _scored_chunks(b, model_file, f, counts: Counter, require_coords: bool):
                 yield r
     valid = records()
     while chunk := list(islice(valid, PREDICT_CHUNK)):
-        probs = _probabilities(b, chunk)
+        # overflow shows as a non-finite probability, reported just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = _probabilities(b, chunk)
         if not np.isfinite(probs).all():
             raise DataError(f"{model_file}: the model scores non-finite probabilities; "
                             "its weights overflow")

@@ -294,12 +294,15 @@ def _distinct(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]
 
 def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy over the batch for every
-    trainable tensor. The PAD embedding row stays exactly zero.
+    trainable tensor, in `model.params` order. The PAD embedding row stays
+    exactly zero.
 
     The max-pool gradient reaches one position per (record, filter); its
     value lands, per window offset, on one (distinct token, filter column)
     cell of dZu, the gradient of Zu. Then dWcat = dZu.T @ E[uniq] and
-    dE[uniq] = dZu @ Wcat."""
+    dE[uniq] = dZu @ Wcat. The dense (V, k) embedding gradient is allocated
+    last, once dZu and dWcat are gone, so it is the step's only array the
+    size of the vocabulary."""
     cfg = model.config
     b_sz = fwd.probs.shape[0]
     k, m = cfg.embed_dim, cfg.filters_per_window
@@ -309,7 +312,7 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     dlogits[np.arange(b_sz), labels] -= 1.0
     dlogits /= b_sz
 
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    grads = {name: np.zeros_like(p) for name, p in model.params.items() if name != "embedding"}
     grads["softmax_w"] = dlogits.T @ fwd.theta_hat
     grads["softmax_b"] = dlogits.sum(axis=0)
 
@@ -317,8 +320,8 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
 
     width = sum(cfg.windows) * m                  # columns of Zu
-    filters = np.arange(m)
-    cells, values, col = [], [], 0                # col: first column of (f, h) in theta
+    dzu = np.zeros((fwd._uniq.size, width), dtype=model.dtype)
+    flat, filters, col = dzu.reshape(-1), np.arange(m), 0   # col: first column of (f, h) in theta
     for f in FIELDS:
         inv_f = fwd._inv[f]
         rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
@@ -327,20 +330,22 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
             dval = dtheta[:, col:col + m] * gate                         # (B, m)
             col += m
             grads[conv_names(h)[1]] += dval.sum(axis=0)
-            at = (rows + arg).ravel()                # flat (record, argmax) positions
+            at = rows + arg                          # flat (record, argmax) positions
+            # add.at accumulates in index order, offset after offset; 1-D
+            # index arrays take its fast path
             for o in range(h):
-                u = inv_f.take(at + o)
-                cells.append(u * width + np.tile(offsets[h] + o * m + filters, b_sz))
-                values.append(dval.ravel())
-    dzu = np.zeros((fwd._uniq.size, width), dtype=model.dtype)
-    np.add.at(dzu.reshape(-1), np.concatenate(cells), np.concatenate(values))
+                cells = inv_f.take(at + o) * width + (offsets[h] + o * m + filters)
+                np.add.at(flat, cells.ravel(), dval.ravel())
     dw = dzu.T @ model.embedding[fwd._uniq]                              # (sum(h)*m, k)
     for h in cfg.windows:
         g = grads[conv_names(h)[0]].reshape(m, h, k)
         g += dw[offsets[h]:offsets[h] + h * m].reshape(h, m, k).transpose(1, 0, 2)
-    grads["embedding"][fwd._uniq] += dzu @ _stacked_filters(model)
+    du = dzu @ _stacked_filters(model)                                  # (U, k)
+    del dzu, flat, dw
+    grads["embedding"] = np.zeros_like(model.embedding)
+    grads["embedding"][fwd._uniq] += du
     grads["embedding"][textproc.PAD_INDEX] = 0.0
-    return grads
+    return {name: grads[name] for name in model.params}
 
 
 def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:

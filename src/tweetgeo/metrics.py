@@ -30,10 +30,38 @@ class Predictions:
     true_coords: Optional[np.ndarray] = None   # (N, 2) (lat, lon) of the records
 
 
+def _first_true(mask: np.ndarray, counts: np.ndarray):
+    """(rows, columns) of the first counts[i] True cells of each row i of a
+    2-D mask, which is cleared there; each row must hold that many."""
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for j in range(int(counts.max(initial=0))):
+        col = mask.argmax(axis=1)
+        row = np.flatnonzero(counts > j)
+        rows.append(row)
+        cols.append(col[row])
+        mask[row, col[row]] = False
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def ranked_top5(probs: np.ndarray) -> np.ndarray:
-    """Indices of the five highest probabilities along the last axis, best
-    first; ties to the smaller index."""
-    return np.argsort(-np.asarray(probs), axis=-1, kind="stable")[..., :5].copy()
+    """Indices of the k = min(5, L) highest probabilities along the last
+    axis, best first; ties to the smaller index. Rows must hold no NaN.
+
+    A partition finds each row's k-th largest value. The labels above it
+    (fewer than k) and the smallest-index labels tied with it make up
+    exactly k per row, and only those are sorted, by (-p, index), in the
+    dtype they come in, so rows of many ties cost no more than others."""
+    p = np.asarray(probs)
+    labels = p.shape[-1]
+    k = min(5, labels)
+    rows = p.reshape(-1, labels)
+    kth = -np.partition(-rows, k - 1, axis=1)[:, k - 1, None]
+    above = rows > kth
+    n_above = np.count_nonzero(above, axis=1)
+    r1, c1 = _first_true(above, n_above)
+    r2, c2 = _first_true(rows == kth, k - n_above)
+    r, c = np.concatenate((r1, r2)), np.concatenate((c1, c2))
+    return c[np.lexsort((c, -rows[r, c], r))].reshape(p.shape[:-1] + (k,))
 
 
 def rank(probs: np.ndarray, true_labels=None, true_coords=None) -> Predictions:

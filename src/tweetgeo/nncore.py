@@ -8,12 +8,14 @@ given so a float64 twin of a model can be used for finite-difference checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PROB_FLOOR = 1e-12
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
+ADAM_BLOCK = 1 << 18                   # elements per block of adam_step's walk
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -73,25 +75,34 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
     Each elementwise operation is the one the formula names, in its order,
-    so the result is bit-identical to evaluating it into new arrays; two
-    temporary arrays of the parameter's size are the only allocations.
+    so the result is bit-identical to evaluating it into new arrays. The
+    tensor is walked in blocks of leading-axis rows of about ADAM_BLOCK
+    elements: the two temporaries hold one block, not the whole tensor, and
+    each block's operations run while it is in cache.
     """
     if param.shape != grad.shape:
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
     state.t += 1
-    m, v = state.m, state.v
-    num = np.multiply(grad, 1.0 - BETA1)
-    m *= BETA1
-    m += num
-    den = np.square(grad)
-    den *= 1.0 - BETA2
-    v *= BETA2
-    v += den
-    np.divide(m, 1.0 - BETA1 ** state.t, out=num)      # m_hat
-    num *= state.lr
-    np.divide(v, 1.0 - BETA2 ** state.t, out=den)      # v_hat
-    np.sqrt(den, out=den)
-    den += EPS
-    num /= den
-    param -= num.astype(param.dtype, copy=False)
+    m_corr, v_corr = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    rows = max(1, ADAM_BLOCK // max(1, math.prod(param.shape[1:])))
+    buf_shape = (min(rows, param.shape[0]),) + param.shape[1:]
+    num_buf, den_buf = np.empty(buf_shape, grad.dtype), np.empty(buf_shape, grad.dtype)
+    for r in range(0, param.shape[0], rows):
+        p, g = param[r:r + rows], grad[r:r + rows]
+        m, v = state.m[r:r + rows], state.v[r:r + rows]
+        num, den = num_buf[:len(p)], den_buf[:len(p)]
+        np.multiply(g, 1.0 - BETA1, out=num)
+        m *= BETA1
+        m += num
+        np.square(g, out=den)
+        den *= 1.0 - BETA2
+        v *= BETA2
+        v += den
+        np.divide(m, m_corr, out=num)                      # m_hat
+        num *= state.lr
+        np.divide(v, v_corr, out=den)                      # v_hat
+        np.sqrt(den, out=den)
+        den += EPS
+        num /= den
+        p -= num.astype(param.dtype, copy=False)
     return param, state

@@ -92,8 +92,8 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
         load_pretrained_embeddings(model, vectors_path, vocab)
     states = {name: AdamState.for_param(p, lr=tcfg.lr) for name, p in model.params.items()}
 
-    best = {name: p.copy() for name, p in model.params.items()}
-    best_acc, best_epoch, stale = -1.0, 0, 0
+    # dev accuracy is >= 0, so the first epoch always sets best
+    best, best_acc, best_epoch, stale = None, -1.0, 0, 0
     log: list[EpochLog] = []
     step = 0
     for epoch in range(1, tcfg.max_epochs + 1):
@@ -106,6 +106,8 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
             grads = backward(model, fwd, batch.labels)
             for name, p in model.params.items():
                 adam_step(p, grads[name], states[name])
+            # the next forward and backward run without this step's arrays
+            del fwd, grads
             step += 1
         loss, dev_acc = float(np.mean(losses)), _dev_accuracy(model, dev_feats)
         if not (math.isfinite(loss) and math.isfinite(dev_acc)):

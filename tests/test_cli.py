@@ -699,26 +699,57 @@ def test_eval_refuses_a_bundle_tensor_holding_nan(request, prep_dir, tmp_path, c
     assert not (tmp_path / "rep").exists()
 
 
+def _cli_child(argv, **env):
+    """Run the CLI in a child process with extra environment variables."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tweetgeo.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
+
+
 def test_a_bundle_that_scores_non_finite_probabilities_exits_2(cnn_bundle, prep_dir, tmp_path):
-    # finite weights whose logits overflow; pytest turns numpy's overflow
-    # warning into an error, so the CLI runs in a child process
+    # finite weights whose logits overflow. The CLI runs in a child process,
+    # whose stderr must be the one error line: no numpy RuntimeWarning
     model_type, sections = bundle_io.read_sections(cnn_bundle)
     w = bundle_io.decode_tensor(sections["tensor:softmax_w"])
     sections["tensor:softmax_w"] = bundle_io.encode_tensor(np.full_like(w, 3e38))
     bad = tmp_path / "overflow.gtlm"
     bundle_io.write_sections(bad, model_type, list(sections.items()))
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     test = str(prep_dir / "test.jsonl")
     for argv in (["eval", "--test", test, "--out-dir", str(tmp_path / "rep")],
                  ["predict", "--input", test, "--out", str(tmp_path / "pred.jsonl")]):
-        proc = subprocess.run([sys.executable, "-m", "tweetgeo.cli", *argv, "--model-file", str(bad)],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
+        proc = _cli_child([*argv, "--model-file", str(bad)])
         assert proc.returncode == 2, proc.stderr
-        assert f"error: {bad}: the model scores non-finite probabilities" in proc.stderr
+        assert proc.stderr == (f"error: {bad}: the model scores non-finite probabilities; "
+                               "its weights overflow\n")
     assert not (tmp_path / "rep").exists()
     assert (tmp_path / "pred.jsonl").read_text() == ""
+
+
+# the BLAS thread count may change a CNN probability by rounding alone
+CROSS_THREAD_PROB_TOL = 1e-5
+
+
+def test_predict_across_blas_thread_counts(cnn_bundle, stack_bundle, prep_dir, tmp_path):
+    # CNN ranked labels agree and probabilities agree within the tolerance;
+    # stacking output is byte-identical
+    out = {}
+    for bundle in (cnn_bundle, stack_bundle):
+        for threads in ("1", "2"):
+            pred = tmp_path / f"{bundle.stem}-{threads}.jsonl"
+            proc = _cli_child(["predict", "--model-file", str(bundle),
+                               "--input", str(prep_dir / "test.jsonl"), "--out", str(pred)],
+                              OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            out[bundle, threads] = pred.read_text(encoding="utf-8")
+    assert out[stack_bundle, "1"] == out[stack_bundle, "2"]
+    one, two = ([json.loads(line) for line in out[cnn_bundle, t].splitlines()] for t in "12")
+    assert len(one) == len(two) > 0
+    for a, b in zip(one, two):
+        assert a["user_id"] == b["user_id"] and a["ranked_labels"] == b["ranked_labels"]
+        np.testing.assert_allclose(a["ranked_probs"], b["ranked_probs"],
+                                   rtol=0, atol=CROSS_THREAD_PROB_TOL)
 
 
 def test_eval_accepts_a_minus_inf_stack_prior(stack_bundle, prep_dir, tmp_path):

@@ -34,6 +34,22 @@ def test_ranked_top5_orders_and_tie_breaks():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranked_top5_keeps_a_tie_block_that_straddles_fifth_place(dtype):
+    # places 4-7 hold one value: places 4 and 5 go to its two smallest indices
+    probs = np.array([0.05, 0.3, 0.05, 0.01, 0.2, 0.05, 0.01, 0.05, 0.19], dtype=dtype)
+    assert ranked_top5(probs).tolist() == [1, 4, 8, 0, 2]
+    assert ranked_top5(np.array([probs, probs[::-1]])).tolist() == [[1, 4, 8, 0, 2],
+                                                                    [7, 4, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranked_top5_ranks_every_label_of_fewer_than_five(dtype):
+    probs = np.array([[0.25, 0.5, 0.25], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]], dtype=dtype)
+    got = ranked_top5(probs)
+    assert got.dtype == np.int64 and got.tolist() == [[1, 0, 2], [2, 0, 1], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("labels", [1, 3, 5, 40])
 def test_rank_matches_ranking_each_row(dtype, labels):
     rng = np.random.default_rng(labels)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import adam_step_reference
-from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch, dropout, softmax
+from tweetgeo.nncore import (ADAM_BLOCK, AdamState, adam_step, cross_entropy_batch, dropout,
+                             softmax)
 
 
 def test_softmax_uniform_and_known_values():
@@ -120,21 +121,24 @@ def test_adam_matches_reference_loop_at_default_lr():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_in_place_bit_identical_to_reference(dtype):
     rng = np.random.default_rng(4)
-    p = rng.normal(size=(50, 7)).astype(dtype)
-    q = p.copy()
-    st = AdamState.for_param(p, lr=1e-2)
-    ref = AdamState.for_param(q, lr=1e-2)
-    m_buf, v_buf = st.m, st.v
-    for step in range(5):
-        g = rng.normal(size=p.shape).astype(dtype)
-        g[rng.random(p.shape[0]) < 0.3] = 0.0          # untouched rows, as for embeddings
-        out, _ = adam_step(p, g, st)
-        adam_step_reference(q, g, ref)
-        assert out is p and st.m is m_buf and st.v is v_buf
-        assert p.dtype == st.m.dtype == st.v.dtype == dtype
-        assert st.t == ref.t == step + 1
-        assert p.tobytes() == q.tobytes()
-        assert st.m.tobytes() == ref.m.tobytes() and st.v.tobytes() == ref.v.tobytes()
+    for shape in [(50, 7),
+                  (3 * (ADAM_BLOCK // 7) + 11, 7),      # three blocks and a ragged fourth
+                  (13,)]:                               # a bias
+        p = rng.normal(size=shape).astype(dtype)
+        q = p.copy()
+        st = AdamState.for_param(p, lr=1e-2)
+        ref = AdamState.for_param(q, lr=1e-2)
+        m_buf, v_buf = st.m, st.v
+        for step in range(5):
+            g = rng.normal(size=p.shape).astype(dtype)
+            g[rng.random(p.shape[0]) < 0.3] = 0.0          # untouched rows, as for embeddings
+            out, _ = adam_step(p, g, st)
+            adam_step_reference(q, g, ref)
+            assert out is p and st.m is m_buf and st.v is v_buf
+            assert p.dtype == st.m.dtype == st.v.dtype == dtype
+            assert st.t == ref.t == step + 1
+            assert p.tobytes() == q.tobytes()
+            assert st.m.tobytes() == ref.m.tobytes() and st.v.tobytes() == ref.v.tobytes()
 
 
 def test_adam_rejects_shape_mismatch():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_record
 from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.bayes import fit_stacking
-from tweetgeo.cnn import CnnConfig, backward, encode_features, forward, init_model
+from tweetgeo.cnn import (CnnConfig, FeatureBatch, backward, encode_features, forward,
+                         init_model)
 from tweetgeo.encode import CategoryMaps, build_category_maps
 from tweetgeo.errors import BundleError, DataError
 from tweetgeo.labels import LabelTable, country_labels
@@ -105,6 +107,28 @@ def test_train_deterministic_given_seed():
     for (n1, p1), (n2, p2) in zip(r1.model.params.items(), r2.model.params.items()):
         assert n1 == n2
         assert p1.tobytes() == p2.tobytes()
+
+
+def test_train_memory_is_bounded_by_a_few_embeddings():
+    # a vocabulary far larger than the batch: a step may hold one (V, k)
+    # gradient beside the parameters, the two Adam moments and the best copy
+    vocab_size, cfg = 200_000, small_cfg()
+    rng = np.random.default_rng(2)
+
+    def feats(n):
+        return FeatureBatch(
+            tokens={f: rng.integers(0, vocab_size, size=(n, ln)) for f, ln in LENS.items()},
+            cat_positions=np.tile(np.arange(0, 8, 2), (n, 1)),
+            labels=rng.integers(0, 3, size=n))
+    tr, dev = feats(32), feats(16)
+    tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=1)
+    tracemalloc.start()
+    try:
+        train(tr, dev, cfg, tcfg, vocab_size, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * vocab_size * cfg.embed_dim * np.dtype(np.float32).itemsize
 
 
 def test_train_rejects_empty_splits():
