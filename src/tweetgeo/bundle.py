@@ -59,10 +59,10 @@ def read_sections(path) -> tuple[str, dict[str, bytes]]:
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size
         if _read_exact(f, 4, "magic", end) != MAGIC:
-            raise BundleError(f"{path}: not a model bundle (bad magic)")
+            raise BundleError("not a model bundle (bad magic)")
         version = int.from_bytes(_read_exact(f, 2, "version", end), "little")
         if version != VERSION:
-            raise BundleError(f"{path}: unsupported bundle version {version}")
+            raise BundleError(f"unsupported bundle version {version}")
         count = int.from_bytes(_read_exact(f, 2, "section count", end), "little")
         sections: dict[str, bytes] = {}
         for _ in range(count):
@@ -71,7 +71,7 @@ def read_sections(path) -> tuple[str, dict[str, bytes]]:
             size = int.from_bytes(_read_exact(f, 8, f"length of {name}", end), "little")
             sections[name] = _read_exact(f, size, f"section {name}", end)
     if "model_type" not in sections:
-        raise BundleError(f"{path}: bundle lacks a model_type section")
+        raise BundleError("bundle lacks a model_type section")
     return _decode_name(sections.pop("model_type"), "model_type section"), sections
 
 

@@ -1,8 +1,7 @@
 """Command-line pipelines: prepare / train / eval / predict.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 internal error. A config file of key=value lines can preload any flag
-default; explicit flags win; a key that names no flag is a usage error.
+3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from . import bayes, geo, ingest, metrics, textproc
 from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_features,
                   predict_proba)
 from .encode import CategoryMaps, build_category_maps
-from .errors import DataError, open_utf8
+from .errors import DataError
 from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels, require_labels
 from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
                     train, write_train_log)
@@ -49,7 +48,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="tweetgeo",
         description="Geolocation of short messages at country or city level.")
-    parser.add_argument("--config", help="key=value file preloading flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="filter, dedup, assign cities, split, build vocab/maps")
@@ -120,38 +118,7 @@ def build_parser():
     p.add_argument("--min-prob", type=float, default=None,
                    help="drop predictions whose winning probability is below this")
     p.set_defaults(func=cmd_predict)
-    return parser, sub.choices
-
-
-def _load_config_file(path) -> dict:
-    out = {}
-    with open_utf8(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{ln}: expected key=value")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
-    return out
-
-
-def _apply_config_defaults(parser, commands: dict, overrides: dict):
-    unknown = set(overrides) - {a.dest for sp in commands.values() for a in sp._actions}
-    if unknown:
-        parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for sp in commands.values():
-        typed = {}
-        for action in sp._actions:
-            if action.dest in overrides:
-                raw = overrides[action.dest]
-                try:
-                    typed[action.dest] = action.type(raw) if action.type else raw
-                except (ValueError, argparse.ArgumentTypeError) as e:
-                    parser.error(f"config key {action.dest}: {e}")
-        if typed:
-            sp.set_defaults(**typed)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +185,11 @@ def _load_prep(prep_dir, task):
 def cmd_train(ns) -> int:
     train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir, ns.task)
     labels = city_labels(table) if ns.task == TASK_CITY else country_labels(train_recs)
+    y = labels.label_array(train_recs)
+    if np.any(y < 0):
+        bad = train_recs[int(np.argmax(y < 0))]
+        raise DataError(f"{Path(ns.prep_dir) / 'train.jsonl'}: record of user {bad.user_id!r} has "
+                        f"{labels.field} {getattr(bad, labels.field)!r}, not in the label table")
 
     if ns.model == "cnn":
         ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
@@ -225,8 +197,8 @@ def cmd_train(ns) -> int:
                          max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
         tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
-        train_feats, dev_feats = (encode_features(recs, vocab, maps, ccfg, labels.label_array(recs))
-                                  for recs in (train_recs, dev_recs))
+        train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
+        dev_feats = encode_features(dev_recs, vocab, maps, ccfg, labels.label_array(dev_recs))
         result = train(train_feats, dev_feats, ccfg, tcfg, len(vocab), maps.block_size,
                        vectors_path=ns.vectors, vocab=vocab)
         save_model(result.model, vocab, maps, labels, ns.out)
@@ -237,9 +209,6 @@ def cmd_train(ns) -> int:
     else:
         igr = None if ns.model == "stacking" else (
             IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
-        y = labels.label_array(train_recs)
-        if np.any(y < 0):
-            raise DataError("training records with labels outside the label table")
         model = bayes.fit_stacking(train_recs, y, len(labels), folds=ns.folds,
                                    alpha=ns.alpha, igr_percent=igr, min_count=ns.min_count)
         save_stack_model(model, labels, ns.out)
@@ -338,15 +307,8 @@ def cmd_predict(ns) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    parser, commands = build_parser()
     try:
-        if known.config:
-            _apply_config_defaults(parser, commands, _load_config_file(known.config))
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1

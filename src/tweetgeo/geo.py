@@ -162,7 +162,10 @@ def load_city_table(path) -> CityTable:
                 ))
             except (TypeError, ValueError) as e:
                 raise DataError(f"{path}:{i}: bad city row: {e}") from e
-    return CityTable(cities)
+    try:
+        return CityTable(cities)
+    except DataError as e:          # no cities, or a duplicate city_id
+        raise DataError(f"{path}: {e}") from e
 
 
 def save_city_table(table: CityTable, path):

@@ -146,18 +146,16 @@ def _int_fields(cls) -> set:
 
 class _Reader:
     """Checked access to a bundle's sections by name. A missing section, or
-    one whose content does not decode to what is asked for, is a BundleError
-    naming the file. Sections and config keys nobody asks for are ignored."""
+    one whose content does not decode to what is asked for, is a BundleError;
+    `load_bundle` adds the file's name. Sections and config keys nobody asks
+    for are ignored."""
 
-    def __init__(self, path, sections: dict):
-        self.path, self.sections = path, sections
-
-    def error(self, message: str) -> BundleError:
-        return BundleError(f"{self.path}: {message}")
+    def __init__(self, sections: dict):
+        self.sections = sections
 
     def raw(self, name: str) -> bytes:
         if name not in self.sections:
-            raise self.error(f"bundle lacks section {name!r}")
+            raise BundleError(f"bundle lacks section {name!r}")
         return self.sections[name]
 
     def checked(self, name: str, build, *args):
@@ -165,7 +163,7 @@ class _Reader:
         try:
             return build(*args)
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
-            raise self.error(f"bad {name} section: {e!r}") from e
+            raise BundleError(f"bad {name} section: {e!r}") from e
 
     def json(self, name: str, build):
         return self.checked(name, build, bundle_io.decode_json(self.raw(name), name))
@@ -174,37 +172,34 @@ class _Reader:
         """The config section's values for `keys`, each of `int_keys` a JSON integer."""
         cfg = bundle_io.decode_json(self.raw("config"), "config")
         if not isinstance(cfg, dict):
-            raise self.error("config section is not a JSON object")
+            raise BundleError("config section is not a JSON object")
         for key in keys:
             if key not in cfg:
-                raise self.error(f"config section lacks key {key!r}")
+                raise BundleError(f"config section lacks key {key!r}")
             if key in int_keys and type(cfg[key]) is not int:
-                raise self.error(f"config key {key!r} is not an integer")
+                raise BundleError(f"config key {key!r} is not an integer")
         return {key: cfg[key] for key in keys}
 
     def labels(self, count: int) -> LabelTable:
         labels = self.json("label_table",
                            lambda t: LabelTable(t["task"], t["values"], t.get("coords")))
         if len(labels) != count:
-            raise self.error(f"label table size {len(labels)} != model label count {count}")
+            raise BundleError(f"label table size {len(labels)} != model label count {count}")
         return labels
 
     def vocab(self, name: str) -> Vocabulary:
-        try:
-            return vocab_from_bytes(self.raw(name), f"{self.path}: section {name!r}")
-        except DataError as e:
-            raise BundleError(str(e)) from e
+        return vocab_from_bytes(self.raw(name), f"section {name!r}")
 
     def tensor(self, name: str, dtype, shape: tuple) -> np.ndarray:
         """The tensor:<name> section, which must have this dtype and shape."""
         t = bundle_io.decode_tensor(self.raw(f"tensor:{name}"), name)
         if t.dtype != dtype:
-            raise self.error(f"tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
+            raise BundleError(f"tensor {name} is {t.dtype}, expected {np.dtype(dtype)}")
         if t.shape != shape:
-            raise self.error(f"tensor {name} has shape {t.shape}, expected {shape}")
+            raise BundleError(f"tensor {name} has shape {t.shape}, expected {shape}")
         # NaN only: a stack prior is -inf for a class with no training documents
         if np.isnan(t).any():
-            raise self.error(f"tensor {name} holds NaN")
+            raise BundleError(f"tensor {name} holds NaN")
         return t
 
 
@@ -285,13 +280,17 @@ def _stack_bundle(r: _Reader) -> StackBundle:
 
 def load_bundle(path, expect: Optional[str] = None):
     """A CnnBundle or StackBundle, by the model type the file declares; the
-    file is read once. With `expect`, any other model type is a BundleError."""
-    model_type, sections = bundle_io.read_sections(path)
-    loader = {"cnn": _cnn_bundle, "stack": _stack_bundle}.get(model_type)
-    if loader is None or expect not in (None, model_type):
-        raise BundleError(f"{path}: expected a {expect or 'cnn or stack'} bundle, "
-                          f"found {model_type!r}")
-    return loader(_Reader(path, sections))
+    file is read once. With `expect`, any other model type is a BundleError.
+    Every BundleError names `path`, once."""
+    try:
+        model_type, sections = bundle_io.read_sections(path)
+        loader = {"cnn": _cnn_bundle, "stack": _stack_bundle}.get(model_type)
+        if loader is None or expect not in (None, model_type):
+            raise BundleError(f"expected a {expect or 'cnn or stack'} bundle, "
+                              f"found {model_type!r}")
+        return loader(_Reader(sections))
+    except DataError as e:      # a vocabulary section's error is a plain DataError
+        raise BundleError(f"{path}: {e}") from e
 
 
 def load_model(path) -> CnnBundle:

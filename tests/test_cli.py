@@ -335,9 +335,11 @@ def _prepare_argv(c, data=None, cities=None):
             "--seed", "4", "--test-fraction", "0.2", "--dev-users", "60", "--min-count", "3"]
 
 
-def _config_argv(c, make):
-    make(c.tmp / "run.cfg")
-    return ["--config", str(c.tmp / "run.cfg")] + _prepare_argv(c)
+def _cities(c, edit):
+    """A copy of the corpus city table whose lines are edit(lines)."""
+    lines = (c.corpus / "cities.csv").read_text().splitlines(keepends=True)
+    (c.tmp / "cities.csv").write_text("".join(edit(lines)))
+    return str(c.tmp / "cities.csv")
 
 
 def _empty_country_code(c):
@@ -391,12 +393,13 @@ BAD_INPUT_CASES = {
     "train-vectors-not-finite": (2, _vectors_not_finite, lambda c, out, err: (
         f"{c.tmp / 'vec.txt'}:2: values must be finite" in err
         and not (c.tmp / "c.gtlm").exists())),
-    "config-missing": (2, lambda c: ["--config", str(c.tmp / "none.cfg")] + _prepare_argv(c),
-                       lambda c, out, err: str(c.tmp / "none.cfg") in err),
-    "config-directory": (2, lambda c: _config_argv(c, Path.mkdir),
-                         lambda c, out, err: str(c.tmp / "run.cfg") in err),
-    "config-not-utf8": (2, lambda c: _config_argv(c, lambda p: p.write_bytes(b"seed=\xe9\n")),
-                        lambda c, out, err: f"{c.tmp / 'run.cfg'}: not UTF-8" in err),
+    "prepare-city-table-header-only": (2, lambda c: _prepare_argv(
+        c, cities=_cities(c, lambda lines: lines[:1])), lambda c, out, err: (
+        f"{c.tmp / 'cities.csv'}: city table must be non-empty" in err
+        and not (c.tmp / "p").exists())),
+    "prepare-city-table-duplicate-id": (2, lambda c: _prepare_argv(
+        c, cities=_cities(c, lambda lines: lines + lines[1:2])), lambda c, out, err: (
+        f"{c.tmp / 'cities.csv'}: duplicate city_id" in err and not (c.tmp / "p").exists())),
     "predict-out-is-input": (1, lambda c: _predict_argv(
         c, _appended(c.prep / "test.jsonl", c.tmp / "t.jsonl", b""), str(c.tmp / "t.jsonl")),
         lambda c, out, err: (c.tmp / "t.jsonl").read_text() == (c.prep / "test.jsonl").read_text()),
@@ -539,7 +542,7 @@ def test_cli_defaults_are_the_library_defaults(corpus_dir, prep_dir, tmp_path, m
     monkeypatch.setattr(ingest, "split_by_user", stop_at("split"))
     monkeypatch.setattr(cli, "train", stop_at("cnn"))
     monkeypatch.setattr(bayes, "fit_stacking", stop_at("stacking"))
-    parser, _ = cli.build_parser()
+    parser = cli.build_parser()
     prepare = parser.parse_args(["prepare", "--data", str(corpus_dir / "raw.jsonl"),
                                  "--city-table", str(corpus_dir / "cities.csv"),
                                  "--out-dir", str(tmp_path / "p")])
@@ -562,7 +565,7 @@ def test_cli_defaults_are_the_library_defaults(corpus_dir, prep_dir, tmp_path, m
         inspect.signature(build_vocab).parameters["min_count"].default
 
 
-@pytest.mark.parametrize("command", list(cli.build_parser()[1]))
+@pytest.mark.parametrize("command", ["prepare", "train", "eval", "predict"])
 def test_every_subcommand_help_renders(capsys, command):
     # argparse expands a help string's %(default)s only when it renders that help
     assert main([command, "--help"]) == 0
@@ -598,6 +601,22 @@ def test_train_rejects_a_min_count_below_one(prep_dir, tmp_path, capsys, model, 
     assert rc == 1
     assert "a frequency cutoff must be >= 1" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path, capsys):
+    prep = tmp_path / "prep"
+    shutil.copytree(prep_dir, prep)
+    rows = [json.loads(line) for line in (prep / "train.jsonl").read_text().splitlines()]
+    rows[3]["city_id"] = 987654
+    (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    shows = (f"error: {prep / 'train.jsonl'}: record of user {rows[3]['user_id']!r} has "
+             "city_id 987654, not in the label table\n")
+    for model in ("cnn", "stacking"):
+        rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", model,
+                   "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+        assert rc == 2
+        assert capsys.readouterr().err == shows, model
+        assert not (tmp_path / "m.gtlm").exists()
 
 
 def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
@@ -853,6 +872,39 @@ def test_eval_bundle_with_flipped_section_length_exits_2(cnn_bundle, prep_dir, t
     assert "truncated bundle while reading section config" in capsys.readouterr().err
 
 
+def _rewrite(src, dst, name, payload):
+    """A copy of bundle `src` at `dst` whose section `name` holds `payload`."""
+    model_type, sections = bundle_io.read_sections(src)
+    sections[name] = payload
+    bundle_io.write_sections(dst, model_type, list(sections.items()))
+
+
+def _cut_inside_config(src, dst):
+    """A copy of bundle `src` at `dst` that ends one byte into the config
+    section's payload, past its name and u64 length."""
+    raw = src.read_bytes()
+    dst.write_bytes(raw[:raw.index(b"config") + len(b"config") + 8 + 1])
+
+
+@pytest.mark.parametrize("bundle, corrupt, shows", [
+    ("cnn_bundle", lambda src, dst: _rewrite(src, dst, "config", b"{not json"),
+     "corrupt config: Expecting property name"),
+    ("cnn_bundle", _cut_inside_config, "truncated bundle while reading section config"),
+    ("stack_bundle", lambda src, dst: _rewrite(src, dst, "tensor:text:prior", b"\x08"),
+     "truncated text:prior header")],
+    ids=["config-not-json", "truncated-file", "one-byte-tensor"])
+def test_eval_bundle_error_names_the_file_once(request, prep_dir, tmp_path, capsys,
+                                               bundle, corrupt, shows):
+    bad = tmp_path / "bad.gtlm"
+    corrupt(request.getfixturevalue(bundle), bad)
+    rc = main(["eval", "--model-file", str(bad),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {shows}") and err.count("\n") == 1, err
+    assert err.count(str(bad)) == 1
+
+
 def test_eval_country_omits_distance_metrics(prep_dir, tmp_path):
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "country",
                "--model", "stacking", "--min-count", "3",
@@ -1003,45 +1055,13 @@ def test_predict_streams_in_chunks_with_unchanged_output(request, prep_dir, tmp_
     assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
 
-def test_config_file_preloads_defaults(corpus_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("test_fraction=0.2\ndev_users=60\nmin_count=3\nseed=4\n")
-    rc = main(["--config", str(cfg), "prepare",
-               "--data", str(corpus_dir / "raw.jsonl"),
-               "--city-table", str(corpus_dir / "cities.csv"),
-               "--out-dir", str(tmp_path / "p")])
-    assert rc == 0
-    # flag still wins over the config file
-    rc = main(["--config", str(cfg), "prepare",
-               "--data", str(corpus_dir / "raw.jsonl"),
-               "--city-table", str(corpus_dir / "cities.csv"),
-               "--out-dir", str(tmp_path / "p2"), "--dev-users", "50"])
-    assert rc == 0
-    assert (tmp_path / "p" / "dev.jsonl").read_text() != \
-        (tmp_path / "p2" / "dev.jsonl").read_text()
-
-
-def test_config_file_rejects_unknown_keys_and_bad_values(corpus_dir, tmp_path, capsys):
-    args = ["prepare", "--data", str(corpus_dir / "raw.jsonl"),
-            "--city-table", str(corpus_dir / "cities.csv"), "--out-dir", str(tmp_path / "p")]
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("seed=4\nbatch_sise=7\n")
-    assert main(["--config", str(cfg)] + args) == 1
-    assert "batch_sise" in capsys.readouterr().err
-    cfg.write_text("batch_size=seven\n")
-    assert main(["--config", str(cfg)] + args) == 1
-    assert "batch_size" in capsys.readouterr().err
-    assert not (tmp_path / "p").exists()
-
-
-def test_removed_share_filters_knob_is_a_usage_error(prep_dir, tmp_path, capsys):
+@pytest.mark.parametrize("knob", [["--share-filters", "false"], ["--config", "run.cfg"]],
+                         ids=["share-filters", "config"])
+def test_removed_knob_is_a_usage_error(prep_dir, tmp_path, capsys, knob):
     argv = ["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
             "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS]
-    assert main(argv + ["--share-filters", "false"]) == 1
-    assert "--share-filters" in capsys.readouterr().err
-    (tmp_path / "run.cfg").write_text("share_filters=false\n")
-    assert main(["--config", str(tmp_path / "run.cfg")] + argv) == 1
-    assert "share_filters" in capsys.readouterr().err
+    assert main(argv + knob) == 1
+    assert knob[0] in capsys.readouterr().err
     assert not (tmp_path / "c.gtlm").exists()
 
 
@@ -1054,7 +1074,7 @@ def _readme_commands() -> list[str]:
 
 
 def test_readme_commands_parse():
-    parser, _ = cli.build_parser()
+    parser = cli.build_parser()
     commands = _readme_commands()
     assert len(commands) >= 5
     for line in commands:
