@@ -23,9 +23,9 @@ table = CityTable([
     City(2, "chicago", 41.8781, -87.6298, "US", 2_700_000),
     City(3, "london", 51.5074, -0.1278, "GB", 8_900_000),
 ])
+names = {c.city_id: c.name for c in table.cities}
 for point in [(40.5, -80.1), (42.0, -87.0), (52.0, 0.5)]:
-    cid = nearest_city(point, table)
-    print(f"  {point} -> {table.by_id(cid).name}")
+    print(f"  {point} -> {names[nearest_city(point, table)]}")
 
 print("\n== aggregating suburbs into the big city (radius 50 km) ==")
 raw = [

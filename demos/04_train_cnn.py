@@ -16,7 +16,7 @@ from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
 from tweetgeo.labels import city_labels
 from tweetgeo.metrics import (acc_at_161, acc_top5, accuracy, calibration_bins,
-                              median_error_km, rank)
+                              expected_calibration_error, median_error_km, rank)
 from tweetgeo.synth import SynthSpec, generate
 from tweetgeo.textproc import build_vocab, tokenize
 from tweetgeo.train import TrainConfig, train
@@ -59,7 +59,9 @@ print(f"  acc@161km       {acc_at_161(preds, coords):.4f}")
 print(f"  median error    {median_error_km(preds, coords):.1f} km")
 
 print("\ncalibration over the winning probability:")
-print("  bin          tweets  accuracy")
-for lo, hi, frac, acc in calibration_bins(preds):
+print("  bin          tweets  accuracy  mean confidence")
+bins = calibration_bins(preds)
+for lo, hi, frac, acc, conf in bins:
     if frac:
-        print(f"  [{lo:.1f}, {hi:.1f})  {frac:6.1%}  {acc:.4f}")
+        print(f"  [{lo:.1f}, {hi:.1f})  {frac:6.1%}  {acc:.4f}    {conf:.4f}")
+print(f"  expected calibration error {expected_calibration_error(bins):.4f}")

@@ -19,7 +19,8 @@ from .ingest import (Record, SplitSpec, StatsReport, dataset_stats,
                      resolve_coordinates, split_by_user, write_jsonl)
 from .labels import LabelTable, city_labels, country_labels
 from .metrics import (Predictions, acc_at_161, acc_top5, accuracy, calibration_bins,
-                      median_error_km, per_class_pr, rank, ranked_top5)
+                      expected_calibration_error, median_error_km, per_class_pr, rank,
+                      ranked_top5)
 from .nncore import AdamState, adam_step, dropout, softmax
 from .synth import SynthSpec, generate, write_corpus
 from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize

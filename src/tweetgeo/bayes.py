@@ -18,6 +18,7 @@ import numpy as np
 
 from .encode import time_slot
 from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
+from .labels import TASK_CITY, TASK_COUNTRY
 from .textproc import Vocabulary, build_vocab, tokenize
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
@@ -25,6 +26,7 @@ CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
 
 FOLDS = 5                # stacking cross-validation folds
 ALPHA = 1e-2             # additive smoothing of every MNB
+IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}   # STACKING+'s IGR top percent per task
 GATHER_CELLS = 1 << 21   # (cell, class) products a posterior or igr_scores holds at once
 _ONE_LINE = str.maketrans("\r\n", "  ")
 

@@ -22,11 +22,10 @@ from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode
                   predict_proba)
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError
-from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels, require_labels
+from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels
 from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
                     train, write_train_log)
 
-IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}
 # `eval` and `predict` score this many valid records at a time: a multiple
 # of predict_proba's batch, so the CNN batches are the same as for the whole
 # input at once
@@ -98,7 +97,7 @@ def build_parser():
                    help="stacking folds (default %(default)s)")
     p.add_argument("--igr-top-percent", type=float, default=None,
                    help="stacking+: keep this %% of tokens by information gain ratio (default "
-                        + ", ".join(f"{v:g} for {t}" for t, v in IGR_DEFAULTS.items()) + ")")
+                        + ", ".join(f"{v:g} for {t}" for t, v in bayes.IGR_DEFAULTS.items()) + ")")
     p.add_argument("--min-count", type=_min_count_arg, default=textproc.MIN_COUNT,
                    help="frequency cutoff for stacking base vocabularies (default %(default)s)")
     p.set_defaults(func=cmd_train)
@@ -163,15 +162,13 @@ def cmd_prepare(ns) -> int:
     return 0
 
 
-def _load_prep(prep_dir, task):
+def _load_prep(prep_dir):
     prep = Path(prep_dir)
     for name in ("train.jsonl", "dev.jsonl", "vocab.txt", "category_maps.json", "cities.csv"):
         if not (prep / name).exists():
             raise DataError(f"{prep / name} missing; run `tweetgeo prepare` first")
     train_recs, _ = ingest.read_jsonl(prep / "train.jsonl")
     dev_recs, _ = ingest.read_jsonl(prep / "dev.jsonl")
-    require_labels(train_recs, task, prep / "train.jsonl")
-    require_labels(dev_recs, task, prep / "dev.jsonl")
     vocab = textproc.load_vocab(prep / "vocab.txt")
     try:
         maps = CategoryMaps.from_value_lists(
@@ -183,13 +180,15 @@ def _load_prep(prep_dir, task):
 
 
 def cmd_train(ns) -> int:
-    train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir, ns.task)
+    train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir)
     labels = city_labels(table) if ns.task == TASK_CITY else country_labels(train_recs)
-    y = labels.label_array(train_recs)
+    prep = Path(ns.prep_dir)
+    y = labels.label_array(train_recs, prep / "train.jsonl")
     if np.any(y < 0):
         bad = train_recs[int(np.argmax(y < 0))]
-        raise DataError(f"{Path(ns.prep_dir) / 'train.jsonl'}: record of user {bad.user_id!r} has "
+        raise DataError(f"{prep / 'train.jsonl'}: record of user {bad.user_id!r} has "
                         f"{labels.field} {getattr(bad, labels.field)!r}, not in the label table")
+    y_dev = labels.label_array(dev_recs, prep / "dev.jsonl")
 
     if ns.model == "cnn":
         ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
@@ -198,7 +197,7 @@ def cmd_train(ns) -> int:
         tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
         train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
-        dev_feats = encode_features(dev_recs, vocab, maps, ccfg, labels.label_array(dev_recs))
+        dev_feats = encode_features(dev_recs, vocab, maps, ccfg, y_dev)
         result = train(train_feats, dev_feats, ccfg, tcfg, len(vocab), maps.block_size,
                        vectors_path=ns.vectors, vocab=vocab)
         save_model(result.model, vocab, maps, labels, ns.out)
@@ -208,7 +207,7 @@ def cmd_train(ns) -> int:
               f"at epoch {result.best_epoch}; bundle -> {ns.out}")
     else:
         igr = None if ns.model == "stacking" else (
-            IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
+            bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
         model = bayes.fit_stacking(train_recs, y, len(labels), folds=ns.folds,
                                    alpha=ns.alpha, igr_percent=igr, min_count=ns.min_count)
         save_stack_model(model, labels, ns.out)
@@ -229,13 +228,7 @@ def _scored_chunks(b, model_file, f, counts: Counter, require_coords: bool):
     each chunk with its probabilities; counts["skipped"] counts the other lines.
     A chunk whose probabilities are not all finite is a DataError naming the
     bundle `model_file`, raised before the caller sees the chunk."""
-    def records():
-        for r in ingest.iter_jsonl(f, require_coords):
-            if isinstance(r, ingest.RecordSkip):
-                counts["skipped"] += 1
-            else:
-                yield r
-    valid = records()
+    valid = ingest.iter_jsonl(f, counts, require_coords)
     while chunk := list(islice(valid, PREDICT_CHUNK)):
         # overflow shows as a non-finite probability, reported just below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -255,8 +248,7 @@ def cmd_eval(ns) -> int:
     # a chunk's records and probabilities are dropped once its top five are ranked
     with open(ns.test, "rb") as f:
         for records, probs in _scored_chunks(b, ns.model_file, f, counts, require_coords=city):
-            require_labels(records, b.labels.task, ns.test)
-            parts.append(metrics.rank(probs, b.labels.label_array(records),
+            parts.append(metrics.rank(probs, b.labels.label_array(records, ns.test),
                                       [(r.lat, r.lon) for r in records] if city else None))
     if not parts:
         raise DataError(f"{ns.test}: no usable records")
@@ -267,13 +259,15 @@ def cmd_eval(ns) -> int:
         coords = b.labels.coords_array()
         rows.append(("acc_at_161", metrics.acc_at_161(pred, coords)))
         rows.append(("median_error_km", metrics.median_error_km(pred, coords)))
+    bins = metrics.calibration_bins(pred)
+    rows.append(("ece", metrics.expected_calibration_error(bins)))
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_metrics_summary(out / "metrics_summary.csv", rows)
     metrics.write_per_class_pr(out / "per_class_pr.csv",
                                metrics.per_class_pr(pred, len(b.labels)),
                                label_names=b.labels.values)
-    metrics.write_calibration(out / "calibration.csv", metrics.calibration_bins(pred))
+    metrics.write_calibration(out / "calibration.csv", bins)
     print("eval: " + "  ".join(f"{k}={v:.4f}" for k, v in rows))
     return 0
 

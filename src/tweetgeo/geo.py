@@ -84,12 +84,6 @@ class CityTable:
     def __len__(self):
         return len(self.cities)
 
-    def by_id(self, city_id: int) -> City:
-        i = int(np.searchsorted(self._ids, city_id))
-        if i >= len(self.cities) or self.cities[i].city_id != city_id:
-            raise KeyError(f"unknown city_id {city_id}")
-        return self.cities[i]
-
 
 def nearest_city(point, table: CityTable) -> int:
     """city_id of the table city closest to (lat, lon); ties -> smallest id."""

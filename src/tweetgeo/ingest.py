@@ -129,28 +129,24 @@ def parse_record(line, require_coords: bool = True) -> Record:
     return Record(**fields)
 
 
-def iter_jsonl(f, require_coords: bool = True) -> Iterator:
-    """Each non-blank line of a JSONL file opened in binary mode as a Record, or
-    as the RecordSkip that says why not; lines are decoded one by one, so one
-    that is not UTF-8 is one skip."""
+def iter_jsonl(f, counts: Counter, require_coords: bool = True) -> Iterator[Record]:
+    """The valid Records of a JSONL file opened in binary mode; each other
+    non-blank line adds one to counts["skipped"]. Lines are decoded one by
+    one, so one that is not UTF-8 is one skip."""
     for line in f:
         if line.strip():
             try:
                 yield parse_record(line, require_coords)
-            except RecordSkip as e:
-                yield e
+            except RecordSkip:
+                counts["skipped"] += 1
 
 
 def read_jsonl(path) -> tuple[list[Record], int]:
     """Load records from a JSONL file; returns (records, skipped_count)."""
-    records, skipped = [], 0
+    counts = Counter()
     with open(path, "rb") as f:
-        for r in iter_jsonl(f):
-            if isinstance(r, RecordSkip):
-                skipped += 1
-            else:
-                records.append(r)
-    return records, skipped
+        records = list(iter_jsonl(f, counts))
+    return records, counts["skipped"]
 
 
 def record_to_json(r: Record) -> str:

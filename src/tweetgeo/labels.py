@@ -22,14 +22,6 @@ TASK_CITY = "city"
 LABEL_FIELDS = {TASK_COUNTRY: "country_code", TASK_CITY: "city_id"}   # Record attributes
 
 
-def require_labels(records, task: str, source):
-    """DataError naming source unless every record carries the task's label."""
-    field = LABEL_FIELDS[task]
-    unlabeled = next((r for r in records if getattr(r, field) in (None, "")), None)
-    if unlabeled is not None:
-        raise DataError(f"{source}: record of user {unlabeled.user_id!r} has no {field}")
-
-
 @dataclass
 class LabelTable:
     task: str
@@ -50,13 +42,16 @@ class LabelTable:
     def __len__(self):
         return len(self.values)
 
-    def index_of(self, value) -> int:
-        """Label index, or -1 for values outside the table."""
-        return self._index.get(value, -1)
-
-    def label_array(self, records) -> np.ndarray:
-        return np.array([self.index_of(getattr(r, self.field)) for r in records],
-                        dtype=np.int64)
+    def label_array(self, records, source="records") -> np.ndarray:
+        """Each record's label index, -1 for a value outside the table; a record
+        with no label is a DataError naming source."""
+        indices = []
+        for r in records:
+            value = getattr(r, self.field)
+            if value in (None, ""):
+                raise DataError(f"{source}: record of user {r.user_id!r} has no {self.field}")
+            indices.append(self._index.get(value, -1))
+        return np.array(indices, dtype=np.int64)
 
     def coords_array(self) -> np.ndarray:
         if self.coords is None:

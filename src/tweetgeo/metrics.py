@@ -1,6 +1,6 @@
 """Evaluation: accuracy, top-5 accuracy, the 161 km near-miss rate, median
-error distance, one-vs-rest precision/recall rows, and calibration bins over
-the winning output probability.
+error distance, one-vs-rest precision/recall rows, and calibration bins and
+the expected calibration error over the winning output probability.
 
 Error distances always run from the predicted city's representative
 coordinates to the record's true coordinates.
@@ -137,16 +137,25 @@ def per_class_pr(pred: Predictions, label_count: int):
 
 
 def calibration_bins(pred: Predictions):
-    """Rows of (bin_low, bin_high, count_fraction, accuracy_within_bin) over
-    top_prob; bins are [0,0.1), ..., [0.9,1.0] with the last bin closed."""
+    """Rows of (bin_low, bin_high, count_fraction, accuracy_within_bin,
+    mean_confidence) over top_prob; bins are [0,0.1), ..., [0.9,1.0] with
+    the last bin closed. An empty bin's accuracy and confidence are 0."""
     # widened before dividing: float32 CNN probabilities bin as float64
     top = np.asarray(pred.top_prob, dtype=np.float64)
     b = np.minimum((top / 0.1).astype(np.int64), CALIBRATION_BINS - 1)
     count = np.bincount(b, minlength=CALIBRATION_BINS)
     correct = np.bincount(b[_hits(pred)], minlength=CALIBRATION_BINS)
+    confidence = np.bincount(b, weights=top, minlength=CALIBRATION_BINS)
     frac = count / max(len(b), 1)
-    return [(round(i * 0.1, 10), round((i + 1) * 0.1, 10), f, a)
-            for i, (f, a) in enumerate(zip(frac.tolist(), _ratio(correct, count).tolist()))]
+    return [(round(i * 0.1, 10), round((i + 1) * 0.1, 10), f, a, c)
+            for i, (f, a, c) in enumerate(zip(frac.tolist(), _ratio(correct, count).tolist(),
+                                              _ratio(confidence, count).tolist()))]
+
+
+def expected_calibration_error(bins) -> float:
+    """ECE (Guo et al. 2017) of calibration_bins rows: the mean over records
+    of the gap between their bin's accuracy and mean confidence."""
+    return sum(f * abs(a - c) for _, _, f, a, c in bins)
 
 
 # ---------------------------------------------------------------------------
@@ -169,5 +178,5 @@ def write_per_class_pr(path, rows, label_names):
 
 
 def write_calibration(path, rows):
-    _write_csv(path, ["bin_low", "bin_high", "count_fraction", "accuracy"],
-               ([lo, hi, repr(frac), repr(acc)] for lo, hi, frac, acc in rows))
+    _write_csv(path, ["bin_low", "bin_high", "count_fraction", "accuracy", "mean_confidence"],
+               ([lo, hi, repr(frac), repr(acc), repr(conf)] for lo, hi, frac, acc, conf in rows))

@@ -34,8 +34,7 @@ def cross_entropy_batch(p: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-np.log(picked)))
 
 
-def dropout(x: np.ndarray, rate: float = 0.5, train: bool = True,
-            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def dropout(x: np.ndarray, rate: float, train: bool, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout. Train: zero each element with probability `rate` and
     scale survivors by 1/(1-rate); infer: identity. Returns (output, mask)
     where mask already carries the survivor scaling.
@@ -59,11 +58,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    lr: float
     t: int = 0
-    lr: float = 1e-3
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-3) -> "AdamState":
+    def for_param(cls, param: np.ndarray, lr: float) -> "AdamState":
         return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
 
 

@@ -107,12 +107,13 @@ def mnb_posterior_exact(class_docs, doc, alpha):
 
 def metrics_scan(rows, label_count):
     """Accuracy, top-5 accuracy, per-class (label, precision, recall, support)
-    rows and 10 calibration rows, one record at a time. rows holds
-    (true label or -1, labels ranked best first, winning probability)."""
+    rows, 10 calibration rows with each bin's mean winning probability, and
+    the expected calibration error, one record at a time. rows holds (true
+    label or -1, labels ranked best first, winning probability)."""
     n = len(rows)
     hits = [ranked[0] == t for t, ranked, _ in rows]
     tp, pred_n, support = [0] * label_count, [0] * label_count, [0] * label_count
-    count, correct = [0] * 10, [0] * 10
+    count, correct, confidence = [0] * 10, [0] * 10, [0.0] * 10
     for (t, ranked, top), hit in zip(rows, hits):
         pred_n[ranked[0]] += 1
         if 0 <= t < label_count:
@@ -121,11 +122,15 @@ def metrics_scan(rows, label_count):
         b = min(int(top / 0.1), 9)
         count[b] += 1
         correct[b] += hit
+        confidence[b] += top
     pr = [(c, tp[c] / pred_n[c] if pred_n[c] else 0.0,
            tp[c] / support[c] if support[c] else 0.0, support[c]) for c in range(label_count)]
     cal = [(round(b * 0.1, 10), round((b + 1) * 0.1, 10), count[b] / n,
-            correct[b] / count[b] if count[b] else 0.0) for b in range(10)]
-    return sum(hits) / n, sum(t in ranked for t, ranked, _ in rows) / n, pr, cal
+            correct[b] / count[b] if count[b] else 0.0,
+            confidence[b] / count[b] if count[b] else 0.0) for b in range(10)]
+    # |acc_b - conf_b| * n_b / N, summed, is |hits_b - sum of top_b| / N
+    ece = sum(abs(correct[b] - confidence[b]) for b in range(10)) / n
+    return sum(hits) / n, sum(t in ranked for t, ranked, _ in rows) / n, pr, cal, ece
 
 
 def conv_maxpool_scan(rows, w, b):

@@ -619,6 +619,25 @@ def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path,
         assert not (tmp_path / "m.gtlm").exists()
 
 
+@pytest.mark.parametrize("model", ["cnn", "stacking"])
+@pytest.mark.parametrize("task, field, missing", [("city", "city_id", None),
+                                                  ("country", "country_code", "")])
+def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, task, field,
+                                             missing):
+    prep = tmp_path / "prep"
+    shutil.copytree(prep_dir, prep)
+    rows = [json.loads(line) for line in (prep / "dev.jsonl").read_text().splitlines()]
+    rows[2][field] = missing
+    (prep / "dev.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
+               "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {prep / 'dev.jsonl'}: record of user "
+                                       f"{rows[2]['user_id']!r} has no {field}\n")
+    assert not (tmp_path / "m.gtlm").exists()
+
+
 def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city",
                "--model", "stacking+", "--igr-top-percent", "40",

@@ -17,8 +17,10 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
+    # a numpy RuntimeWarning (NaN, overflow) fails a demo as it fails a test
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

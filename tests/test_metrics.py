@@ -5,7 +5,7 @@ from oracles import haversine_oracle_km, metrics_scan
 from tweetgeo.geo import City, CityTable, haversine_km
 from tweetgeo.labels import city_labels
 from tweetgeo.metrics import (Predictions, acc_at_161, acc_top5, accuracy,
-                              calibration_bins, error_distances_km,
+                              calibration_bins, error_distances_km, expected_calibration_error,
                               median_error_km, per_class_pr, rank, ranked_top5,
                               write_calibration, write_metrics_summary, write_per_class_pr)
 
@@ -78,11 +78,12 @@ def test_batch_metrics_equal_the_per_record_scan(seed):
     for t, p in zip(true.tolist(), probs):
         ranked = sorted(range(labels), key=lambda i: (-p[i], i))[:5]
         rows.append((t, ranked, float(p[ranked[0]])))
-    acc, top5, pr, cal = metrics_scan(rows, labels)
+    acc, top5, pr, cal, ece = metrics_scan(rows, labels)
     pred = rank(probs, true)
     assert accuracy(pred) == acc and acc_top5(pred) == top5
     assert per_class_pr(pred, labels) == pr
     assert calibration_bins(pred) == cal
+    assert expected_calibration_error(calibration_bins(pred)) == pytest.approx(ece, abs=1e-12)
 
 
 def test_calibration_bins_widen_float32_probabilities():
@@ -91,7 +92,7 @@ def test_calibration_bins_widen_float32_probabilities():
     p = np.float32(0.7)
     assert int(p / np.float32(0.1)) == 7 and int(float(p) / 0.1) == 6
     rows = calibration_bins(rank(np.array([[p, 0.2]], dtype=np.float32), [0]))
-    assert rows[6] == (0.6, 0.7, 1.0, 1.0)
+    assert rows[6] == (0.6, 0.7, 1.0, 1.0, float(p))
 
 
 def test_accuracy_all_correct_and_fixture():
@@ -189,8 +190,8 @@ def test_per_class_pr_hand_confusion_matrix():
 def test_calibration_all_high_confidence():
     preds = batch([P(0, [0], prob=0.95)] * 4)
     rows = calibration_bins(preds)
-    assert rows[-1] == (0.9, 1.0, 1.0, 1.0)
-    assert all(r[2] == 0.0 for r in rows[:-1])
+    assert rows[-1] == (0.9, 1.0, 1.0, 1.0, 0.95)
+    assert all(r[2] == r[4] == 0.0 for r in rows[:-1])
 
 
 def test_calibration_fixture_three_bins():
@@ -198,11 +199,14 @@ def test_calibration_fixture_three_bins():
                    P(0, [0], prob=0.55),                          # bin 5: acc 1
                    P(0, [1], prob=1.0), P(0, [0], prob=0.93)])    # bin 9: acc 1/2
     rows = calibration_bins(preds)
-    assert rows[0] == (0.0, 0.1, pytest.approx(2 / 5), pytest.approx(1 / 2))
-    assert rows[5] == (0.5, 0.6, pytest.approx(1 / 5), 1.0)
-    assert rows[9] == (0.9, 1.0, pytest.approx(2 / 5), pytest.approx(1 / 2))
+    assert rows[0] == (0.0, 0.1, pytest.approx(2 / 5), pytest.approx(1 / 2), 0.05)
+    assert rows[5] == (0.5, 0.6, pytest.approx(1 / 5), 1.0, 0.55)
+    assert rows[9] == (0.9, 1.0, pytest.approx(2 / 5), pytest.approx(1 / 2),
+                       pytest.approx(0.965))
     assert sum(r[2] for r in rows) == pytest.approx(1.0, abs=1e-9)
     assert rows[9][2] > 0   # prob 1.0 lands in the closed last bin
+    # 2/5 * |1/2 - 0.05| + 1/5 * |1 - 0.55| + 2/5 * |1/2 - 0.965|
+    assert expected_calibration_error(rows) == pytest.approx(0.456)
 
 
 def test_report_writers(tmp_path):
@@ -212,4 +216,6 @@ def test_report_writers(tmp_path):
     write_calibration(tmp_path / "c.csv", calibration_bins(preds))
     assert (tmp_path / "m.csv").read_text().splitlines()[0] == "metric,value"
     assert "US" in (tmp_path / "p.csv").read_text()
-    assert len((tmp_path / "c.csv").read_text().splitlines()) == 11
+    lines = (tmp_path / "c.csv").read_text().splitlines()
+    assert lines[0] == "bin_low,bin_high,count_fraction,accuracy,mean_confidence"
+    assert len(lines) == 11

@@ -75,7 +75,7 @@ def test_dropout_deterministic_per_seed():
 
 def test_adam_zero_gradient_is_noop():
     p = np.array([1.0, -2.0], dtype=np.float32)
-    st = AdamState.for_param(p)
+    st = AdamState.for_param(p, lr=1e-3)
     adam_step(p, np.zeros_like(p), st)
     assert p.tolist() == [1.0, -2.0]
 
@@ -144,7 +144,7 @@ def test_adam_in_place_bit_identical_to_reference(dtype):
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(3)
     with pytest.raises(ValueError):
-        adam_step(p, np.zeros(4), AdamState.for_param(p))
+        adam_step(p, np.zeros(4), AdamState.for_param(p, lr=1e-3))
 
 
 def test_cross_entropy_batch_mean():
