@@ -31,7 +31,7 @@ vocab = build_vocab(tokens, min_count=3)
 counts = count_matrix(tokens, vocab)
 base = fit_mnb(counts, ytr, len(labels), alpha=1e-2)
 te_counts = count_matrix([base_tokens(r, "text") for r in te], vocab)
-acc = float(np.mean(predict_mnb(base, te_counts)[0] == yte))
+acc = float(np.mean(predict_mnb(base, te_counts) == yte))
 print(f"  text-only NB accuracy: {acc:.4f} (vocabulary {len(vocab)})")
 
 print("\n== information gain ratio ranking ==")

@@ -19,6 +19,7 @@ import numpy as np
 from .encode import time_slot
 from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
+from .nncore import softmax
 from .textproc import Vocabulary, build_vocab, tokenize
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
@@ -135,15 +136,12 @@ def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
     return MnbModel(log_prior, log_prob)
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
 def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     """log P(c) + sum_f count_f * log P(f|c) for every row, (N, L): a gather of
     log P(f|c) at the stored cells, summed per row, a block of rows at a time."""
+    if counts.n_cols != model.feature_log_prob.shape[1]:
+        raise ValueError(f"counts have {counts.n_cols} features, the model "
+                         f"{model.feature_log_prob.shape[1]}")
     n, indptr = counts.shape[0], counts.indptr
     log_prob_t = model.feature_log_prob.T
     budget = max(1, GATHER_CELLS // model.n_classes)
@@ -162,17 +160,13 @@ def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
 
 def posterior_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     """Normalized class posteriors (N, L) of a count matrix."""
-    if counts.n_cols != model.feature_log_prob.shape[1]:
-        raise ValueError(f"counts have {counts.n_cols} features, the model "
-                         f"{model.feature_log_prob.shape[1]}")
-    jll = _joint_log_likelihood(model, counts)
-    return np.exp(jll - _logsumexp(jll, axis=-1)[:, None])
+    return softmax(_joint_log_likelihood(model, counts))
 
 
-def predict_mnb(model: MnbModel, counts: CsrCounts) -> tuple[np.ndarray, np.ndarray]:
-    """(argmax labels (N,), posteriors (N, L)); ties go to the smallest label index."""
-    post = posterior_mnb(model, counts)
-    return np.argmax(post, axis=-1).astype(np.int64), post   # first maximum
+def predict_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
+    """Labels (N,): the argmax of the unnormalized joint log-likelihood, ties
+    to the smallest label index."""
+    return np.argmax(_joint_log_likelihood(model, counts), axis=-1)
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -282,7 +276,7 @@ def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
         held = fold_of == j
         for bi, b in enumerate(BASE_FIELDS):
             base = fit_mnb(counts[b][~held], labels[~held], label_count, alpha)
-            oof[held, bi], _ = predict_mnb(base, counts[b][held])
+            oof[held, bi] = predict_mnb(base, counts[b][held])
 
     stack = StackModel(bases={}, base_vocabs=vocabs, meta=None, label_count=label_count,
                        folds=folds, alpha=alpha, igr_percent=igr_percent)
@@ -298,5 +292,5 @@ def posterior_stacking(model: StackModel, records) -> np.ndarray:
     base_labels = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)
     for bi, b in enumerate(BASE_FIELDS):
         counts = count_matrix([base_tokens(r, b) for r in records], model.base_vocabs[b])
-        base_labels[:, bi], _ = predict_mnb(model.bases[b], counts)
+        base_labels[:, bi] = predict_mnb(model.bases[b], counts)
     return posterior_mnb(model.meta, model.meta_features(base_labels))

@@ -99,7 +99,7 @@ def decode_tensor(payload: bytes, what: str = "tensor") -> np.ndarray:
     if len(payload) != off + n * size:
         raise BundleError(f"{what}: payload length does not match shape {shape}")
     try:
-        return np.frombuffer(payload[off:], dtype=_DTYPES[size]).reshape(shape).copy()
+        return np.frombuffer(payload, _DTYPES[size], offset=off).reshape(shape).copy()
     except ValueError as e:                   # more axes than numpy supports
         raise BundleError(f"{what}: {e}") from e
 

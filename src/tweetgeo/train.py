@@ -148,7 +148,8 @@ class _Reader:
     """Checked access to a bundle's sections by name. A missing section, or
     one whose content does not decode to what is asked for, is a BundleError;
     `load_bundle` adds the file's name. Sections and config keys nobody asks
-    for are ignored."""
+    for are ignored. Each section is read once: `raw` drops its bytes, so a
+    load holds the decoded tensors plus the sections not yet decoded."""
 
     def __init__(self, sections: dict):
         self.sections = sections
@@ -156,7 +157,7 @@ class _Reader:
     def raw(self, name: str) -> bytes:
         if name not in self.sections:
             raise BundleError(f"bundle lacks section {name!r}")
-        return self.sections[name]
+        return self.sections.pop(name)
 
     def checked(self, name: str, build, *args):
         """build(*args); what build rejects is a bad section `name`."""

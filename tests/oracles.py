@@ -119,7 +119,7 @@ def metrics_scan(rows, label_count):
         if 0 <= t < label_count:
             support[t] += 1
             tp[t] += hit
-        b = min(int(top / 0.1), 9)
+        b = sum(top >= k / 10 for k in range(1, 10))
         count[b] += 1
         correct[b] += hit
         confidence[b] += top

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_record
 from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
-                     mnb_posterior_exact, presence_corpus)
+                     mnb_posterior_exact, predict_mnb_dense, presence_corpus)
 from tweetgeo import bayes
-from tweetgeo.bayes import (BASE_FIELDS, base_tokens, categorical_tokens,
+from tweetgeo.bayes import (BASE_FIELDS, MnbModel, base_tokens, categorical_tokens,
                             count_matrix, fit_mnb, fit_stacking, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
                             reduce_vocab, select_top_percent)
@@ -27,8 +28,8 @@ def test_fit_mnb_hand_values_alpha_one():
 
 def test_fit_mnb_single_class_predicts_it():
     m = fit_mnb(csr_counts([[1.0, 2.0]]), np.array([0]), n_classes=1, alpha=0.5)
-    label, post = predict_mnb(m, csr_counts([[5.0, 0.0]]))
-    assert label.tolist() == [0] and post.tolist() == [[1.0]]
+    doc = csr_counts([[5.0, 0.0]])
+    assert predict_mnb(m, doc).tolist() == [0] and posterior_mnb(m, doc).tolist() == [[1.0]]
 
 
 def test_fit_mnb_symmetry():
@@ -46,13 +47,14 @@ def test_fit_mnb_rejects_empty():
 
 def test_predict_empty_doc_returns_prior():
     m = fit_mnb(HAND_COUNTS, HAND_LABELS, n_classes=2, alpha=1.0)
-    _, post = predict_mnb(m, csr_counts(np.zeros((1, 2))))
+    post = posterior_mnb(m, csr_counts(np.zeros((1, 2))))
     assert post[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
 def test_predict_hand_doc():
     m = fit_mnb(HAND_COUNTS, HAND_LABELS, n_classes=2, alpha=1.0)
-    label, post = predict_mnb(m, csr_counts([[1.0, 0.0]]))
+    doc = csr_counts([[1.0, 0.0]])
+    label, post = predict_mnb(m, doc), posterior_mnb(m, doc)
     assert label.tolist() == [0]
     assert post.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -84,15 +86,36 @@ def test_mnb_scaling_invariance_without_smoothing():
     docs = csr_counts([[2.0, 1.0], [0.0, 3.0], [5.0, 5.0]])
     m1 = fit_mnb(csr_counts(counts), labels, 2, alpha=0.0)
     m2 = fit_mnb(csr_counts(counts * 7), labels, 2, alpha=0.0)
-    assert predict_mnb(m1, docs)[0].tolist() == predict_mnb(m2, docs)[0].tolist()
+    assert predict_mnb(m1, docs).tolist() == predict_mnb(m2, docs).tolist() == [0, 1, 1]
 
 
 def test_mnb_argmax_tie_goes_to_smaller_index():
     counts = csr_counts([[1, 1], [1, 1]])
     m = fit_mnb(counts, np.array([0, 1]), 2, alpha=1.0)
-    label, post = predict_mnb(m, csr_counts([[1.0, 1.0]]))
+    doc = csr_counts([[1.0, 1.0]])
+    label, post = predict_mnb(m, doc), posterior_mnb(m, doc)
     assert post[0, 0] == pytest.approx(post[0, 1], abs=1e-15)
     assert label.tolist() == [0]
+
+
+@given(data=st.data())
+def test_predict_mnb_is_the_argmax_of_the_dense_joint_likelihood(data):
+    # log-probabilities on a 1/8 grid keep every product and sum exact, so the
+    # sparse, dense and normalized paths tie exactly where the others do
+    n_classes, n_features = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+    grid = st.integers(-40, 0).map(lambda k: k / 8)
+    vectors = lambda values, size: st.lists(values, min_size=size, max_size=size)
+    prior = np.array(data.draw(vectors(grid, n_classes)))
+    log_prob = np.array(data.draw(vectors(vectors(grid, n_features), n_classes)))
+    absent = data.draw(st.integers(0, n_classes))   # n_classes: no class is absent
+    prior[absent:absent + 1] = -np.inf               # a class with no training documents
+    docs = np.array(data.draw(st.lists(vectors(st.integers(0, 4), n_features), max_size=10)),
+                    dtype=float).reshape(-1, n_features)
+    model = MnbModel(prior, log_prob)
+    got = predict_mnb(model, csr_counts(docs))
+    assert got.dtype == np.int64 and got.shape == (len(docs),)
+    assert got.tolist() == predict_mnb_dense((prior, log_prob), docs).tolist()
+    assert got.tolist() == np.argmax(posterior_mnb(model, csr_counts(docs)), axis=1).tolist()
 
 
 def _igr(present, docs) -> float:
@@ -201,7 +224,7 @@ def test_stacking_beats_or_matches_perfect_base():
     base_hits = 0
     for j in range(5):
         m = fit_mnb(counts[fold != j], labels[fold != j], 2, alpha=1e-2)
-        pred, _ = predict_mnb(m, counts[fold == j])
+        pred = predict_mnb(m, counts[fold == j])
         base_hits += int(np.sum(pred == labels[fold == j]))
     assert acc >= base_hits / len(recs)
     assert acc == 1.0
@@ -338,8 +361,9 @@ def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, gather_cells)
     assert got.shape == (40, 4)
     assert np.abs(got - want).max() <= 1e-12
     assert got[0] == pytest.approx(np.exp(model.class_log_prior), abs=1e-15)   # empty row
-    with pytest.raises(ValueError, match="features"):
-        posterior_mnb(model, csr_counts(docs[:, :29]))
+    for score in (posterior_mnb, predict_mnb):
+        with pytest.raises(ValueError, match="counts have 29 features, the model 30"):
+            score(model, csr_counts(docs[:, :29]))
 
 
 def _random_corpus(rng, n=90, n_classes=4, classes=None):

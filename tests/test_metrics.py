@@ -95,6 +95,16 @@ def test_calibration_bins_widen_float32_probabilities():
     assert rows[6] == (0.6, 0.7, 1.0, 1.0, float(p))
 
 
+def test_calibration_bins_put_a_top_on_an_edge_in_the_bin_it_opens():
+    # 0.3 / 0.1 == 2.9999999999999996: dividing would bin 0.3, 0.6 and 0.7 one low
+    tops = [0.3, 0.6, 0.7, 0.1, 1.0]
+    rows = calibration_bins(batch([P(0, [0], prob=p) for p in tops]))
+    assert [i for i, row in enumerate(rows) if row[2] > 0] == [1, 3, 6, 7, 9]
+    assert [rows[i][4] for i in (3, 6, 7, 1, 9)] == tops
+    _, _, _, cal, _ = metrics_scan([(0, [0], p) for p in tops], 1)
+    assert [row[2] > 0 for row in cal] == [row[2] > 0 for row in rows]
+
+
 def test_accuracy_all_correct_and_fixture():
     preds = batch([P(i, [i, 9, 8, 7, 6]) for i in range(4)])
     assert accuracy(preds) == 1.0

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_record
 from tweetgeo import bundle as bundle_io, cli
-from tweetgeo.bayes import fit_stacking
+from tweetgeo.bayes import BASE_FIELDS, MnbModel, StackModel, fit_stacking
 from tweetgeo.cnn import (CnnConfig, FeatureBatch, backward, encode_features, forward,
                          init_model)
 from tweetgeo.encode import CategoryMaps, build_category_maps
 from tweetgeo.errors import BundleError, DataError
-from tweetgeo.labels import LabelTable, country_labels
+from tweetgeo.labels import TASK_COUNTRY, LabelTable, country_labels
 from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch
 from tweetgeo.textproc import Vocabulary, build_vocab
 from tweetgeo.train import (CnnBundle, TrainConfig, load_bundle, load_model,
@@ -271,6 +271,33 @@ def test_stack_training_is_byte_identical_on_rerun(tmp_path):
                              igr_percent=40.0, min_count=1)
         save_stack_model(model, labels, tmp_path / name)
     assert (tmp_path / "a.gtlm").read_bytes() == (tmp_path / "b.gtlm").read_bytes()
+
+
+def test_stack_load_peak_is_the_tensors_plus_the_largest(tmp_path):
+    # 300 labels: the (L, 5L) meta table is 3.6 of the bundle's 3.67 MB of
+    # tensors. A load holds the file's sections and decodes each tensor in
+    # one copy, dropping its section once read
+    n_labels, rng = 300, np.random.default_rng(4)
+    vocab = build_vocab([["a", "b", "c"]], min_count=1)
+
+    def mnb(n_features):
+        return MnbModel(rng.normal(size=n_labels), rng.normal(size=(n_labels, n_features)))
+    model = StackModel(bases={b: mnb(len(vocab)) for b in BASE_FIELDS},
+                       base_vocabs={b: vocab for b in BASE_FIELDS},
+                       meta=mnb(len(BASE_FIELDS) * n_labels), label_count=n_labels)
+    labels = LabelTable(TASK_COUNTRY, [f"c{i}" for i in range(n_labels)])
+    save_stack_model(model, labels, tmp_path / "stack.gtlm")
+    tensors = [t for m in [*model.bases.values(), model.meta]
+               for t in (m.class_log_prior, m.feature_log_prob)]
+    tracemalloc.start()
+    try:
+        loaded = load_stack_model(tmp_path / "stack.gtlm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.model.meta.feature_log_prob.tobytes() == model.meta.feature_log_prob.tobytes()
+    assert loaded.model.meta.feature_log_prob.flags.writeable
+    assert peak <= sum(t.nbytes for t in tensors) + max(t.nbytes for t in tensors) + 2**20
 
 
 @pytest.mark.parametrize("tensor", ["text:prior", "cats:log_prob", "meta:log_prob"])
