@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import nncore
 from .encode import time_slot
 from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
-from .nncore import softmax
 from .textproc import Vocabulary, build_vocab, tokenize
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
@@ -28,7 +28,6 @@ CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
 FOLDS = 5                # stacking cross-validation folds
 ALPHA = 1e-2             # additive smoothing of every MNB
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}   # STACKING+'s IGR top percent per task
-GATHER_CELLS = 1 << 21   # (cell, class) products a posterior or igr_scores holds at once
 _ONE_LINE = str.maketrans("\r\n", "  ")
 
 
@@ -144,7 +143,7 @@ def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
                          f"{model.feature_log_prob.shape[1]}")
     n, indptr = counts.shape[0], counts.indptr
     log_prob_t = model.feature_log_prob.T
-    budget = max(1, GATHER_CELLS // model.n_classes)
+    budget = max(1, nncore.BLOCK_CELLS // model.n_classes)
     jll = np.zeros((n, model.n_classes))
     r0 = 0
     while r0 < n:
@@ -160,7 +159,7 @@ def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
 
 def posterior_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     """Normalized class posteriors (N, L) of a count matrix."""
-    return softmax(_joint_log_likelihood(model, counts))
+    return nncore.softmax(_joint_log_likelihood(model, counts))
 
 
 def predict_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
@@ -204,7 +203,7 @@ def igr_scores(counts: CsrCounts, labels: np.ndarray, n_classes: int) -> np.ndar
     present = _class_table(counts, labels, n_classes)
     totals = np.bincount(labels, minlength=n_classes)
     scores = np.empty(f)
-    block = max(1, GATHER_CELLS // n_classes)
+    block = max(1, nncore.BLOCK_CELLS // n_classes)
     for s in range(0, f, block):
         scores[s:s + block] = _igr_columns(present[:, s:s + block], totals)
     return scores

@@ -48,15 +48,18 @@ class CnnConfig:
     label_count: int = 2
 
     def __post_init__(self):
-        self.windows = tuple(sorted(set(int(h) for h in self.windows)))
+        if set(self.max_lens) != set(FIELDS):
+            raise ValueError(f"max_lens must cover exactly the fields {FIELDS}")
+        # a float, string or bool size would be truncated or reach a slice
+        if any(type(n) is not int for n in (*self.windows, *self.max_lens.values())):
+            raise ValueError("windows and max_lens must be integers")
+        self.windows = tuple(sorted(set(self.windows)))
         if not self.windows or self.windows[0] < 1:
             raise ValueError("windows must be positive integers")
         if self.embed_dim < 1 or self.filters_per_window < 1 or self.label_count < 1:
             raise ValueError("embed_dim, filters_per_window and label_count must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
-        if set(self.max_lens) != set(FIELDS):
-            raise ValueError(f"max_lens must cover exactly the fields {FIELDS}")
         # every window must fit in every (padded) field matrix
         shortest = min(self.max_lens.values())
         if self.windows[-1] > shortest:

@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nncore
 from .errors import DataError, open_utf8
 
 EARTH_RADIUS_KM = 6371.0
-# (point, city) distances computed at once by `assign_cities`; 2^16 float64
-# cells keep each temporary at 512 KiB, so memory does not grow with the corpus
-NEAREST_BLOCK_CELLS = 1 << 16
 
 
 def _check_coords(lat, lon):
@@ -102,12 +100,12 @@ def assign_cities(records, table: CityTable):
 def _nearest_ids(lat, lon, table: CityTable) -> np.ndarray:
     """city_id of the nearest table city for each point, as an int64 array.
 
-    Distances are computed NEAREST_BLOCK_CELLS (point, city) pairs at a time,
+    Distances are computed nncore.BLOCK_CELLS (point, city) pairs at a time,
     each pair with the same float ops as a scalar `haversine_km` call. Cities
     are stored in ascending id order and np.argmin returns the first minimum,
     which implements the tie-break."""
     lat, lon = _check_coords(lat, lon)
-    rows = max(1, NEAREST_BLOCK_CELLS // len(table))
+    rows = max(1, nncore.BLOCK_CELLS // len(table))
     nearest = np.empty(lat.shape, dtype=np.int64)
     for s in range(0, lat.size, rows):
         d = _haversine(lat[s:s + rows, None], lon[s:s + rows, None], table._lats, table._lons)

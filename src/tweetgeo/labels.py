@@ -36,7 +36,12 @@ class LabelTable:
             if len(self.coords) != len(self.values):
                 raise ValueError(f"{len(self.coords)} coordinate pairs for "
                                  f"{len(self.values)} labels")
+        kind = int if self.task == TASK_CITY else str   # the type of a record's label field
+        if any(type(v) is not kind for v in self.values):
+            raise ValueError(f"{self.task} label values must be of type {kind.__name__}")
         self._index = {v: i for i, v in enumerate(self.values)}
+        if len(self._index) != len(self.values):
+            raise ValueError("a label value repeats")
         self.field = LABEL_FIELDS[self.task]
 
     def __len__(self):

@@ -15,7 +15,11 @@ import numpy as np
 
 PROB_FLOOR = 1e-12
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
-ADAM_BLOCK = 1 << 18                   # elements per block of adam_step's walk
+# Cells per temporary of every blocked walk: adam_step, bayes._joint_log_likelihood,
+# bayes.igr_scores and geo._nearest_ids size their blocks from it (512 KiB of
+# float64), so their memory is bounded by a block, not by the tensor or the corpus.
+# They read it as nncore.BLOCK_CELLS when called.
+BLOCK_CELLS = 1 << 16
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -73,35 +77,22 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Each elementwise operation is the one the formula names, in its order,
-    so the result is bit-identical to evaluating it into new arrays. The
-    tensor is walked in blocks of leading-axis rows of about ADAM_BLOCK
-    elements: the two temporaries hold one block, not the whole tensor, and
-    each block's operations run while it is in cache.
+    Each block runs the formula's operations in its order, with the moments
+    updated in place, so the result is bit-identical to evaluating it over
+    the whole tensor. Blocks are leading-axis rows of about BLOCK_CELLS
+    elements, so the temporaries hold one block, not the whole tensor.
     """
     if param.shape != grad.shape:
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
     state.t += 1
     m_corr, v_corr = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
-    rows = max(1, ADAM_BLOCK // max(1, math.prod(param.shape[1:])))
-    buf_shape = (min(rows, param.shape[0]),) + param.shape[1:]
-    num_buf, den_buf = np.empty(buf_shape, grad.dtype), np.empty(buf_shape, grad.dtype)
+    rows = max(1, BLOCK_CELLS // max(1, math.prod(param.shape[1:])))
     for r in range(0, param.shape[0], rows):
         p, g = param[r:r + rows], grad[r:r + rows]
         m, v = state.m[r:r + rows], state.v[r:r + rows]
-        num, den = num_buf[:len(p)], den_buf[:len(p)]
-        np.multiply(g, 1.0 - BETA1, out=num)
         m *= BETA1
-        m += num
-        np.square(g, out=den)
-        den *= 1.0 - BETA2
+        m += g * (1.0 - BETA1)
         v *= BETA2
-        v += den
-        np.divide(m, m_corr, out=num)                      # m_hat
-        num *= state.lr
-        np.divide(v, v_corr, out=den)                      # v_hat
-        np.sqrt(den, out=den)
-        den += EPS
-        num /= den
-        p -= num.astype(param.dtype, copy=False)
+        v += np.square(g) * (1.0 - BETA2)
+        p -= (m / m_corr * state.lr / (np.sqrt(v / v_corr) + EPS)).astype(param.dtype, copy=False)
     return param, state

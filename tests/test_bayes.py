@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import make_record
 from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
                      mnb_posterior_exact, predict_mnb_dense, presence_corpus)
-from tweetgeo import bayes
+from tweetgeo import nncore
 from tweetgeo.bayes import (BASE_FIELDS, MnbModel, base_tokens, categorical_tokens,
                             count_matrix, fit_mnb, fit_stacking, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
@@ -281,16 +281,16 @@ def test_igr_scores_match_oracle_per_column(rng):
         assert scores[j] == pytest.approx(igr_oracle(list(present), list(docs)), abs=1e-12)
 
 
-@pytest.mark.parametrize("gather_cells", [1, 7, 40])
-def test_igr_scores_in_column_blocks_match_oracle(rng, monkeypatch, gather_cells):
-    # a block holds GATHER_CELLS // 3 (feature, class) columns: 1, 2 and 13 here
+@pytest.mark.parametrize("cells", [1, 7, 40])
+def test_igr_scores_in_column_blocks_match_oracle(rng, monkeypatch, cells):
+    # a block holds BLOCK_CELLS // 3 (feature, class) columns: 1, 2 and 13 here
     tokens = [[f"w{int(w)}" for w in rng.integers(0, 30, size=int(rng.integers(0, 8)))]
               for _ in range(80)]
     labels = rng.integers(0, 3, size=80)
     vocab = build_vocab(tokens, min_count=1)
     counts = count_matrix_dense(tokens, vocab)
     whole = igr_scores(csr_counts(counts), labels, 3)
-    monkeypatch.setattr(bayes, "GATHER_CELLS", gather_cells)
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", cells)
     scores = igr_scores(csr_counts(counts), labels, 3)
     assert scores.tobytes() == whole.tobytes()
     docs = np.bincount(labels, minlength=3)
@@ -347,9 +347,9 @@ def test_csr_row_selection_matches_dense_rows(rng):
         assert np.array_equal(densify(csr[rows]), dense[rows])
 
 
-@pytest.mark.parametrize("gather_cells", [bayes.GATHER_CELLS, 1, 9])
-def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, gather_cells):
-    monkeypatch.setattr(bayes, "GATHER_CELLS", gather_cells)   # many row blocks
+@pytest.mark.parametrize("cells", [nncore.BLOCK_CELLS, 1, 9])
+def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, cells):
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", cells)   # many row blocks
     train = rng.integers(0, 4, size=(50, 30)).astype(float)
     model = fit_mnb(csr_counts(train), rng.integers(0, 4, size=50), n_classes=4, alpha=0.1)
     docs = rng.integers(0, 3, size=(40, 30)) * (rng.random((40, 30)) < 0.2)

@@ -690,6 +690,24 @@ def test_eval_bundle_config_missing_key_exits_2(request, prep_dir, tmp_path, cap
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [lambda c: c["max_lens"].update(text=c["max_lens"]["text"] + 0.5),
+                                  lambda c: c.update(windows=[float(h) for h in c["windows"]])],
+                         ids=["max-len-text-10.5", "windows-2.0-3.0"])
+def test_eval_cnn_bundle_config_with_a_non_integer_size_exits_2(cnn_bundle, prep_dir, tmp_path,
+                                                                capsys, edit):
+    # a float max_len would reach a slice, and a float window would be truncated
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    config = json.loads(sections["config"])
+    edit(config)
+    sections["config"] = bundle_io.encode_json(config)
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config section" in err and "windows and max_lens must be integers" in err
+
+
 @pytest.mark.parametrize("section", ["tensor:text:log_prob", "tensor:meta:log_prob",
                                      "tensor:cats:prior"])
 def test_eval_stack_bundle_with_mis_sized_tensor_exits_2(stack_bundle, prep_dir, tmp_path, capsys,

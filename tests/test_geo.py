@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tweetgeo import geo
+from tweetgeo import nncore
 from tweetgeo.errors import DataError
 from tweetgeo.geo import (City, CityTable, aggregate_cities, assign_cities, haversine_km,
                           load_city_table, nearest_city, save_city_table)
@@ -99,7 +99,7 @@ TIE_POINTS = [(10.0, 20.0),        # on the twins: 3
 
 
 def test_assign_cities_ties_go_to_the_smaller_id(monkeypatch):
-    monkeypatch.setattr(geo, "NEAREST_BLOCK_CELLS", 7)   # one point per block
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", 7)   # one point per block
     records = assign_cities(located(TIE_POINTS), TIE_TABLE)
     cities = [(c.city_id, c.lat, c.lon) for c in TIE_TABLE.cities]
     assert [r.city_id for r in records[:2]] == [3, 4]
@@ -109,7 +109,7 @@ def test_assign_cities_ties_go_to_the_smaller_id(monkeypatch):
 
 @pytest.mark.parametrize("cells", [1, 5, 13, 1 << 16])
 def test_assign_cities_in_blocks_matches_scan_and_per_record_path(rng, monkeypatch, cells):
-    monkeypatch.setattr(geo, "NEAREST_BLOCK_CELLS", cells)
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", cells)
     table = CityTable([City(i + 1, f"c{i}", float(rng.uniform(-90, 90)),
                             float(rng.uniform(-180, 180)), "AA") for i in range(6)])
     points = [(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))) for _ in range(300)]
@@ -135,7 +135,7 @@ def test_assign_cities_in_blocks_matches_per_record_path_bit_for_bit(cities, poi
     table = CityTable([City(2 * i + 1, f"c{i}", lat, lon, "AA")
                        for i, (lat, lon) in enumerate(cities)])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "NEAREST_BLOCK_CELLS", cells)
+        mp.setattr(nncore, "BLOCK_CELLS", cells)
         records = assign_cities(located(points), table)
     assert [r.city_id for r in records] == [nearest_per_record(p, table) for p in points]
 
@@ -148,7 +148,7 @@ def test_assign_cities_of_no_records():
                                  (math.inf, 0.0)])
 @pytest.mark.parametrize("at", [0, 5, 11])
 def test_assign_cities_rejects_a_bad_coordinate_in_any_block(monkeypatch, bad, at):
-    monkeypatch.setattr(geo, "NEAREST_BLOCK_CELLS", 12)   # two points per block
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", 12)   # two points per block
     points = [(0.0, float(i)) for i in range(12)]
     points[at] = bad
     with pytest.raises(ValueError, match="out of range"):

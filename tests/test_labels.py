@@ -35,3 +35,18 @@ def test_label_array_names_the_source_of_an_unlabeled_record(labels, record, fie
         labels.label_array([Record("u1", city_id=4, country_code="US"), record], "dev.jsonl")
     with pytest.raises(DataError, match=f"^records: record of user 'u9' has no {field}$"):
         labels.label_array([record])
+
+
+@pytest.mark.parametrize("task, values, match", [
+    ("city", [1, 1, 3], "a label value repeats"),
+    ("country", ["US", "JP", "US"], "a label value repeats"),
+    ("city", [1, "2"], "city label values must be of type int"),
+    ("city", [1, 2.0], "city label values must be of type int"),
+    ("city", [True, 2], "city label values must be of type int"),
+    ("country", ["US", 7], "country label values must be of type str"),
+], ids=["city-repeat", "country-repeat", "city-str", "city-float", "city-bool", "country-int"])
+def test_label_table_rejects_a_repeated_or_mistyped_value(task, values, match):
+    # a repeated value would map to its last index only, and a value of the
+    # wrong type matches no record's label
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        LabelTable(task, values)

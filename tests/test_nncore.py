@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adam_step_reference
-from tweetgeo.nncore import (ADAM_BLOCK, AdamState, adam_step, cross_entropy_batch, dropout,
-                             softmax)
+from oracles import adam_step_reference, csr_counts
+from tweetgeo import bayes, geo, nncore
+from tweetgeo.geo import City, CityTable
+from tweetgeo.ingest import Record
+from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch, dropout, softmax
 
 
 def test_softmax_uniform_and_known_values():
@@ -119,11 +121,14 @@ def test_adam_matches_reference_loop_at_default_lr():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_in_place_bit_identical_to_reference(dtype):
+def test_adam_in_place_bit_identical_to_reference(monkeypatch, dtype):
     rng = np.random.default_rng(4)
-    for shape in [(50, 7),
-                  (3 * (ADAM_BLOCK // 7) + 11, 7),      # three blocks and a ragged fourth
-                  (13,)]:                               # a bias
+    cells = nncore.BLOCK_CELLS
+    for shape, block_cells in [((50, 7), cells),
+                               ((50, 7), 7),                          # a block per row
+                               ((3 * (cells // 7) + 11, 7), cells),   # 3 blocks, a ragged 4th
+                               ((13,), cells)]:                       # a bias
+        monkeypatch.setattr(nncore, "BLOCK_CELLS", block_cells)
         p = rng.normal(size=shape).astype(dtype)
         q = p.copy()
         st = AdamState.for_param(p, lr=1e-2)
@@ -139,6 +144,41 @@ def test_adam_in_place_bit_identical_to_reference(dtype):
             assert st.t == ref.t == step + 1
             assert p.tobytes() == q.tobytes()
             assert st.m.tobytes() == ref.m.tobytes() and st.v.tobytes() == ref.v.tobytes()
+
+
+def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
+    # every walk reads nncore.BLOCK_CELLS when called: one monkeypatch splits
+    # each of them into blocks of a row or a column, and no output bit moves
+    rng = np.random.default_rng(5)
+    counts = csr_counts(rng.integers(0, 3, size=(60, 40)) * (rng.random((60, 40)) < 0.3))
+    labels = rng.integers(0, 4, size=60)
+    model = bayes.fit_mnb(counts, labels, n_classes=4, alpha=0.1)
+    table = CityTable([City(i + 1, f"c{i}", float(rng.uniform(-90, 90)),
+                            float(rng.uniform(-180, 180)), "AA") for i in range(9)])
+    points = rng.uniform([-90.0, -180.0], [90.0, 180.0], size=(50, 2)).tolist()
+    param, grad = rng.normal(size=(6, 7)), rng.normal(size=(6, 7))
+
+    def walks():
+        records = [Record(f"u{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(points)]
+        p = param.copy()
+        adam_step(p, grad, AdamState.for_param(p, lr=1e-2))
+        return (bayes.igr_scores(counts, labels, 4).tobytes(),
+                bayes.posterior_mnb(model, counts).tobytes(),
+                [r.city_id for r in geo.assign_cities(records, table)],
+                p.tobytes())
+
+    divisors = []
+
+    class Cells(int):
+        """A block bound that records each walk sizing its blocks from it."""
+        def __floordiv__(self, other):
+            divisors.append(other)
+            return int(self) // other
+
+    whole = walks()
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", Cells(5))
+    assert walks() == whole
+    assert divisors == [7, 4, 4, 9]     # adam_step, igr_scores, posterior_mnb, assign_cities
 
 
 def test_adam_rejects_shape_mismatch():

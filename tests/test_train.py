@@ -368,16 +368,21 @@ def test_corrupt_bundle_loads_or_raises_bundle_error(bundle_files, kind, cut, da
         pass
 
 
-@pytest.mark.parametrize("coords", [[[40.0, -80.0]], [[40.0, -80.0, 1.0]] * 3,
-                                    [["north", "west"]] * 3],
-                         ids=["too-few", "not-pairs", "not-numbers"])
-def test_load_rejects_label_coords_that_do_not_fit_the_labels(bundle_files, tmp_path, coords):
-    # eval indexes the coordinates by label, so a misfit must fail at load
+@pytest.mark.parametrize("edit", [
+    lambda t: dict(t, coords=[[40.0, -80.0]]),
+    lambda t: dict(t, coords=[[40.0, -80.0, 1.0]] * 3),
+    lambda t: dict(t, coords=[["north", "west"]] * 3),
+    lambda t: dict(t, values=t["values"][:2] + t["values"][:1]),
+    lambda t: dict(t, values=[7] + t["values"][1:]),
+], ids=["too-few", "not-pairs", "not-numbers", "repeated-value", "integer-value"])
+def test_load_rejects_label_coords_that_do_not_fit_the_labels(bundle_files, tmp_path, edit):
+    # eval indexes the coordinates by label and looks records up by value, so
+    # a misfit must fail at load
     bundles, d = bundle_files
     model_type, sections = bundle_io.read_sections(d / "stack.gtlm")
     table = json.loads(sections["label_table"])
-    assert len(table["values"]) == 3
-    sections["label_table"] = bundle_io.encode_json(dict(table, coords=coords))
+    assert len(table["values"]) == 3 and table["task"] == TASK_COUNTRY
+    sections["label_table"] = bundle_io.encode_json(edit(table))
     bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
     with pytest.raises(BundleError, match="bad label_table section"):
         load_stack_model(tmp_path / "bad.gtlm")
