@@ -253,6 +253,8 @@ def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
     on their one-hot encoding; bases are then refit on all records."""
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if igr_percent is not None and not 0.0 < igr_percent <= 100.0:
+        raise ValueError(f"igr_percent must be in (0, 100], got {igr_percent}")
     n = len(records)
     labels = np.asarray(labels, dtype=np.int64)
     if folds < 2:

@@ -77,8 +77,6 @@ def build_parser():
                    help="comma-separated filter window sizes (default %(default)s)")
     p.add_argument("--filters", type=int, default=CnnConfig.filters_per_window,
                    help="filters per window size (default %(default)s)")
-    p.add_argument("--dropout", type=float, default=CnnConfig.dropout_rate,
-                   help="dropout rate on the pooled vector (default %(default)s)")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
                    help="mini-batch size (default %(default)s)")
     p.add_argument("--lr", type=float, default=TrainConfig.lr,
@@ -91,10 +89,6 @@ def build_parser():
         p.add_argument(f"--max-len-{f.replace('_', '-')}", type=int, default=n,
                        help=f"token budget for the {f} field (default %(default)s)")
     p.add_argument("--vectors", help="pretrained embedding text file ('<count> <dim>' header)")
-    p.add_argument("--alpha", type=float, default=bayes.ALPHA,
-                   help="naive Bayes additive smoothing (default %(default)s)")
-    p.add_argument("--folds", type=int, default=bayes.FOLDS,
-                   help="stacking folds (default %(default)s)")
     p.add_argument("--igr-top-percent", type=float, default=None,
                    help="stacking+: keep this %% of tokens by information gain ratio (default "
                         + ", ".join(f"{v:g} for {t}" for t, v in bayes.IGR_DEFAULTS.items()) + ")")
@@ -162,37 +156,44 @@ def cmd_prepare(ns) -> int:
     return 0
 
 
-def _load_prep(prep_dir):
-    prep = Path(prep_dir)
-    for name in ("train.jsonl", "dev.jsonl", "vocab.txt", "category_maps.json", "cities.csv"):
-        if not (prep / name).exists():
-            raise DataError(f"{prep / name} missing; run `tweetgeo prepare` first")
-    train_recs, _ = ingest.read_jsonl(prep / "train.jsonl")
-    dev_recs, _ = ingest.read_jsonl(prep / "dev.jsonl")
-    vocab = textproc.load_vocab(prep / "vocab.txt")
-    try:
-        maps = CategoryMaps.from_value_lists(
-            json.loads((prep / "category_maps.json").read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{prep / 'category_maps.json'}: bad category maps: {e!r}") from e
-    table = geo.load_city_table(prep / "cities.csv")
-    return train_recs, dev_recs, vocab, maps, table
+def _prep_file(prep: Path, name: str) -> Path:
+    path = prep / name
+    if not path.exists():
+        raise DataError(f"{path} missing; run `tweetgeo prepare` first")
+    return path
 
 
 def cmd_train(ns) -> int:
-    train_recs, dev_recs, vocab, maps, table = _load_prep(ns.prep_dir)
-    labels = city_labels(table) if ns.task == TASK_CITY else country_labels(train_recs)
+    cnn = ns.model == "cnn"
+    # a bad output path is found before the fit, not after it
+    for out in (ns.out, ns.log if cnn else None):
+        if out is not None and not Path(out).parent.is_dir():
+            raise DataError(f"{out}: {Path(out).parent} is not a directory")
     prep = Path(ns.prep_dir)
-    y = labels.label_array(train_recs, prep / "train.jsonl")
+    train_path = _prep_file(prep, "train.jsonl")
+    train_recs, _ = ingest.read_jsonl(train_path)
+    if not train_recs:
+        raise DataError(f"{train_path}: no usable records")
+    labels = (city_labels(geo.load_city_table(_prep_file(prep, "cities.csv")))
+              if ns.task == TASK_CITY else country_labels(train_recs))
+    y = labels.label_array(train_recs, train_path)
     if np.any(y < 0):
         bad = train_recs[int(np.argmax(y < 0))]
-        raise DataError(f"{prep / 'train.jsonl'}: record of user {bad.user_id!r} has "
+        raise DataError(f"{train_path}: record of user {bad.user_id!r} has "
                         f"{labels.field} {getattr(bad, labels.field)!r}, not in the label table")
-    y_dev = labels.label_array(dev_recs, prep / "dev.jsonl")
 
-    if ns.model == "cnn":
+    if cnn:
+        dev_path = _prep_file(prep, "dev.jsonl")
+        dev_recs, _ = ingest.read_jsonl(dev_path)
+        y_dev = labels.label_array(dev_recs, dev_path)
+        vocab = textproc.load_vocab(_prep_file(prep, "vocab.txt"))
+        maps_path = _prep_file(prep, "category_maps.json")
+        try:
+            maps = CategoryMaps.from_value_lists(json.loads(maps_path.read_text(encoding="utf-8")))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{maps_path}: bad category maps: {e!r}") from e
         ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
-                         dropout_rate=ns.dropout, label_count=len(labels),
+                         label_count=len(labels),
                          max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
         tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
@@ -208,10 +209,10 @@ def cmd_train(ns) -> int:
     else:
         igr = None if ns.model == "stacking" else (
             bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
-        model = bayes.fit_stacking(train_recs, y, len(labels), folds=ns.folds,
-                                   alpha=ns.alpha, igr_percent=igr, min_count=ns.min_count)
+        model = bayes.fit_stacking(train_recs, y, len(labels), igr_percent=igr,
+                                   min_count=ns.min_count)
         save_stack_model(model, labels, ns.out)
-        print(f"train: {ns.model} task={ns.task} folds={ns.folds} "
+        print(f"train: {ns.model} task={ns.task} folds={model.folds} "
               f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
     return 0
 

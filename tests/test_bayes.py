@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import make_record
 from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
                      mnb_posterior_exact, predict_mnb_dense, presence_corpus)
-from tweetgeo import nncore
+from tweetgeo import bayes, nncore
 from tweetgeo.bayes import (BASE_FIELDS, MnbModel, base_tokens, categorical_tokens,
                             count_matrix, fit_mnb, fit_stacking, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
@@ -200,6 +200,29 @@ def test_fit_stacking_rejects_bad_folds():
         fit_stacking(recs, labels, 2, folds=1)
     with pytest.raises(ValueError):
         fit_stacking(recs[:3], labels[:3], 2, folds=5)
+
+
+@pytest.fixture
+def no_counting(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("count_matrix reached")
+    monkeypatch.setattr(bayes, "count_matrix", unreachable)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf")])
+def test_fit_stacking_rejects_an_alpha_that_is_not_positive_and_finite(no_counting, alpha):
+    # unchecked, -1 fits NaN tables and 0 ones that scoring crashes on
+    recs, labels = _separable_corpus(4)
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        fit_stacking(recs, labels, 2, alpha=alpha)
+
+
+@pytest.mark.parametrize("igr_percent", [0.0, -5.0, 100.5, float("nan"), float("inf")])
+def test_fit_stacking_rejects_an_igr_percent_before_counting(no_counting, igr_percent):
+    # unchecked until select_top_percent, a bad value cost the counting and IGR scoring
+    recs, labels = _separable_corpus(4)
+    with pytest.raises(ValueError, match=r"igr_percent must be in \(0, 100\]"):
+        fit_stacking(recs, labels, 2, igr_percent=igr_percent)
 
 
 def test_meta_features_sum_to_five():

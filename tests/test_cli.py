@@ -307,11 +307,11 @@ def test_train_corrupt_category_maps_exits_2(prep_dir, tmp_path, capsys, maps):
     prep = tmp_path / "prep"
     shutil.copytree(prep_dir, prep)
     (prep / "category_maps.json").write_text(maps)
-    rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", "stacking",
-               "--out", str(tmp_path / "s.gtlm")])
+    rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", "cnn",
+               "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS])
     assert rc == 2
     assert f"{prep / 'category_maps.json'}: bad category maps" in capsys.readouterr().err
-    assert not (tmp_path / "s.gtlm").exists()
+    assert not (tmp_path / "c.gtlm").exists()
 
 
 def test_usage_error_exit_code():
@@ -457,37 +457,18 @@ def test_train_cnn_writes_bundle_and_monotone_log(cnn_bundle):
     assert best == sorted(best)
 
 
-def test_train_rejects_bad_dropout(prep_dir, tmp_path):
-    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city",
-               "--model", "cnn", "--out", str(tmp_path / "x.gtlm"),
-               "--dropout", "1.5"] + CNN_FLAGS)
-    assert rc == 1
-
-
-def _train_writes_nothing(prep_dir, tmp_path, capsys, model, flag, value):
-    out = tmp_path / "out"
-    out.mkdir()
-    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", model,
-               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
-               "--min-count", "3", *CNN_FLAGS, f"{flag}={value}"])
-    assert rc == 1
-    assert f"{flag[2:]} must be finite and > 0" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
 @pytest.mark.parametrize("value", ["nan", "-0.001", "0", "inf"])
 def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(
         prep_dir, tmp_path, capsys, value):
     # unchecked, nan trains on NaN losses and a negative rate by gradient ascent
-    _train_writes_nothing(prep_dir, tmp_path, capsys, "cnn", "--lr", value)
-
-
-@pytest.mark.parametrize("model, value", [("stacking", "-1"), ("stacking", "0"),
-                                          ("stacking+", "nan"), ("stacking+", "inf")])
-def test_train_rejects_a_stacking_alpha_that_is_not_positive_and_finite(
-        prep_dir, tmp_path, capsys, model, value):
-    # unchecked, -1 writes a NaN bundle and 0 one that eval crashes on
-    _train_writes_nothing(prep_dir, tmp_path, capsys, model, "--alpha", value)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
+               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
+               *CNN_FLAGS, f"--lr={value}"])
+    assert rc == 1
+    assert "lr must be finite and > 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 TEST_FRACTION_ERROR = (1, "test_user_fraction must be in (0, 1)")
@@ -556,10 +537,12 @@ def test_cli_defaults_are_the_library_defaults(corpus_dir, prep_dir, tmp_path, m
     ccfg, tcfg = seen["cnn"][0][2:4]
     assert ccfg == CnnConfig(label_count=4)
     assert tcfg == TrainConfig()
+    # stacking's folds and smoothing are fit_stacking's own, which StackModel shares
     stacking = inspect.signature(fit_stacking).parameters
     kwargs = seen["stacking"][1]
-    assert kwargs["folds"] == stacking["folds"].default == StackModel.folds
-    assert kwargs["alpha"] == stacking["alpha"].default == StackModel.alpha
+    assert "folds" not in kwargs and "alpha" not in kwargs
+    assert stacking["folds"].default == StackModel.folds
+    assert stacking["alpha"].default == StackModel.alpha
     # one frequency cutoff for both --min-count flags and build_vocab
     assert prepare.min_count == kwargs["min_count"] == \
         inspect.signature(build_vocab).parameters["min_count"].default
@@ -619,7 +602,8 @@ def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path,
         assert not (tmp_path / "m.gtlm").exists()
 
 
-@pytest.mark.parametrize("model", ["cnn", "stacking"])
+# only the CNN reads the dev split; stacking never opens it
+@pytest.mark.parametrize("model", ["cnn"])
 @pytest.mark.parametrize("task, field, missing", [("city", "city_id", None),
                                                   ("country", "country_code", "")])
 def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, task, field,
@@ -636,6 +620,72 @@ def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, 
     assert capsys.readouterr().err == (f"error: {prep / 'dev.jsonl'}: record of user "
                                        f"{rows[2]['user_id']!r} has no {field}\n")
     assert not (tmp_path / "m.gtlm").exists()
+
+
+@pytest.mark.parametrize("task, needs", [("city", ["train.jsonl", "cities.csv"]),
+                                         ("country", ["train.jsonl"])], ids=["city", "country"])
+def test_stacking_reads_only_the_training_split_and_its_label_table(prep_dir, tmp_path, task,
+                                                                     needs):
+    # no dev split, vocabulary or category maps: those are the CNN's
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in needs:
+        shutil.copy(prep_dir / name, bare / name)
+    for prep, out in ((prep_dir, "full.gtlm"), (bare, "bare.gtlm")):
+        assert main(["train", "--prep-dir", str(prep), "--task", task, "--model", "stacking",
+                     "--min-count", "3", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "bare.gtlm").read_bytes() == (tmp_path / "full.gtlm").read_bytes()
+
+
+@pytest.mark.parametrize("model, task, name", [
+    ("stacking", "country", "train.jsonl"), ("stacking", "city", "cities.csv"),
+    ("cnn", "country", "dev.jsonl"), ("cnn", "country", "vocab.txt"),
+    ("cnn", "country", "category_maps.json")])
+def test_train_names_a_missing_file_its_model_reads(prep_dir, tmp_path, capsys, model, task,
+                                                    name):
+    prep = tmp_path / "prep"
+    shutil.copytree(prep_dir, prep)
+    (prep / name).unlink()
+    rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
+               "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {prep / name} missing; "
+                                       "run `tweetgeo prepare` first\n")
+    assert not (tmp_path / "m.gtlm").exists()
+
+
+@pytest.mark.parametrize("model", ["cnn", "stacking"])
+@pytest.mark.parametrize("task", ["city", "country"])
+def test_train_on_an_empty_split_exits_2(prep_dir, tmp_path, capsys, model, task):
+    prep = tmp_path / "prep"
+    shutil.copytree(prep_dir, prep)
+    (prep / "train.jsonl").write_text("")
+    rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
+               "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {prep / 'train.jsonl'}: no usable records\n"
+    assert not (tmp_path / "m.gtlm").exists()
+
+
+@pytest.mark.parametrize("model, flag", [("cnn", "--out"), ("cnn", "--log"),
+                                         ("stacking", "--out")],
+                         ids=["cnn-out", "cnn-log", "stacking-out"])
+def test_train_checks_its_output_directories_before_reading(prep_dir, tmp_path, capsys,
+                                                            monkeypatch, model, flag):
+    # unchecked, a missing directory was found only when the fitted model was saved
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    for module, name in ((ingest, "read_jsonl"), (cli, "train"), (bayes, "fit_stacking")):
+        monkeypatch.setattr(module, name, unreachable)
+    paths = {"--out": tmp_path / "m.gtlm", "--log": tmp_path / "log.csv"}
+    paths[flag] = tmp_path / "nodir" / paths[flag].name
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", model,
+               "--out", str(paths["--out"]), "--log", str(paths["--log"]), *CNN_FLAGS])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {paths[flag]}: {tmp_path / 'nodir'} "
+                                       "is not a directory\n")
+    assert not (tmp_path / "nodir").exists() and not (tmp_path / "m.gtlm").exists()
 
 
 def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
@@ -1092,8 +1142,9 @@ def test_predict_streams_in_chunks_with_unchanged_output(request, prep_dir, tmp_
     assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("knob", [["--share-filters", "false"], ["--config", "run.cfg"]],
-                         ids=["share-filters", "config"])
+@pytest.mark.parametrize("knob", [["--share-filters", "false"], ["--config", "run.cfg"],
+                                  ["--dropout", "0.5"], ["--alpha", "0.01"], ["--folds", "5"]],
+                         ids=["share-filters", "config", "dropout", "alpha", "folds"])
 def test_removed_knob_is_a_usage_error(prep_dir, tmp_path, capsys, knob):
     argv = ["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
             "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS]
@@ -1126,5 +1177,5 @@ def test_readme_commands_parse():
 def test_help_documents_all_defaults(capsys):
     assert main(["train", "--help"]) == 0
     text = capsys.readouterr().out
-    for needle in ("1024", "0.5", "128", "3,4,5", "0.001", "0.01", "10"):
+    for needle in ("1024", "128", "3,4,5", "0.001", "10"):
         assert needle in text
