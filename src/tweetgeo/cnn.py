@@ -36,6 +36,8 @@ VOCAB_FIELDS = ("text", "user_description", "profile_location")
 INFER_BATCH = 256   # records per forward pass in predict_proba
 
 DEFAULT_MAX_LENS = {"text": 50, "user_description": 50, "profile_location": 10, "user_name": 5}
+# the longest field matrix a config may ask for; a tweet holds <= 280 characters
+MAX_FIELD_LEN = 1024
 
 
 @dataclass
@@ -53,6 +55,8 @@ class CnnConfig:
         # a float, string or bool size would be truncated or reach a slice
         if any(type(n) is not int for n in (*self.windows, *self.max_lens.values())):
             raise ValueError("windows and max_lens must be integers")
+        if max(self.max_lens.values()) > MAX_FIELD_LEN:
+            raise ValueError(f"max_lens must be <= {MAX_FIELD_LEN}, got {self.max_lens}")
         self.windows = tuple(sorted(set(self.windows)))
         if not self.windows or self.windows[0] < 1:
             raise ValueError("windows must be positive integers")

@@ -5,8 +5,9 @@ exact Fractions), deliberately avoiding the library's own code paths. The
 exceptions are the references at the end: the dense naive Bayes code that
 the sparse counts replaced, the im2col CNN forward and backward and the
 out-of-place Adam that the distinct-token convolution and the in-place update
-replaced, and the match-by-match tokenizer that the one-pass tokenizer
-replaced.
+replaced, the match-by-match tokenizer that the one-pass tokenizer
+replaced, and the synthetic corpus generator that drew each value through a
+numpy scalar call before `synth.generate` read the raw words in bulk.
 """
 
 import math
@@ -18,6 +19,10 @@ import numpy as np
 from tweetgeo import nncore
 from tweetgeo.bayes import CsrCounts
 from tweetgeo.cnn import FIELDS, conv_names
+from tweetgeo.geo import CityTable
+from tweetgeo.ingest import Record
+from tweetgeo.synth import (_DAY, _EPOCH_BASE, SIGNATURE_FIELD_PROBS, SIGNATURE_TOKENS_PER_CITY,
+                            SynthSpec, city_grid)
 from tweetgeo.textproc import URL_SENTINEL, USER_SENTINEL
 
 EARTH_R = 6371.0
@@ -393,3 +398,66 @@ def tokenize_scan(text: str) -> list[str]:
         else:
             out.append(tok)
     return out
+
+
+def generate_scan(spec: SynthSpec) -> tuple[list[Record], CityTable]:
+    """`synth.generate` as numpy scalar calls, one per draw: each draw through
+    `rng.integers`, `rng.random`, `rng.choice` or `rng.uniform`."""
+    rng = np.random.default_rng(spec.seed)
+    table = city_grid(spec)
+    cities = table.cities
+    noise = [f"noise{j}" for j in range(spec.noise_vocab_size)]
+
+    weights = 1.0 / np.power(np.arange(1, spec.n_cities + 1, dtype=np.float64),
+                             spec.class_skew)
+    weights /= weights.sum()
+
+    sig_pool = [[f"sig{i}w{j}" for j in range(SIGNATURE_TOKENS_PER_CITY)]
+                for i in range(spec.n_cities)]
+
+    def field_text(city_idx: int, with_signature: bool) -> str:
+        lo, hi = spec.tokens_per_field
+        n_tok = int(rng.integers(lo, hi + 1))
+        toks = []
+        for t in range(n_tok):
+            if with_signature and (t == 0 or rng.random() < 0.7):
+                toks.append(sig_pool[city_idx][int(rng.integers(0, SIGNATURE_TOKENS_PER_CITY))])
+            else:
+                toks.append(noise[int(rng.integers(0, spec.noise_vocab_size))])
+        return " ".join(toks)
+
+    records = []
+    for u in range(spec.n_users):
+        lo, hi = spec.tweets_per_user
+        n_tweets = int(rng.integers(lo, hi + 1))
+        visited = rng.choice(spec.n_cities, size=n_tweets, replace=False, p=weights)
+        for ci in visited:
+            ci = int(ci)
+            c = cities[ci]
+            p_text, p_desc, p_loc = SIGNATURE_FIELD_PROBS
+            carries = [rng.random() < p_text, rng.random() < p_desc, rng.random() < p_loc]
+            if not any(carries):
+                carries[int(rng.integers(0, 3))] = True
+            # 10-minute-accurate daily window characteristic of the city
+            slot_center = (ci * _DAY) // max(spec.n_cities, 1)
+            seconds = (slot_center + int(rng.integers(-1800, 1801))) % _DAY
+            day = int(rng.integers(0, 25))
+            lang = f"lang{ci % spec.n_countries}" if rng.random() < 0.9 \
+                else f"lang{int(rng.integers(0, spec.n_countries))}"
+            tz = f"tz{ci}" if rng.random() < 0.9 else f"tz{int(rng.integers(0, spec.n_cities))}"
+            loc_word = f"loc{ci}" if carries[2] else noise[int(rng.integers(0, spec.noise_vocab_size))]
+            records.append(Record(
+                user_id=f"u{u}",
+                text=field_text(ci, carries[0]),
+                user_description=field_text(ci, carries[1]),
+                user_name=f"name{int(rng.integers(0, spec.noise_vocab_size))}",
+                profile_location=f"{loc_word} {noise[int(rng.integers(0, spec.noise_vocab_size))]}",
+                tweet_lang=lang,
+                user_lang=lang,
+                timezone=tz,
+                posted_at=_EPOCH_BASE + day * _DAY + seconds,
+                lat=round(c.lat + float(rng.uniform(-0.04, 0.04)), 6),
+                lon=round(c.lon + float(rng.uniform(-0.04, 0.04)), 6),
+                country_code=c.country_code,
+            ))
+    return records, table

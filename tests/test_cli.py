@@ -758,6 +758,31 @@ def test_eval_cnn_bundle_config_with_a_non_integer_size_exits_2(cnn_bundle, prep
     assert "bad config section" in err and "windows and max_lens must be integers" in err
 
 
+def test_eval_cnn_bundle_config_with_an_oversized_max_len_exits_2(cnn_bundle, prep_dir, tmp_path,
+                                                                  capsys):
+    # unchecked, padding a field to 10**20 tokens overflows an index
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    config = json.loads(sections["config"])
+    config["max_lens"]["text"] = 10**20
+    sections["config"] = bundle_io.encode_json(config)
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config section" in err and "max_lens must be <= 1024" in err
+
+
+def test_train_rejects_an_oversized_max_len(prep_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
+               "--out", str(out / "m.gtlm"), *CNN_FLAGS, "--max-len-text", str(10**20)])
+    assert rc == 1
+    assert "max_lens must be <= 1024" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("section", ["tensor:text:log_prob", "tensor:meta:log_prob",
                                      "tensor:cats:prior"])
 def test_eval_stack_bundle_with_mis_sized_tensor_exits_2(stack_bundle, prep_dir, tmp_path, capsys,

@@ -5,7 +5,7 @@ from fdcheck import fd_sweep, smoothness_margin
 from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
                      forward_trace)
 from tweetgeo import cnn
-from tweetgeo.cnn import (CnnConfig, FIELDS, FeatureBatch, backward, conv_names,
+from tweetgeo.cnn import (MAX_FIELD_LEN, CnnConfig, FIELDS, FeatureBatch, backward, conv_names,
                           encode_features, forward, init_model, load_pretrained_embeddings,
                           param_shapes, predict_proba)
 from tweetgeo.encode import CategoryMaps, UNK_CAT
@@ -46,6 +46,9 @@ def test_config_validation():
         tiny_config(windows=(2, 7))      # exceeds user_name length 3
     with pytest.raises(ValueError):
         tiny_config(filters_per_window=0)
+    with pytest.raises(ValueError, match="max_lens must be <= 1024"):
+        tiny_config(max_lens={**TINY_LENS, "text": MAX_FIELD_LEN + 1})
+    assert tiny_config(max_lens={f: MAX_FIELD_LEN for f in FIELDS}).max_lens["text"] == 1024
 
 
 def test_param_shapes_layout_and_init_rules():
