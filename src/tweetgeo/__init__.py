@@ -12,8 +12,8 @@ from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, enc
                   forward, init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
 from .errors import BundleError, DataError
-from .geo import (City, CityTable, aggregate_cities, haversine_km,
-                  load_city_table, nearest_city, save_city_table)
+from .geo import (City, CityTable, haversine_km, load_city_table, nearest_city,
+                  save_city_table)
 from .ingest import (Record, SplitSpec, StatsReport, dataset_stats,
                      dedup_user_city, parse_record, read_jsonl,
                      resolve_coordinates, split_by_user, write_jsonl)
@@ -21,7 +21,7 @@ from .labels import LabelTable, city_labels, country_labels
 from .metrics import (Predictions, acc_at_161, acc_top5, accuracy, calibration_bins,
                       expected_calibration_error, median_error_km, per_class_pr, rank,
                       ranked_top5)
-from .nncore import AdamState, adam_step, dropout, softmax
+from .nncore import adam_step, dropout, softmax
 from .synth import SynthSpec, generate, write_corpus
 from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize
 from .train import (CnnBundle, StackBundle, TrainConfig, TrainResult,

@@ -2,7 +2,9 @@
 
 Per text field: embedding lookup -> windowed convolution with ReLU ->
 max-over-time pooling. There is one filter bank per window size, and every
-field is convolved with the same banks. Pooled features from the four fields
+field is convolved with the same banks. All banks are stored in one tensor,
+conv_w, in the layout the convolution multiplies (see `param_shapes`), and
+their biases in one tensor, conv_b. Pooled features from the four fields
 are concatenated (field-major, windows ascending inside a field), dropout is
 applied, the categorical one-hot block is appended, and a softmax layer
 produces the label distribution.
@@ -75,23 +77,20 @@ class CnnConfig:
         return len(FIELDS) * len(self.windows) * self.filters_per_window
 
 
-def conv_names(h: int) -> tuple[str, str]:
-    """Names of the filter bank and bias of window h, shared by every field."""
-    return f"conv_w_h{h}", f"conv_b_h{h}"
-
-
 def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dict[str, tuple]:
     """The parameter layout: tensor name -> shape, in the fixed order used by
-    initialization, training and bundles."""
+    initialization, training and bundles. The filters of every window sit in
+    one (sum(h)*m, k) tensor in the layout the convolution multiplies: row
+    block (h, o), windows ascending, holds offset o of window h's m filters.
+    Row i of conv_b is the bias of the i-th window."""
     k, m = config.embed_dim, config.filters_per_window
-    shapes = {"embedding": (vocab_size, k)}
-    for h in config.windows:
-        w, b = conv_names(h)
-        shapes[w] = (m, h * k)
-        shapes[b] = (m,)
-    shapes["softmax_w"] = (config.label_count, config.pooled_size + cat_block_size)
-    shapes["softmax_b"] = (config.label_count,)
-    return shapes
+    return {
+        "embedding": (vocab_size, k),
+        "conv_w": (sum(config.windows) * m, k),
+        "conv_b": (len(config.windows), m),
+        "softmax_w": (config.label_count, config.pooled_size + cat_block_size),
+        "softmax_b": (config.label_count,),
+    }
 
 
 @dataclass
@@ -134,21 +133,27 @@ class CnnModel:
 
 def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
                seed: int = 0) -> CnnModel:
-    """Seeded initialization in `param_shapes` order: the embedding uniform in
-    [-0.25, 0.25] (PAD row zero), every other matrix Glorot-uniform with bound
-    sqrt(6 / (rows + cols)), biases zero."""
+    """Seeded initialization: the embedding uniform in [-0.25, 0.25] (PAD row
+    zero), then each window's (m, h*k) filter bank and the softmax matrix
+    Glorot-uniform with bound sqrt(6 / (rows + cols)), biases zero. The banks
+    are drawn as matrices over the h stacked word vectors, windows ascending,
+    and laid out by offset into conv_w."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(config, vocab_size, cat_block_size).items():
-        if name == "embedding":
-            p = rng.uniform(-0.25, 0.25, size=shape).astype(np.float32)
-            p[textproc.PAD_INDEX] = 0.0
-        elif len(shape) == 2:
-            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            p = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        else:
-            p = np.zeros(shape, dtype=np.float32)
-        params[name] = p
+    shapes = param_shapes(config, vocab_size, cat_block_size)
+    k, m = config.embed_dim, config.filters_per_window
+
+    def glorot(rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
+
+    embedding = rng.uniform(-0.25, 0.25, size=shapes["embedding"]).astype(np.float32)
+    embedding[textproc.PAD_INDEX] = 0.0
+    conv_w = np.concatenate([glorot(m, h * k).reshape(m, h, k).transpose(1, 0, 2)
+                             .reshape(h * m, k) for h in config.windows])
+    params = {"embedding": embedding, "conv_w": conv_w,
+              "conv_b": np.zeros(shapes["conv_b"], dtype=np.float32),
+              "softmax_w": glorot(*shapes["softmax_w"]),
+              "softmax_b": np.zeros(shapes["softmax_b"], dtype=np.float32)}
     return CnnModel(config, params)
 
 
@@ -190,25 +195,6 @@ def encode_features(records, vocab: Vocabulary, maps: CategoryMaps,
     return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
 
 
-def _stacked_filters(model: CnnModel) -> np.ndarray:
-    """(sum(h)*m, k): the offset slices of every window's filters,
-    window-major; row block (h, o) is W_h[:, o*k:(o+1)*k]."""
-    cfg = model.config
-    k, m = cfg.embed_dim, cfg.filters_per_window
-    return np.concatenate([
-        model.params[conv_names(h)[0]].reshape(m, h, k).transpose(1, 0, 2)
-        .reshape(h * m, k) for h in cfg.windows])
-
-
-def _block_offsets(config: CnnConfig) -> dict[int, int]:
-    """Window h -> first column of its row blocks in `_stacked_filters`."""
-    offsets, c = {}, 0
-    for h in config.windows:
-        offsets[h] = c
-        c += h * config.filters_per_window
-    return offsets
-
-
 @dataclass
 class ForwardPass:
     probs: np.ndarray        # (B, L)
@@ -226,7 +212,7 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     the pass keeps what `backward` reads.
 
     The filters are multiplied once per distinct token of the batch, over all
-    four fields: Zu = E[uniq] @ Wcat.T, and window h at position p
+    four fields: Zu = E[uniq] @ conv_w.T, and window h at position p
     pre-activates to b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row
     of E is zero, so an all-PAD window gives exactly b_h.
 
@@ -245,7 +231,6 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
     returns cannot be back-propagated."""
     cfg = model.config
     m = cfg.filters_per_window
-    offsets = _block_offsets(cfg)
     tokens = {f: np.asarray(batch.tokens[f], dtype=np.int64) for f in FIELDS}
     for f, t in tokens.items():
         if t.shape[1] < cfg.windows[-1]:
@@ -253,7 +238,7 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
                              f"{cfg.windows[-1]}")
     uniq, inv = _distinct(np.concatenate([t.ravel() for t in tokens.values()]),
                           model.vocab_size)
-    zu = model.embedding[uniq] @ _stacked_filters(model).T              # (U, sum(h)*m)
+    zu = model.embedding[uniq] @ model.params["conv_w"].T               # (U, sum(h)*m)
     inv_by_field, pools, pooled = {}, {}, {}
     start = 0
     for f, t in tokens.items():
@@ -261,13 +246,14 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
         start += t.size
         real = np.flatnonzero((t != textproc.PAD_INDEX).any(axis=0))
         last = real[-1] + 1 if real.size else 0        # one past the last real column
-        for h in cfg.windows:
+        c = 0                                          # first column of window h's blocks
+        for i, h in enumerate(cfg.windows):
             p = min(t.shape[1] - h + 1, last + 1)
-            c = offsets[h]
             act = zu[inv_f[:, :p], c:c + m]                              # (B, p, m)
             for o in range(1, h):
                 act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
-            act += model.params[conv_names(h)[1]]
+            c += h * m
+            act += model.params["conv_b"][i]
             np.maximum(act, 0, out=act)
             top = pooled[f, h] = act.max(axis=1)
             if keep_pools:
@@ -306,22 +292,20 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
 
     The max-pool gradient reaches one position per (record, filter); its
     value lands, per window offset, on one (distinct token, filter column)
-    cell of dZu, the gradient of Zu. Then dWcat = dZu.T @ E[uniq] and
-    dE[uniq] = dZu @ Wcat. The dense (V, k) embedding gradient is allocated
-    last, once dZu and dWcat are gone, so it is the step's only array the
+    cell of dZu, the gradient of Zu. Then d conv_w = dZu.T @ E[uniq] and
+    dE[uniq] = dZu @ conv_w. The dense (V, k) embedding gradient is
+    allocated last, once dZu is gone, so it is the step's only array the
     size of the vocabulary."""
     cfg = model.config
     b_sz = fwd.probs.shape[0]
-    k, m = cfg.embed_dim, cfg.filters_per_window
-    offsets = _block_offsets(cfg)
+    m = cfg.filters_per_window
 
     dlogits = fwd.probs.copy()
     dlogits[np.arange(b_sz), labels] -= 1.0
     dlogits /= b_sz
 
-    grads = {name: np.zeros_like(p) for name, p in model.params.items() if name != "embedding"}
-    grads["softmax_w"] = dlogits.T @ fwd.theta_hat
-    grads["softmax_b"] = dlogits.sum(axis=0)
+    grads = {"softmax_w": dlogits.T @ fwd.theta_hat, "softmax_b": dlogits.sum(axis=0),
+             "conv_b": np.zeros_like(model.params["conv_b"])}
 
     dtheta_hat = dlogits @ model.softmax_w
     dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
@@ -332,23 +316,22 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     for f in FIELDS:
         inv_f = fwd._inv[f]
         rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
-        for h in cfg.windows:
+        c = 0                                          # first column of window h's blocks
+        for i, h in enumerate(cfg.windows):
             arg, gate = fwd._pools[f, h]
             dval = dtheta[:, col:col + m] * gate                         # (B, m)
             col += m
-            grads[conv_names(h)[1]] += dval.sum(axis=0)
+            grads["conv_b"][i] += dval.sum(axis=0)
             at = rows + arg                          # flat (record, argmax) positions
             # add.at accumulates in index order, offset after offset; 1-D
             # index arrays take its fast path
             for o in range(h):
-                cells = inv_f.take(at + o) * width + (offsets[h] + o * m + filters)
+                cells = inv_f.take(at + o) * width + (c + o * m + filters)
                 np.add.at(flat, cells.ravel(), dval.ravel())
-    dw = dzu.T @ model.embedding[fwd._uniq]                              # (sum(h)*m, k)
-    for h in cfg.windows:
-        g = grads[conv_names(h)[0]].reshape(m, h, k)
-        g += dw[offsets[h]:offsets[h] + h * m].reshape(h, m, k).transpose(1, 0, 2)
-    du = dzu @ _stacked_filters(model)                                  # (U, k)
-    del dzu, flat, dw
+            c += h * m
+    grads["conv_w"] = dzu.T @ model.embedding[fwd._uniq]                 # (sum(h)*m, k)
+    du = dzu @ model.params["conv_w"]                                   # (U, k)
+    del dzu, flat
     grads["embedding"] = np.zeros_like(model.embedding)
     grads["embedding"][fwd._uniq] += du
     grads["embedding"][textproc.PAD_INDEX] = 0.0

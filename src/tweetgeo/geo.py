@@ -1,5 +1,5 @@
-"""City-based label space: great-circle distance, nearest-city assignment,
-and aggregation of smaller cities into their largest neighbour.
+"""City-based label space: great-circle distance and nearest-city
+assignment.
 
 Distances are haversine on a sphere of radius 6371.0 km. All tie-breaks go to
 the smallest city_id so results are deterministic.
@@ -111,25 +111,6 @@ def _nearest_ids(lat, lon, table: CityTable) -> np.ndarray:
         d = _haversine(lat[s:s + rows, None], lon[s:s + rows, None], table._lats, table._lons)
         nearest[s:s + rows] = np.argmin(d, axis=1)
     return table._ids[nearest]
-
-
-def aggregate_cities(raw: list[City], radius_km: float = 50.0) -> CityTable:
-    """Collapse smaller cities into the most populous kept city within radius_km.
-
-    Cities are visited in decreasing population (ties: smaller city_id first).
-    A city is absorbed if any already-kept city lies within radius_km,
-    otherwise it is kept itself.
-    """
-    if radius_km < 0:
-        raise ValueError("radius_km must be non-negative")
-    if not raw:
-        raise DataError("no cities to aggregate")
-    kept: list[City] = []
-    for c in sorted(raw, key=lambda c: (-c.population, c.city_id)):
-        absorbed = any(haversine_km((c.lat, c.lon), (k.lat, k.lon)) <= radius_km for k in kept)
-        if not absorbed:
-            kept.append(c)
-    return CityTable(kept)
 
 
 def load_city_table(path) -> CityTable:

@@ -42,6 +42,9 @@ class LabelTable:
         self._index = {v: i for i, v in enumerate(self.values)}
         if len(self._index) != len(self.values):
             raise ValueError("a label value repeats")
+        if (self.coords is None) == (self.task == TASK_CITY):
+            raise ValueError(f"a {self.task} label table must "
+                             f"{'have' if self.coords is None else 'not have'} coordinates")
         self.field = LABEL_FIELDS[self.task]
 
     def __len__(self):

@@ -1,6 +1,7 @@
 """Minimal numeric kernel: stable softmax, batch cross-entropy,
-inverted dropout, and Adam, as plain functions over numpy arrays. The
-backward pass lives with the model (`cnn.backward`).
+inverted dropout, and Adam, as plain functions over numpy arrays. Adam's
+state belongs to the caller: a moment pair per tensor and the step count.
+The backward pass lives with the model (`cnn.backward`).
 
 Parameters live in float32 by default; every op preserves the dtype it is
 given so a float64 twin of a model can be used for finite-difference checks.
@@ -9,7 +10,6 @@ given so a float64 twin of a model can be used for finite-difference checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,23 +56,11 @@ def dropout(x: np.ndarray, rate: float, train: bool, seed: int) -> tuple[np.ndar
     return x * mask, mask
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators for one parameter tensor."""
-
-    m: np.ndarray
-    v: np.ndarray
-    lr: float
-    t: int = 0
-
-    @classmethod
-    def for_param(cls, param: np.ndarray, lr: float) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), lr=lr)
-
-
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
-    """One Adam update with bias correction; mutates param, state.m and
-    state.v in place.
+def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float):
+    """Adam update number t (from 1) of one tensor with bias correction;
+    mutates param and its moments m and v in place. Every tensor of a model
+    takes the same t, the training loop's step count.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
@@ -84,15 +72,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
     """
     if param.shape != grad.shape:
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
-    state.t += 1
-    m_corr, v_corr = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    m_corr, v_corr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     rows = max(1, BLOCK_CELLS // max(1, math.prod(param.shape[1:])))
     for r in range(0, param.shape[0], rows):
         p, g = param[r:r + rows], grad[r:r + rows]
-        m, v = state.m[r:r + rows], state.v[r:r + rows]
-        m *= BETA1
-        m += g * (1.0 - BETA1)
-        v *= BETA2
-        v += np.square(g) * (1.0 - BETA2)
-        p -= (m / m_corr * state.lr / (np.sqrt(v / v_corr) + EPS)).astype(param.dtype, copy=False)
-    return param, state
+        mb, vb = m[r:r + rows], v[r:r + rows]
+        mb *= BETA1
+        mb += g * (1.0 - BETA1)
+        vb *= BETA2
+        vb += np.square(g) * (1.0 - BETA2)
+        p -= (mb / m_corr * lr / (np.sqrt(vb / v_corr) + EPS)).astype(param.dtype, copy=False)

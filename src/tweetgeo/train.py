@@ -23,7 +23,7 @@ from .encode import CategoryMaps
 from .errors import BundleError, DataError
 from .ingest import hash64
 from .labels import LabelTable
-from .nncore import AdamState, adam_step, cross_entropy_batch
+from .nncore import adam_step, cross_entropy_batch
 from .textproc import Vocabulary, vocab_from_bytes, vocab_to_bytes
 
 
@@ -90,7 +90,7 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
     model = init_model(ccfg, vocab_size, cat_block_size, seed=tcfg.seed)
     if vectors_path is not None:
         load_pretrained_embeddings(model, vectors_path, vocab)
-    states = {name: AdamState.for_param(p, lr=tcfg.lr) for name, p in model.params.items()}
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in model.params.items()}
 
     # dev accuracy is >= 0, so the first epoch always sets best
     best, best_acc, best_epoch, stale = None, -1.0, 0, 0
@@ -104,11 +104,11 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
             fwd = forward(model, batch, train=True, dropout_seed=hash64(tcfg.seed, "dropout", step))
             losses.append(cross_entropy_batch(fwd.probs, batch.labels))
             grads = backward(model, fwd, batch.labels)
+            step += 1        # Adam's t, one count for every tensor
             for name, p in model.params.items():
-                adam_step(p, grads[name], states[name])
+                adam_step(p, grads[name], *moments[name], step, tcfg.lr)
             # the next forward and backward run without this step's arrays
             del fwd, grads
-            step += 1
         loss, dev_acc = float(np.mean(losses)), _dev_accuracy(model, dev_feats)
         if not (math.isfinite(loss) and math.isfinite(dev_acc)):
             raise ValueError(f"training diverged at epoch {epoch}: mean loss {loss}, dev "

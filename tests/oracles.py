@@ -18,7 +18,7 @@ import numpy as np
 
 from tweetgeo import nncore
 from tweetgeo.bayes import CsrCounts
-from tweetgeo.cnn import FIELDS, conv_names
+from tweetgeo.cnn import FIELDS
 from tweetgeo.geo import CityTable
 from tweetgeo.ingest import Record
 from tweetgeo.synth import (_DAY, _EPOCH_BASE, SIGNATURE_FIELD_PROBS, SIGNATURE_TOKENS_PER_CITY,
@@ -52,16 +52,6 @@ def nearest_scan(point, cities):
         if best_d is None or d < best_d:
             best_id, best_d = cid, d
     return best_id
-
-
-def greedy_aggregate(cities, radius_km):
-    """cities: list of (city_id, lat, lon, population) -> kept city_ids."""
-    kept = []
-    for cid, lat, lon, pop in sorted(cities, key=lambda c: (-c[3], c[0])):
-        near = [k for k in kept if haversine_oracle_km((lat, lon), (k[1], k[2])) <= radius_km]
-        if not near:
-            kept.append((cid, lat, lon, pop))
-    return sorted(k[0] for k in kept)
 
 
 def entropy_bits(counts):
@@ -282,12 +272,29 @@ def im2col_windows(X, h):
     return np.concatenate([X[:, o:o + p, :] for o in range(h)], axis=2)
 
 
+def window_view(tensors, config, h):
+    """Window h's part of conv_w and conv_b in `tensors` (a model's params or
+    its gradients), as views: the (h, m, k) row blocks, offset o's filters at
+    [o], and the (m,) bias row."""
+    m, k = config.filters_per_window, config.embed_dim
+    i = config.windows.index(h)
+    start = sum(config.windows[:i]) * m
+    return tensors["conv_w"][start:start + h * m].reshape(h, m, k), tensors["conv_b"][i]
+
+
+def window_filters(model, h):
+    """Window h's filter bank as the (m, h*k) matrix over the h stacked word
+    vectors (a copy), and its (m,) bias (a view)."""
+    w, b = window_view(model.params, model.config, h)
+    return w.transpose(1, 0, 2).reshape(w.shape[1], -1), b
+
+
 def dense_conv(model, batch, field, h):
     """(im2col windows (B, P, h*k), pre-activations (B, P, m)) of one field
     and window."""
-    w, b = conv_names(h)
+    w, b = window_filters(model, h)
     xw = im2col_windows(field_matrix(batch.tokens[field], model), h)
-    return xw, xw @ model.params[w].T + model.params[b]
+    return xw, xw @ w.T + b
 
 
 def dense_forward(model, batch, train=False, dropout_seed=0):
@@ -328,7 +335,7 @@ def dense_backward(model, fwd, labels):
     for f in FIELDS:
         dX = None
         for h in cfg.windows:
-            w, b = conv_names(h)
+            gw, gb = window_view(grads, cfg, h)
             idx, xw, pre, arg = caches[ci]
             dpooled = dtheta[:, ci * m:(ci + 1) * m]
             ci += 1
@@ -336,9 +343,10 @@ def dense_backward(model, fwd, labels):
             dpre = np.zeros_like(pre)
             np.put_along_axis(dpre, arg[:, None, :], (dpooled * (pre_at > 0))[:, None, :],
                               axis=1)
-            grads[w] += np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))
-            grads[b] += dpre.sum(axis=(0, 1))
-            dxw = dpre @ model.params[w]
+            dw = np.tensordot(dpre, xw, axes=([0, 1], [0, 1]))           # (m, h*k)
+            gw += dw.reshape(m, h, k).transpose(1, 0, 2)
+            gb += dpre.sum(axis=(0, 1))
+            dxw = dpre @ window_filters(model, h)[0]
             p = xw.shape[1]
             if dX is None:
                 dX = np.zeros((b_sz, idx.shape[1], k), dtype=model.dtype)
@@ -349,17 +357,17 @@ def dense_backward(model, fwd, labels):
     return grads
 
 
-def adam_step_reference(param, grad, state):
-    """Adam with new moment arrays on every step (the update, operation by
-    operation, that the in-place version must reproduce bit for bit)."""
+def adam_step_reference(param, grad, m, v, t, lr):
+    """Adam update number t with new moment arrays (the update, operation by
+    operation, that the in-place version must reproduce bit for bit); updates
+    param in place and returns the new (m, v)."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
-    state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * np.square(grad)
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param -= (state.lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
-    return param, state
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * np.square(grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    param -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+    return m, v
 
 
 # --------------------------------------------------------------------------

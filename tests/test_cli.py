@@ -937,22 +937,74 @@ def test_eval_needs_coordinates_only_for_city_bundles(prep_dir, tmp_path, capsys
     assert f"n_test={n_test}.0000  skipped={skipped}.0000" in capsys.readouterr().out
 
 
+def _in_an_older_filter_layout(src, dst, tags, **config_keys):
+    """A copy of CNN bundle `src` at `dst` whose filters are stored as older
+    bundles stored them: one (m, h*k) bank and one bias per window and tag,
+    as sections tensor:conv_w<tag>_h<h> and tensor:conv_b<tag>_h<h>."""
+    model_type, sections = bundle_io.read_sections(src)
+    config = json.loads(sections["config"])
+    k, m = config["embed_dim"], config["filters_per_window"]
+    conv_w = bundle_io.decode_tensor(sections.pop("tensor:conv_w"))
+    conv_b = bundle_io.decode_tensor(sections.pop("tensor:conv_b"))
+    banks, start = [], 0
+    for i, h in enumerate(config["windows"]):
+        w = conv_w[start:start + h * m].reshape(h, m, k).transpose(1, 0, 2).reshape(m, h * k)
+        start += h * m
+        banks += [(f"tensor:conv_{wb}{tag}_h{h}", bundle_io.encode_tensor(t))
+                  for tag in tags for wb, t in (("w", w), ("b", conv_b[i]))]
+    sections["config"] = bundle_io.encode_json(config | config_keys)
+    items = list(sections.items())
+    bundle_io.write_sections(dst, model_type, items[:5] + banks + items[5:])
+    return dst
+
+
 def test_eval_refuses_a_per_field_filter_bundle(cnn_bundle, prep_dir, tmp_path, capsys):
     # the per-field layout (one filter bank per field and window) is no longer
-    # read: such a bundle is a data error naming the first shared bank it lacks
-    model_type, sections = bundle_io.read_sections(cnn_bundle)
-    config = json.loads(sections["config"])
-    shared = {n: sections.pop(n) for n in list(sections) if n.startswith("tensor:conv_")}
-    per_field = [(f"tensor:conv_{wb}_{f}_h{h}", shared[f"tensor:conv_{wb}_h{h}"])
-                 for f in FIELDS for h in config["windows"] for wb in "wb"]
-    sections["config"] = bundle_io.encode_json(config | {"share_filters": False})
-    items = list(sections.items())
-    bundle_io.write_sections(tmp_path / "per_field.gtlm", model_type,
-                             items[:5] + per_field + items[5:])
-    assert main(["eval", "--model-file", str(tmp_path / "per_field.gtlm"),
+    # read: such a bundle is a data error naming the filter tensor it lacks
+    bad = _in_an_older_filter_layout(cnn_bundle, tmp_path / "per_field.gtlm",
+                                     [f"_{f}" for f in FIELDS], share_filters=False)
+    assert main(["eval", "--model-file", str(bad),
                  "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")]) == 2
-    assert "bundle lacks section 'tensor:conv_w_h2'" in capsys.readouterr().err
+    assert "bundle lacks section 'tensor:conv_w'" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def _scoring_argv(command, bundle, prep_dir, out):
+    if command == "eval":
+        return ["eval", "--model-file", str(bundle), "--test", str(prep_dir / "test.jsonl"),
+                "--out-dir", str(out)]
+    return ["predict", "--model-file", str(bundle), "--input", str(prep_dir / "test.jsonl"),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_per_window_filter_bundle_exits_2(cnn_bundle, prep_dir, tmp_path, capsys, command):
+    # one (m, h*k) bank and bias per window, shared by every field, is the
+    # layout before all banks were stacked into conv_w; it is no longer read
+    bad = _in_an_older_filter_layout(cnn_bundle, tmp_path / "per_window.gtlm", [""])
+    _, sections = bundle_io.read_sections(bad)
+    assert "tensor:conv_w_h2" in sections and "tensor:conv_b_h3" in sections
+    assert main(_scoring_argv(command, bad, prep_dir, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: bundle lacks section 'tensor:conv_w'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_city_bundle_without_label_coordinates_exits_2(cnn_bundle, prep_dir, tmp_path, capsys,
+                                                         command):
+    # the city metrics need each label's coordinates, so the bundle is refused
+    # when it loads, before any record is scored
+    model_type, sections = bundle_io.read_sections(cnn_bundle)
+    table = json.loads(sections["label_table"])
+    assert table["task"] == "city" and table["coords"]
+    _rewrite(cnn_bundle, tmp_path / "bad.gtlm", "label_table",
+             bundle_io.encode_json(table | {"coords": None}))
+    assert main(_scoring_argv(command, tmp_path / "bad.gtlm", prep_dir, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "bad label_table section" in err
+    assert "a city label table must have coordinates" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp_path, capsys):

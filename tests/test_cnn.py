@@ -3,9 +3,9 @@ import pytest
 
 from fdcheck import fd_sweep, smoothness_margin
 from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
-                     forward_trace)
+                     forward_trace, window_filters, window_view)
 from tweetgeo import cnn
-from tweetgeo.cnn import (MAX_FIELD_LEN, CnnConfig, FIELDS, FeatureBatch, backward, conv_names,
+from tweetgeo.cnn import (MAX_FIELD_LEN, CnnConfig, FIELDS, FeatureBatch, backward,
                           encode_features, forward, init_model, load_pretrained_embeddings,
                           param_shapes, predict_proba)
 from tweetgeo.encode import CategoryMaps, UNK_CAT
@@ -54,22 +54,45 @@ def test_config_validation():
 def test_param_shapes_layout_and_init_rules():
     cfg = tiny_config()
     shapes = param_shapes(cfg, 20, cat_block())
-    assert list(shapes) == ["embedding", "conv_w_h2", "conv_b_h2", "conv_w_h3", "conv_b_h3",
-                            "softmax_w", "softmax_b"]
+    assert list(shapes) == ["embedding", "conv_w", "conv_b", "softmax_w", "softmax_b"]
     assert shapes["embedding"] == (20, 4)
-    assert shapes["conv_w_h3"] == (2, 12)
-    assert shapes["conv_b_h3"] == (2,)
+    assert shapes["conv_w"] == ((2 + 3) * 2, 4)          # (sum(h)*m, k)
+    assert shapes["conv_b"] == (2, 2)                    # (windows, m)
     assert shapes["softmax_w"] == (3, cfg.pooled_size + cat_block())
+    assert shapes["softmax_b"] == (3,)
     model = init_model(cfg, 20, cat_block(), seed=0)
     assert [(n, p.shape) for n, p in model.params.items()] == list(shapes.items())
     assert not model.embedding[0].any()
     assert np.abs(model.embedding).max() <= 0.25
     for name, p in model.params.items():
         assert p.dtype == np.float32
-        if p.ndim == 1:                       # biases
-            assert not p.any()
-        elif name != "embedding":
-            assert 0 < np.abs(p).max() <= np.sqrt(6.0 / sum(p.shape))
+    assert not model.params["conv_b"].any() and not model.softmax_b.any()
+    for h in cfg.windows:                    # Glorot over the (m, h*k) bank
+        w = window_filters(model, h)[0]
+        assert 0 < np.abs(w).max() <= np.sqrt(6.0 / sum(w.shape))
+    assert 0 < np.abs(model.softmax_w).max() <= np.sqrt(6.0 / sum(model.softmax_w.shape))
+
+
+@pytest.mark.parametrize("windows", [(2,), (3, 1), (1, 2, 3)])
+def test_init_model_conv_w_holds_the_per_window_glorot_draws(windows):
+    # the filters are drawn as before they shared one tensor: the embedding,
+    # then one (m, h*k) Glorot matrix per window ascending, then softmax_w;
+    # conv_w holds each matrix bit for bit, laid out by offset
+    cfg = tiny_config(windows=windows, filters_per_window=3)
+    model = init_model(cfg, 20, cat_block(), seed=11)
+    assert len(model.params) == 5
+    k, m = cfg.embed_dim, cfg.filters_per_window
+    rng = np.random.default_rng(11)
+    embedding = rng.uniform(-0.25, 0.25, size=(20, k)).astype(np.float32)
+    embedding[0] = 0.0
+    assert np.array_equal(model.embedding, embedding)
+    for h in cfg.windows:
+        bound = np.sqrt(6.0 / (m + h * k))
+        want = rng.uniform(-bound, bound, size=(m, h * k)).astype(np.float32)
+        assert np.array_equal(window_filters(model, h)[0], want), h
+    bound = np.sqrt(6.0 / sum(model.softmax_w.shape))
+    want = rng.uniform(-bound, bound, size=model.softmax_w.shape).astype(np.float32)
+    assert np.array_equal(model.softmax_w, want)
 
 
 def test_field_matrix_pad_rows_zero(rng):
@@ -78,8 +101,7 @@ def test_field_matrix_pad_rows_zero(rng):
     # the rows [E[5], 0, ...]
     cfg = tiny_config(dropout_rate=0.0)
     model = init_model(cfg, 20, cat_block(), seed=0).astype(np.float64)
-    for h in cfg.windows:
-        model.params[conv_names(h)[1]][:] = [0.3, -0.2]
+    model.params["conv_b"][:] = [0.3, -0.2]
     tokens = {f: np.zeros((2, cfg.max_lens[f]), dtype=np.int64) for f in FIELDS}
     tokens["text"][1, 0] = 5
     theta = forward(model, FeatureBatch(tokens, np.zeros((2, 4), dtype=np.int64))).theta_hat
@@ -88,7 +110,7 @@ def test_field_matrix_pad_rows_zero(rng):
     rows = np.zeros((cfg.max_lens["text"], cfg.embed_dim))
     rows[0] = model.embedding[5]
     for i, h in enumerate(cfg.windows):
-        w, b = (model.params[n] for n in conv_names(h))
+        w, b = window_filters(model, h)
         for j in range(2):
             want = conv_maxpool_scan(rows.tolist(), w[j].tolist(), float(b[j]))
             assert theta[1, 2 * i + j] == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -122,9 +144,8 @@ def text_conv_maxpool(X, w, b):
                     max_lens={f: n for f in FIELDS}, label_count=2)
     model = init_model(cfg, n + 1, 1).astype(X.dtype)
     model.embedding[1:] = X
-    w_name, b_name = conv_names(h)
-    model.params[w_name][:] = w
-    model.params[b_name][:] = b
+    window_view(model.params, cfg, h)[0][:] = w.reshape(m, h, k).transpose(1, 0, 2)
+    model.params["conv_b"][0] = b
     tokens = {f: np.zeros((1, n), dtype=np.int64) for f in FIELDS}
     tokens["text"][0] = np.arange(1, n + 1)
     batch = FeatureBatch(tokens, np.zeros((1, 4), dtype=np.int64))
@@ -191,9 +212,9 @@ def test_forward_matches_pure_python_trace(rng):
     batch = tiny_batch(rng, cfg, b=2)
     got = forward(model, batch, train=False).probs
 
-    names = {h: conv_names(h) for h in cfg.windows}
-    conv = {h: model.params[w].tolist() for h, (w, _) in names.items()}
-    biases = {h: model.params[b].tolist() for h, (_, b) in names.items()}
+    banks = {h: window_filters(model, h) for h in cfg.windows}
+    conv = {h: w.tolist() for h, (w, _) in banks.items()}
+    biases = {h: b.tolist() for h, (_, b) in banks.items()}
     for i in range(batch.size):
         want = forward_trace(
             model.embedding.tolist(), conv, biases,
@@ -262,7 +283,7 @@ def test_shared_filters_used_for_all_fields(rng):
     model = init_model(cfg, 20, cat_block(), seed=4)
     batch = tiny_batch(rng, cfg)
     before = forward(model, batch).theta_hat[:, :cfg.pooled_size]
-    model.params["conv_b_h2"] += 1.0
+    model.params["conv_b"][0] += 1.0
     after = forward(model, batch).theta_hat[:, :cfg.pooled_size]
     changed = (before != after).any(axis=0).reshape(len(FIELDS), len(cfg.windows), -1)
     assert changed[:, 0].all() and not changed[:, 1].any()
@@ -287,17 +308,14 @@ def test_backward_relu_gate_is_zero_at_zero(rng):
     cfg = tiny_config()
     model = init_model(cfg, 20, cat_block(), seed=8).astype(np.float64)
     batch = tiny_batch(rng, cfg)
-    for h in cfg.windows:
-        w, b = conv_names(h)
-        model.params[w][:] = 0
-        model.params[b][:] = 0
+    model.params["conv_w"][:] = 0
+    model.params["conv_b"][:] = 0
     grads = backward(model, forward(model, batch), batch.labels)
     for name, g in grads.items():
         assert g.any() == name.startswith("softmax")
-    for h in cfg.windows:
-        model.params[conv_names(h)[1]][:] = 1.0
+    model.params["conv_b"][:] = 1.0
     grads = backward(model, forward(model, batch), batch.labels)
-    assert all(grads[conv_names(h)[1]].any() for h in cfg.windows)
+    assert grads["conv_b"].any(axis=1).all()              # every window's bias
 
 
 def _smooth_case(seed_start=0, train=False):
@@ -507,8 +525,8 @@ def test_trailing_pad_columns_change_nothing(train, dtype):
     for seed in range(6):
         rng = np.random.default_rng(seed)
         model = init_model(cfg, 9, cat_block(), seed=seed).astype(dtype)
-        for h in cfg.windows:
-            model.params[conv_names(h)[1]][:] = rng.normal(scale=0.2, size=3)
+        for bias in model.params["conv_b"]:
+            bias[:] = rng.normal(scale=0.2, size=3)
         reference = _reference_batch(rng, cfg)
         batch = _with_pad_columns(reference, max(cfg.windows))
         wide = _with_pad_columns(reference, max(cfg.windows) + 4)
@@ -535,8 +553,8 @@ def test_all_pad_field_and_inner_pad_match_dense_reference(train):
     for seed in range(8):
         rng = np.random.default_rng(seed)
         model = init_model(cfg, 9, cat_block(), seed=seed).astype(np.float64)
-        for h in cfg.windows:
-            model.params[conv_names(h)[1]][:] = rng.normal(loc=0.1, scale=0.2, size=3)
+        for bias in model.params["conv_b"]:
+            bias[:] = rng.normal(loc=0.1, scale=0.2, size=3)
         batch = _reference_batch(rng, cfg, b=3)
         batch.tokens["text"] = text.copy()
         batch.tokens["profile_location"][:] = 0

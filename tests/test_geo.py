@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from tweetgeo import nncore
 from tweetgeo.errors import DataError
-from tweetgeo.geo import (City, CityTable, aggregate_cities, assign_cities, haversine_km,
-                          load_city_table, nearest_city, save_city_table)
+from tweetgeo.geo import (City, CityTable, assign_cities, haversine_km, load_city_table,
+                          nearest_city, save_city_table)
 from tweetgeo.ingest import Record
 
-from oracles import greedy_aggregate, haversine_oracle_km, law_of_cosines_km, nearest_scan
+from oracles import haversine_oracle_km, law_of_cosines_km, nearest_scan
 
 PITTSBURGH = (40.4406, -79.9959)
 CHICAGO = (41.8781, -87.6298)
@@ -155,37 +155,6 @@ def test_assign_cities_rejects_a_bad_coordinate_in_any_block(monkeypatch, bad, a
         assign_cities(located(points), TIE_TABLE)
     with pytest.raises(ValueError, match="out of range"):
         nearest_city(bad, TIE_TABLE)
-
-
-def test_aggregate_absorbs_small_neighbor():
-    # ~10 km apart at the equator
-    raw = [City(1, "big", 0.0, 0.0, "AA", 10**6), City(2, "small", 0.0, 0.09, "AA", 10**3)]
-    out = aggregate_cities(raw, radius_km=50.0)
-    assert [c.city_id for c in out.cities] == [1]
-
-
-def test_aggregate_keeps_distant_cities():
-    raw = [City(1, "a", 0.0, 0.0, "AA", 10**6), City(2, "b", 0.0, 0.9, "AA", 10**3)]
-    out = aggregate_cities(raw, radius_km=50.0)
-    assert [c.city_id for c in out.cities] == [1, 2]
-
-
-def test_aggregate_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        aggregate_cities([City(1, "a", 0.0, 0.0, "AA", 1)], radius_km=-1.0)
-
-
-def test_aggregate_matches_greedy_oracle(rng):
-    raw = []
-    for i in range(20):
-        raw.append(City(i + 1, f"c{i}", float(rng.uniform(-10, 10)),
-                        float(rng.uniform(-10, 10)), "AA", int(rng.integers(10, 10**6))))
-    out = aggregate_cities(raw, radius_km=300.0)
-    expected = greedy_aggregate([(c.city_id, c.lat, c.lon, c.population) for c in raw], 300.0)
-    assert sorted(c.city_id for c in out.cities) == expected
-    assert len(out) <= len(raw)
-    ids = {c.city_id for c in raw}
-    assert all(c.city_id in ids for c in out.cities)
 
 
 def test_city_table_roundtrip(tmp_path, small_table):

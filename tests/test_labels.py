@@ -50,3 +50,14 @@ def test_label_table_rejects_a_repeated_or_mistyped_value(task, values, match):
     # wrong type matches no record's label
     with pytest.raises(ValueError, match=f"^{match}$"):
         LabelTable(task, values)
+
+
+@pytest.mark.parametrize("task, values, coords, match", [
+    ("city", [1, 2], None, "a city label table must have coordinates"),
+    ("country", ["US", "JP"], [(1.0, 2.0), (3.0, 4.0)],
+     "a country label table must not have coordinates"),
+], ids=["city-without", "country-with"])
+def test_label_table_has_coordinates_exactly_for_the_city_task(task, values, coords, match):
+    # the city metrics read a label's coordinates; a country label has none
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        LabelTable(task, values, coords)

@@ -7,7 +7,7 @@ from oracles import adam_step_reference, csr_counts
 from tweetgeo import bayes, geo, nncore
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
-from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch, dropout, softmax
+from tweetgeo.nncore import adam_step, cross_entropy_batch, dropout, softmax
 
 
 def test_softmax_uniform_and_known_values():
@@ -77,16 +77,14 @@ def test_dropout_deterministic_per_seed():
 
 def test_adam_zero_gradient_is_noop():
     p = np.array([1.0, -2.0], dtype=np.float32)
-    st = AdamState.for_param(p, lr=1e-3)
-    adam_step(p, np.zeros_like(p), st)
+    adam_step(p, np.zeros_like(p), np.zeros_like(p), np.zeros_like(p), 1, 1e-3)
     assert p.tolist() == [1.0, -2.0]
 
 
 def test_adam_first_step_hand_value():
     # t=1, g=1: m_hat = 1, v_hat = 1 -> delta = -lr / (1 + eps)
     p = np.array([0.5], dtype=np.float64)
-    st = AdamState.for_param(p, lr=1e-3)
-    adam_step(p, np.array([1.0]), st)
+    adam_step(p, np.array([1.0]), np.zeros(1), np.zeros(1), 1, 1e-3)
     expected = 0.5 - 1e-3 * 1.0 / (1.0 + 1e-8)
     assert p[0] == pytest.approx(expected, rel=1e-12)
 
@@ -104,19 +102,17 @@ def _reference_adam_quadratic(steps, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adam_minimizes_quadratic():
     # step size is bounded by ~lr, so 2000 steps converge from 5.0 at lr 1e-2
-    p = np.array([5.0], dtype=np.float64)
-    st = AdamState.for_param(p, lr=1e-2)
-    for _ in range(2000):
-        adam_step(p, 2.0 * p, st)
+    p, m, v = np.array([5.0]), np.zeros(1), np.zeros(1)
+    for t in range(1, 2001):
+        adam_step(p, 2.0 * p, m, v, t, 1e-2)
     assert abs(p[0]) < 0.1
     assert p[0] == pytest.approx(_reference_adam_quadratic(2000, lr=1e-2), abs=1e-12)
 
 
 def test_adam_matches_reference_loop_at_default_lr():
-    p = np.array([5.0], dtype=np.float64)
-    st = AdamState.for_param(p, lr=1e-3)
-    for _ in range(500):
-        adam_step(p, 2.0 * p, st)
+    p, m, v = np.array([5.0]), np.zeros(1), np.zeros(1)
+    for t in range(1, 501):
+        adam_step(p, 2.0 * p, m, v, t, 1e-3)
     assert p[0] == pytest.approx(_reference_adam_quadratic(500, lr=1e-3), abs=1e-12)
 
 
@@ -131,19 +127,16 @@ def test_adam_in_place_bit_identical_to_reference(monkeypatch, dtype):
         monkeypatch.setattr(nncore, "BLOCK_CELLS", block_cells)
         p = rng.normal(size=shape).astype(dtype)
         q = p.copy()
-        st = AdamState.for_param(p, lr=1e-2)
-        ref = AdamState.for_param(q, lr=1e-2)
-        m_buf, v_buf = st.m, st.v
-        for step in range(5):
+        m, v = np.zeros_like(p), np.zeros_like(p)        # updated in place
+        m_ref, v_ref = m.copy(), v.copy()                # replaced on every step
+        for t in range(1, 6):
             g = rng.normal(size=p.shape).astype(dtype)
             g[rng.random(p.shape[0]) < 0.3] = 0.0          # untouched rows, as for embeddings
-            out, _ = adam_step(p, g, st)
-            adam_step_reference(q, g, ref)
-            assert out is p and st.m is m_buf and st.v is v_buf
-            assert p.dtype == st.m.dtype == st.v.dtype == dtype
-            assert st.t == ref.t == step + 1
+            adam_step(p, g, m, v, t, 1e-2)
+            m_ref, v_ref = adam_step_reference(q, g, m_ref, v_ref, t, 1e-2)
+            assert p.dtype == m.dtype == v.dtype == dtype
             assert p.tobytes() == q.tobytes()
-            assert st.m.tobytes() == ref.m.tobytes() and st.v.tobytes() == ref.v.tobytes()
+            assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
 
 def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
@@ -161,7 +154,7 @@ def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
     def walks():
         records = [Record(f"u{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(points)]
         p = param.copy()
-        adam_step(p, grad, AdamState.for_param(p, lr=1e-2))
+        adam_step(p, grad, np.zeros_like(p), np.zeros_like(p), 1, 1e-2)
         return (bayes.igr_scores(counts, labels, 4).tobytes(),
                 bayes.posterior_mnb(model, counts).tobytes(),
                 [r.city_id for r in geo.assign_cities(records, table)],
@@ -184,7 +177,7 @@ def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(3)
     with pytest.raises(ValueError):
-        adam_step(p, np.zeros(4), AdamState.for_param(p, lr=1e-3))
+        adam_step(p, np.zeros(4), np.zeros(3), np.zeros(3), 1, 1e-3)
 
 
 def test_cross_entropy_batch_mean():

@@ -13,7 +13,7 @@ from tweetgeo.cnn import (CnnConfig, FeatureBatch, backward, encode_features, fo
 from tweetgeo.encode import CategoryMaps, build_category_maps
 from tweetgeo.errors import BundleError, DataError
 from tweetgeo.labels import TASK_COUNTRY, LabelTable, country_labels
-from tweetgeo.nncore import AdamState, adam_step, cross_entropy_batch
+from tweetgeo.nncore import adam_step, cross_entropy_batch
 from tweetgeo.textproc import Vocabulary, build_vocab
 from tweetgeo.train import (CnnBundle, TrainConfig, load_bundle, load_model,
                             load_stack_model, save_model, save_stack_model, train,
@@ -54,14 +54,14 @@ def test_loss_decreases_on_fixed_batch():
     cfg = small_cfg()
     feats, vocab, maps = encoded(recs, ys, cfg)
     model = init_model(cfg, len(vocab), maps.block_size, seed=1)
-    states = {n: AdamState.for_param(p, lr=1e-2) for n, p in model.params.items()}
+    moments = {n: (np.zeros_like(p), np.zeros_like(p)) for n, p in model.params.items()}
     losses = []
     for step in range(10):
         fwd = forward(model, feats, train=False)
         losses.append(cross_entropy_batch(fwd.probs, ys))
         grads = backward(model, fwd, ys)
         for n, p in model.params.items():
-            adam_step(p, grads[n], states[n])
+            adam_step(p, grads[n], *moments[n], step + 1, 1e-2)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -406,8 +406,7 @@ OLD_CNN_CONFIG_JSON = (b'{"cat_block_size": 153, "dropout_rate": 0.3, "embed_dim
                        b'{"profile_location": 4, "text": 8, "user_description": 6, '
                        b'"user_name": 3}, "vocab_size": 16, "windows": [2, 3]}')
 CNN_SECTIONS = ["config", "vocabulary", "category_maps", "label_table", "tensor:embedding",
-                "tensor:conv_w_h2", "tensor:conv_b_h2", "tensor:conv_w_h3", "tensor:conv_b_h3",
-                "tensor:softmax_w", "tensor:softmax_b"]
+                "tensor:conv_w", "tensor:conv_b", "tensor:softmax_w", "tensor:softmax_b"]
 STACK_SECTIONS = [
     "config", "label_table",
     "vocab:text", "tensor:text:prior", "tensor:text:log_prob",
@@ -426,6 +425,9 @@ def test_cnn_bundle_layout_is_pinned(bundle_files):
     assert model_type == "cnn"
     assert list(sections) == CNN_SECTIONS
     assert sections["config"] == CNN_CONFIG_JSON
+    # windows 2 and 3 with 4 filters of width k=8: (sum(h)*m, k) and (windows, m)
+    assert bundle_io.decode_tensor(sections["tensor:conv_w"]).shape == (20, 8)
+    assert bundle_io.decode_tensor(sections["tensor:conv_b"]).shape == (2, 4)
 
 
 def _old_config_loads_the_same(bundle_files, tmp_path, config: bytes):
