@@ -10,7 +10,8 @@ calibration table.
 
 import numpy as np
 
-from tweetgeo.cnn import VOCAB_FIELDS, CnnConfig, encode_features, predict_proba
+from tweetgeo.cnn import (VOCAB_FIELDS, CnnConfig, encode_features, init_model,
+                          predict_proba)
 from tweetgeo.encode import build_category_maps
 from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
@@ -38,10 +39,13 @@ cfg = CnnConfig(embed_dim=32, windows=(2, 3, 4), filters_per_window=24,
                 max_lens={"text": 12, "user_description": 12,
                           "profile_location": 6, "user_name": 4})
 tcfg = TrainConfig(batch_size=64, max_epochs=12, patience=3, seed=3)
+# one seed drives the initial weights, the shuffles and the dropout masks
+model = init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed)
 result = train(
+    model,
     encode_features(tr, vocab, maps, cfg, labels.label_array(tr)),
     encode_features(dev, vocab, maps, cfg, labels.label_array(dev)),
-    cfg, tcfg, len(vocab), maps.block_size)
+    tcfg)
 
 print("\nepoch  loss     dev_acc")
 for row in result.log:
@@ -49,7 +53,7 @@ for row in result.log:
 print(f"best dev accuracy {result.best_dev_accuracy:.4f} at epoch {result.best_epoch}")
 
 feats = encode_features(te, vocab, maps, cfg)
-preds = rank(predict_proba(result.model, feats), labels.label_array(te),
+preds = rank(predict_proba(model, feats), labels.label_array(te),
              [(r.lat, r.lon) for r in te])
 coords = labels.coords_array()
 print(f"\ntest metrics on {len(te)} tweets:")

@@ -2,9 +2,10 @@
 """The stacked naive-Bayes baselines.
 
 Five multinomial NB base classifiers (one per text field plus one over the
-categorical features as synthetic tokens) produce out-of-fold predictions;
-a meta NB combines their votes. The feature-selected variant prunes each
-text vocabulary to the top tokens by information gain ratio first.
+categorical features as synthetic tokens) produce out-of-fold predictions
+over `bayes.FOLDS` (5) folds; a meta NB combines their votes. Every NB of the
+stack smooths with `bayes.ALPHA` (0.01). The feature-selected variant prunes
+each text vocabulary to the top tokens by information gain ratio first.
 """
 
 import numpy as np
@@ -43,8 +44,7 @@ for i in order[:5]:
 
 print("\n== STACKING vs STACKING+ ==")
 for name, igr in (("STACKING", None), ("STACKING+ (top 40%)", 40.0)):
-    model = fit_stacking(tr, ytr, len(labels), folds=5, alpha=1e-2,
-                         igr_percent=igr, min_count=3)
+    model = fit_stacking(tr, ytr, len(labels), igr_percent=igr, min_count=3)
     post = posterior_stacking(model, te)
     acc = float(np.mean(np.argmax(post, axis=1) == yte))
     print(f"  {name:20s} accuracy {acc:.4f}")

@@ -233,8 +233,6 @@ class StackModel:
     base_vocabs: dict                # base field -> Vocabulary
     meta: MnbModel
     label_count: int
-    folds: int = FOLDS
-    alpha: float = ALPHA
     igr_percent: Optional[float] = None
 
     def meta_features(self, base_labels: np.ndarray) -> CsrCounts:
@@ -245,22 +243,18 @@ class StackModel:
                          k * self.label_count)
 
 
-def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
-                 alpha: float = ALPHA, igr_percent: Optional[float] = None,
+def fit_stacking(records, labels, label_count: int, igr_percent: Optional[float] = None,
                  min_count: int = 1) -> StackModel:
     """Two-layer stacking: five per-field MNB bases produce out-of-fold argmax
-    labels (folds assigned round-robin by record position); a meta MNB is fit
-    on their one-hot encoding; bases are then refit on all records."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    labels (FOLDS folds, assigned round-robin by record position); a meta MNB
+    is fit on their one-hot encoding; bases are then refit on all records.
+    Every MNB smooths with ALPHA."""
     if igr_percent is not None and not 0.0 < igr_percent <= 100.0:
         raise ValueError(f"igr_percent must be in (0, 100], got {igr_percent}")
     n = len(records)
     labels = np.asarray(labels, dtype=np.int64)
-    if folds < 2:
-        raise ValueError("cross-validation needs folds >= 2")
-    if folds > n:
-        raise ValueError(f"folds {folds} > records {n}")
+    if n < FOLDS:
+        raise ValueError(f"stacking's {FOLDS} folds need at least {FOLDS} records, got {n}")
 
     tokens = {b: [base_tokens(r, b) for r in records] for b in BASE_FIELDS}
     vocabs = {b: build_vocab(tokens[b], min_count=min_count) for b in BASE_FIELDS}
@@ -271,19 +265,19 @@ def fit_stacking(records, labels, label_count: int, folds: int = FOLDS,
             vocabs[b] = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
             counts[b] = count_matrix(tokens[b], vocabs[b])
 
-    fold_of = np.arange(n) % folds
+    fold_of = np.arange(n) % FOLDS
     oof = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)
-    for j in range(folds):
+    for j in range(FOLDS):
         held = fold_of == j
         for bi, b in enumerate(BASE_FIELDS):
-            base = fit_mnb(counts[b][~held], labels[~held], label_count, alpha)
+            base = fit_mnb(counts[b][~held], labels[~held], label_count)
             oof[held, bi] = predict_mnb(base, counts[b][held])
 
     stack = StackModel(bases={}, base_vocabs=vocabs, meta=None, label_count=label_count,
-                       folds=folds, alpha=alpha, igr_percent=igr_percent)
-    stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count, alpha)
+                       igr_percent=igr_percent)
+    stack.meta = fit_mnb(stack.meta_features(oof), labels, label_count)
     for b in BASE_FIELDS:
-        stack.bases[b] = fit_mnb(counts[b], labels, label_count, alpha)
+        stack.bases[b] = fit_mnb(counts[b], labels, label_count)
     return stack
 
 

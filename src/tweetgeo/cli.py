@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bayes, geo, ingest, metrics, textproc
 from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_features,
-                  predict_proba)
+                  init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError
 from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels
@@ -199,8 +199,11 @@ def cmd_train(ns) -> int:
                            patience=ns.patience, seed=ns.seed, lr=ns.lr)
         train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
         dev_feats = encode_features(dev_recs, vocab, maps, ccfg, y_dev)
-        result = train(train_feats, dev_feats, ccfg, tcfg, len(vocab), maps.block_size,
-                       vectors_path=ns.vectors, vocab=vocab)
+        del train_recs, dev_recs    # the fit reads only the encoded features
+        model = init_model(ccfg, len(vocab), maps.block_size, seed=tcfg.seed)
+        if ns.vectors is not None:
+            load_pretrained_embeddings(model, ns.vectors, vocab)
+        result = train(model, train_feats, dev_feats, tcfg)
         save_model(result.model, vocab, maps, labels, ns.out)
         if ns.log:
             write_train_log(ns.log, result.log)
@@ -212,7 +215,7 @@ def cmd_train(ns) -> int:
         model = bayes.fit_stacking(train_recs, y, len(labels), igr_percent=igr,
                                    min_count=ns.min_count)
         save_stack_model(model, labels, ns.out)
-        print(f"train: {ns.model} task={ns.task} folds={model.folds} "
+        print(f"train: {ns.model} task={ns.task} folds={bayes.FOLDS} "
               f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
     return 0
 

@@ -9,6 +9,7 @@ coordinates to the record's true coordinates.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,7 +147,8 @@ def calibration_bins(pred: Predictions):
     b = np.searchsorted(np.arange(1, CALIBRATION_BINS) / CALIBRATION_BINS, top, side="right")
     count = np.bincount(b, minlength=CALIBRATION_BINS)
     correct = np.bincount(b[_hits(pred)], minlength=CALIBRATION_BINS)
-    confidence = np.bincount(b, weights=top, minlength=CALIBRATION_BINS)
+    # an exactly rounded sum per bin, so the order and chunking of records cannot matter
+    confidence = np.array([math.fsum(top[b == i]) for i in range(CALIBRATION_BINS)])
     frac = count / max(len(b), 1)
     return [(round(i * 0.1, 10), round((i + 1) * 0.1, 10), f, a, c)
             for i, (f, a, c) in enumerate(zip(frac.tolist(), _ratio(correct, count).tolist(),

@@ -18,7 +18,7 @@ import numpy as np
 from . import bundle as bundle_io
 from .bayes import StackModel, MnbModel, BASE_FIELDS
 from .cnn import CnnConfig, CnnModel, FeatureBatch, backward, forward, predict_proba
-from .cnn import init_model, load_pretrained_embeddings, param_shapes
+from .cnn import param_shapes
 from .encode import CategoryMaps
 from .errors import BundleError, DataError
 from .ingest import hash64
@@ -68,13 +68,12 @@ def _dev_accuracy(model: CnnModel, dev: FeatureBatch) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == dev.labels))
 
 
-def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
-          tcfg: TrainConfig, vocab_size: int, cat_block_size: int,
-          vectors_path=None, vocab: Optional[Vocabulary] = None) -> TrainResult:
-    """Train a freshly initialized model; keep the parameters of the epoch
-    with the best dev accuracy and stop once `patience` evaluations pass
-    without improvement. An epoch whose mean loss or dev probabilities are
-    not finite is a ValueError."""
+def train(model: CnnModel, train_feats: FeatureBatch, dev_feats: FeatureBatch,
+          tcfg: TrainConfig) -> TrainResult:
+    """Train `model` in place: keep the parameters of the epoch with the best
+    dev accuracy and stop once `patience` evaluations pass without
+    improvement; `model` ends with the best parameters. An epoch whose mean
+    loss or dev probabilities are not finite is a ValueError."""
     if train_feats.size == 0:
         raise DataError("empty training split")
     if dev_feats.size == 0:
@@ -82,18 +81,15 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
     if train_feats.labels is None or dev_feats.labels is None:
         raise ValueError("feature batches must carry labels")
     # dev labels may be -1 (a class unseen in training counts as a miss)
-    y = train_feats.labels
-    if y.min() < 0 or y.max() >= ccfg.label_count:
-        raise DataError(f"training labels must lie in [0, {ccfg.label_count}); "
+    y, n_labels = train_feats.labels, model.config.label_count
+    if y.min() < 0 or y.max() >= n_labels:
+        raise DataError(f"training labels must lie in [0, {n_labels}); "
                         f"found {int(y.min())}..{int(y.max())}")
 
-    model = init_model(ccfg, vocab_size, cat_block_size, seed=tcfg.seed)
-    if vectors_path is not None:
-        load_pretrained_embeddings(model, vectors_path, vocab)
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in model.params.items()}
 
     # dev accuracy is >= 0, so the first epoch always sets best
-    best, best_acc, best_epoch, stale = None, -1.0, 0, 0
+    best, best_acc, best_epoch = None, -1.0, 0
     log: list[EpochLog] = []
     step = 0
     for epoch in range(1, tcfg.max_epochs + 1):
@@ -114,12 +110,10 @@ def train(train_feats: FeatureBatch, dev_feats: FeatureBatch, ccfg: CnnConfig,
             raise ValueError(f"training diverged at epoch {epoch}: mean loss {loss}, dev "
                              f"accuracy {dev_acc}; try a learning rate (--lr) below {tcfg.lr:g}")
         if dev_acc > best_acc:
-            best_acc, best_epoch, stale = dev_acc, epoch, 0
+            best_acc, best_epoch = dev_acc, epoch
             best = {name: p.copy() for name, p in model.params.items()}
-        else:
-            stale += 1
         log.append(EpochLog(epoch, loss, dev_acc, best_acc))
-        if stale >= tcfg.patience:
+        if epoch - best_epoch >= tcfg.patience:
             break
     model.params = best
     return TrainResult(model, log, best_epoch, best_acc)
@@ -136,7 +130,7 @@ def write_train_log(path, log: list):
 # ---------------------------------------------------------------------------
 # model bundles
 
-_STACK_CONFIG_KEYS = ("label_count", "folds", "alpha", "igr_percent")
+_STACK_CONFIG_KEYS = ("label_count", "igr_percent")
 
 
 def _int_fields(cls) -> set:

@@ -103,12 +103,14 @@ def mnb_posterior_exact(class_docs, doc, alpha):
 def metrics_scan(rows, label_count):
     """Accuracy, top-5 accuracy, per-class (label, precision, recall, support)
     rows, 10 calibration rows with each bin's mean winning probability, and
-    the expected calibration error, one record at a time. rows holds (true
-    label or -1, labels ranked best first, winning probability)."""
+    the expected calibration error, one record at a time. A bin's winning
+    probabilities are summed exactly (math.fsum), so no order of the rows
+    can round them differently. rows holds (true label or -1, labels ranked
+    best first, winning probability)."""
     n = len(rows)
     hits = [ranked[0] == t for t, ranked, _ in rows]
     tp, pred_n, support = [0] * label_count, [0] * label_count, [0] * label_count
-    count, correct, confidence = [0] * 10, [0] * 10, [0.0] * 10
+    count, correct, tops = [0] * 10, [0] * 10, [[] for _ in range(10)]
     for (t, ranked, top), hit in zip(rows, hits):
         pred_n[ranked[0]] += 1
         if 0 <= t < label_count:
@@ -117,7 +119,8 @@ def metrics_scan(rows, label_count):
         b = sum(top >= k / 10 for k in range(1, 10))
         count[b] += 1
         correct[b] += hit
-        confidence[b] += top
+        tops[b].append(top)
+    confidence = [math.fsum(t) for t in tops]
     pr = [(c, tp[c] / pred_n[c] if pred_n[c] else 0.0,
            tp[c] / support[c] if support[c] else 0.0, support[c]) for c in range(label_count)]
     cal = [(round(b * 0.1, 10), round((b + 1) * 0.1, 10), count[b] / n,

@@ -195,11 +195,13 @@ def _separable_corpus(n_per_class=30):
 
 
 def test_fit_stacking_rejects_bad_folds():
-    recs, labels = _separable_corpus(4)
-    with pytest.raises(ValueError):
-        fit_stacking(recs, labels, 2, folds=1)
-    with pytest.raises(ValueError):
-        fit_stacking(recs[:3], labels[:3], 2, folds=5)
+    # each of the FOLDS folds must hold out at least one record
+    recs, labels = _separable_corpus(2)
+    assert len(recs) == bayes.FOLDS - 1
+    with pytest.raises(ValueError, match=f"{bayes.FOLDS} folds need at least {bayes.FOLDS} "
+                                         f"records, got {bayes.FOLDS - 1}"):
+        fit_stacking(recs, labels, 2)
+    fit_stacking(recs + recs[:1], np.append(labels, labels[0]), 2)
 
 
 @pytest.fixture
@@ -207,14 +209,6 @@ def no_counting(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("count_matrix reached")
     monkeypatch.setattr(bayes, "count_matrix", unreachable)
-
-
-@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf")])
-def test_fit_stacking_rejects_an_alpha_that_is_not_positive_and_finite(no_counting, alpha):
-    # unchecked, -1 fits NaN tables and 0 ones that scoring crashes on
-    recs, labels = _separable_corpus(4)
-    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
-        fit_stacking(recs, labels, 2, alpha=alpha)
 
 
 @pytest.mark.parametrize("igr_percent", [0.0, -5.0, 100.5, float("nan"), float("inf")])
@@ -227,7 +221,7 @@ def test_fit_stacking_rejects_an_igr_percent_before_counting(no_counting, igr_pe
 
 def test_meta_features_sum_to_five():
     recs, labels = _separable_corpus(10)
-    model = fit_stacking(recs, labels, 2, folds=5)
+    model = fit_stacking(recs, labels, 2)
     base_labels = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 1, 1]])
     feats = model.meta_features(base_labels)
     assert feats.shape == (2, 5 * 2)
@@ -236,7 +230,7 @@ def test_meta_features_sum_to_five():
 
 def test_stacking_beats_or_matches_perfect_base():
     recs, labels = _separable_corpus(20)
-    model = fit_stacking(recs, labels, 2, folds=5)
+    model = fit_stacking(recs, labels, 2)
     acc = float(np.mean(np.argmax(posterior_stacking(model, recs), axis=1) == labels))
 
     # oracle: the text base alone, out-of-fold, must be perfect here
@@ -255,7 +249,7 @@ def test_stacking_beats_or_matches_perfect_base():
 
 def test_predict_stacking_posterior_sums_to_one():
     recs, labels = _separable_corpus(10)
-    model = fit_stacking(recs, labels, 2, folds=5)
+    model = fit_stacking(recs, labels, 2)
     empty = make_record(text="", user_description="", profile_location="", user_name="")
     post = posterior_stacking(model, [make_record(text="apple"), empty])
     assert post.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -264,7 +258,7 @@ def test_predict_stacking_posterior_sums_to_one():
 
 def test_posterior_stacking_batch_agrees_with_single():
     recs, labels = _separable_corpus(8)
-    model = fit_stacking(recs, labels, 2, folds=4)
+    model = fit_stacking(recs, labels, 2)
     batch = posterior_stacking(model, recs[:5])
     for i in range(5):
         single = posterior_stacking(model, [recs[i]])[0]
@@ -274,7 +268,7 @@ def test_posterior_stacking_batch_agrees_with_single():
 def test_stacking_agreement_case():
     # every base sees a perfect signal for class 0 on this record
     recs, labels = _separable_corpus(15)
-    model = fit_stacking(recs, labels, 2, folds=5)
+    model = fit_stacking(recs, labels, 2)
     r = make_record(text="apple", profile_location="northtown", tweet_lang="en")
     post = posterior_stacking(model, [r])[0]
     assert np.argmax(post) == 0 and post[0] > 0.5
@@ -417,7 +411,7 @@ def _fold_confined_corpus(rng, n=90, folds=5):
 @pytest.mark.parametrize("igr_percent", [None, 40.0])
 def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
     for recs, labels in (_random_corpus(rng), _fold_confined_corpus(rng)):
-        model = fit_stacking(recs, labels, 4, folds=5, alpha=1e-2, igr_percent=igr_percent)
+        model = fit_stacking(recs, labels, 4, igr_percent=igr_percent)
         vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
         tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
         bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)

@@ -72,8 +72,8 @@ def test_train_reaches_high_dev_accuracy():
     dev_idx = np.arange(0, len(recs), 4)
     tr_idx = np.setdiff1d(np.arange(len(recs)), dev_idx)
     tcfg = TrainConfig(batch_size=16, max_epochs=20, patience=5, seed=3, lr=5e-3)
-    result = train(feats.take(tr_idx), feats.take(dev_idx), cfg, tcfg,
-                   len(vocab), maps.block_size)
+    model = init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed)
+    result = train(model, feats.take(tr_idx), feats.take(dev_idx), tcfg)
     assert result.best_dev_accuracy >= 0.95
     assert max(row.best_dev_accuracy for row in result.log) == result.best_dev_accuracy
 
@@ -85,7 +85,7 @@ def test_train_patience_one_restores_best_epoch():
     dev = feats.take(np.arange(0, len(recs), 3))
     tr = feats.take(np.arange(1, len(recs), 3))
     tcfg = TrainConfig(batch_size=8, max_epochs=50, patience=1, seed=5, lr=5e-3)
-    result = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
+    result = train(init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed), tr, dev, tcfg)
     # every epoch is evaluated; stopped exactly one epoch after the best one
     assert [row.epoch for row in result.log] == list(range(1, len(result.log) + 1))
     assert result.log[-1].epoch == result.best_epoch + 1
@@ -102,8 +102,8 @@ def test_train_deterministic_given_seed():
     dev = feats.take(np.arange(0, len(recs), 5))
     tr = feats.take(np.arange(1, len(recs), 2))
     tcfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=11)
-    r1 = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
-    r2 = train(tr, dev, cfg, tcfg, len(vocab), maps.block_size)
+    r1, r2 = (train(init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed), tr, dev, tcfg)
+              for _ in range(2))
     for (n1, p1), (n2, p2) in zip(r1.model.params.items(), r2.model.params.items()):
         assert n1 == n2
         assert p1.tobytes() == p2.tobytes()
@@ -124,7 +124,7 @@ def test_train_memory_is_bounded_by_a_few_embeddings():
     tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=1)
     tracemalloc.start()
     try:
-        train(tr, dev, cfg, tcfg, vocab_size, 8)
+        train(init_model(cfg, vocab_size, 8, seed=tcfg.seed), tr, dev, tcfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -136,10 +136,11 @@ def test_train_rejects_empty_splits():
     cfg = small_cfg()
     feats, vocab, maps = encoded(recs, ys, cfg)
     empty = feats.take(np.array([], dtype=int))
+    model = init_model(cfg, len(vocab), maps.block_size)
     with pytest.raises(DataError):
-        train(empty, feats, cfg, TrainConfig(), len(vocab), maps.block_size)
+        train(model, empty, feats, TrainConfig())
     with pytest.raises(DataError):
-        train(feats, empty, cfg, TrainConfig(), len(vocab), maps.block_size)
+        train(model, feats, empty, TrainConfig())
 
 
 @pytest.mark.parametrize("bad_label", [-1, 3])
@@ -148,14 +149,14 @@ def test_train_rejects_out_of_range_training_labels(bad_label):
     cfg = small_cfg()
     feats, vocab, maps = encoded(recs, ys, cfg)
     feats.labels[0] = bad_label
+    model = init_model(cfg, len(vocab), maps.block_size)
     with pytest.raises(DataError, match="training labels"):
-        train(feats, feats.take(np.arange(1, 6)), cfg, TrainConfig(max_epochs=1),
-              len(vocab), maps.block_size)
+        train(model, feats, feats.take(np.arange(1, 6)), TrainConfig(max_epochs=1))
     # a dev label of -1 (class unseen in training) is allowed: it counts as a miss
     dev = feats.take(np.arange(0, 6))
     dev.labels[0] = -1
     feats.labels[0] = 0
-    train(feats, dev, cfg, TrainConfig(max_epochs=1), len(vocab), maps.block_size)
+    train(model, feats, dev, TrainConfig(max_epochs=1))
 
 
 def test_write_train_log(tmp_path):
@@ -163,7 +164,7 @@ def test_write_train_log(tmp_path):
     cfg = small_cfg()
     feats, vocab, maps = encoded(recs, ys, cfg)
     tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=3, seed=1)
-    result = train(feats, feats, cfg, tcfg, len(vocab), maps.block_size)
+    result = train(init_model(cfg, len(vocab), maps.block_size, seed=1), feats, feats, tcfg)
     write_train_log(tmp_path / "log.csv", result.log)
     lines = (tmp_path / "log.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,dev_accuracy,best_dev_accuracy"
@@ -178,7 +179,7 @@ def _trained_bundle(tmp_path, seed=2):
     labels = country_labels(recs)
     feats = encode_features(recs, vocab, maps, cfg, labels.label_array(recs))
     tcfg = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=seed)
-    result = train(feats, feats, cfg, tcfg, len(vocab), maps.block_size)
+    result = train(init_model(cfg, len(vocab), maps.block_size, seed=seed), feats, feats, tcfg)
     path = tmp_path / "model.gtlm"
     save_model(result.model, vocab, maps, labels, path)
     return result.model, vocab, maps, labels, feats, path
@@ -236,8 +237,8 @@ def test_load_rejects_float64_tensors(tmp_path):
 def test_stack_bundle_roundtrip(tmp_path):
     recs, ys = corpus(10)
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=5,
-                         alpha=1e-2, igr_percent=40.0, min_count=1)
+    model = fit_stacking(recs, labels.label_array(recs), len(labels), igr_percent=40.0,
+                         min_count=1)
     path = tmp_path / "stack.gtlm"
     save_stack_model(model, labels, path)
     loaded = load_stack_model(path)
@@ -255,7 +256,7 @@ def test_stack_bundle_roundtrip_with_line_break_in_timezone(tmp_path):
     recs, ys = corpus(10)
     recs[0].timezone = "Zone\nX"
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=5, min_count=1)
+    model = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
     path = tmp_path / "stack.gtlm"
     save_stack_model(model, labels, path)
     cats = load_stack_model(path).model.base_vocabs["cats"]
@@ -267,7 +268,7 @@ def test_stack_training_is_byte_identical_on_rerun(tmp_path):
     recs, ys = corpus(12, seed=3)
     labels = country_labels(recs)
     for name in ("a.gtlm", "b.gtlm"):
-        model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=5,
+        model = fit_stacking(recs, labels.label_array(recs), len(labels),
                              igr_percent=40.0, min_count=1)
         save_stack_model(model, labels, tmp_path / name)
     assert (tmp_path / "a.gtlm").read_bytes() == (tmp_path / "b.gtlm").read_bytes()
@@ -304,7 +305,7 @@ def test_stack_load_peak_is_the_tensors_plus_the_largest(tmp_path):
 def test_stack_load_rejects_non_float64_tensors(tmp_path, tensor):
     recs, ys = corpus(6)
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), folds=2, min_count=1)
+    model = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
     save_stack_model(model, labels, tmp_path / "stack.gtlm")
     model_type, sections = bundle_io.read_sections(tmp_path / "stack.gtlm")
     narrow = bundle_io.decode_tensor(sections[f"tensor:{tensor}"]).astype(np.float32)
@@ -342,7 +343,7 @@ def bundle_files(tmp_path_factory):
     labels = country_labels(recs)
     save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps, labels,
                d / "cnn.gtlm")
-    stack = fit_stacking(recs, labels.label_array(recs), len(labels), folds=2, min_count=1)
+    stack = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
     save_stack_model(stack, labels, d / "stack.gtlm")
     return {"cnn": ((d / "cnn.gtlm").read_bytes(), load_model),
             "stack": ((d / "stack.gtlm").read_bytes(), load_stack_model)}, d
@@ -477,7 +478,22 @@ def test_stack_bundle_layout_is_pinned(bundle_files):
     assert model_type == "stack"
     assert list(sections) == STACK_SECTIONS
     assert sections["config"] == \
-        b'{"alpha": 0.01, "folds": 2, "igr_percent": null, "label_count": 3}'
+        b'{"igr_percent": null, "label_count": 3}'
+
+
+def test_stack_bundle_with_folds_and_alpha_loads_and_scores_the_same(bundle_files, tmp_path):
+    # writers from before stacking's folds and smoothing became constants stored
+    # both in the config; scoring never read them
+    bundles, d = bundle_files
+    model_type, sections = bundle_io.read_sections(d / "stack.gtlm")
+    sections["config"] = b'{"alpha": 0.01, "folds": 2, "igr_percent": null, "label_count": 3}'
+    bundle_io.write_sections(tmp_path / "old.gtlm", model_type, list(sections.items()))
+    old = load_stack_model(tmp_path / "old.gtlm")
+    recs, ys = corpus(4, seed=5)
+    assert cli._probabilities(old, recs).tobytes() == \
+        cli._probabilities(load_stack_model(d / "stack.gtlm"), recs).tobytes()
+    save_stack_model(old.model, old.labels, tmp_path / "resaved.gtlm")
+    assert (tmp_path / "resaved.gtlm").read_bytes() == (d / "stack.gtlm").read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["cnn", "stack"])
