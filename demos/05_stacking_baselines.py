@@ -12,6 +12,7 @@ import numpy as np
 
 from tweetgeo.bayes import (base_tokens, count_matrix, fit_mnb, fit_stacking,
                             igr_scores, posterior_stacking, predict_mnb)
+from tweetgeo.columns import token_columns
 from tweetgeo.geo import assign_cities
 from tweetgeo.labels import city_labels
 from tweetgeo.synth import SynthSpec, generate
@@ -44,7 +45,7 @@ for i in order[:5]:
 
 print("\n== STACKING vs STACKING+ ==")
 for name, igr in (("STACKING", None), ("STACKING+ (top 40%)", 40.0)):
-    model = fit_stacking(tr, ytr, len(labels), igr_percent=igr, min_count=3)
+    model = fit_stacking(token_columns(tr), ytr, len(labels), igr_percent=igr, min_count=3)
     post = posterior_stacking(model, te)
     acc = float(np.mean(np.argmax(post, axis=1) == yte))
     print(f"  {name:20s} accuracy {acc:.4f}")

@@ -10,6 +10,7 @@ from .bayes import (MnbModel, StackModel, count_matrix, fit_mnb, fit_stacking, i
                     posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
 from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
                   forward, init_model, load_pretrained_embeddings, predict_proba)
+from .columns import TokenColumns, token_columns
 from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
 from .errors import BundleError, DataError
 from .geo import (City, CityTable, haversine_km, load_city_table, nearest_city,

@@ -20,7 +20,7 @@ from . import nncore
 from .encode import time_slot
 from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
-from .textproc import Vocabulary, build_vocab, tokenize
+from .textproc import UNK_INDEX, Vocabulary, tokenize, vocab_from_ids
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
 CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
@@ -31,11 +31,15 @@ IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}   # STACKING+'s IGR top per
 _ONE_LINE = str.maketrans("\r\n", "  ")
 
 
+def _one_line(value: str) -> str:
+    return value.translate(_ONE_LINE) if "\n" in value or "\r" in value else value
+
+
 def categorical_tokens(record) -> list[str]:
     """The three categorical values and the time slot as synthetic bag tokens.
     Line breaks in the values become spaces: a vocabulary stores one token
     per line."""
-    tokens = [f"{p}={getattr(record, f).translate(_ONE_LINE)}"
+    tokens = [f"{p}={_one_line(getattr(record, f))}"
               for p, f in zip(CAT_PREFIXES, CATEGORICAL_FIELDS)]
     return tokens + [f"pt={time_slot(record.posted_at)}"]
 
@@ -89,13 +93,20 @@ class CsrCounts:
         return NotImplemented
 
 
+def _csr_counts(indptr: np.ndarray, cols: np.ndarray, n_cols: int) -> CsrCounts:
+    """Counts of each row's columns, row i listing cols[indptr[i]:indptr[i+1]]."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    cells, counts = np.unique(rows * n_cols + cols, return_counts=True)
+    return CsrCounts(_indptr(cells // n_cols, n), cells % n_cols, counts.astype(np.float64),
+                     n_cols)
+
+
 def count_matrix(token_lists, vocab: Vocabulary) -> CsrCounts:
     """Bag-of-words counts (N, |vocab|); out-of-vocabulary tokens count as UNK."""
-    n, f = len(token_lists), len(vocab)
     cols = np.array([vocab.index(t) for t in chain.from_iterable(token_lists)], dtype=np.int64)
-    rows = np.repeat(np.arange(n), [len(toks) for toks in token_lists])
-    cells, counts = np.unique(rows * f + cols, return_counts=True)
-    return CsrCounts(_indptr(cells // f, n), cells % f, counts.astype(np.float64), f)
+    lens = np.cumsum([len(toks) for toks in token_lists], dtype=np.int64)
+    return _csr_counts(np.concatenate(([0], lens)), cols, len(vocab))
 
 
 @dataclass
@@ -243,27 +254,33 @@ class StackModel:
                          k * self.label_count)
 
 
-def fit_stacking(records, labels, label_count: int, igr_percent: Optional[float] = None,
+def fit_stacking(columns, labels, label_count: int, igr_percent: Optional[float] = None,
                  min_count: int = 1) -> StackModel:
-    """Two-layer stacking: five per-field MNB bases produce out-of-fold argmax
-    labels (FOLDS folds, assigned round-robin by record position); a meta MNB
-    is fit on their one-hot encoding; bases are then refit on all records.
-    Every MNB smooths with ALPHA."""
+    """Two-layer stacking over the records of `columns` (a `TokenColumns`,
+    which `columns.token_columns` builds): five per-field MNB bases produce
+    out-of-fold argmax labels (FOLDS folds, assigned round-robin by record
+    position); a meta MNB is fit on their one-hot encoding; bases are then
+    refit on all records. Every MNB smooths with ALPHA."""
     if igr_percent is not None and not 0.0 < igr_percent <= 100.0:
         raise ValueError(f"igr_percent must be in (0, 100], got {igr_percent}")
-    n = len(records)
+    n = len(columns)
     labels = np.asarray(labels, dtype=np.int64)
     if n < FOLDS:
         raise ValueError(f"stacking's {FOLDS} folds need at least {FOLDS} records, got {n}")
 
-    tokens = {b: [base_tokens(r, b) for r in records] for b in BASE_FIELDS}
-    vocabs = {b: build_vocab(tokens[b], min_count=min_count) for b in BASE_FIELDS}
-    counts = {b: count_matrix(tokens[b], vocabs[b]) for b in BASE_FIELDS}
-
-    if igr_percent is not None:
-        for b in TEXT_FIELDS:
-            vocabs[b] = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
-            counts[b] = count_matrix(tokens[b], vocabs[b])
+    vocabs, counts = {}, {}
+    for b in BASE_FIELDS:
+        indptr, ids = columns.base(b)
+        vocabs[b], col = vocab_from_ids(columns.tokens, ids, min_count)
+        counts[b] = _csr_counts(indptr, col[ids], len(vocabs[b]))
+        if igr_percent is not None and b in TEXT_FIELDS:
+            reduced = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
+            # each old column's column in the reduced vocabulary: UNK unless kept
+            old_cols = [vocabs[b].index(t) for t in reduced.content_tokens]
+            new_col = np.full(len(vocabs[b]), UNK_INDEX, dtype=np.int64)
+            new_col[np.array(old_cols, dtype=np.int64)] = np.arange(2, len(reduced))
+            vocabs[b], col = reduced, new_col[col]
+            counts[b] = _csr_counts(indptr, col[ids], len(reduced))
 
     fold_of = np.arange(n) % FOLDS
     oof = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bayes, geo, ingest, metrics, textproc
+from . import bayes, columns, geo, ingest, metrics, textproc
 from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_features,
                   init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError
-from .labels import TASK_CITY, TASK_COUNTRY, city_labels, country_labels
+from .labels import (LABEL_FIELDS, TASK_CITY, TASK_COUNTRY, city_labels, country_labels,
+                     country_labels_of_codes)
 from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
                     train, write_train_log)
 
@@ -135,9 +136,12 @@ def cmd_prepare(ns) -> int:
     ingest.write_jsonl(test_recs, out / "test.jsonl")
     geo.save_city_table(table, out / "cities.csv")
 
-    streams = (textproc.tokenize(getattr(r, f))
-               for r in train_recs for f in VOCAB_FIELDS)
-    vocab = textproc.build_vocab(streams, min_count=ns.min_count)
+    # each training record is tokenized once, into the token columns that
+    # stacking's `train` reads; vocab.txt is counted from the same ids
+    cols = columns.token_columns(train_recs)
+    columns.save_columns(cols, out)
+    vocab = textproc.build_vocab(columns.token_streams(cols, VOCAB_FIELDS),
+                                 min_count=ns.min_count)
     textproc.save_vocab(vocab, out / "vocab.txt")
 
     maps = build_category_maps(train_recs)
@@ -165,12 +169,20 @@ def _prep_file(prep: Path, name: str) -> Path:
 
 def cmd_train(ns) -> int:
     cnn = ns.model == "cnn"
+    if ns.igr_top_percent is not None and ns.model != "stacking+":
+        raise ValueError(f"--igr-top-percent applies only to --model stacking+, not {ns.model}")
+    if ns.vectors is not None and not cnn:
+        raise ValueError(f"--vectors applies only to --model cnn, not {ns.model}")
     # a bad output path is found before the fit, not after it
     for out in (ns.out, ns.log if cnn else None):
         if out is not None and not Path(out).parent.is_dir():
             raise DataError(f"{out}: {Path(out).parent} is not a directory")
     prep = Path(ns.prep_dir)
     train_path = _prep_file(prep, "train.jsonl")
+    return (_train_cnn if cnn else _train_stacking)(ns, prep, train_path)
+
+
+def _train_cnn(ns, prep: Path, train_path: Path) -> int:
     train_recs, _ = ingest.read_jsonl(train_path)
     if not train_recs:
         raise DataError(f"{train_path}: no usable records")
@@ -181,42 +193,52 @@ def cmd_train(ns) -> int:
         bad = train_recs[int(np.argmax(y < 0))]
         raise DataError(f"{train_path}: record of user {bad.user_id!r} has "
                         f"{labels.field} {getattr(bad, labels.field)!r}, not in the label table")
+    dev_path = _prep_file(prep, "dev.jsonl")
+    dev_recs, _ = ingest.read_jsonl(dev_path)
+    y_dev = labels.label_array(dev_recs, dev_path)
+    vocab = textproc.load_vocab(_prep_file(prep, "vocab.txt"))
+    maps_path = _prep_file(prep, "category_maps.json")
+    try:
+        maps = CategoryMaps.from_value_lists(json.loads(maps_path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{maps_path}: bad category maps: {e!r}") from e
+    ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
+                     label_count=len(labels),
+                     max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
+    tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
+                       patience=ns.patience, seed=ns.seed, lr=ns.lr)
+    train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
+    dev_feats = encode_features(dev_recs, vocab, maps, ccfg, y_dev)
+    del train_recs, dev_recs    # the fit reads only the encoded features
+    model = init_model(ccfg, len(vocab), maps.block_size, seed=tcfg.seed)
+    if ns.vectors is not None:
+        load_pretrained_embeddings(model, ns.vectors, vocab)
+    result = train(model, train_feats, dev_feats, tcfg)
+    save_model(model, vocab, maps, labels, ns.out)
+    if ns.log:
+        write_train_log(ns.log, result.log)
+    print(f"train: cnn task={ns.task} best dev acc {result.best_dev_accuracy:.4f} "
+          f"at epoch {result.best_epoch}; bundle -> {ns.out}")
+    return 0
 
-    if cnn:
-        dev_path = _prep_file(prep, "dev.jsonl")
-        dev_recs, _ = ingest.read_jsonl(dev_path)
-        y_dev = labels.label_array(dev_recs, dev_path)
-        vocab = textproc.load_vocab(_prep_file(prep, "vocab.txt"))
-        maps_path = _prep_file(prep, "category_maps.json")
-        try:
-            maps = CategoryMaps.from_value_lists(json.loads(maps_path.read_text(encoding="utf-8")))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{maps_path}: bad category maps: {e!r}") from e
-        ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
-                         label_count=len(labels),
-                         max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
-        tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
-                           patience=ns.patience, seed=ns.seed, lr=ns.lr)
-        train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
-        dev_feats = encode_features(dev_recs, vocab, maps, ccfg, y_dev)
-        del train_recs, dev_recs    # the fit reads only the encoded features
-        model = init_model(ccfg, len(vocab), maps.block_size, seed=tcfg.seed)
-        if ns.vectors is not None:
-            load_pretrained_embeddings(model, ns.vectors, vocab)
-        result = train(model, train_feats, dev_feats, tcfg)
-        save_model(result.model, vocab, maps, labels, ns.out)
-        if ns.log:
-            write_train_log(ns.log, result.log)
-        print(f"train: cnn task={ns.task} best dev acc {result.best_dev_accuracy:.4f} "
-              f"at epoch {result.best_epoch}; bundle -> {ns.out}")
-    else:
-        igr = None if ns.model == "stacking" else (
-            bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
-        model = bayes.fit_stacking(train_recs, y, len(labels), igr_percent=igr,
-                                   min_count=ns.min_count)
-        save_stack_model(model, labels, ns.out)
-        print(f"train: {ns.model} task={ns.task} folds={bayes.FOLDS} "
-              f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
+
+def _train_stacking(ns, prep: Path, train_path: Path) -> int:
+    # the token ids that `prepare` wrote; train.jsonl is read only for its checksum
+    for name in columns.FILES:
+        _prep_file(prep, name)
+    cols = columns.load_columns(prep)
+    if len(cols) == 0:
+        raise DataError(f"{train_path}: no usable records")
+    values, codes = cols.labels[LABEL_FIELDS[ns.task]]
+    labels = (city_labels(geo.load_city_table(_prep_file(prep, "cities.csv")))
+              if ns.task == TASK_CITY else country_labels_of_codes(values, codes))
+    y = labels.code_array(values, codes, train_path)
+    igr = None if ns.model == "stacking" else (
+        bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
+    model = bayes.fit_stacking(cols, y, len(labels), igr_percent=igr, min_count=ns.min_count)
+    save_stack_model(model, labels, ns.out)
+    print(f"train: {ns.model} task={ns.task} folds={bayes.FOLDS} "
+          f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")
     return 0
 
 

@@ -54,7 +54,6 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    model: CnnModel
     log: list
     best_epoch: int
     best_dev_accuracy: float
@@ -116,7 +115,7 @@ def train(model: CnnModel, train_feats: FeatureBatch, dev_feats: FeatureBatch,
         if epoch - best_epoch >= tcfg.patience:
             break
     model.params = best
-    return TrainResult(model, log, best_epoch, best_acc)
+    return TrainResult(log, best_epoch, best_acc)
 
 
 def write_train_log(path, log: list):

@@ -10,6 +10,7 @@ from tweetgeo.bayes import (BASE_FIELDS, MnbModel, base_tokens, categorical_toke
                             count_matrix, fit_mnb, fit_stacking, igr_scores,
                             posterior_mnb, posterior_stacking, predict_mnb,
                             reduce_vocab, select_top_percent)
+from tweetgeo.columns import token_columns
 from tweetgeo.textproc import build_vocab
 
 # class A docs: "x x", "x y"; class B doc: "y"; features (x, y)
@@ -200,15 +201,16 @@ def test_fit_stacking_rejects_bad_folds():
     assert len(recs) == bayes.FOLDS - 1
     with pytest.raises(ValueError, match=f"{bayes.FOLDS} folds need at least {bayes.FOLDS} "
                                          f"records, got {bayes.FOLDS - 1}"):
-        fit_stacking(recs, labels, 2)
-    fit_stacking(recs + recs[:1], np.append(labels, labels[0]), 2)
+        fit_stacking(token_columns(recs), labels, 2)
+    fit_stacking(token_columns(recs + recs[:1]), np.append(labels, labels[0]), 2)
 
 
 @pytest.fixture
 def no_counting(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("count_matrix reached")
-    monkeypatch.setattr(bayes, "count_matrix", unreachable)
+        raise AssertionError("counting reached")
+    for name in ("count_matrix", "_csr_counts", "vocab_from_ids"):
+        monkeypatch.setattr(bayes, name, unreachable)
 
 
 @pytest.mark.parametrize("igr_percent", [0.0, -5.0, 100.5, float("nan"), float("inf")])
@@ -216,12 +218,12 @@ def test_fit_stacking_rejects_an_igr_percent_before_counting(no_counting, igr_pe
     # unchecked until select_top_percent, a bad value cost the counting and IGR scoring
     recs, labels = _separable_corpus(4)
     with pytest.raises(ValueError, match=r"igr_percent must be in \(0, 100\]"):
-        fit_stacking(recs, labels, 2, igr_percent=igr_percent)
+        fit_stacking(token_columns(recs), labels, 2, igr_percent=igr_percent)
 
 
 def test_meta_features_sum_to_five():
     recs, labels = _separable_corpus(10)
-    model = fit_stacking(recs, labels, 2)
+    model = fit_stacking(token_columns(recs), labels, 2)
     base_labels = np.array([[0, 1, 0, 1, 0], [1, 1, 1, 1, 1]])
     feats = model.meta_features(base_labels)
     assert feats.shape == (2, 5 * 2)
@@ -230,7 +232,7 @@ def test_meta_features_sum_to_five():
 
 def test_stacking_beats_or_matches_perfect_base():
     recs, labels = _separable_corpus(20)
-    model = fit_stacking(recs, labels, 2)
+    model = fit_stacking(token_columns(recs), labels, 2)
     acc = float(np.mean(np.argmax(posterior_stacking(model, recs), axis=1) == labels))
 
     # oracle: the text base alone, out-of-fold, must be perfect here
@@ -249,7 +251,7 @@ def test_stacking_beats_or_matches_perfect_base():
 
 def test_predict_stacking_posterior_sums_to_one():
     recs, labels = _separable_corpus(10)
-    model = fit_stacking(recs, labels, 2)
+    model = fit_stacking(token_columns(recs), labels, 2)
     empty = make_record(text="", user_description="", profile_location="", user_name="")
     post = posterior_stacking(model, [make_record(text="apple"), empty])
     assert post.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -258,7 +260,7 @@ def test_predict_stacking_posterior_sums_to_one():
 
 def test_posterior_stacking_batch_agrees_with_single():
     recs, labels = _separable_corpus(8)
-    model = fit_stacking(recs, labels, 2)
+    model = fit_stacking(token_columns(recs), labels, 2)
     batch = posterior_stacking(model, recs[:5])
     for i in range(5):
         single = posterior_stacking(model, [recs[i]])[0]
@@ -268,7 +270,7 @@ def test_posterior_stacking_batch_agrees_with_single():
 def test_stacking_agreement_case():
     # every base sees a perfect signal for class 0 on this record
     recs, labels = _separable_corpus(15)
-    model = fit_stacking(recs, labels, 2)
+    model = fit_stacking(token_columns(recs), labels, 2)
     r = make_record(text="apple", profile_location="northtown", tweet_lang="en")
     post = posterior_stacking(model, [r])[0]
     assert np.argmax(post) == 0 and post[0] > 0.5
@@ -411,9 +413,15 @@ def _fold_confined_corpus(rng, n=90, folds=5):
 @pytest.mark.parametrize("igr_percent", [None, 40.0])
 def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
     for recs, labels in (_random_corpus(rng), _fold_confined_corpus(rng)):
-        model = fit_stacking(recs, labels, 4, igr_percent=igr_percent)
+        model = fit_stacking(token_columns(recs), labels, 4, igr_percent=igr_percent)
         vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
         tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
+        # the vocabularies counted from token ids are build_vocab's, then IGR's
+        for b in BASE_FIELDS:
+            want = build_vocab(tokens[b], min_count=1)
+            if igr_percent is not None and b != "cats":
+                want = reduce_vocab(want, count_matrix(tokens[b], want), labels, 4, igr_percent)
+            assert vocabs[b].index_to_token == want.index_to_token
         bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)
         for b in BASE_FIELDS:
             assert np.array_equal(model.bases[b].class_log_prior, bases[b][0])

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tweetgeo import bayes, bundle as bundle_io, cli, ingest
+from tweetgeo import bayes, bundle as bundle_io, cli, columns, ingest
 from tweetgeo.bayes import StackModel, fit_stacking
 from tweetgeo.cli import main
 from tweetgeo.cnn import FIELDS, CnnConfig
@@ -83,7 +83,8 @@ def test_prepare_rerun_is_byte_identical(corpus_dir, prep_dir, tmp_path):
                "--out-dir", str(tmp_path), "--seed", "4",
                "--test-fraction", "0.2", "--dev-users", "60", "--min-count", "3"])
     assert rc == 0
-    for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "vocab.txt", "stats.csv"):
+    for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "vocab.txt", "stats.csv",
+                 *columns.FILES):
         assert (tmp_path / name).read_bytes() == (prep_dir / name).read_bytes()
 
 
@@ -217,6 +218,29 @@ PINNED_PREPARE = {
     "vocab.txt": "".join(f"{t}\n" for t in [
         "min_count=1", "size=16", "<pad>", "<unk>", ",", "bonjour", "café", "lyon", "!",
         "#zürich", "france", "grüezi", "in", "lyonnais", "mitenand", "tous", "zürich", "à"]),
+    "train_columns.json": (
+        '{"labels":{"city_id":[1,2],"country_code":["CH","FR"]},"manifest_sha256":'
+        '"a24736cf6594e09075f4926128f4be7ee663aa4c06b50bd6e79583f7a09642e3","rows":4,"sha256":'
+        '{"train_city_id.npy":"8bd2fa7c6873c97e24da3767da43702d8c85aadb7136ed816c324b1ebc6b26d2",'
+        '"train_country_code.npy":'
+        '"8bd2fa7c6873c97e24da3767da43702d8c85aadb7136ed816c324b1ebc6b26d2",'
+        '"train_ids.npy":"096d73d8060c2fce3b0cba3bb0dbc5b0bb58278414845cb160538d4a648cd13b",'
+        '"train_indptr.npy":"4acd98bbacf553785bed37a467ce92fe2d80c49bb9fad7cccabcaaeab90a1ec9"},'
+        '"source_sha256":"31671da920d3efc566a0964e73cf88a707d447c45e0a731097e48e6f82576e81",'
+        '"tokens":["!","#zürich",",","bonjour","café","france","grüezi","in","lyon","lyonnais",'
+        '"mitenand","pt=1","pt=2","pt=6","tl=de","tl=fr","tous","tz=Bern","tz=Paris","ul=de",'
+        '"ul=fr","zürich","à","üli"]}'
+    ),
+}
+# the four training records' bases, in BASE_FIELDS order, as ids into the
+# "tokens" of train_columns.json; each label as an index into its "labels" values
+PINNED_ARRAYS = {
+    "train_indptr.npy": ("<i8", [0, 3, 9, 12, 14, 14, 15, 15, 15, 15, 15, 18, 18, 19, 19, 19, 19,
+                                 23, 27, 31, 35]),
+    "train_ids.npy": ("<i4", [6, 10, 1, 3, 22, 16, 2, 4, 0, 4, 7, 8, 3, 21, 9, 8, 2, 5, 23, 14,
+                              19, 17, 13, 15, 20, 18, 13, 15, 20, 18, 11, 15, 19, 17, 12]),
+    "train_city_id.npy": ("<i4", [0, 1, 1, 0]),
+    "train_country_code.npy": ("<i4", [0, 1, 1, 0]),
 }
 
 
@@ -233,8 +257,12 @@ def test_prepare_output_bytes_are_pinned(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ("prepare: 8 parsed (+2 skipped), 7 after dedup -> "
                                        "train 4 / dev 1 / test 2; vocab 16\n")
-    written = {p.name: p.read_bytes() for p in (tmp_path / "p").iterdir()}
+    written = {p.name: p.read_bytes() for p in (tmp_path / "p").iterdir()
+               if p.suffix != ".npy"}
     assert written == {name: text.encode("utf-8") for name, text in PINNED_PREPARE.items()}
+    # the arrays by dtype and values: the .npy header is numpy's to write
+    arrays = {p.name: np.load(p) for p in (tmp_path / "p").glob("*.npy")}
+    assert {name: (a.dtype.str, a.tolist()) for name, a in arrays.items()} == PINNED_ARRAYS
 
 
 # texts that take the tokenizer's per-token path: mentions, URLs, hashtags,
@@ -261,6 +289,12 @@ GOLDEN_SHA256 = {
     "test.jsonl": "7127f29b80556688bcd05e6749f791397a2885a50405ad3fc744de404569af28",
     "train.jsonl": "4f18ae8bdfdc96d82313a639bd04291c18e594038356fff907ec627851b43294",
     "vocab.txt": "0a51014a88bb5e72f0b220af174d20d60240fe497cd89fe018fbfa4846a04037",
+    # the .npy files by dtype, shape and data (`_pinned_content`)
+    "train_city_id.npy": "9fa994ab26c0492b302f6e5062ac377606350ff4ef6ae7b76f84e66ca633729e",
+    "train_columns.json": "2cd9e49a29e58541caec372a0672beed62564eba80fb20fad73ae492870414c6",
+    "train_country_code.npy": "5ce55b85f1c38a9c77e6e12fc00041472d1f9871a080a8bdc9ef186da77fbdbb",
+    "train_ids.npy": "a44a289a45bb99635e4567393f539e98071a6ca4fa1c0243cbde7367c32b2897",
+    "train_indptr.npy": "bd970e2df00a1f18134c371c5677ada70fc6d9773284c3e136882ebfa0f55ae7",
 }
 
 
@@ -296,9 +330,17 @@ def test_prepare_golden_digest(tmp_path):
     vocab = load_vocab(tmp_path / "p" / "vocab.txt").index_to_token
     assert {"<user>", "<url>", "#yaaay", "sooo", "goood", "111", "www", "hhhttp", "σσσς",
             "__init__"} <= set(vocab)
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+    written = {p.name: hashlib.sha256(_pinned_content(p)).hexdigest()
                for p in (tmp_path / "p").iterdir()}
     assert written == GOLDEN_SHA256
+
+
+def _pinned_content(path: Path) -> bytes:
+    """A file's bytes; for an array, its dtype and data, since the .npy header is numpy's."""
+    if path.suffix != ".npy":
+        return path.read_bytes()
+    a = np.load(path)
+    return f"{a.dtype.str} {a.shape}\n".encode() + a.tobytes()
 
 
 NO_UNK_FIRST = '{"tweet_lang": ["en"], "user_lang": ["<unk-cat>"], "timezone": ["<unk-cat>"]}'
@@ -344,12 +386,23 @@ def _cities(c, edit):
     return str(c.tmp / "cities.csv")
 
 
+def _write_train_split(prep, rows):
+    """Rewrite a prepared train.jsonl as `rows`, and its token columns as
+    `prepare` would write them for it."""
+    (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    columns.save_columns(columns.token_columns(ingest.read_jsonl(prep / "train.jsonl")[0]), prep)
+
+
+def _train_rows(prep):
+    return [json.loads(line) for line in (prep / "train.jsonl").read_text().splitlines()]
+
+
 def _empty_country_code(c):
     prep = c.tmp / "prep"
     shutil.copytree(c.prep, prep)
-    rows = [json.loads(line) for line in (prep / "train.jsonl").read_text().splitlines()]
+    rows = _train_rows(prep)
     rows[5]["country_code"] = ""
-    (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_train_split(prep, rows)
     return ["train", "--prep-dir", str(prep), "--task", "country", "--model", "stacking",
             "--min-count", "3", "--out", str(c.tmp / "s.gtlm")]
 
@@ -410,8 +463,8 @@ BAD_INPUT_CASES = {
                               lambda c, out, err: not (c.tmp / "o.jsonl").exists()),
     "predict-input-directory": (2, lambda c: _predict_argv(c, str(c.tmp), str(c.tmp / "o.jsonl")),
                                 lambda c, out, err: not (c.tmp / "o.jsonl").exists()),
-    "train-country-empty-code": (2, _empty_country_code,
-                                 lambda c, out, err: "has no country_code" in err),
+    "train-country-empty-code": (2, _empty_country_code, lambda c, out, err: err == (
+        f"error: {c.tmp / 'prep' / 'train.jsonl'}: line 6 has no country_code\n")),
 }
 
 
@@ -587,19 +640,35 @@ def test_train_rejects_a_min_count_below_one(prep_dir, tmp_path, capsys, model, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("model, flag, owner", [
+    ("cnn", "--igr-top-percent", "stacking+"), ("stacking", "--igr-top-percent", "stacking+"),
+    ("stacking", "--vectors", "cnn"), ("stacking+", "--vectors", "cnn")])
+def test_train_refuses_a_flag_its_model_ignores(tmp_path, capsys, model, flag, owner):
+    # refused before any file is read, so the prepared directory need not exist
+    value = "40" if flag == "--igr-top-percent" else str(tmp_path / "vectors.txt")
+    rc = main(["train", "--prep-dir", str(tmp_path / "no-prep"), "--task", "city",
+               "--model", model, "--out", str(tmp_path / "m.gtlm"), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {flag} applies only to --model {owner}, "
+                                       f"not {model}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path, capsys):
     prep = tmp_path / "prep"
     shutil.copytree(prep_dir, prep)
-    rows = [json.loads(line) for line in (prep / "train.jsonl").read_text().splitlines()]
+    rows = _train_rows(prep)
     rows[3]["city_id"] = 987654
-    (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    shows = (f"error: {prep / 'train.jsonl'}: record of user {rows[3]['user_id']!r} has "
-             "city_id 987654, not in the label table\n")
+    _write_train_split(prep, rows)
+    # the CNN reads the records and names the user; stacking reads the token
+    # columns, which hold no user, and names the line
+    shows = {"cnn": f"record of user {rows[3]['user_id']!r} has", "stacking": "line 4 has"}
     for model in ("cnn", "stacking"):
         rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", model,
                    "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
         assert rc == 2
-        assert capsys.readouterr().err == shows, model
+        assert capsys.readouterr().err == (f"error: {prep / 'train.jsonl'}: {shows[model]} "
+                                           "city_id 987654, not in the label table\n"), model
         assert not (tmp_path / "m.gtlm").exists()
 
 
@@ -623,10 +692,12 @@ def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, 
     assert not (tmp_path / "m.gtlm").exists()
 
 
-@pytest.mark.parametrize("task, needs", [("city", ["train.jsonl", "cities.csv"]),
-                                         ("country", ["train.jsonl"])], ids=["city", "country"])
+@pytest.mark.parametrize("task, needs", [("city", ["train.jsonl", *columns.FILES, "cities.csv"]),
+                                         ("country", ["train.jsonl", *columns.FILES])],
+                         ids=["city", "country"])
 def test_stacking_reads_only_the_training_split_and_its_label_table(prep_dir, tmp_path, task,
                                                                      needs):
+    # the training split's token columns and, to check them, its train.jsonl;
     # no dev split, vocabulary or category maps: those are the CNN's
     bare = tmp_path / "bare"
     bare.mkdir()
@@ -640,6 +711,7 @@ def test_stacking_reads_only_the_training_split_and_its_label_table(prep_dir, tm
 
 @pytest.mark.parametrize("model, task, name", [
     ("stacking", "country", "train.jsonl"), ("stacking", "city", "cities.csv"),
+    *(("stacking+", "country", name) for name in columns.FILES),
     ("cnn", "country", "dev.jsonl"), ("cnn", "country", "vocab.txt"),
     ("cnn", "country", "category_maps.json")])
 def test_train_names_a_missing_file_its_model_reads(prep_dir, tmp_path, capsys, model, task,
@@ -660,7 +732,7 @@ def test_train_names_a_missing_file_its_model_reads(prep_dir, tmp_path, capsys, 
 def test_train_on_an_empty_split_exits_2(prep_dir, tmp_path, capsys, model, task):
     prep = tmp_path / "prep"
     shutil.copytree(prep_dir, prep)
-    (prep / "train.jsonl").write_text("")
+    _write_train_split(prep, [])
     rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
                "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
     assert rc == 2
@@ -701,7 +773,8 @@ def test_train_checks_its_output_directories_before_reading(prep_dir, tmp_path, 
     def unreachable(*args, **kwargs):
         raise AssertionError("reached")
 
-    for module, name in ((ingest, "read_jsonl"), (cli, "train"), (bayes, "fit_stacking")):
+    for module, name in ((ingest, "read_jsonl"), (cli, "train"), (bayes, "fit_stacking"),
+                         (columns, "load_columns")):
         monkeypatch.setattr(module, name, unreachable)
     paths = {"--out": tmp_path / "m.gtlm", "--log": tmp_path / "log.csv"}
     paths[flag] = tmp_path / "nodir" / paths[flag].name

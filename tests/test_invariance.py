@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetgeo import cli
+from tweetgeo import cli, columns
 from tweetgeo.cli import main
 from tweetgeo.synth import SynthSpec, write_corpus
 
 PREP_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "cities.csv", "vocab.txt",
-              "category_maps.json", "stats.csv")
+              "category_maps.json", "stats.csv", *columns.FILES)
 EVAL_FILES = ("metrics_summary.csv", "per_class_pr.csv", "calibration.csv")
 
 

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from tweetgeo.errors import DataError
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
-from tweetgeo.labels import LabelTable, city_labels
+from tweetgeo.labels import LabelTable, city_labels, country_labels, country_labels_of_codes
 
 
 def _city_table():
@@ -61,3 +62,30 @@ def test_label_table_has_coordinates_exactly_for_the_city_task(task, values, coo
     # the city metrics read a label's coordinates; a country label has none
     with pytest.raises(ValueError, match=f"^{match}$"):
         LabelTable(task, values, coords)
+
+
+def test_code_array_and_country_labels_of_codes_agree_with_the_records():
+    # the token columns hold each record's label as an index into its field's values
+    recs = [Record(f"u{i}", country_code=c, city_id=k)
+            for i, (c, k) in enumerate([("US", 4), ("GB", 0), ("US", 4), ("JP", 0), ("GB", 4)])]
+    for field, labels in (("country_code", None), ("city_id", _city_table())):
+        codes = _first_seen_codes(getattr(r, field) for r in recs)
+        labels = labels or country_labels_of_codes(*codes)
+        if field == "country_code":
+            assert labels.values == country_labels(recs).values == ["GB", "US", "JP"]
+        assert labels.code_array(*codes, "train.jsonl").tolist() == \
+            labels.label_array(recs).tolist()
+
+
+@pytest.mark.parametrize("value, shows", [
+    (None, "line 3 has no city_id"), (7, "line 3 has city_id 7, not in the label table")])
+def test_code_array_names_the_line_of_a_bad_label(value, shows):
+    values, codes = _first_seen_codes([4, 0, value, value])
+    with pytest.raises(DataError, match=f"^train.jsonl: {shows}$"):
+        _city_table().code_array(values, codes, "train.jsonl")
+
+
+def _first_seen_codes(values):
+    values = list(values)
+    distinct = list(dict.fromkeys(values))
+    return distinct, np.array([distinct.index(v) for v in values], dtype=np.int32)

@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import numpy as np
+
+from tweetgeo.cnn import encode_features, predict_proba
 from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
 from tweetgeo.synth import SynthSpec, generate
@@ -22,4 +25,8 @@ def test_readme_python_example_runs(capsys):
     exec(compile(example, str(README), "exec"), names)
     printed = [float(x) for x in capsys.readouterr().out.split()]
     assert len(printed) == 2 and all(0.0 <= x <= 1.0 for x in printed)
-    assert names["result"].model is names["model"]
+    # `train` left the best epoch's parameters in the caller's model
+    dev = encode_features(dev_records, names["vocab"], names["maps"], names["cfg"])
+    hits = np.argmax(predict_proba(names["model"], dev), axis=1) == \
+        names["labels"].label_array(dev_records)
+    assert float(np.mean(hits)) == names["result"].best_dev_accuracy

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
                                Vocabulary, build_vocab, encode_tokens,
-                               load_vocab, save_vocab, tokenize, vocab_to_bytes)
+                               load_vocab, save_vocab, tokenize, vocab_from_ids,
+                               vocab_to_bytes)
 
 from oracles import tokenize_scan
 
@@ -94,6 +96,18 @@ def test_build_vocab_matches_counting_oracle(rng):
     expected = {t for t, c in counts.items() if c >= 30}
     v = build_vocab([tokens], min_count=30)
     assert set(v.content_tokens) == expected
+
+
+@settings(max_examples=200)
+@given(stream=st.lists(st.sampled_from(["b", "a", "é", "e\u0301", "Z", "aa", "<url>", "#a"]),
+                       max_size=40), min_count=st.integers(1, 4))
+def test_vocab_from_ids_is_build_vocab_of_the_decoded_ids(stream, min_count):
+    tokens = sorted(set(stream))
+    ids = np.array([tokens.index(t) for t in stream], dtype=np.int32)
+    vocab, index = vocab_from_ids(tokens, ids, min_count)
+    want = build_vocab([stream], min_count=min_count)
+    assert vocab.index_to_token == want.index_to_token and vocab.min_count == min_count
+    assert index.tolist() == [want.index(t) for t in tokens]
 
 
 def test_vocab_round_trip_property():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_record
 from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.bayes import BASE_FIELDS, MnbModel, StackModel, fit_stacking
+from tweetgeo.columns import token_columns
 from tweetgeo.cnn import (CnnConfig, FeatureBatch, backward, encode_features, forward,
                          init_model)
 from tweetgeo.encode import CategoryMaps, build_category_maps
@@ -85,14 +86,15 @@ def test_train_patience_one_restores_best_epoch():
     dev = feats.take(np.arange(0, len(recs), 3))
     tr = feats.take(np.arange(1, len(recs), 3))
     tcfg = TrainConfig(batch_size=8, max_epochs=50, patience=1, seed=5, lr=5e-3)
-    result = train(init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed), tr, dev, tcfg)
+    model = init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed)
+    result = train(model, tr, dev, tcfg)
     # every epoch is evaluated; stopped exactly one epoch after the best one
     assert [row.epoch for row in result.log] == list(range(1, len(result.log) + 1))
     assert result.log[-1].epoch == result.best_epoch + 1
     assert result.log[-1].dev_accuracy <= result.best_dev_accuracy
     # returned parameters really are the best epoch's: re-evaluate
     from tweetgeo.train import _dev_accuracy
-    assert _dev_accuracy(result.model, dev) == pytest.approx(result.best_dev_accuracy)
+    assert _dev_accuracy(model, dev) == pytest.approx(result.best_dev_accuracy)
 
 
 def test_train_deterministic_given_seed():
@@ -102,9 +104,10 @@ def test_train_deterministic_given_seed():
     dev = feats.take(np.arange(0, len(recs), 5))
     tr = feats.take(np.arange(1, len(recs), 2))
     tcfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=11)
-    r1, r2 = (train(init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed), tr, dev, tcfg)
-              for _ in range(2))
-    for (n1, p1), (n2, p2) in zip(r1.model.params.items(), r2.model.params.items()):
+    m1, m2 = (init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed) for _ in range(2))
+    for m in (m1, m2):
+        train(m, tr, dev, tcfg)
+    for (n1, p1), (n2, p2) in zip(m1.params.items(), m2.params.items()):
         assert n1 == n2
         assert p1.tobytes() == p2.tobytes()
 
@@ -179,10 +182,11 @@ def _trained_bundle(tmp_path, seed=2):
     labels = country_labels(recs)
     feats = encode_features(recs, vocab, maps, cfg, labels.label_array(recs))
     tcfg = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=seed)
-    result = train(init_model(cfg, len(vocab), maps.block_size, seed=seed), feats, feats, tcfg)
+    model = init_model(cfg, len(vocab), maps.block_size, seed=seed)
+    train(model, feats, feats, tcfg)
     path = tmp_path / "model.gtlm"
-    save_model(result.model, vocab, maps, labels, path)
-    return result.model, vocab, maps, labels, feats, path
+    save_model(model, vocab, maps, labels, path)
+    return model, vocab, maps, labels, feats, path
 
 
 def test_save_load_roundtrip_bit_exact(tmp_path):
@@ -237,8 +241,8 @@ def test_load_rejects_float64_tensors(tmp_path):
 def test_stack_bundle_roundtrip(tmp_path):
     recs, ys = corpus(10)
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), igr_percent=40.0,
-                         min_count=1)
+    model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels),
+                         igr_percent=40.0, min_count=1)
     path = tmp_path / "stack.gtlm"
     save_stack_model(model, labels, path)
     loaded = load_stack_model(path)
@@ -256,7 +260,7 @@ def test_stack_bundle_roundtrip_with_line_break_in_timezone(tmp_path):
     recs, ys = corpus(10)
     recs[0].timezone = "Zone\nX"
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
+    model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
     path = tmp_path / "stack.gtlm"
     save_stack_model(model, labels, path)
     cats = load_stack_model(path).model.base_vocabs["cats"]
@@ -268,7 +272,7 @@ def test_stack_training_is_byte_identical_on_rerun(tmp_path):
     recs, ys = corpus(12, seed=3)
     labels = country_labels(recs)
     for name in ("a.gtlm", "b.gtlm"):
-        model = fit_stacking(recs, labels.label_array(recs), len(labels),
+        model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels),
                              igr_percent=40.0, min_count=1)
         save_stack_model(model, labels, tmp_path / name)
     assert (tmp_path / "a.gtlm").read_bytes() == (tmp_path / "b.gtlm").read_bytes()
@@ -305,7 +309,7 @@ def test_stack_load_peak_is_the_tensors_plus_the_largest(tmp_path):
 def test_stack_load_rejects_non_float64_tensors(tmp_path, tensor):
     recs, ys = corpus(6)
     labels = country_labels(recs)
-    model = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
+    model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
     save_stack_model(model, labels, tmp_path / "stack.gtlm")
     model_type, sections = bundle_io.read_sections(tmp_path / "stack.gtlm")
     narrow = bundle_io.decode_tensor(sections[f"tensor:{tensor}"]).astype(np.float32)
@@ -343,7 +347,7 @@ def bundle_files(tmp_path_factory):
     labels = country_labels(recs)
     save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps, labels,
                d / "cnn.gtlm")
-    stack = fit_stacking(recs, labels.label_array(recs), len(labels), min_count=1)
+    stack = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
     save_stack_model(stack, labels, d / "stack.gtlm")
     return {"cnn": ((d / "cnn.gtlm").read_bytes(), load_model),
             "stack": ((d / "stack.gtlm").read_bytes(), load_stack_model)}, d
