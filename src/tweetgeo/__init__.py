@@ -8,10 +8,10 @@ and a deterministic synthetic-corpus generator for desk-scale experiments.
 
 from .bayes import (MnbModel, StackModel, count_matrix, fit_mnb, fit_stacking, igr_scores,
                     posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
-from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, encode_features,
-                  forward, init_model, load_pretrained_embeddings, predict_proba)
+from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, encode_columns,
+                  encode_features, forward, init_model, load_pretrained_embeddings, predict_proba)
 from .columns import TokenColumns, token_columns
-from .encode import CategoryMaps, build_category_maps, onehot_block, time_slot
+from .encode import CategoryMaps, build_category_maps, categorical_tokens, time_slot
 from .errors import BundleError, DataError
 from .geo import (City, CityTable, haversine_km, load_city_table, nearest_city,
                   save_city_table)
@@ -24,7 +24,7 @@ from .metrics import (Predictions, acc_at_161, acc_top5, accuracy, calibration_b
                       ranked_top5)
 from .nncore import adam_step, dropout, softmax
 from .synth import SynthSpec, generate, write_corpus
-from .textproc import Vocabulary, build_vocab, encode_tokens, load_vocab, save_vocab, tokenize
+from .textproc import Vocabulary, build_vocab, load_vocab, save_vocab, tokenize
 from .train import (CnnBundle, StackBundle, TrainConfig, TrainResult,
                     load_bundle, load_model, load_stack_model, save_model,
                     save_stack_model, train)

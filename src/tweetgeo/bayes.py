@@ -17,31 +17,16 @@ from typing import Optional
 import numpy as np
 
 from . import nncore
-from .encode import time_slot
-from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
+from .encode import categorical_tokens
+from .ingest import TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
 from .textproc import UNK_INDEX, Vocabulary, tokenize, vocab_from_ids
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
-CAT_PREFIXES = ("tl", "ul", "tz")   # token prefix of each of CATEGORICAL_FIELDS
 
 FOLDS = 5                # stacking cross-validation folds
 ALPHA = 1e-2             # additive smoothing of every MNB
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}   # STACKING+'s IGR top percent per task
-_ONE_LINE = str.maketrans("\r\n", "  ")
-
-
-def _one_line(value: str) -> str:
-    return value.translate(_ONE_LINE) if "\n" in value or "\r" in value else value
-
-
-def categorical_tokens(record) -> list[str]:
-    """The three categorical values and the time slot as synthetic bag tokens.
-    Line breaks in the values become spaces: a vocabulary stores one token
-    per line."""
-    tokens = [f"{p}={_one_line(getattr(record, f))}"
-              for p, f in zip(CAT_PREFIXES, CATEGORICAL_FIELDS)]
-    return tokens + [f"pt={time_slot(record.posted_at)}"]
 
 
 def base_tokens(record, base: str) -> list[str]:
@@ -146,37 +131,46 @@ def fit_mnb(counts: CsrCounts, labels: np.ndarray, n_classes: int,
     return MnbModel(log_prior, log_prob)
 
 
-def _joint_log_likelihood(model: MnbModel, counts: CsrCounts) -> np.ndarray:
-    """log P(c) + sum_f count_f * log P(f|c) for every row, (N, L): a gather of
-    log P(f|c) at the stored cells, summed per row, a block of rows at a time."""
+def _joint_log_likelihood(model: MnbModel, counts: CsrCounts):
+    """Yield (r0, r1, block): block is log P(c) + sum_f count_f * log P(f|c)
+    of rows r0..r1-1, (r1 - r0, L), at most BLOCK_CELLS // L rows and as many
+    stored cells; a gather of log P(f|c) at the cells, summed per row."""
     if counts.n_cols != model.feature_log_prob.shape[1]:
         raise ValueError(f"counts have {counts.n_cols} features, the model "
                          f"{model.feature_log_prob.shape[1]}")
     n, indptr = counts.shape[0], counts.indptr
     log_prob_t = model.feature_log_prob.T
     budget = max(1, nncore.BLOCK_CELLS // model.n_classes)
-    jll = np.zeros((n, model.n_classes))
     r0 = 0
     while r0 < n:
-        r1 = min(n, max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + budget, "right")) - 1))
+        r1 = min(n, r0 + budget,
+                 max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + budget, "right")) - 1))
         a, b = indptr[r0], indptr[r1]
+        jll = np.zeros((r1 - r0, model.n_classes))
         filled = indptr[r0:r1] < indptr[r0 + 1:r1 + 1]
         if b > a:
             cells = log_prob_t[counts.indices[a:b]] * counts.counts[a:b, None]
-            jll[r0:r1][filled] = np.add.reduceat(cells, indptr[r0:r1][filled] - a, axis=0)
+            jll[filled] = np.add.reduceat(cells, indptr[r0:r1][filled] - a, axis=0)
+        jll += model.class_log_prior
+        yield r0, r1, jll
         r0 = r1
-    return jll + model.class_log_prior
 
 
 def posterior_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     """Normalized class posteriors (N, L) of a count matrix."""
-    return nncore.softmax(_joint_log_likelihood(model, counts))
+    jll = np.empty((counts.shape[0], model.n_classes))
+    for r0, r1, block in _joint_log_likelihood(model, counts):
+        jll[r0:r1] = block
+    return nncore.softmax(jll)
 
 
 def predict_mnb(model: MnbModel, counts: CsrCounts) -> np.ndarray:
     """Labels (N,): the argmax of the unnormalized joint log-likelihood, ties
-    to the smallest label index."""
-    return np.argmax(_joint_log_likelihood(model, counts), axis=-1)
+    to the smallest label index, taken one row block at a time."""
+    labels = np.empty(counts.shape[0], dtype=np.int64)
+    for r0, r1, block in _joint_log_likelihood(model, counts):
+        labels[r0:r1] = np.argmax(block, axis=-1)
+    return labels
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, columns, geo, ingest, metrics, textproc
-from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_features,
-                  init_model, load_pretrained_embeddings, predict_proba)
+from .cnn import (CnnConfig, DEFAULT_MAX_LENS, INFER_BATCH, VOCAB_FIELDS, encode_columns,
+                  encode_features, init_model, load_pretrained_embeddings, predict_proba)
 from .encode import CategoryMaps, build_category_maps
 from .errors import DataError
-from .labels import (LABEL_FIELDS, TASK_CITY, TASK_COUNTRY, city_labels, country_labels,
-                     country_labels_of_codes)
+from .labels import LABEL_FIELDS, TASK_CITY, TASK_COUNTRY, city_labels, country_labels
 from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_model,
                     train, write_train_log)
 
@@ -136,10 +135,11 @@ def cmd_prepare(ns) -> int:
     ingest.write_jsonl(test_recs, out / "test.jsonl")
     geo.save_city_table(table, out / "cities.csv")
 
-    # each training record is tokenized once, into the token columns that
-    # stacking's `train` reads; vocab.txt is counted from the same ids
+    # each train and dev record is tokenized once, into the token columns that
+    # `train` reads; vocab.txt is counted from the training split's ids
+    columns.save_columns(columns.token_columns(dev_recs), out, "dev")
     cols = columns.token_columns(train_recs)
-    columns.save_columns(cols, out)
+    columns.save_columns(cols, out, "train")
     vocab = textproc.build_vocab(columns.token_streams(cols, VOCAB_FIELDS),
                                  min_count=ns.min_count)
     textproc.save_vocab(vocab, out / "vocab.txt")
@@ -178,24 +178,22 @@ def cmd_train(ns) -> int:
         if out is not None and not Path(out).parent.is_dir():
             raise DataError(f"{out}: {Path(out).parent} is not a directory")
     prep = Path(ns.prep_dir)
-    train_path = _prep_file(prep, "train.jsonl")
-    return (_train_cnn if cnn else _train_stacking)(ns, prep, train_path)
-
-
-def _train_cnn(ns, prep: Path, train_path: Path) -> int:
-    train_recs, _ = ingest.read_jsonl(train_path)
-    if not train_recs:
-        raise DataError(f"{train_path}: no usable records")
+    # the token columns of each split the model reads; a JSONL only for its checksum
+    for split in ("train", "dev") if cnn else ("train",):
+        for name in (f"{split}.jsonl", *columns.files(split)):
+            _prep_file(prep, name)
+    cols = columns.load_columns(prep, "train")
+    if len(cols) == 0:
+        raise DataError(f"{prep / 'train.jsonl'}: no usable records")
+    values, codes = cols.labels[LABEL_FIELDS[ns.task]]
     labels = (city_labels(geo.load_city_table(_prep_file(prep, "cities.csv")))
-              if ns.task == TASK_CITY else country_labels(train_recs))
-    y = labels.label_array(train_recs, train_path)
-    if np.any(y < 0):
-        bad = train_recs[int(np.argmax(y < 0))]
-        raise DataError(f"{train_path}: record of user {bad.user_id!r} has "
-                        f"{labels.field} {getattr(bad, labels.field)!r}, not in the label table")
-    dev_path = _prep_file(prep, "dev.jsonl")
-    dev_recs, _ = ingest.read_jsonl(dev_path)
-    y_dev = labels.label_array(dev_recs, dev_path)
+              if ns.task == TASK_CITY else country_labels(values, codes))
+    y = labels.code_array(values, codes, prep / "train.jsonl")
+    if not cnn:
+        return _train_stacking(ns, cols, labels, y)
+    dev = columns.load_columns(prep, "dev")
+    # a dev label outside the table is -1: a class unseen in training counts as a miss
+    y_dev = labels.code_array(*dev.labels[labels.field], prep / "dev.jsonl", strict=False)
     vocab = textproc.load_vocab(_prep_file(prep, "vocab.txt"))
     maps_path = _prep_file(prep, "category_maps.json")
     try:
@@ -207,9 +205,9 @@ def _train_cnn(ns, prep: Path, train_path: Path) -> int:
                      max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
     tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
                        patience=ns.patience, seed=ns.seed, lr=ns.lr)
-    train_feats = encode_features(train_recs, vocab, maps, ccfg, y)
-    dev_feats = encode_features(dev_recs, vocab, maps, ccfg, y_dev)
-    del train_recs, dev_recs    # the fit reads only the encoded features
+    train_feats = encode_columns(cols, vocab, maps, ccfg, y)
+    dev_feats = encode_columns(dev, vocab, maps, ccfg, y_dev)
+    del cols, dev, codes    # unmapped: the fit reads only the encoded features
     model = init_model(ccfg, len(vocab), maps.block_size, seed=tcfg.seed)
     if ns.vectors is not None:
         load_pretrained_embeddings(model, ns.vectors, vocab)
@@ -222,17 +220,7 @@ def _train_cnn(ns, prep: Path, train_path: Path) -> int:
     return 0
 
 
-def _train_stacking(ns, prep: Path, train_path: Path) -> int:
-    # the token ids that `prepare` wrote; train.jsonl is read only for its checksum
-    for name in columns.FILES:
-        _prep_file(prep, name)
-    cols = columns.load_columns(prep)
-    if len(cols) == 0:
-        raise DataError(f"{train_path}: no usable records")
-    values, codes = cols.labels[LABEL_FIELDS[ns.task]]
-    labels = (city_labels(geo.load_city_table(_prep_file(prep, "cities.csv")))
-              if ns.task == TASK_CITY else country_labels_of_codes(values, codes))
-    y = labels.code_array(values, codes, train_path)
+def _train_stacking(ns, cols, labels, y) -> int:
     igr = None if ns.model == "stacking" else (
         bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
     model = bayes.fit_stacking(cols, y, len(labels), igr_percent=igr, min_count=ns.min_count)

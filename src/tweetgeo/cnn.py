@@ -26,10 +26,11 @@ from typing import Optional
 import numpy as np
 
 from . import nncore, textproc
-from .encode import CategoryMaps, onehot_block
+from .columns import CHUNK, TokenColumns, token_columns
+from .encode import CategoryMaps
 from .errors import DataError, open_utf8
-from .ingest import TEXT_FIELDS
-from .textproc import Vocabulary, encode_tokens, tokenize
+from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
+from .textproc import Vocabulary
 
 FIELDS = TEXT_FIELDS
 # the fields whose tokens make up the word vocabulary; user_name is encoded
@@ -181,18 +182,37 @@ class FeatureBatch:
         )
 
 
+def encode_columns(cols: TokenColumns, vocab: Vocabulary, maps: CategoryMaps,
+                   config: CnnConfig, labels: Optional[np.ndarray] = None) -> FeatureBatch:
+    """The features of the records of `cols`: each text field's ids, through
+    the vocabulary (one lookup per dictionary token), truncated to max_len and
+    right-padded with PAD, CHUNK records at a time; the one-hot positions of
+    the `cats` base's tl=, ul= and tz= values in their maps and pt= slot."""
+    n = len(cols)
+    index = np.array([vocab.index(t) for t in cols.tokens], dtype=np.int64)
+    tokens = {f: np.full((n, config.max_lens[f]), textproc.PAD_INDEX, dtype=np.int64)
+              for f in FIELDS}
+    for f, out in tokens.items():
+        indptr, ids = cols.base(f)
+        for r0 in range(0, n, CHUNK):
+            ptr = indptr[r0:r0 + CHUNK + 1]
+            at = ptr[:-1, None] + np.arange(out.shape[1])    # each row's first max_len slots
+            keep = at < ptr[1:, None]
+            out[r0:r0 + CHUNK][keep] = index[ids[at[keep]]]
+    offsets = np.cumsum((0, *maps.sizes))
+    cat = cols.base("cats")[1].reshape(n, 4).astype(np.int64)   # tl=, ul=, tz=, pt= ids
+    for j, m in enumerate([getattr(maps, f) for f in CATEGORICAL_FIELDS] + [None]):
+        uniq, inv = np.unique(cat[:, j], return_inverse=True)
+        values = [cols.tokens[t][3:] for t in uniq.tolist()]     # past the "tl=" prefix
+        at = [int(v) for v in values] if m is None else [m.get(v, 0) for v in values]
+        cat[:, j] = offsets[j] + np.array(at, dtype=np.int64)[inv]
+    return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
+
+
 def encode_features(records, vocab: Vocabulary, maps: CategoryMaps,
                     config: CnnConfig, labels: Optional[np.ndarray] = None) -> FeatureBatch:
-    """Tokenize + index the four text fields and the categorical block."""
-    tokens = {}
-    for f in FIELDS:
-        n = config.max_lens[f]
-        tokens[f] = np.array(
-            [encode_tokens(tokenize(getattr(r, f)), vocab, n) for r in records],
-            dtype=np.int64).reshape(len(records), n)
-    cat = np.array([onehot_block(r, maps) for r in records], dtype=np.int64).reshape(
-        len(records), 4)
-    return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
+    """`encode_columns` of a list of records."""
+    return encode_columns(token_columns(records), vocab, maps, config, labels)
 
 
 @dataclass

@@ -1,18 +1,18 @@
-"""The training split as token-id columns.
+"""The train and dev splits as token-id columns.
 
-`prepare` tokenizes each training record once, for the five stacking bases,
-and writes the token ids beside `train.jsonl`; `train --model
-stacking|stacking+` memory-maps them instead of parsing and tokenizing the
-split again. The files, in a prepared directory:
+`prepare` tokenizes each train and dev record once, for the five stacking
+bases, and writes the ids beside `<split>.jsonl`; `train` memory-maps them
+instead of parsing and tokenizing the splits again. The files of a split
+(`files(split)`), in a prepared directory:
 
-* `train_columns.json`: the token dictionary (every distinct token of the
+* `<split>_columns.json`: the token dictionary (every distinct token of the
   split, in code-point order), the distinct values of each label field, the
-  row count, the sha256 of the `train.jsonl` the columns come from and of
+  row count, the sha256 of the `<split>.jsonl` the columns come from and of
   each array's data, and the sha256 of everything else in the file;
-* `train_indptr.npy`, int64 (5N + 1,): row b·N + i, bases in
+* `<split>_indptr.npy`, int64 (5N + 1,): row b·N + i, bases in
   `bayes.BASE_FIELDS` order, holds base b of record i;
-* `train_ids.npy`, int32: the rows' token ids, in token order;
-* `train_city_id.npy` and `train_country_code.npy`, int32 (N,): each
+* `<split>_ids.npy`, int32: the rows' token ids, in token order;
+* `<split>_country_code.npy` and `<split>_city_id.npy`, int32 (N,): each
   record's index into its label field's distinct values.
 """
 
@@ -23,7 +23,7 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -33,12 +33,13 @@ from .bayes import BASE_FIELDS, base_tokens
 from .errors import DataError
 from .labels import LABEL_FIELDS
 
-MANIFEST = "train_columns.json"
-SOURCE = "train.jsonl"
-INDPTR, IDS = "train_indptr.npy", "train_ids.npy"
-LABEL_FILES = {field: f"train_{field}.npy" for field in LABEL_FIELDS.values()}
-FILES = (MANIFEST, INDPTR, IDS, *LABEL_FILES.values())
 CHUNK = 1024   # records that `token_columns` tokenizes at a time
+
+
+def files(split: str) -> tuple:
+    """A split's column files: manifest, row pointers, ids, one per label field."""
+    return (f"{split}_columns.json", f"{split}_indptr.npy", f"{split}_ids.npy",
+            *(f"{split}_{field}.npy" for field in LABEL_FIELDS.values()))
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ class TokenColumns:
 
 
 def _first_seen_ids():
-    """A dict that gives each new key the next id."""
-    ids = defaultdict()
-    ids.default_factory = ids.__len__
-    return ids
+    """A dict that gives each new key the next id. Its factory holds no
+    reference to the dict, so the dict is freed when dropped, not left
+    in a cycle for the garbage collector."""
+    return defaultdict(count().__next__)
 
 
 def token_columns(records) -> TokenColumns:
@@ -115,19 +116,20 @@ def _canonical(body: dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def save_columns(cols: TokenColumns, prep: Path) -> None:
-    """Write the columns into the prepared directory `prep`, bound to the
-    bytes of its train.jsonl."""
-    body = {"rows": len(cols), "source_sha256": _file_sha256(prep / SOURCE),
+def save_columns(cols: TokenColumns, prep: Path, split: str) -> None:
+    """Write the columns of a split into the prepared directory `prep`, bound to
+    the bytes of its <split>.jsonl."""
+    manifest, indptr, ids, *label_files = files(split)
+    body = {"rows": len(cols), "source_sha256": _file_sha256(prep / f"{split}.jsonl"),
             "tokens": cols.tokens, "labels": {f: v for f, (v, _) in cols.labels.items()},
             "sha256": {}}
-    arrays = {INDPTR: cols.indptr, IDS: cols.ids,
-              **{LABEL_FILES[f]: codes for f, (_, codes) in cols.labels.items()}}
+    arrays = {indptr: cols.indptr, ids: cols.ids,
+              **{name: cols.labels[f][1] for name, f in zip(label_files, LABEL_FIELDS.values())}}
     for name, a in arrays.items():
         np.save(prep / name, a)
         body["sha256"][name] = _sha256(np.ascontiguousarray(a).data)
     check = _sha256(_canonical(body))
-    (prep / MANIFEST).write_bytes(_canonical({**body, "manifest_sha256": check}))
+    (prep / manifest).write_bytes(_canonical({**body, "manifest_sha256": check}))
 
 
 def _manifest(path: Path) -> dict:
@@ -142,7 +144,7 @@ def _manifest(path: Path) -> dict:
     return body
 
 
-def _array(path: Path, dtype, size, digest: str) -> np.ndarray:
+def _array(path: Path, dtype, size, digest: str, manifest: str) -> np.ndarray:
     try:
         a = np.load(path, mmap_mode="r")
     except (EOFError, ValueError) as e:
@@ -151,7 +153,7 @@ def _array(path: Path, dtype, size, digest: str) -> np.ndarray:
         want = f"({size},)" if size is not None else "(n,)"
         raise DataError(f"{path}: expected {np.dtype(dtype)} {want}, found {a.dtype} {a.shape}")
     if _sha256(a.data) != digest:
-        raise DataError(f"{path}: contents do not match their checksum in {MANIFEST}")
+        raise DataError(f"{path}: contents do not match their checksum in {manifest}")
     return a
 
 
@@ -161,28 +163,29 @@ def _check_range(path: Path, a: np.ndarray, size: int, what: str) -> None:
         raise DataError(f"{path}: {what} {lo if lo < 0 else hi} outside [0, {size})")
 
 
-def load_columns(prep: Path) -> TokenColumns:
-    """The columns of the prepared directory `prep`, memory-mapped. A file that
-    is malformed, fails its checksum or was written for another train.jsonl is
-    a DataError naming it."""
-    path = prep / MANIFEST
+def load_columns(prep: Path, split: str) -> TokenColumns:
+    """The columns of a split of the prepared directory `prep`, memory-mapped.
+    A file that is malformed, fails its checksum or was written for another
+    <split>.jsonl is a DataError naming it."""
+    manifest, indptr_file, ids_file, *label_files = files(split)
+    path, source = prep / manifest, prep / f"{split}.jsonl"
     body = _manifest(path)
     try:
         n, tokens, values = body["rows"], body["tokens"], body["labels"]
-        if body["source_sha256"] != _file_sha256(prep / SOURCE):
-            raise DataError(f"{path}: written for another {prep / SOURCE}; "
+        if body["source_sha256"] != _file_sha256(source):
+            raise DataError(f"{path}: written for another {source}; "
                             "run `tweetgeo prepare` again")
-        sizes = {INDPTR: len(BASE_FIELDS) * n + 1, IDS: None,
-                 **{name: n for name in LABEL_FILES.values()}}
-        a = {name: _array(prep / name, np.int64 if name == INDPTR else np.int32, sizes[name],
-                          body["sha256"][name]) for name in sizes}
-        labels = {f: (values[f], a[LABEL_FILES[f]]) for f in LABEL_FILES}
+        sizes = {indptr_file: len(BASE_FIELDS) * n + 1, ids_file: None,
+                 **dict.fromkeys(label_files, n)}
+        a = {name: _array(prep / name, np.int64 if name == indptr_file else np.int32,
+                          sizes[name], body["sha256"][name], manifest) for name in sizes}
+        labels = {f: (values[f], a[name]) for f, name in zip(LABEL_FIELDS.values(), label_files)}
     except (KeyError, TypeError) as e:
         raise DataError(f"{path}: bad column manifest: {e!r}") from e
-    indptr, ids = a[INDPTR], a[IDS]
+    indptr, ids = a[indptr_file], a[ids_file]
     if indptr[0] != 0 or indptr[-1] != ids.size or np.any(indptr[1:] < indptr[:-1]):
-        raise DataError(f"{prep / INDPTR}: row pointers do not rise from 0 to {ids.size}")
-    _check_range(prep / IDS, ids, len(tokens), "token id")
-    for f, (vals, codes) in labels.items():
-        _check_range(prep / LABEL_FILES[f], codes, len(vals), f"{f} index")
+        raise DataError(f"{prep / indptr_file}: row pointers do not rise from 0 to {ids.size}")
+    _check_range(prep / ids_file, ids, len(tokens), "token id")
+    for name, (f, (vals, codes)) in zip(label_files, labels.items()):
+        _check_range(prep / name, codes, len(vals), f"{f} index")
     return TokenColumns(tokens, indptr, ids, labels)

@@ -1,9 +1,9 @@
 """Categorical feature maps (tweet language, user language, timezone) and the
-10-minute posting-time slot, assembled into one sparse one-hot block.
+10-minute posting-time slot: four tokens per record (`categorical_tokens`).
 
-Each categorical map reserves index 0 for values never seen in training.
-The one-hot block concatenates the maps in `CATEGORICAL_FIELDS` order (TL, UL,
-TZ), then 144 time slots; exactly four positions are active for any record.
+Each categorical map reserves index 0 for values never seen in training. The
+CNN's one-hot block concatenates the maps in `CATEGORICAL_FIELDS` order (TL,
+UL, TZ), then 144 time slots; exactly four positions are active for a record.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .textproc import ranked_by_frequency
 UNK_CAT = "<unk-cat>"
 N_TIME_SLOTS = 144
 _SLOT_SECONDS = 600  # 24h / 144
+_ONE_LINE = str.maketrans("\r\n", "  ")
 
 
 def time_slot(posted_at: int) -> int:
@@ -23,6 +24,19 @@ def time_slot(posted_at: int) -> int:
     if posted_at < 0:
         raise ValueError("posted_at must be >= 0")
     return (posted_at % 86400) // _SLOT_SECONDS
+
+
+def _one_line(value: str) -> str:
+    return value.translate(_ONE_LINE) if "\n" in value or "\r" in value else value
+
+
+def categorical_tokens(record) -> list[str]:
+    """The three categorical values and the time slot as synthetic bag tokens.
+    Line breaks in the values become spaces: a vocabulary stores one token
+    per line."""
+    tokens = [f"{p}={_one_line(getattr(record, f))}"
+              for p, f in zip(("tl", "ul", "tz"), CATEGORICAL_FIELDS)]
+    return tokens + [f"pt={time_slot(record.posted_at)}"]
 
 
 @dataclass
@@ -58,18 +72,10 @@ class CategoryMaps:
 
 def build_category_maps(train_records) -> CategoryMaps:
     """Index observed values by descending train frequency, ties lexicographic.
-    A value equal to UNK_CAT is read as unknown: it keeps index 0."""
+    A value is read as `categorical_tokens` reads it, line breaks as spaces;
+    one equal to UNK_CAT is read as unknown: it keeps index 0."""
     return CategoryMaps.from_value_lists({
-        f: [UNK_CAT] + [v for v in ranked_by_frequency(getattr(r, f) for r in train_records)
+        f: [UNK_CAT] + [v for v in ranked_by_frequency(_one_line(getattr(r, f))
+                                                       for r in train_records)
                         if v != UNK_CAT]
         for f in CATEGORICAL_FIELDS})
-
-
-def onehot_block(record, maps: CategoryMaps) -> list[int]:
-    """Active positions (exactly 4) in the concatenated TL|UL|TZ|PT one-hot vector."""
-    out, offset = [], 0
-    for f in CATEGORICAL_FIELDS:
-        m = getattr(maps, f)
-        out.append(offset + m.get(getattr(record, f), 0))
-        offset += len(m)
-    return out + [offset + time_slot(record.posted_at)]

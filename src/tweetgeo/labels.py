@@ -62,15 +62,16 @@ class LabelTable:
             indices.append(self._index.get(value, -1))
         return np.array(indices, dtype=np.int64)
 
-    def code_array(self, values: list, codes: np.ndarray, source) -> np.ndarray:
-        """`label_array` of records given as codes: record i's label value is
-        values[codes[i]]. A record with no label, then one whose label is
-        outside the table, is a DataError naming the record's line of source."""
+    def code_array(self, values: list, codes: np.ndarray, source,
+                   strict: bool = True) -> np.ndarray:
+        """`label_array` of records given as codes (record i's label is
+        values[codes[i]]). A record with no label, or, if strict, one outside
+        the table (else -1), is a DataError naming its line of source."""
         missing = np.array([v in (None, "") for v in values], dtype=bool)[codes]
         if missing.any():
             raise DataError(f"{source}: line {np.argmax(missing) + 1} has no {self.field}")
         y = np.array([self._index.get(v, -1) for v in values], dtype=np.int64)[codes]
-        if np.any(y < 0):
+        if strict and np.any(y < 0):
             i = int(np.argmax(y < 0))
             raise DataError(f"{source}: line {i + 1} has {self.field} {values[codes[i]]!r}, "
                             "not in the label table")
@@ -82,12 +83,9 @@ class LabelTable:
         return np.asarray(self.coords, dtype=np.float64)
 
 
-def country_labels(train_records) -> LabelTable:
-    return LabelTable(TASK_COUNTRY, ranked_by_frequency(r.country_code for r in train_records))
-
-
-def country_labels_of_codes(values: list, codes: np.ndarray) -> LabelTable:
-    """`country_labels` of records given as codes: record i's country is values[codes[i]]."""
+def country_labels(values: list, codes: np.ndarray) -> LabelTable:
+    """The country codes of records given as codes (record i's country is
+    values[codes[i]]), most frequent first."""
     counts = np.bincount(codes, minlength=len(values)).tolist()
     return LabelTable(TASK_COUNTRY, ranked_by_frequency(Counter(dict(zip(values, counts)))))
 

@@ -1,4 +1,4 @@
-"""Tweet-style tokenization, vocabulary construction, and index encoding.
+"""Tweet-style tokenization and vocabulary construction.
 
 Tokenizer rules (deterministic, self-contained):
   * lowercase everything
@@ -125,15 +125,6 @@ def vocab_from_ids(tokens: list[str], ids: np.ndarray,
     vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN] + [tokens[i] for i in kept.tolist()],
                        min_count=min_count)
     return vocab, index
-
-
-def encode_tokens(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
-    """Token list -> fixed-length index list: truncate, then right-pad with PAD."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    idx = [vocab.index(t) for t in tokens[:max_len]]
-    idx.extend([PAD_INDEX] * (max_len - len(idx)))
-    return idx
 
 
 def vocab_to_bytes(vocab: Vocabulary) -> bytes:

@@ -6,6 +6,7 @@ exceptions are the references at the end: the dense naive Bayes code that
 the sparse counts replaced, the im2col CNN forward and backward and the
 out-of-place Adam that the distinct-token convolution and the in-place update
 replaced, the match-by-match tokenizer that the one-pass tokenizer
+replaced, the per-record CNN encoder that the token-column encoder
 replaced, and the synthetic corpus generator that drew each value through a
 numpy scalar call before `synth.generate` read the raw words in bulk.
 """
@@ -409,6 +410,31 @@ def tokenize_scan(text: str) -> list[str]:
         else:
             out.append(tok)
     return out
+
+
+def encode_features_scan(records, vocab, maps, config):
+    """The CNN inputs of records, one record and one token at a time, as the
+    encoder did before it read token columns: each field's tokens looked up
+    in the vocabulary (UNK 1), truncated to the field's max_len and
+    right-padded with PAD (0); each record's four one-hot positions from its
+    categorical values, line breaks read as spaces, and its 10-minute posting
+    slot. Returns (field -> (N, max_len) nested lists, (N, 4) nested lists)."""
+    tokens = {}
+    for f in FIELDS:
+        n = config.max_lens[f]
+        tokens[f] = []
+        for r in records:
+            idx = [vocab.token_to_index.get(t, 1) for t in tokenize_scan(getattr(r, f))[:n]]
+            tokens[f].append(idx + [0] * (n - len(idx)))
+    cats = []
+    for r in records:
+        out, offset = [], 0
+        for f in ("tweet_lang", "user_lang", "timezone"):
+            value = getattr(r, f).replace("\r", " ").replace("\n", " ")
+            out.append(offset + getattr(maps, f).get(value, 0))
+            offset += len(getattr(maps, f))
+        cats.append(out + [offset + r.posted_at % 86400 // 600])
+    return tokens, cats
 
 
 def generate_scan(spec: SynthSpec) -> tuple[list[Record], CityTable]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,11 +8,11 @@ from conftest import make_record
 from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
                      mnb_posterior_exact, predict_mnb_dense, presence_corpus)
 from tweetgeo import bayes, nncore
-from tweetgeo.bayes import (BASE_FIELDS, MnbModel, base_tokens, categorical_tokens,
-                            count_matrix, fit_mnb, fit_stacking, igr_scores,
-                            posterior_mnb, posterior_stacking, predict_mnb,
-                            reduce_vocab, select_top_percent)
+from tweetgeo.bayes import (BASE_FIELDS, CsrCounts, MnbModel, base_tokens, count_matrix,
+                            fit_mnb, fit_stacking, igr_scores, posterior_mnb,
+                            posterior_stacking, predict_mnb, reduce_vocab, select_top_percent)
 from tweetgeo.columns import token_columns
+from tweetgeo.encode import categorical_tokens
 from tweetgeo.textproc import build_vocab
 
 # class A docs: "x x", "x y"; class B doc: "y"; features (x, y)
@@ -383,6 +385,40 @@ def test_posterior_mnb_csr_matches_dense_product(rng, monkeypatch, cells):
     for score in (posterior_mnb, predict_mnb):
         with pytest.raises(ValueError, match="counts have 29 features, the model 30"):
             score(model, csr_counts(docs[:, :29]))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40])
+def test_predict_mnb_in_many_row_blocks_equals_one_block(rng, monkeypatch, cells):
+    train = rng.integers(0, 4, size=(60, 30)).astype(float)
+    model = fit_mnb(csr_counts(train), rng.integers(0, 5, size=60), n_classes=5, alpha=0.1)
+    docs = rng.integers(0, 3, size=(200, 30)) * (rng.random((200, 30)) < 0.2)
+    docs[[0, 50, 51, 52, 199]] = 0     # empty rows, three of them in a run
+    counts = csr_counts(docs)
+    assert len(list(bayes._joint_log_likelihood(model, counts))) == 1
+    one = predict_mnb(model, counts)
+    monkeypatch.setattr(nncore, "BLOCK_CELLS", cells)
+    assert len(list(bayes._joint_log_likelihood(model, counts))) > 10
+    assert np.array_equal(predict_mnb(model, counts), one)
+    assert one.tolist() == predict_mnb_dense((model.class_log_prior, model.feature_log_prob),
+                                             docs).tolist()
+
+
+def test_predict_mnb_holds_one_row_block_not_the_whole_likelihood(rng):
+    # the (N, L) joint log-likelihood of a 10^6-tweet fold is 3.6 GiB at 3,000
+    # labels; labels need only one row block of it at a time
+    n, n_classes, n_cols = 40_000, 200, 50
+    model = fit_mnb(csr_counts(rng.integers(0, 3, size=(400, n_cols)).astype(float)),
+                    np.arange(400) % n_classes, n_classes)
+    first = np.arange(n) % (n_cols - 1)
+    counts = CsrCounts(np.arange(0, 2 * n + 1, 2), np.stack([first, first + 1], axis=1).ravel(),
+                       np.ones(2 * n), n_cols)
+    tracemalloc.start()
+    try:
+        predict_mnb(model, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n_classes * 8 / 16     # 4 MB; one block is ~1.6 MB
 
 
 def _random_corpus(rng, n=90, n_classes=4, classes=None):

@@ -84,7 +84,7 @@ def test_prepare_rerun_is_byte_identical(corpus_dir, prep_dir, tmp_path):
                "--test-fraction", "0.2", "--dev-users", "60", "--min-count", "3"])
     assert rc == 0
     for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "vocab.txt", "stats.csv",
-                 *columns.FILES):
+                 *columns.files("train"), *columns.files("dev")):
         assert (tmp_path / name).read_bytes() == (prep_dir / name).read_bytes()
 
 
@@ -231,9 +231,21 @@ PINNED_PREPARE = {
         '"mitenand","pt=1","pt=2","pt=6","tl=de","tl=fr","tous","tz=Bern","tz=Paris","ul=de",'
         '"ul=fr","zürich","à","üli"]}'
     ),
+    "dev_columns.json": (
+        '{"labels":{"city_id":[3],"country_code":["DE"]},"manifest_sha256":'
+        '"642c0d7f895a2be74430368dd83a32298206bf497c220f813d0bbe4af2cac25a","rows":1,"sha256":'
+        '{"dev_city_id.npy":"df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",'
+        '"dev_country_code.npy":'
+        '"df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",'
+        '"dev_ids.npy":"e5d2b2a61c02b2819b30398576e30a4f7e7cae68795c3770f804bc24492fd17b",'
+        '"dev_indptr.npy":"b344cd5a705fd1e5ec089d885fd388aaf25c7fa014560df4361a5c7e64190b67"},'
+        '"source_sha256":"54177c8ec79f5330be41a943ebfa2cf8dc295e1c6a24f82f456b380d4007dd20",'
+        '"tokens":["!","alaaf","jeck","kölner","pt=72","tl=de","tz=Berlin","ul=de"]}'
+    ),
 }
-# the four training records' bases, in BASE_FIELDS order, as ids into the
-# "tokens" of train_columns.json; each label as an index into its "labels" values
+# the four training records' bases and the dev record's, in BASE_FIELDS order,
+# as ids into the "tokens" of <split>_columns.json; each label as an index into
+# its "labels" values
 PINNED_ARRAYS = {
     "train_indptr.npy": ("<i8", [0, 3, 9, 12, 14, 14, 15, 15, 15, 15, 15, 18, 18, 19, 19, 19, 19,
                                  23, 27, 31, 35]),
@@ -241,6 +253,10 @@ PINNED_ARRAYS = {
                               19, 17, 13, 15, 20, 18, 13, 15, 20, 18, 11, 15, 19, 17, 12]),
     "train_city_id.npy": ("<i4", [0, 1, 1, 0]),
     "train_country_code.npy": ("<i4", [0, 1, 1, 0]),
+    "dev_indptr.npy": ("<i8", [0, 2, 4, 4, 4, 8]),
+    "dev_ids.npy": ("<i4", [1, 0, 3, 2, 5, 7, 6, 4]),
+    "dev_city_id.npy": ("<i4", [0]),
+    "dev_country_code.npy": ("<i4", [0]),
 }
 
 
@@ -295,6 +311,11 @@ GOLDEN_SHA256 = {
     "train_country_code.npy": "5ce55b85f1c38a9c77e6e12fc00041472d1f9871a080a8bdc9ef186da77fbdbb",
     "train_ids.npy": "a44a289a45bb99635e4567393f539e98071a6ca4fa1c0243cbde7367c32b2897",
     "train_indptr.npy": "bd970e2df00a1f18134c371c5677ada70fc6d9773284c3e136882ebfa0f55ae7",
+    "dev_city_id.npy": "ebe222a54f57ca981d4b6480fb15b511a1ffb929f61be42f9a1e9bdcd05298a5",
+    "dev_columns.json": "25acbaa84a7ff67bb76bd8474a9ad9eab98cf8b838243e82ee9577cdcce73c01",
+    "dev_country_code.npy": "20115de32c5400a35c54fdd7c05273cf30a571770be6a49c9fa547c89db099ec",
+    "dev_ids.npy": "74891647d44a8a626950e3f3cddf32e56f6a5a3296cbcb4d1ada7fab687b60fb",
+    "dev_indptr.npy": "8bf65406ea9e520ad47473b3c89f17d7d9f5748d9dd4488a8401f34807df9308",
 }
 
 
@@ -390,7 +411,8 @@ def _write_train_split(prep, rows):
     """Rewrite a prepared train.jsonl as `rows`, and its token columns as
     `prepare` would write them for it."""
     (prep / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    columns.save_columns(columns.token_columns(ingest.read_jsonl(prep / "train.jsonl")[0]), prep)
+    columns.save_columns(columns.token_columns(ingest.read_jsonl(prep / "train.jsonl")[0]), prep,
+                         "train")
 
 
 def _train_rows(prep):
@@ -660,16 +682,17 @@ def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path,
     rows = _train_rows(prep)
     rows[3]["city_id"] = 987654
     _write_train_split(prep, rows)
-    # the CNN reads the records and names the user; stacking reads the token
-    # columns, which hold no user, and names the line
-    shows = {"cnn": f"record of user {rows[3]['user_id']!r} has", "stacking": "line 4 has"}
+    # both models read the token columns, which hold no user, and name the line
     for model in ("cnn", "stacking"):
         rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", model,
                    "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
         assert rc == 2
-        assert capsys.readouterr().err == (f"error: {prep / 'train.jsonl'}: {shows[model]} "
+        assert capsys.readouterr().err == (f"error: {prep / 'train.jsonl'}: line 4 has "
                                            "city_id 987654, not in the label table\n"), model
         assert not (tmp_path / "m.gtlm").exists()
+
+
+TRAIN_COLUMNS = columns.files("train")
 
 
 # only the CNN reads the dev split; stacking never opens it
@@ -683,17 +706,18 @@ def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, 
     rows = [json.loads(line) for line in (prep / "dev.jsonl").read_text().splitlines()]
     rows[2][field] = missing
     (prep / "dev.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    columns.save_columns(columns.token_columns(ingest.read_jsonl(prep / "dev.jsonl")[0]), prep,
+                         "dev")
     capsys.readouterr()
     rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
                "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
     assert rc == 2
-    assert capsys.readouterr().err == (f"error: {prep / 'dev.jsonl'}: record of user "
-                                       f"{rows[2]['user_id']!r} has no {field}\n")
+    assert capsys.readouterr().err == f"error: {prep / 'dev.jsonl'}: line 3 has no {field}\n"
     assert not (tmp_path / "m.gtlm").exists()
 
 
-@pytest.mark.parametrize("task, needs", [("city", ["train.jsonl", *columns.FILES, "cities.csv"]),
-                                         ("country", ["train.jsonl", *columns.FILES])],
+@pytest.mark.parametrize("task, needs", [("city", ["train.jsonl", *TRAIN_COLUMNS, "cities.csv"]),
+                                         ("country", ["train.jsonl", *TRAIN_COLUMNS])],
                          ids=["city", "country"])
 def test_stacking_reads_only_the_training_split_and_its_label_table(prep_dir, tmp_path, task,
                                                                      needs):
@@ -711,8 +735,9 @@ def test_stacking_reads_only_the_training_split_and_its_label_table(prep_dir, tm
 
 @pytest.mark.parametrize("model, task, name", [
     ("stacking", "country", "train.jsonl"), ("stacking", "city", "cities.csv"),
-    *(("stacking+", "country", name) for name in columns.FILES),
-    ("cnn", "country", "dev.jsonl"), ("cnn", "country", "vocab.txt"),
+    *(("stacking+", "country", name) for name in TRAIN_COLUMNS),
+    ("cnn", "country", "dev.jsonl"), *(("cnn", "country", name) for name in columns.files("dev")),
+    ("cnn", "country", "vocab.txt"),
     ("cnn", "country", "category_maps.json")])
 def test_train_names_a_missing_file_its_model_reads(prep_dir, tmp_path, capsys, model, task,
                                                     name):
@@ -740,28 +765,29 @@ def test_train_on_an_empty_split_exits_2(prep_dir, tmp_path, capsys, model, task
     assert not (tmp_path / "m.gtlm").exists()
 
 
-def test_cnn_train_releases_the_records_before_the_fit(prep_dir, tmp_path, monkeypatch):
-    # the fit reads only the encoded features; records held through it cost
-    # about 0.9 KB each, ~0.8 GB for the 901k train and dev records of 10^6 tweets
-    refs = []
+def test_cnn_train_parses_no_jsonl_record(prep_dir, tmp_path, monkeypatch):
+    # both splits come from their token columns; train.jsonl and dev.jsonl are
+    # read only for their checksums, and the columns are released (their
+    # files unmapped) once encoded: the fit reads only the encoded features
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
 
-    def read_and_watch(path, *args, **kwargs):
-        records, skipped = read(path, *args, **kwargs)
-        refs.extend(weakref.ref(r) for r in records)
-        return records, skipped
+    def load_and_watch(*args, **kwargs):
+        cols = load(*args, **kwargs)
+        refs.append(weakref.ref(cols))
+        return cols
 
     def fit_once_released(*args, **kwargs):
         assert [ref for ref in refs if ref() is not None] == []
         return fit(*args, **kwargs)
 
-    read, fit = ingest.read_jsonl, cli.train
-    monkeypatch.setattr(ingest, "read_jsonl", read_and_watch)
+    refs, load, fit = [], columns.load_columns, cli.train
+    monkeypatch.setattr(ingest, "parse_record", unreachable)
+    monkeypatch.setattr(columns, "load_columns", load_and_watch)
     monkeypatch.setattr(cli, "train", fit_once_released)
     assert main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
                  "--out", str(tmp_path / "c.gtlm"), *CNN_FLAGS, "--max-epochs", "1"]) == 0
-    n_train, n_dev = (len((prep_dir / f).read_text().splitlines())
-                      for f in ("train.jsonl", "dev.jsonl"))
-    assert len(refs) == n_train + n_dev > 0
+    assert len(refs) == 2
 
 
 @pytest.mark.parametrize("model, flag", [("cnn", "--out"), ("cnn", "--log"),

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcheck import fd_sweep, smoothness_margin
 from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
-                     forward_trace, window_filters, window_view)
+                     encode_features_scan, forward_trace, window_filters, window_view)
+from test_columns import RECORDS
 from tweetgeo import cnn
 from tweetgeo.cnn import (MAX_FIELD_LEN, CnnConfig, FIELDS, FeatureBatch, backward,
                           encode_features, forward, init_model, load_pretrained_embeddings,
                           param_shapes, predict_proba)
-from tweetgeo.encode import CategoryMaps, UNK_CAT
+from tweetgeo.encode import CategoryMaps, UNK_CAT, build_category_maps
 from tweetgeo.errors import DataError
-from tweetgeo.textproc import build_vocab
+from tweetgeo.synth import SynthSpec, generate
+from tweetgeo.textproc import build_vocab, tokenize
 
 TINY_LENS = {"text": 6, "user_description": 5, "profile_location": 4, "user_name": 3}
 
@@ -274,6 +277,39 @@ def test_truncation_invariance(rng):
     pa = forward(model, fa, train=False).probs
     pb = forward(model, fb, train=False).probs
     assert (pa == pb).all()
+
+
+def _assert_encodes_as_the_scan(records, train, cfg):
+    """encode_features(records) equals the per-record scan, with the
+    vocabulary and maps of `train`, so records outside it hold unknowns."""
+    vocab = build_vocab([tokenize(getattr(r, f)) for r in train for f in FIELDS], min_count=1)
+    maps = build_category_maps(train)
+    feats = encode_features(records, vocab, maps, cfg)
+    tokens, cats = encode_features_scan(records, vocab, maps, cfg)
+    for f in FIELDS:
+        assert feats.tokens[f].dtype == np.int64
+        assert feats.tokens[f].shape == (len(records), cfg.max_lens[f])
+        assert feats.tokens[f].tolist() == tokens[f], f
+    assert feats.cat_positions.dtype == np.int64 and feats.cat_positions.shape == (len(records), 4)
+    assert feats.cat_positions.tolist() == cats
+
+
+SHORT_LENS = {"text": 4, "user_description": 3, "profile_location": 2, "user_name": 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=RECORDS, seen=st.integers(0, 6))
+def test_encode_features_equals_the_per_record_scan(records, seen):
+    _assert_encodes_as_the_scan(records, records[:seen],
+                                tiny_config(windows=(1, 2), max_lens=SHORT_LENS))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_encode_features_in_chunks_equals_the_per_record_scan(monkeypatch, chunk):
+    monkeypatch.setattr(cnn, "CHUNK", chunk)
+    records, _ = generate(SynthSpec(n_cities=4, n_countries=2, n_users=40, seed=5))
+    _assert_encodes_as_the_scan(records, records[:25], tiny_config(max_lens=SHORT_LENS | {
+        "profile_location": 3, "user_name": 3}))
 
 
 def test_shared_filters_used_for_all_fields(rng):

@@ -1,8 +1,10 @@
-"""The training split as token-id columns: they decode to the tokens they
-replace, and `train --model stacking|stacking+` refuses a column file that is
-missing, damaged, inconsistent or written for another train.jsonl."""
+"""The train and dev splits as token-id columns: they decode to the tokens
+they replace, and `train` refuses a column file that is missing, damaged,
+inconsistent or written for another split file: stacking those of the
+training split, the CNN those of the dev split too."""
 
 import dataclasses
+import gc
 import shutil
 
 import numpy as np
@@ -45,6 +47,20 @@ def test_token_columns_decode_to_the_base_tokens(records):
         assert [values[c] for c in codes] == [getattr(r, field) for r in records]
 
 
+def test_token_columns_leaves_no_cyclic_garbage():
+    # eval and predict build columns for every chunk of records: a dictionary
+    # in a reference cycle would hold its token strings until the collector
+    # ran, not until the columns are built
+    records = [make_record(text=f"w{i} x{i % 7}", tz=f"z{i % 3}") for i in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        token_columns(records)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.fixture(scope="module")
 def prep(tmp_path_factory):
     root = tmp_path_factory.mktemp("columns")
@@ -56,18 +72,19 @@ def prep(tmp_path_factory):
     return root / "prep"
 
 
-def _in_memory(prep):
-    return token_columns(ingest.read_jsonl(prep / "train.jsonl")[0])
+def _in_memory(prep, split="train"):
+    return token_columns(ingest.read_jsonl(prep / f"{split}.jsonl")[0])
 
 
 def test_load_columns_gives_back_what_prepare_wrote(prep):
-    cols, loaded = _in_memory(prep), columns.load_columns(prep)
-    assert isinstance(loaded.ids, np.memmap)
-    assert loaded.tokens == cols.tokens and loaded.labels.keys() == cols.labels.keys()
-    for a, b in ((loaded.indptr, cols.indptr), (loaded.ids, cols.ids),
-                 *((loaded.labels[f][1], cols.labels[f][1]) for f in cols.labels)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert all(loaded.labels[f][0] == cols.labels[f][0] for f in cols.labels)
+    for split in ("train", "dev"):
+        cols, loaded = _in_memory(prep, split), columns.load_columns(prep, split)
+        assert isinstance(loaded.ids, np.memmap)
+        assert loaded.tokens == cols.tokens and loaded.labels.keys() == cols.labels.keys()
+        for a, b in ((loaded.indptr, cols.indptr), (loaded.ids, cols.ids),
+                     *((loaded.labels[f][1], cols.labels[f][1]) for f in cols.labels)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(loaded.labels[f][0] == cols.labels[f][0] for f in cols.labels)
 
 
 def _flip(path, at):
@@ -77,67 +94,85 @@ def _flip(path, at):
     path.write_bytes(bytes(data))
 
 
-def _rewritten(**change):
-    """A damage that rewrites every column file consistently, checksums
-    included, from columns with `change` applied."""
-    def damage(prep):
-        cols = _in_memory(prep)
-        columns.save_columns(dataclasses.replace(cols, **{k: f(cols) for k, f in change.items()}),
-                             prep)
-    return damage
+def _damages(split):
+    """case -> (damage of a copied prepared directory, the file the error
+    names), for the column files of a split."""
+    manifest, indptr, ids = columns.files(split)[:3]
+
+    def rewritten(**change):
+        # rewrites every column file of the split consistently, checksums
+        # included, from columns with `change` applied
+        def damage(prep):
+            cols = _in_memory(prep, split)
+            columns.save_columns(dataclasses.replace(
+                cols, **{k: f(cols) for k, f in change.items()}), prep, split)
+        return damage
+
+    def relabeled(field, codes):
+        return rewritten(labels=lambda c: {**c.labels, field: (c.labels[field][0],
+                                                               codes(c.labels[field][1]))})
+
+    def swapped(indptr):
+        indptr = indptr.copy()
+        i = int(np.flatnonzero(np.diff(indptr) > 0)[1])   # a row that holds a token
+        indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
+        return indptr
+
+    def source_changed(prep):
+        path = prep / f"{split}.jsonl"
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
+
+    return {
+        **{f"truncated-{name}": (lambda prep, name=name: (prep / name).write_bytes(
+            (prep / name).read_bytes()[:-5]), name) for name in columns.files(split)},
+        **{f"flipped-{name}": (lambda prep, name=name: _flip(prep / name, lambda b: len(b) - 2),
+                               name) for name in columns.files(split)},
+        # flips that leave valid JSON: "tl=" becomes "ul=" in a token; the row count changes
+        "flipped-token": (lambda prep: _flip(prep / manifest, lambda b: b.index(b'"tl=') + 1),
+                          manifest),
+        "flipped-row-count": (lambda prep: _flip(prep / manifest, lambda b: b.index(
+            b",", b.index(b'"rows":')) - 1), manifest),
+        "flipped-npy-header": (lambda prep: _flip(prep / ids, lambda b: 12), ids),
+        "ids-int64": (rewritten(ids=lambda c: c.ids.astype(np.int64)), ids),
+        "ids-2d": (rewritten(ids=lambda c: c.ids.reshape(1, -1)), ids),
+        "labels-short": (relabeled("city_id", lambda codes: codes[:-1]),
+                         f"{split}_city_id.npy"),
+        "id-at-dictionary-size": (rewritten(ids=lambda c: np.where(
+            np.arange(c.ids.size) == 7, len(c.tokens), c.ids).astype(np.int32)), ids),
+        "negative-id": (rewritten(ids=lambda c: np.where(
+            np.arange(c.ids.size) == 7, -1, c.ids).astype(np.int32)), ids),
+        "label-index-past-its-values": (relabeled(
+            "country_code", lambda codes: np.full_like(codes, 2)), f"{split}_country_code.npy"),
+        "non-monotone-indptr": (rewritten(indptr=lambda c: swapped(c.indptr)), indptr),
+        f"another-{split}-jsonl": (source_changed, manifest),
+    }
 
 
-def _relabeled(field, codes):
-    return _rewritten(**{"labels": lambda c: {**c.labels, field: (c.labels[field][0],
-                                                                   codes(c.labels[field][1]))}})
+DAMAGES = {split: _damages(split) for split in ("train", "dev")}
+CNN_FLAGS = ["--embed-dim", "8", "--windows", "2", "--filters", "4", "--max-epochs", "1"]
 
 
-def _swapped(indptr):
-    indptr = indptr.copy()
-    i = int(np.flatnonzero(np.diff(indptr) > 0)[1])   # a row that holds a token
-    indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
-    return indptr
-
-
-# case -> (damage of a copied prepared directory, the file the error names)
-DAMAGES = {
-    **{f"truncated-{name}": (lambda prep, name=name: (prep / name).write_bytes(
-        (prep / name).read_bytes()[:-5]), name) for name in columns.FILES},
-    **{f"flipped-{name}": (lambda prep, name=name: _flip(prep / name, lambda b: len(b) - 2),
-                           name) for name in columns.FILES},
-    # flips that leave valid JSON: "tl=" becomes "ul=" in a token; the row count changes
-    "flipped-token": (lambda prep: _flip(prep / columns.MANIFEST,
-                                         lambda b: b.index(b'"tl=') + 1), columns.MANIFEST),
-    "flipped-row-count": (lambda prep: _flip(prep / columns.MANIFEST, lambda b: b.index(
-        b",", b.index(b'"rows":')) - 1), columns.MANIFEST),
-    "flipped-npy-header": (lambda prep: _flip(prep / columns.IDS, lambda b: 12), columns.IDS),
-    "ids-int64": (_rewritten(ids=lambda c: c.ids.astype(np.int64)), columns.IDS),
-    "ids-2d": (_rewritten(ids=lambda c: c.ids.reshape(1, -1)), columns.IDS),
-    "labels-short": (_relabeled("city_id", lambda codes: codes[:-1]), "train_city_id.npy"),
-    "id-at-dictionary-size": (_rewritten(ids=lambda c: np.where(
-        np.arange(c.ids.size) == 7, len(c.tokens), c.ids).astype(np.int32)), columns.IDS),
-    "negative-id": (_rewritten(ids=lambda c: np.where(
-        np.arange(c.ids.size) == 7, -1, c.ids).astype(np.int32)), columns.IDS),
-    "label-index-past-its-values": (_relabeled(
-        "country_code", lambda codes: np.full_like(codes, 2)), "train_country_code.npy"),
-    "non-monotone-indptr": (_rewritten(indptr=lambda c: _swapped(c.indptr)), columns.INDPTR),
-    "another-train-jsonl": (lambda prep: (prep / "train.jsonl").write_bytes(
-        b"".join((prep / "train.jsonl").read_bytes().splitlines(keepends=True)[1:])),
-        columns.MANIFEST),
-}
-
-
-@pytest.mark.parametrize("model", ["stacking", "stacking+"])
-@pytest.mark.parametrize("case", list(DAMAGES))
-def test_train_refuses_bad_columns_naming_the_file(prep, tmp_path, capsys, case, model):
-    damage, name = DAMAGES[case]
+def _assert_refused(prep, tmp_path, capsys, split, case, model):
+    damage, name = DAMAGES[split][case]
     bad = tmp_path / "prep"
     shutil.copytree(prep, bad)
     damage(bad)
     capsys.readouterr()
     rc = main(["train", "--prep-dir", str(bad), "--task", "city", "--model", model,
-               "--out", str(tmp_path / "m.gtlm")])
+               "--out", str(tmp_path / "m.gtlm"), *(CNN_FLAGS if model == "cnn" else ())])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith(f"error: {bad / name}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "m.gtlm").exists()
+
+
+# both models read the training split's columns
+@pytest.mark.parametrize("model", ["stacking", "stacking+", "cnn"])
+@pytest.mark.parametrize("case", list(DAMAGES["train"]))
+def test_train_refuses_bad_columns_naming_the_file(prep, tmp_path, capsys, case, model):
+    _assert_refused(prep, tmp_path, capsys, "train", case, model)
+
+
+@pytest.mark.parametrize("case", list(DAMAGES["dev"]))
+def test_cnn_train_refuses_bad_dev_columns_naming_the_file(prep, tmp_path, capsys, case):
+    _assert_refused(prep, tmp_path, capsys, "dev", case, "cnn")

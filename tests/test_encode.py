@@ -3,8 +3,16 @@ import itertools
 import pytest
 
 from conftest import make_record
-from tweetgeo.encode import (CategoryMaps, N_TIME_SLOTS, UNK_CAT,
-                             build_category_maps, onehot_block, time_slot)
+from tweetgeo.cnn import CnnConfig, encode_features
+from tweetgeo.encode import (CategoryMaps, N_TIME_SLOTS, UNK_CAT, build_category_maps,
+                             categorical_tokens, time_slot)
+from tweetgeo.textproc import build_vocab
+
+
+def onehot_block(record, maps: CategoryMaps) -> list[int]:
+    """The record's four active positions in the CNN's one-hot block."""
+    feats = encode_features([record], build_vocab([], min_count=1), maps, CnnConfig())
+    return feats.cat_positions[0].tolist()
 
 
 def test_time_slot_boundaries():
@@ -75,6 +83,16 @@ def test_onehot_block_always_four_active():
         block = onehot_block(r, maps)
         assert len(block) == len(set(block)) == 4
         assert all(0 <= b < maps.block_size for b in block)
+
+
+def test_a_categorical_value_with_a_line_break_is_read_one_lined_by_both_models():
+    train = [make_record(tz="Zone\r\nX"), make_record(tz="Zone  X"), make_record(tz="Y")]
+    maps = build_category_maps(train)
+    assert maps.timezone == {UNK_CAT: 0, "Zone  X": 1, "Y": 2}
+    probe = make_record(tz="Zone\r\nX", posted=0)
+    assert categorical_tokens(probe)[2] == "tz=Zone  X"     # the stacking `cats` base
+    tl, ul, _ = maps.sizes
+    assert onehot_block(probe, maps)[2] == tl + ul + 1       # the CNN
 
 
 def test_value_lists_roundtrip():

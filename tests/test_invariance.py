@@ -14,7 +14,7 @@ from tweetgeo.cli import main
 from tweetgeo.synth import SynthSpec, write_corpus
 
 PREP_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "cities.csv", "vocab.txt",
-              "category_maps.json", "stats.csv", *columns.FILES)
+              "category_maps.json", "stats.csv", *columns.files("train"), *columns.files("dev"))
 EVAL_FILES = ("metrics_summary.csv", "per_class_pr.csv", "calibration.csv")
 
 

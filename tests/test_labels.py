@@ -4,7 +4,7 @@ import pytest
 from tweetgeo.errors import DataError
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
-from tweetgeo.labels import LabelTable, city_labels, country_labels, country_labels_of_codes
+from tweetgeo.labels import LabelTable, city_labels, country_labels
 
 
 def _city_table():
@@ -70,9 +70,9 @@ def test_code_array_and_country_labels_of_codes_agree_with_the_records():
             for i, (c, k) in enumerate([("US", 4), ("GB", 0), ("US", 4), ("JP", 0), ("GB", 4)])]
     for field, labels in (("country_code", None), ("city_id", _city_table())):
         codes = _first_seen_codes(getattr(r, field) for r in recs)
-        labels = labels or country_labels_of_codes(*codes)
-        if field == "country_code":
-            assert labels.values == country_labels(recs).values == ["GB", "US", "JP"]
+        labels = labels or country_labels(*codes)
+        if field == "country_code":   # most frequent first, ties ascending
+            assert labels.values == ["GB", "US", "JP"]
         assert labels.code_array(*codes, "train.jsonl").tolist() == \
             labels.label_array(recs).tolist()
 
@@ -83,6 +83,15 @@ def test_code_array_names_the_line_of_a_bad_label(value, shows):
     values, codes = _first_seen_codes([4, 0, value, value])
     with pytest.raises(DataError, match=f"^train.jsonl: {shows}$"):
         _city_table().code_array(values, codes, "train.jsonl")
+
+
+def test_code_array_marks_a_label_outside_the_table_unless_strict():
+    # the dev split: a class unseen in training is a miss, not an error
+    values, codes = _first_seen_codes([4, 7, 0])
+    y = _city_table().code_array(values, codes, "dev.jsonl", strict=False)
+    assert y.tolist() == [1, -1, 0]
+    with pytest.raises(DataError, match="^dev.jsonl: line 2 has no city_id$"):
+        _city_table().code_array(*_first_seen_codes([4, None]), "dev.jsonl", strict=False)
 
 
 def _first_seen_codes(values):

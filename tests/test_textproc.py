@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetgeo.cnn import DEFAULT_MAX_LENS, CnnConfig, encode_features
+from tweetgeo.encode import build_category_maps
+from tweetgeo.ingest import Record
 from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
-                               Vocabulary, build_vocab, encode_tokens,
+                               Vocabulary, build_vocab,
                                load_vocab, save_vocab, tokenize, vocab_from_ids,
                                vocab_to_bytes)
 
 from oracles import tokenize_scan
+
+
+def encode_tokens(tokens, vocab, max_len):
+    """The text field's ids as the CNN encodes them, for tokens that each
+    tokenize to themselves: truncated to max_len, then right-padded with PAD."""
+    cfg = CnnConfig(windows=(1,), max_lens={**DEFAULT_MAX_LENS, "text": max_len})
+    feats = encode_features([Record("u", text=" ".join(tokens))], vocab,
+                            build_category_maps([]), cfg)
+    return feats.tokens["text"][0].tolist()
 
 
 def test_tokenize_lowercase_whitespace():

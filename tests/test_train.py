@@ -174,12 +174,16 @@ def test_write_train_log(tmp_path):
     assert len(lines) == len(result.log) + 1
 
 
+def _country_labels(recs):
+    return country_labels(*token_columns(recs).labels["country_code"])
+
+
 def _trained_bundle(tmp_path, seed=2):
     recs, ys = corpus(10, seed=seed)
     cfg = small_cfg()
     vocab = build_vocab([r.text.split() for r in recs], min_count=1)
     maps = build_category_maps(recs)
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     feats = encode_features(recs, vocab, maps, cfg, labels.label_array(recs))
     tcfg = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=seed)
     model = init_model(cfg, len(vocab), maps.block_size, seed=seed)
@@ -240,7 +244,7 @@ def test_load_rejects_float64_tensors(tmp_path):
 
 def test_stack_bundle_roundtrip(tmp_path):
     recs, ys = corpus(10)
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels),
                          igr_percent=40.0, min_count=1)
     path = tmp_path / "stack.gtlm"
@@ -259,7 +263,7 @@ def test_stack_bundle_roundtrip(tmp_path):
 def test_stack_bundle_roundtrip_with_line_break_in_timezone(tmp_path):
     recs, ys = corpus(10)
     recs[0].timezone = "Zone\nX"
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
     path = tmp_path / "stack.gtlm"
     save_stack_model(model, labels, path)
@@ -270,7 +274,7 @@ def test_stack_bundle_roundtrip_with_line_break_in_timezone(tmp_path):
 
 def test_stack_training_is_byte_identical_on_rerun(tmp_path):
     recs, ys = corpus(12, seed=3)
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     for name in ("a.gtlm", "b.gtlm"):
         model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels),
                              igr_percent=40.0, min_count=1)
@@ -308,7 +312,7 @@ def test_stack_load_peak_is_the_tensors_plus_the_largest(tmp_path):
 @pytest.mark.parametrize("tensor", ["text:prior", "cats:log_prob", "meta:log_prob"])
 def test_stack_load_rejects_non_float64_tensors(tmp_path, tensor):
     recs, ys = corpus(6)
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     model = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
     save_stack_model(model, labels, tmp_path / "stack.gtlm")
     model_type, sections = bundle_io.read_sections(tmp_path / "stack.gtlm")
@@ -344,7 +348,7 @@ def bundle_files(tmp_path_factory):
     cfg = small_cfg()
     vocab = build_vocab([r.text.split() for r in recs], min_count=1)
     maps = build_category_maps(recs)
-    labels = country_labels(recs)
+    labels = _country_labels(recs)
     save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps, labels,
                d / "cnn.gtlm")
     stack = fit_stacking(token_columns(recs), labels.label_array(recs), len(labels), min_count=1)
