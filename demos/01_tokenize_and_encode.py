@@ -8,6 +8,7 @@ four active positions of the categorical one-hot block.
 """
 
 from tweetgeo.cnn import CnnConfig, encode_features
+from tweetgeo.columns import token_columns
 from tweetgeo.encode import build_category_maps, categorical_tokens, time_slot
 from tweetgeo.ingest import Record
 from tweetgeo.textproc import build_vocab, tokenize
@@ -23,8 +24,10 @@ for s in samples:
     print(f"  {s!r}\n    -> {tokenize(s)}")
 
 print("\n== vocabulary (min_count=2) ==")
-streams = [tokenize(s) for s in samples]
-vocab = build_vocab(streams, min_count=2)
+# each record tokenized once into token columns: one dictionary of its
+# tokens, in code-point order, and each field's token ids into it
+cols = token_columns([Record(user_id=f"s{i}", text=s) for i, s in enumerate(samples)])
+vocab = build_vocab(cols.tokens, cols.base("text")[1], min_count=2)
 print(f"  kept {len(vocab)} entries: {vocab.index_to_token}")
 
 print("\n== posting-time slots (144 per day) ==")
@@ -37,7 +40,7 @@ train = [
     Record(user_id="u2", tweet_lang="en", user_lang="fr", timezone="CET", posted_at=0),
     Record(user_id="u3", tweet_lang="ja", user_lang="ja", timezone="JST", posted_at=0),
 ]
-maps = build_category_maps(train)
+maps = build_category_maps(token_columns(train))
 print(f"  sizes (TL, UL, TZ): {maps.sizes}, one-hot block size {maps.block_size}")
 
 print("\n== one record as CNN inputs (text max_len=8) ==")

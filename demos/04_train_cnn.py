@@ -10,8 +10,9 @@ calibration table.
 
 import numpy as np
 
-from tweetgeo.cnn import (VOCAB_FIELDS, CnnConfig, encode_features, init_model,
-                          predict_proba)
+from tweetgeo.cnn import (VOCAB_FIELDS, CnnConfig, encode_columns, encode_features,
+                          init_model, predict_proba)
+from tweetgeo.columns import token_columns
 from tweetgeo.encode import build_category_maps
 from tweetgeo.geo import assign_cities
 from tweetgeo.ingest import SplitSpec, dedup_user_city, split_by_user
@@ -19,7 +20,7 @@ from tweetgeo.labels import city_labels
 from tweetgeo.metrics import (acc_at_161, acc_top5, accuracy, calibration_bins,
                               expected_calibration_error, median_error_km, rank)
 from tweetgeo.synth import SynthSpec, generate
-from tweetgeo.textproc import build_vocab, tokenize
+from tweetgeo.textproc import build_vocab
 from tweetgeo.train import TrainConfig, train
 
 records, table = generate(SynthSpec(n_cities=5, n_countries=2, n_users=1500, seed=3))
@@ -28,8 +29,10 @@ records = dedup_user_city(records, seed=3)
 tr, dev, te = split_by_user(records, SplitSpec(0.15, 100, seed=3))
 print(f"splits: train {len(tr)} / dev {len(dev)} / test {len(te)}")
 
-vocab = build_vocab((tokenize(getattr(r, f)) for r in tr for f in VOCAB_FIELDS), min_count=5)
-maps = build_category_maps(tr)
+cols = token_columns(tr)   # the training split tokenized once, as `prepare` writes it
+vocab = build_vocab(cols.tokens, np.concatenate([cols.base(f)[1] for f in VOCAB_FIELDS]),
+                    min_count=5)
+maps = build_category_maps(cols)
 labels = city_labels(table)
 print(f"vocabulary {len(vocab)} entries, one-hot block {maps.block_size}, "
       f"{len(labels)} city labels")
@@ -43,7 +46,7 @@ tcfg = TrainConfig(batch_size=64, max_epochs=12, patience=3, seed=3)
 model = init_model(cfg, len(vocab), maps.block_size, seed=tcfg.seed)
 result = train(
     model,
-    encode_features(tr, vocab, maps, cfg, labels.label_array(tr)),
+    encode_columns(cols, vocab, maps, cfg, labels.label_array(tr)),
     encode_features(dev, vocab, maps, cfg, labels.label_array(dev)),
     tcfg)
 

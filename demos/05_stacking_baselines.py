@@ -16,7 +16,7 @@ from tweetgeo.columns import token_columns
 from tweetgeo.geo import assign_cities
 from tweetgeo.labels import city_labels
 from tweetgeo.synth import SynthSpec, generate
-from tweetgeo.textproc import build_vocab
+from tweetgeo.textproc import build_vocab, ranked
 
 records, table = generate(SynthSpec(n_cities=4, n_countries=2, n_users=900, seed=13))
 assign_cities(records, table)
@@ -28,8 +28,9 @@ ytr, yte = y[:split], y[split:]
 print(f"train {len(tr)} / test {len(te)} tweets, {len(labels)} city labels")
 
 print("\n== a single multinomial NB base on the tweet text ==")
+cols = token_columns(tr)   # every base of every record as token ids
+vocab = build_vocab(cols.tokens, cols.base("text")[1], min_count=3)
 tokens = [base_tokens(r, "text") for r in tr]
-vocab = build_vocab(tokens, min_count=3)
 counts = count_matrix(tokens, vocab)
 base = fit_mnb(counts, ytr, len(labels), alpha=1e-2)
 te_counts = count_matrix([base_tokens(r, "text") for r in te], vocab)
@@ -38,14 +39,13 @@ print(f"  text-only NB accuracy: {acc:.4f} (vocabulary {len(vocab)})")
 
 print("\n== information gain ratio ranking ==")
 scores = igr_scores(counts, ytr, len(labels))
-order = np.argsort(-scores)
 print("  most informative tokens:")
-for i in order[:5]:
+for i in ranked(scores, -np.inf)[:5]:
     print(f"    {vocab.index_to_token[i]:12s} igr {scores[i]:.3f}")
 
 print("\n== STACKING vs STACKING+ ==")
 for name, igr in (("STACKING", None), ("STACKING+ (top 40%)", 40.0)):
-    model = fit_stacking(token_columns(tr), ytr, len(labels), igr_percent=igr, min_count=3)
+    model = fit_stacking(cols, ytr, len(labels), igr_percent=igr, min_count=3)
     post = posterior_stacking(model, te)
     acc = float(np.mean(np.argmax(post, axis=1) == yte))
     print(f"  {name:20s} accuracy {acc:.4f}")

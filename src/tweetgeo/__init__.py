@@ -7,7 +7,7 @@ and a deterministic synthetic-corpus generator for desk-scale experiments.
 """
 
 from .bayes import (MnbModel, StackModel, count_matrix, fit_mnb, fit_stacking, igr_scores,
-                    posterior_mnb, posterior_stacking, predict_mnb, select_top_percent)
+                    posterior_mnb, posterior_stacking, predict_mnb)
 from .cnn import (VOCAB_FIELDS, CnnConfig, CnnModel, FeatureBatch, backward, encode_columns,
                   encode_features, forward, init_model, load_pretrained_embeddings, predict_proba)
 from .columns import TokenColumns, token_columns

@@ -20,7 +20,7 @@ from . import nncore
 from .encode import categorical_tokens
 from .ingest import TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
-from .textproc import UNK_INDEX, Vocabulary, tokenize, vocab_from_ids
+from .textproc import PAD_TOKEN, UNK_INDEX, UNK_TOKEN, Vocabulary, ranked, tokenize
 
 BASE_FIELDS = TEXT_FIELDS + ("cats",)
 
@@ -85,6 +85,13 @@ def _csr_counts(indptr: np.ndarray, cols: np.ndarray, n_cols: int) -> CsrCounts:
     cells, counts = np.unique(rows * n_cols + cols, return_counts=True)
     return CsrCounts(_indptr(cells // n_cols, n), cells % n_cols, counts.astype(np.float64),
                      n_cols)
+
+
+def _base_counts(indptr: np.ndarray, ids: np.ndarray, kept: np.ndarray, n_tokens: int):
+    """`_csr_counts` of token ids in the columns of a vocabulary of the ids `kept`."""
+    col = np.full(n_tokens, UNK_INDEX, dtype=np.int64)
+    col[kept] = np.arange(2, len(kept) + 2)
+    return _csr_counts(indptr, col[ids], len(kept) + 2)
 
 
 def count_matrix(token_lists, vocab: Vocabulary) -> CsrCounts:
@@ -214,24 +221,6 @@ def igr_scores(counts: CsrCounts, labels: np.ndarray, n_classes: int) -> np.ndar
     return scores
 
 
-def select_top_percent(scores: dict[str, float], n_percent: float) -> list[str]:
-    """Highest-IGR ceil(n% * |tokens|) tokens; ties by lexicographic order."""
-    if not (0.0 < n_percent <= 100.0):
-        raise ValueError("n_percent must be in (0, 100]")
-    keep = math.ceil(n_percent / 100.0 * len(scores))
-    ranked = sorted(scores, key=lambda t: (-scores[t], t))
-    return ranked[:keep]
-
-
-def reduce_vocab(vocab: Vocabulary, counts: CsrCounts, labels: np.ndarray,
-                 n_classes: int, n_percent: float) -> Vocabulary:
-    """IGR-select the top n% of content tokens; PAD/UNK always survive."""
-    scores = igr_scores(counts, labels, n_classes)
-    by_token = {t: float(scores[vocab.token_to_index[t]]) for t in vocab.content_tokens}
-    kept = select_top_percent(by_token, n_percent)
-    return Vocabulary(vocab.index_to_token[:2] + kept, min_count=vocab.min_count)
-
-
 @dataclass
 class StackModel:
     bases: dict                      # base field -> MnbModel
@@ -257,7 +246,9 @@ def fit_stacking(columns, labels, label_count: int, igr_percent: Optional[float]
     refit on all records. Every MNB smooths with ALPHA."""
     if igr_percent is not None and not 0.0 < igr_percent <= 100.0:
         raise ValueError(f"igr_percent must be in (0, 100], got {igr_percent}")
-    n = len(columns)
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    n, n_tokens = len(columns), len(columns.tokens)
     labels = np.asarray(labels, dtype=np.int64)
     if n < FOLDS:
         raise ValueError(f"stacking's {FOLDS} folds need at least {FOLDS} records, got {n}")
@@ -265,16 +256,15 @@ def fit_stacking(columns, labels, label_count: int, igr_percent: Optional[float]
     vocabs, counts = {}, {}
     for b in BASE_FIELDS:
         indptr, ids = columns.base(b)
-        vocabs[b], col = vocab_from_ids(columns.tokens, ids, min_count)
-        counts[b] = _csr_counts(indptr, col[ids], len(vocabs[b]))
+        kept = ranked(np.bincount(ids, minlength=n_tokens), min_count)
         if igr_percent is not None and b in TEXT_FIELDS:
-            reduced = reduce_vocab(vocabs[b], counts[b], labels, label_count, igr_percent)
-            # each old column's column in the reduced vocabulary: UNK unless kept
-            old_cols = [vocabs[b].index(t) for t in reduced.content_tokens]
-            new_col = np.full(len(vocabs[b]), UNK_INDEX, dtype=np.int64)
-            new_col[np.array(old_cols, dtype=np.int64)] = np.arange(2, len(reduced))
-            vocabs[b], col = reduced, new_col[col]
-            counts[b] = _csr_counts(indptr, col[ids], len(reduced))
+            # STACKING+ keeps the top igr_percent of the tokens by IGR, ties in token order
+            kept = np.sort(kept)
+            scores = igr_scores(_base_counts(indptr, ids, kept, n_tokens), labels, label_count)
+            kept = kept[ranked(scores[2:], -np.inf)[:math.ceil(igr_percent / 100.0 * len(kept))]]
+        vocabs[b] = Vocabulary([PAD_TOKEN, UNK_TOKEN] + [columns.tokens[i] for i in kept.tolist()],
+                               min_count=min_count)
+        counts[b] = _base_counts(indptr, ids, kept, n_tokens)
 
     fold_of = np.arange(n) % FOLDS
     oof = np.zeros((n, len(BASE_FIELDS)), dtype=np.int64)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -30,6 +31,11 @@ from .train import (CnnBundle, TrainConfig, load_bundle, save_model, save_stack_
 # of predict_proba's batch, so the CNN batches are the same as for the whole
 # input at once
 PREDICT_CHUNK = 16 * INFER_BATCH
+
+# glibc malloc's thresholds, fixed (mallopt's M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD -1).
+# Left dynamic, the mmap threshold rises to the largest block freed so far, and freed
+# blocks of that size, such as the CNN's (V, k) embedding gradients, stay in the heap
+MALLOC_PIN = {-3: 8 << 20, -1: 8 << 20}
 
 
 def _windows_arg(s: str) -> tuple:
@@ -136,15 +142,15 @@ def cmd_prepare(ns) -> int:
     geo.save_city_table(table, out / "cities.csv")
 
     # each train and dev record is tokenized once, into the token columns that
-    # `train` reads; vocab.txt is counted from the training split's ids
+    # `train` reads; vocab.txt and the category maps count the training split's ids
     columns.save_columns(columns.token_columns(dev_recs), out, "dev")
     cols = columns.token_columns(train_recs)
     columns.save_columns(cols, out, "train")
-    vocab = textproc.build_vocab(columns.token_streams(cols, VOCAB_FIELDS),
-                                 min_count=ns.min_count)
+    ids = np.concatenate([cols.base(f)[1] for f in VOCAB_FIELDS])
+    vocab = textproc.build_vocab(cols.tokens, ids, min_count=ns.min_count)
     textproc.save_vocab(vocab, out / "vocab.txt")
 
-    maps = build_category_maps(train_recs)
+    maps = build_category_maps(cols)
     (out / "category_maps.json").write_text(
         json.dumps(maps.value_lists(), ensure_ascii=False, sort_keys=True, indent=1),
         encoding="utf-8")
@@ -314,7 +320,17 @@ def cmd_predict(ns) -> int:
     return 0
 
 
+def pin_malloc() -> None:
+    """Apply MALLOC_PIN where the C library has mallopt, as glibc does."""
+    if os.name != "posix" or not hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        return
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in MALLOC_PIN.items():
+        libc.mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    pin_malloc()
     try:
         ns = build_parser().parse_args(argv)
         return ns.func(ns)

@@ -23,9 +23,8 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -90,13 +89,6 @@ def token_columns(records) -> TokenColumns:
         labels[field] = (list(codes), column)
     return TokenColumns(tokens, np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
                         rank[np.asarray(ids)], labels)
-
-
-def token_streams(cols: TokenColumns, bases) -> Iterator:
-    """Streams for `textproc.build_vocab` that hold each token of the given
-    bases as often as it occurs there, counted from the ids, not decoded."""
-    counts = sum(np.bincount(cols.base(b)[1], minlength=len(cols.tokens)) for b in bases)
-    return map(repeat, cols.tokens, counts.tolist())
 
 
 def _sha256(data) -> str:

@@ -8,15 +8,19 @@ UL, TZ), then 144 time slots; exactly four positions are active for a record.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ingest import CATEGORICAL_FIELDS
-from .textproc import ranked_by_frequency
+from .textproc import ranked
 
 UNK_CAT = "<unk-cat>"
 N_TIME_SLOTS = 144
 _SLOT_SECONDS = 600  # 24h / 144
 _ONE_LINE = str.maketrans("\r\n", "  ")
+_PREFIXES = ("tl", "ul", "tz")   # of each CATEGORICAL_FIELDS value's token
 
 
 def time_slot(posted_at: int) -> int:
@@ -34,8 +38,7 @@ def categorical_tokens(record) -> list[str]:
     """The three categorical values and the time slot as synthetic bag tokens.
     Line breaks in the values become spaces: a vocabulary stores one token
     per line."""
-    tokens = [f"{p}={_one_line(getattr(record, f))}"
-              for p, f in zip(("tl", "ul", "tz"), CATEGORICAL_FIELDS)]
+    tokens = [f"{p}={_one_line(getattr(record, f))}" for p, f in zip(_PREFIXES, CATEGORICAL_FIELDS)]
     return tokens + [f"pt={time_slot(record.posted_at)}"]
 
 
@@ -70,12 +73,15 @@ class CategoryMaps:
         return cls(**maps)
 
 
-def build_category_maps(train_records) -> CategoryMaps:
-    """Index observed values by descending train frequency, ties lexicographic.
-    A value is read as `categorical_tokens` reads it, line breaks as spaces;
-    one equal to UNK_CAT is read as unknown: it keeps index 0."""
-    return CategoryMaps.from_value_lists({
-        f: [UNK_CAT] + [v for v in ranked_by_frequency(_one_line(getattr(r, f))
-                                                       for r in train_records)
-                        if v != UNK_CAT]
-        for f in CATEGORICAL_FIELDS})
+def build_category_maps(cols) -> CategoryMaps:
+    """Index the values of the `cats` tokens of token columns by descending
+    train frequency, ties lexicographic: values as `categorical_tokens` reads
+    them, line breaks as spaces. UNK_CAT as a value is unknown: it keeps index 0."""
+    counts = np.bincount(cols.base("cats")[1], minlength=len(cols.tokens))
+    lists = {}
+    for p, f in zip(_PREFIXES, CATEGORICAL_FIELDS):
+        # in code-point order the tokens "p=..." lie between "p=" and "p>"
+        lo, hi = bisect_left(cols.tokens, f"{p}="), bisect_left(cols.tokens, f"{p}>")
+        values = [t[3:] for t in cols.tokens[lo:hi]]
+        lists[f] = [UNK_CAT] + [values[i] for i in ranked(counts[lo:hi]) if values[i] != UNK_CAT]
+    return CategoryMaps.from_value_lists(lists)

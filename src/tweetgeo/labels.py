@@ -8,7 +8,6 @@ kept alongside so evaluation needs no extra table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .geo import CityTable
-from .textproc import ranked_by_frequency
+from .textproc import ranked
 
 TASK_COUNTRY = "country"
 TASK_CITY = "city"
@@ -85,9 +84,10 @@ class LabelTable:
 
 def country_labels(values: list, codes: np.ndarray) -> LabelTable:
     """The country codes of records given as codes (record i's country is
-    values[codes[i]]), most frequent first."""
-    counts = np.bincount(codes, minlength=len(values)).tolist()
-    return LabelTable(TASK_COUNTRY, ranked_by_frequency(Counter(dict(zip(values, counts)))))
+    values[codes[i]]), most frequent first, ties lexicographic."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    counts = np.bincount(codes, minlength=len(values))[order]
+    return LabelTable(TASK_COUNTRY, [values[order[i]] for i in ranked(counts).tolist()])
 
 
 def city_labels(table: CityTable) -> LabelTable:

@@ -12,10 +12,7 @@ Tokenizer rules (deterministic, self-contained):
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -37,14 +34,13 @@ _RUN_RE = re.compile(r"(.)\1{3,}", re.UNICODE)
 _HAS_RUN_RE = re.compile(r"(.)\1\1\1", re.UNICODE)   # finds what _RUN_RE finds, in half the time
 
 
-def ranked_by_frequency(values: Iterable, min_count: int = 1) -> list:
-    """The distinct values seen at least `min_count` times, most frequent
-    first, ties ascending: the order of vocabularies, category maps and country labels.
-    `values` may also be a Counter of the values."""
-    counts = Counter(values)
-    kept = sorted(v for v, c in counts.items() if c >= min_count)
-    kept.sort(key=counts.__getitem__, reverse=True)   # a stable sort: ties stay ascending
-    return kept
+def ranked(keys, floor=1) -> np.ndarray:
+    """The indices whose key is at least `floor`, largest key first, ties in ascending
+    index: the order of vocabularies, category maps, country labels and the IGR cut.
+    Over a token dictionary in code-point order, ascending index is lexicographic."""
+    keys = np.asarray(keys)
+    kept = np.flatnonzero(keys >= floor)
+    return kept[np.argsort(-keys[kept], kind="stable")]
 
 
 def _squeeze_runs(token: str) -> str:
@@ -73,12 +69,9 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """token <-> index mapping with reserved PAD=0 and UNK=1 slots.
-
-    Stored tokens all reached ``min_count`` occurrences in the corpus the
-    vocabulary was built from; indices >= 2 are assigned in descending
-    frequency order, ties lexicographic.
-    """
+    """token <-> index mapping with reserved PAD=0 and UNK=1 slots. Stored tokens
+    all reached ``min_count`` occurrences in the corpus the vocabulary was built
+    from; `build_vocab` and STACKING+'s IGR cut (`bayes.fit_stacking`) order them."""
 
     index_to_token: list[str]
     min_count: int
@@ -100,31 +93,14 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 
-    @property
-    def content_tokens(self) -> list[str]:
-        return self.index_to_token[2:]
 
-
-def build_vocab(token_streams: Iterable[Iterable[str]], min_count: int = MIN_COUNT) -> Vocabulary:
-    """Count tokens across all streams and keep those with frequency >= min_count."""
-    kept = ranked_by_frequency(chain.from_iterable(token_streams), min_count)
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_count=min_count)
-
-
-def vocab_from_ids(tokens: list[str], ids: np.ndarray,
-                   min_count: int = MIN_COUNT) -> tuple[Vocabulary, np.ndarray]:
-    """`build_vocab` of the token stream tokens[ids], counted as ids: `tokens`
-    must be in code-point order, so that ascending ids break frequency ties as
-    lexicographic order does. Also returns each token id's vocabulary index,
-    UNK for a token below min_count."""
-    counts = np.bincount(ids, minlength=len(tokens))
-    kept = np.flatnonzero(counts >= min_count)
-    kept = kept[np.argsort(-counts[kept], kind="stable")]
-    index = np.full(len(tokens), UNK_INDEX, dtype=np.int64)
-    index[kept] = np.arange(2, len(kept) + 2)
-    vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN] + [tokens[i] for i in kept.tolist()],
-                       min_count=min_count)
-    return vocab, index
+def build_vocab(tokens: list[str], ids: np.ndarray, min_count: int = MIN_COUNT) -> Vocabulary:
+    """The tokens of the stream tokens[ids] seen at least min_count times, most frequent
+    first, ties in token order (lexicographic for a `columns.token_columns` dictionary)."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    kept = ranked(np.bincount(ids, minlength=len(tokens)), min_count)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + [tokens[i] for i in kept.tolist()], min_count)
 
 
 def vocab_to_bytes(vocab: Vocabulary) -> bytes:

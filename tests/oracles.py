@@ -7,12 +7,15 @@ the sparse counts replaced, the im2col CNN forward and backward and the
 out-of-place Adam that the distinct-token convolution and the in-place update
 replaced, the match-by-match tokenizer that the one-pass tokenizer
 replaced, the per-record CNN encoder that the token-column encoder
-replaced, and the synthetic corpus generator that drew each value through a
-numpy scalar call before `synth.generate` read the raw words in bulk.
+replaced, the synthetic corpus generator that drew each value through a
+numpy scalar call before `synth.generate` read the raw words in bulk, and
+the string-keyed rankings (vocabularies, the IGR cut, category maps) that
+`textproc.ranked` over token ids replaced.
 """
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +23,12 @@ import numpy as np
 from tweetgeo import nncore
 from tweetgeo.bayes import CsrCounts
 from tweetgeo.cnn import FIELDS
+from tweetgeo.encode import UNK_CAT, CategoryMaps
 from tweetgeo.geo import CityTable
-from tweetgeo.ingest import Record
+from tweetgeo.ingest import CATEGORICAL_FIELDS, Record
 from tweetgeo.synth import (_DAY, _EPOCH_BASE, SIGNATURE_FIELD_PROBS, SIGNATURE_TOKENS_PER_CITY,
                             SynthSpec, city_grid)
-from tweetgeo.textproc import URL_SENTINEL, USER_SENTINEL
+from tweetgeo.textproc import PAD_TOKEN, UNK_TOKEN, URL_SENTINEL, USER_SENTINEL, Vocabulary
 
 EARTH_R = 6371.0
 
@@ -498,3 +502,46 @@ def generate_scan(spec: SynthSpec) -> tuple[list[Record], CityTable]:
                 country_code=c.country_code,
             ))
     return records, table
+
+
+# --------------------------------------------------------------------------
+# string-keyed rankings: a Counter of the strings, sorted by (-count, string)
+
+def ranked_by_frequency_scan(values, min_count=1):
+    """The distinct values seen at least min_count times, most frequent
+    first, ties in ascending (code-point) order."""
+    counts = Counter(values)
+    return sorted((v for v, c in counts.items() if c >= min_count),
+                  key=lambda v: (-counts[v], v))
+
+
+def build_vocab_scan(token_streams, min_count):
+    """The vocabulary of token streams, counted as strings."""
+    kept = ranked_by_frequency_scan((t for s in token_streams for t in s), min_count)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_count=min_count)
+
+
+def select_top_percent_scan(scores, n_percent):
+    """The highest-scoring ceil(n% * |tokens|) tokens of a token -> score
+    dict, ties in ascending token order."""
+    keep = math.ceil(n_percent / 100.0 * len(scores))
+    return sorted(scores, key=lambda t: (-scores[t], t))[:keep]
+
+
+def igr_cut_scan(vocab, scores, n_percent):
+    """The vocabulary cut to its top n_percent of content tokens by the
+    column scores `scores`; PAD and UNK stay."""
+    by_token = {t: float(scores[i]) for i, t in enumerate(vocab.index_to_token) if i >= 2}
+    kept = select_top_percent_scan(by_token, n_percent)
+    return Vocabulary(vocab.index_to_token[:2] + kept, min_count=vocab.min_count)
+
+
+def build_category_maps_scan(records):
+    """Category maps counted from the records' values: line breaks read as
+    spaces, a value equal to UNK_CAT read as unknown."""
+    def one_line(v):
+        return v.replace("\r", " ").replace("\n", " ")
+    return CategoryMaps.from_value_lists({
+        f: [UNK_CAT] + [v for v in ranked_by_frequency_scan(one_line(getattr(r, f))
+                                                            for r in records) if v != UNK_CAT]
+        for f in CATEGORICAL_FIELDS})

@@ -2,18 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
-from oracles import (count_matrix_dense, csr_counts, densify, fit_stacking_dense, igr_oracle,
-                     mnb_posterior_exact, predict_mnb_dense, presence_corpus)
+from conftest import make_record, vocab_of
+from oracles import (build_vocab_scan, count_matrix_dense, csr_counts, densify,
+                     fit_stacking_dense, igr_cut_scan, igr_oracle, mnb_posterior_exact,
+                     predict_mnb_dense, presence_corpus, select_top_percent_scan)
 from tweetgeo import bayes, nncore
 from tweetgeo.bayes import (BASE_FIELDS, CsrCounts, MnbModel, base_tokens, count_matrix,
                             fit_mnb, fit_stacking, igr_scores, posterior_mnb,
-                            posterior_stacking, predict_mnb, reduce_vocab, select_top_percent)
+                            posterior_stacking, predict_mnb)
 from tweetgeo.columns import token_columns
 from tweetgeo.encode import categorical_tokens
-from tweetgeo.textproc import build_vocab
+from tweetgeo.ingest import TEXT_FIELDS
+from tweetgeo.textproc import ranked
 
 # class A docs: "x x", "x y"; class B doc: "y"; features (x, y)
 HAND_COUNTS = csr_counts([[2, 0], [1, 1], [0, 1]])
@@ -154,30 +156,63 @@ def test_igr_matches_oracle_on_random_tables(rng):
         assert got >= 0.0
 
 
+def _text_corpus(texts, labels):
+    """Records with the given texts, their other text fields empty, and the labels."""
+    return [make_record(user=f"u{i}", text=t) for i, t in enumerate(texts)], np.array(labels)
+
+
+def _stacking_plus_text_vocab(texts, labels, igr_percent):
+    recs, labels = _text_corpus(texts, labels)
+    model = fit_stacking(token_columns(recs), labels, int(labels.max()) + 1,
+                         igr_percent=igr_percent)
+    return model.base_vocabs["text"].index_to_token
+
+
 def test_select_top_percent():
-    scores = {f"t{i}": float(i) for i in range(10)}
-    kept = select_top_percent(scores, 40.0)
-    assert kept == ["t9", "t8", "t7", "t6"]
-    assert len(select_top_percent(scores, 100.0)) == 10
-    with pytest.raises(ValueError):
-        select_top_percent(scores, 0.0)
-    with pytest.raises(ValueError):
-        select_top_percent(scores, 101.0)
+    # token t{i} is in the first i + 1 of ten class-0 texts and no class-1 one,
+    # so IGR rises with i; STACKING+ keeps the top ceil(40% of 10) = 4 of them
+    texts = [" ".join(f"t{i}" for i in range(d, 10)) for d in range(10)] + [""] * 10
+    labels = [0] * 10 + [1] * 10
+    assert _stacking_plus_text_vocab(texts, labels, 40.0)[2:] == ["t9", "t8", "t7", "t6"]
+    assert len(_stacking_plus_text_vocab(texts, labels, 100.0)) == 2 + 10
 
 
 def test_select_top_percent_tie_break_lexicographic():
-    scores = {"b": 1.0, "a": 1.0, "c": 2.0}
-    assert select_top_percent(scores, 60.0) == ["c", "a"]   # ceil(1.8) = 2 kept
+    # b and a each mark one class-0 text, so their IGRs are bit-equal; c marks
+    # every class-1 text and ranks first; ceil(60% of 3) = 2 kept. b is seen
+    # first, yet a wins the tie, as it does in the string cut
+    texts = ["b", "a", "", "", "", "c", "c", "c", "c", "c"]
+    labels = [0] * 5 + [1] * 5
+    assert _stacking_plus_text_vocab(texts, labels, 60.0)[2:] == ["c", "a"]
+    assert select_top_percent_scan({"b": 1.0, "a": 1.0, "c": 2.0}, 60.0) == ["c", "a"]
 
 
-def test_reduce_vocab_keeps_pad_unk():
-    tokens = [["alpha", "alpha"], ["beta"], ["gamma"], ["beta", "gamma"]]
-    vocab = build_vocab(tokens, min_count=1)
-    counts = count_matrix(tokens, vocab)
-    labels = np.array([0, 0, 1, 1])
-    small = reduce_vocab(vocab, counts, labels, 2, 30.0)   # ceil(0.9) = 1 kept
-    assert small.index_to_token[:2] == vocab.index_to_token[:2]
-    assert small.content_tokens == ["gamma"]   # the perfect class indicator
+def test_igr_cut_keeps_pad_unk():
+    # gamma marks class 1 perfectly; ceil(30% of 3) = 1 kept. The corpus is
+    # doubled, which leaves every IGR as it was, so that the folds fill
+    texts = ["alpha alpha", "beta", "gamma", "beta gamma"] * 2
+    vocab = _stacking_plus_text_vocab(texts, [0, 0, 1, 1] * 2, 30.0)
+    assert vocab == ["<pad>", "<unk>", "gamma"]
+
+
+# few words over few classes, so that many tokens share one per-class
+# presence pattern and so one IGR
+@settings(max_examples=40, deadline=None)
+@given(docs=st.lists(st.tuples(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "é", "Z"]),
+                                        max_size=4), st.integers(0, 2)),
+                     min_size=5, max_size=14),
+       igr_percent=st.sampled_from([10.0, 33.3, 40.0, 55.0, 100.0]), min_count=st.integers(1, 2))
+def test_stacking_plus_vocabularies_equal_the_string_cut(docs, igr_percent, min_count):
+    recs, labels = _text_corpus([" ".join(words) for words, _ in docs], [y for _, y in docs])
+    n_classes = int(labels.max()) + 1
+    model = fit_stacking(token_columns(recs), labels, n_classes, igr_percent=igr_percent,
+                         min_count=min_count)
+    for b in TEXT_FIELDS:
+        tokens = [base_tokens(r, b) for r in recs]
+        full = build_vocab_scan(tokens, min_count)
+        want = igr_cut_scan(full, igr_scores(count_matrix(tokens, full), labels, n_classes),
+                            igr_percent)
+        assert model.base_vocabs[b].index_to_token == want.index_to_token
 
 
 def test_categorical_tokens():
@@ -211,13 +246,13 @@ def test_fit_stacking_rejects_bad_folds():
 def no_counting(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("counting reached")
-    for name in ("count_matrix", "_csr_counts", "vocab_from_ids"):
+    for name in ("count_matrix", "_csr_counts", "ranked"):
         monkeypatch.setattr(bayes, name, unreachable)
 
 
-@pytest.mark.parametrize("igr_percent", [0.0, -5.0, 100.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("igr_percent", [0.0, -5.0, 100.5, 101.0, float("nan"), float("inf")])
 def test_fit_stacking_rejects_an_igr_percent_before_counting(no_counting, igr_percent):
-    # unchecked until select_top_percent, a bad value cost the counting and IGR scoring
+    # unchecked until the IGR cut, a bad value cost the counting and IGR scoring
     recs, labels = _separable_corpus(4)
     with pytest.raises(ValueError, match=r"igr_percent must be in \(0, 100\]"):
         fit_stacking(token_columns(recs), labels, 2, igr_percent=igr_percent)
@@ -239,7 +274,7 @@ def test_stacking_beats_or_matches_perfect_base():
 
     # oracle: the text base alone, out-of-fold, must be perfect here
     tokens = [base_tokens(r, "text") for r in recs]
-    vocab = build_vocab(tokens, min_count=1)
+    vocab = vocab_of(tokens)
     counts = count_matrix(tokens, vocab)
     fold = np.arange(len(recs)) % 5
     base_hits = 0
@@ -281,7 +316,7 @@ def test_stacking_agreement_case():
 def test_igr_scores_shape():
     recs, labels = _separable_corpus(10)
     tokens = [base_tokens(r, "text") for r in recs]
-    vocab = build_vocab(tokens, min_count=1)
+    vocab = vocab_of(tokens)
     counts = count_matrix(tokens, vocab)
     scores = igr_scores(counts, labels, 2)
     assert scores.shape == (len(vocab),)
@@ -293,7 +328,7 @@ def test_igr_scores_match_oracle_per_column(rng):
     tokens = [[f"w{int(w)}" for w in rng.integers(0, 12, size=int(rng.integers(0, 6)))]
               for _ in range(60)]
     labels = rng.integers(0, 3, size=60)
-    vocab = build_vocab(tokens, min_count=1)
+    vocab = vocab_of(tokens)
     counts = count_matrix_dense(tokens, vocab)
     scores = igr_scores(csr_counts(counts), labels, 3)
     docs = np.bincount(labels, minlength=3)
@@ -308,7 +343,7 @@ def test_igr_scores_in_column_blocks_match_oracle(rng, monkeypatch, cells):
     tokens = [[f"w{int(w)}" for w in rng.integers(0, 30, size=int(rng.integers(0, 8)))]
               for _ in range(80)]
     labels = rng.integers(0, 3, size=80)
-    vocab = build_vocab(tokens, min_count=1)
+    vocab = vocab_of(tokens)
     counts = count_matrix_dense(tokens, vocab)
     whole = igr_scores(csr_counts(counts), labels, 3)
     monkeypatch.setattr(nncore, "BLOCK_CELLS", cells)
@@ -333,21 +368,25 @@ def test_igr_ties_are_bit_equal_and_ranked_lexicographically(rng):
             for c, k in enumerate(pattern[perm]):
                 for d in range(int(k)):
                     tokens[c * per_class + d].append(name)
-    vocab = build_vocab(tokens, min_count=1)
+    vocab = vocab_of(tokens)
     counts = count_matrix(tokens, vocab)
     scores = igr_scores(counts, labels, n_classes)
     for p in range(len(patterns)):
         group = [scores[vocab.token_to_index[f"t{p:02d}{s}"]] for s in "abcd"
                  if f"t{p:02d}{s}" in vocab]
         assert len(set(group)) <= 1, group
-    by_token = {t: float(scores[vocab.token_to_index[t]]) for t in vocab.content_tokens}
-    ranked = select_top_percent(by_token, 100.0)
-    for a, b in zip(ranked, ranked[1:]):
-        assert by_token[a] > by_token[b] or (by_token[a] == by_token[b] and a < b)
+    # the IGR cut ranks the scores laid out in token order: ties go lexicographic
+    order = sorted(vocab.index_to_token[2:])
+    by_id = np.array([scores[vocab.token_to_index[t]] for t in order])
+    kept = [order[i] for i in ranked(by_id, -np.inf)]
+    assert kept == select_top_percent_scan(dict(zip(order, by_id.tolist())), 100.0)
+    for a, b in zip(kept, kept[1:]):
+        s_a, s_b = scores[vocab.token_to_index[a]], scores[vocab.token_to_index[b]]
+        assert s_a > s_b or (s_a == s_b and a < b)
 
 
 def test_count_matrix_densifies_to_dense_reference():
-    vocab = build_vocab([["a", "b", "b", "c"], ["c"]], min_count=1)
+    vocab = vocab_of([["a", "b", "b", "c"], ["c"]])
     token_lists = [["b", "a", "b", "zz"], [], ["zz", "yy", "c"], [], ["a"] * 5, []]
     csr = count_matrix(token_lists, vocab)
     assert csr.shape == (6, len(vocab)) and csr.size == 6 * len(vocab)
@@ -452,11 +491,12 @@ def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
         model = fit_stacking(token_columns(recs), labels, 4, igr_percent=igr_percent)
         vocabs = {b: model.base_vocabs[b] for b in BASE_FIELDS}
         tokens = {b: [base_tokens(r, b) for r in recs] for b in BASE_FIELDS}
-        # the vocabularies counted from token ids are build_vocab's, then IGR's
+        # the vocabularies counted from token ids are the string counts', then IGR's
         for b in BASE_FIELDS:
-            want = build_vocab(tokens[b], min_count=1)
+            want = build_vocab_scan(tokens[b], min_count=1)
             if igr_percent is not None and b != "cats":
-                want = reduce_vocab(want, count_matrix(tokens[b], want), labels, 4, igr_percent)
+                want = igr_cut_scan(want, igr_scores(count_matrix(tokens[b], want), labels, 4),
+                                    igr_percent)
             assert vocabs[b].index_to_token == want.index_to_token
         bases, meta = fit_stacking_dense(tokens, labels, 4, vocabs, folds=5, alpha=1e-2)
         for b in BASE_FIELDS:
@@ -469,3 +509,12 @@ def test_fit_stacking_bit_identical_to_dense_reference(rng, igr_percent):
 def test_categorical_tokens_replace_line_breaks():
     r = make_record(tweet_lang="e\nn", user_lang="fr\r", tz="Zone\r\nX")
     assert categorical_tokens(r)[:3] == ["tl=e n", "ul=fr ", "tz=Zone  X"]
+
+
+@pytest.mark.parametrize("min_count", [0, -2])
+def test_fit_stacking_rejects_a_min_count_below_one(min_count):
+    # a cutoff of 0 put every dictionary token into every base vocabulary,
+    # pt= and tl= tokens in the text base included
+    recs, labels = _separable_corpus(4)
+    with pytest.raises(ValueError, match=f"^min_count must be >= 1, got {min_count}$"):
+        fit_stacking(token_columns(recs), labels, 2, min_count=min_count)

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -436,7 +437,7 @@ def _vectors_not_utf8(c):
 
 
 def _vectors_not_finite(c):
-    word = load_vocab(c.prep / "vocab.txt").content_tokens[0]
+    word = load_vocab(c.prep / "vocab.txt").index_to_token[2]
     (c.tmp / "vec.txt").write_text(f"1 16\n{word}" + " nan" * 16 + "\n")
     return ["train", "--prep-dir", str(c.prep), "--task", "city", "--model", "cnn",
             "--out", str(c.tmp / "c.gtlm"), "--vectors", str(c.tmp / "vec.txt"), *CNN_FLAGS]
@@ -822,7 +823,7 @@ def test_train_stacking_plus_reduces_vocab(prep_dir, tmp_path):
     full_vocab = load_vocab(prep_dir / "vocab.txt")
     reduced = loaded.model.base_vocabs["text"]
     # text-base vocabulary was IGR-selected down to ~40% of its own tokens
-    assert 0 < len(reduced.content_tokens) < len(full_vocab.content_tokens)
+    assert 2 < len(reduced) < len(full_vocab)
 
 
 def test_eval_city_reports(cnn_bundle, prep_dir, tmp_path):
@@ -1380,3 +1381,39 @@ def test_help_documents_all_defaults(capsys):
     text = capsys.readouterr().out
     for needle in ("1024", "128", "3,4,5", "0.001", "10"):
         assert needle in text
+
+
+# frees a 30 MB array (under glibc's dynamic threshold this raises the mmap
+# threshold to 30 MB), then a 20 MB array that lies below a live 1 MB one,
+# and prints how far VmRSS fell at the second free, in MB
+_RSS_FALL = """
+import sys
+import numpy as np
+from tweetgeo import cli
+if sys.argv[1] == "pin":
+    cli.pin_malloc()
+def rss_mb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS")) / 1024
+a = np.ones(30 << 20, np.uint8)
+del a
+b = np.ones(20 << 20, np.uint8)
+c = np.ones(1 << 20, np.uint8)
+before = rss_mb()
+del b
+print(before - rss_mb())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+                    reason="the malloc pin acts on glibc only")
+def test_the_malloc_pin_returns_a_freed_block_whatever_was_freed_before():
+    # unpinned, the 20 MB block lands in the heap below the 1 MB one and stays
+    # resident when freed; pinned, it is mapped on its own and unmapped when freed
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    fall = {mode: float(subprocess.run([sys.executable, "-c", _RSS_FALL, mode], env=env, check=True,
+                                       capture_output=True, text=True, timeout=60).stdout)
+            for mode in ("pin", "none")}
+    assert fall["pin"] >= 15.0 and fall["none"] < 15.0, fall

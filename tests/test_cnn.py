@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import maps_of, vocab_of
 from fdcheck import fd_sweep, smoothness_margin
 from oracles import (conv_maxpool_scan, dense_backward, dense_conv, dense_forward,
                      encode_features_scan, forward_trace, window_filters, window_view)
@@ -10,10 +11,10 @@ from tweetgeo import cnn
 from tweetgeo.cnn import (MAX_FIELD_LEN, CnnConfig, FIELDS, FeatureBatch, backward,
                           encode_features, forward, init_model, load_pretrained_embeddings,
                           param_shapes, predict_proba)
-from tweetgeo.encode import CategoryMaps, UNK_CAT, build_category_maps
+from tweetgeo.encode import CategoryMaps, UNK_CAT
 from tweetgeo.errors import DataError
 from tweetgeo.synth import SynthSpec, generate
-from tweetgeo.textproc import build_vocab, tokenize
+from tweetgeo.textproc import tokenize
 
 TINY_LENS = {"text": 6, "user_description": 5, "profile_location": 4, "user_name": 3}
 
@@ -265,7 +266,7 @@ def test_forward_train_dropout_differs_and_is_seeded(rng):
 def test_truncation_invariance(rng):
     # tokens beyond the max_len cut cannot change the output
     cfg = tiny_config()
-    vocab = build_vocab([["a"] * 5, ["b"] * 5, ["c"] * 5], min_count=2)
+    vocab = vocab_of([["a"] * 5, ["b"] * 5, ["c"] * 5], min_count=2)
     maps = CategoryMaps({UNK_CAT: 0, "en": 1}, {UNK_CAT: 0}, {UNK_CAT: 0})
     model = init_model(cfg, len(vocab), maps.block_size, seed=3)
 
@@ -282,8 +283,8 @@ def test_truncation_invariance(rng):
 def _assert_encodes_as_the_scan(records, train, cfg):
     """encode_features(records) equals the per-record scan, with the
     vocabulary and maps of `train`, so records outside it hold unknowns."""
-    vocab = build_vocab([tokenize(getattr(r, f)) for r in train for f in FIELDS], min_count=1)
-    maps = build_category_maps(train)
+    vocab = vocab_of([tokenize(getattr(r, f)) for r in train for f in FIELDS])
+    maps = maps_of(train)
     feats = encode_features(records, vocab, maps, cfg)
     tokens, cats = encode_features_scan(records, vocab, maps, cfg)
     for f in FIELDS:
@@ -382,7 +383,7 @@ def test_train_mode_gradients_match_finite_differences(rng):
 
 def test_load_pretrained_embeddings(tmp_path, rng):
     cfg = tiny_config()
-    vocab = build_vocab([["alpha"] * 3, ["beta"] * 3], min_count=2)
+    vocab = vocab_of([["alpha"] * 3, ["beta"] * 3], min_count=2)
     model = init_model(cfg, len(vocab), cat_block(), seed=0)
     before = model.embedding.copy()
 
@@ -398,7 +399,7 @@ def test_load_pretrained_embeddings(tmp_path, rng):
 
 
 def test_load_pretrained_rejects_dim_mismatch(tmp_path):
-    vocab = build_vocab([["a"] * 2], min_count=2)
+    vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
     vec = tmp_path / "vectors.txt"
     vec.write_text("1 10\na 1 2 3 4 5 6 7 8 9 10\n")
@@ -407,7 +408,7 @@ def test_load_pretrained_rejects_dim_mismatch(tmp_path):
 
 
 def test_load_pretrained_empty_file_is_noop(tmp_path):
-    vocab = build_vocab([["a"] * 2], min_count=2)
+    vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
     before = model.embedding.copy()
     vec = tmp_path / "vectors.txt"
@@ -417,7 +418,7 @@ def test_load_pretrained_empty_file_is_noop(tmp_path):
 
 
 def test_load_pretrained_reports_bad_line_number(tmp_path):
-    vocab = build_vocab([["a"] * 2], min_count=2)
+    vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
     vec = tmp_path / "vectors.txt"
     vec.write_text("2 4\na 1 2 3 4\nb 1 2\n")
@@ -428,7 +429,7 @@ def test_load_pretrained_reports_bad_line_number(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
 def test_load_pretrained_rejects_values_a_float32_row_cannot_hold(tmp_path, value):
     # unchecked, a NaN row trained to a bundle that eval then refused
-    vocab = build_vocab([["a"] * 2], min_count=2)
+    vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
     before = model.embedding.copy()
     vec = tmp_path / "vectors.txt"

@@ -1,17 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
+from conftest import make_record, maps_of, vocab_of
+from oracles import build_category_maps_scan
+from tweetgeo.columns import token_columns
 from tweetgeo.cnn import CnnConfig, encode_features
 from tweetgeo.encode import (CategoryMaps, N_TIME_SLOTS, UNK_CAT, build_category_maps,
                              categorical_tokens, time_slot)
-from tweetgeo.textproc import build_vocab
 
 
 def onehot_block(record, maps: CategoryMaps) -> list[int]:
     """The record's four active positions in the CNN's one-hot block."""
-    feats = encode_features([record], build_vocab([], min_count=1), maps, CnnConfig())
+    feats = encode_features([record], vocab_of([]), maps, CnnConfig())
     return feats.cat_positions[0].tolist()
 
 
@@ -38,18 +40,18 @@ def test_time_slot_rejects_negative():
 
 def test_build_maps_frequency_order():
     recs = [make_record(tweet_lang="en")] * 5 + [make_record(tweet_lang="ja")] * 2
-    maps = build_category_maps(recs)
+    maps = maps_of(recs)
     assert maps.tweet_lang == {UNK_CAT: 0, "en": 1, "ja": 2}
 
 
 def test_build_maps_empty_train():
-    maps = build_category_maps([])
+    maps = maps_of([])
     assert maps.tweet_lang == {UNK_CAT: 0}
     assert maps.sizes == (1, 1, 1)
 
 
 def test_unseen_value_encodes_to_zero():
-    maps = build_category_maps([make_record(tweet_lang="en")])
+    maps = maps_of([make_record(tweet_lang="en")])
     r = make_record(tweet_lang="xx")
     assert onehot_block(r, maps)[0] == 0
 
@@ -78,7 +80,7 @@ def test_onehot_block_all_unknown():
 def test_onehot_block_always_four_active():
     recs = [make_record(tweet_lang=l, posted=p) for l, p in
             [("en", 0), ("ja", 5000), ("xx", 86399)]]
-    maps = build_category_maps(recs[:2])
+    maps = maps_of(recs[:2])
     for r in recs:
         block = onehot_block(r, maps)
         assert len(block) == len(set(block)) == 4
@@ -87,7 +89,7 @@ def test_onehot_block_always_four_active():
 
 def test_a_categorical_value_with_a_line_break_is_read_one_lined_by_both_models():
     train = [make_record(tz="Zone\r\nX"), make_record(tz="Zone  X"), make_record(tz="Y")]
-    maps = build_category_maps(train)
+    maps = maps_of(train)
     assert maps.timezone == {UNK_CAT: 0, "Zone  X": 1, "Y": 2}
     probe = make_record(tz="Zone\r\nX", posted=0)
     assert categorical_tokens(probe)[2] == "tz=Zone  X"     # the stacking `cats` base
@@ -96,7 +98,7 @@ def test_a_categorical_value_with_a_line_break_is_read_one_lined_by_both_models(
 
 
 def test_value_lists_roundtrip():
-    maps = build_category_maps([make_record(tweet_lang="en", user_lang="fr", tz="UTC")])
+    maps = maps_of([make_record(tweet_lang="en", user_lang="fr", tz="UTC")])
     again = CategoryMaps.from_value_lists(maps.value_lists())
     assert again == maps
 
@@ -107,7 +109,7 @@ def test_sentinel_valued_category_is_read_as_unknown(field, kw):
     # a training value equal to the sentinel must not take its index away
     recs = [make_record(**{kw: UNK_CAT})] * 3 + [make_record(**{kw: "a"})] * 2 \
         + [make_record(**{kw: "b"})]
-    maps = build_category_maps(recs)
+    maps = maps_of(recs)
     assert getattr(maps, field) == {UNK_CAT: 0, "a": 1, "b": 2}
     for r in recs + [make_record(**{kw: "unseen"})]:
         block = onehot_block(r, maps)
@@ -126,3 +128,25 @@ def test_value_lists_with_a_repeated_value_are_rejected():
              "timezone": [UNK_CAT]}
     with pytest.raises(ValueError, match="tweet_lang map must start with <unk-cat> and list"):
         CategoryMaps.from_value_lists(lists)
+
+
+# values with exact count ties, line breaks (read as spaces, so "Zone\r\nX"
+# and "Zone  X" are one value), the sentinel, and code-point order pitfalls
+CATEGORY_VALUES = ["en", "EN", "é", "e\u0301", "", "Zone\r\nX", "Zone  X", "a\nb", UNK_CAT,
+                   "tz=x", "<", "~"]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(*[st.sampled_from(CATEGORY_VALUES)] * 3, st.integers(0, 86399)),
+                max_size=12))
+def test_build_category_maps_of_columns_equals_the_records_scan(rows):
+    recs = [make_record(user=f"u{i}", tweet_lang=tl, user_lang=ul, tz=tz, posted=t)
+            for i, (tl, ul, tz, t) in enumerate(rows)]
+    assert build_category_maps(token_columns(recs)) == build_category_maps_scan(recs)
+
+
+def test_build_category_maps_pins_a_line_break_and_the_sentinel():
+    recs = [make_record(tz=UNK_CAT)] * 3 + [make_record(tz="Zone\nX"), make_record(tz="Zone X"),
+                                             make_record(tz="A")]
+    assert maps_of(recs).timezone == {UNK_CAT: 0, "Zone X": 1, "A": 2}
+    assert maps_of(recs) == build_category_maps_scan(recs)

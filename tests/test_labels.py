@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import ranked_by_frequency_scan
 from tweetgeo.errors import DataError
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
@@ -98,3 +100,12 @@ def _first_seen_codes(values):
     values = list(values)
     distinct = list(dict.fromkeys(values))
     return distinct, np.array([distinct.index(v) for v in values], dtype=np.int32)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from(["US", "GB", "JP", "de", "Ü", "U\u0308", "A"]), min_size=1,
+                max_size=12))
+def test_country_labels_rank_ties_lexicographically(countries):
+    # most frequent first, ties in code-point order, whatever order the codes came in
+    values, codes = _first_seen_codes(countries)
+    assert country_labels(values, codes).values == ranked_by_frequency_scan(countries)

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import maps_of, vocab_of
 from tweetgeo.cnn import DEFAULT_MAX_LENS, CnnConfig, encode_features
-from tweetgeo.encode import build_category_maps
 from tweetgeo.ingest import Record
 from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
-                               Vocabulary, build_vocab,
-                               load_vocab, save_vocab, tokenize, vocab_from_ids,
-                               vocab_to_bytes)
+                               Vocabulary, build_vocab, load_vocab, ranked, save_vocab,
+                               tokenize, vocab_to_bytes)
 
-from oracles import tokenize_scan
+from oracles import build_vocab_scan, tokenize_scan
 
 
 def encode_tokens(tokens, vocab, max_len):
@@ -18,7 +17,7 @@ def encode_tokens(tokens, vocab, max_len):
     tokenize to themselves: truncated to max_len, then right-padded with PAD."""
     cfg = CnnConfig(windows=(1,), max_lens={**DEFAULT_MAX_LENS, "text": max_len})
     feats = encode_features([Record("u", text=" ".join(tokens))], vocab,
-                            build_category_maps([]), cfg)
+                            maps_of([]), cfg)
     return feats.tokens["text"][0].tolist()
 
 
@@ -85,18 +84,18 @@ def test_tokenize_deterministic_and_spaceless(s):
 
 def test_build_vocab_cutoff_and_order():
     streams = [["a"] * 12 + ["b"] * 10 + ["c"] * 9]
-    v = build_vocab(streams, min_count=10)
+    v = vocab_of(streams, min_count=10)
     assert v.index_to_token == [PAD_TOKEN, UNK_TOKEN, "a", "b"]
 
 
 def test_build_vocab_frequency_then_lexicographic():
     streams = [["z"] * 5 + ["a"] * 5 + ["m"] * 7]
-    v = build_vocab(streams, min_count=5)
+    v = vocab_of(streams, min_count=5)
     assert v.index_to_token[2:] == ["m", "a", "z"]
 
 
 def test_build_vocab_empty():
-    assert build_vocab([], min_count=10).index_to_token == [PAD_TOKEN, UNK_TOKEN]
+    assert vocab_of([], min_count=10).index_to_token == [PAD_TOKEN, UNK_TOKEN]
 
 
 def test_build_vocab_matches_counting_oracle(rng):
@@ -106,56 +105,75 @@ def test_build_vocab_matches_counting_oracle(rng):
     for t in tokens:
         counts[t] = counts.get(t, 0) + 1
     expected = {t for t, c in counts.items() if c >= 30}
-    v = build_vocab([tokens], min_count=30)
-    assert set(v.content_tokens) == expected
+    v = vocab_of([tokens], min_count=30)
+    assert set(v.index_to_token[2:]) == expected
 
 
-@settings(max_examples=200)
-@given(stream=st.lists(st.sampled_from(["b", "a", "é", "e\u0301", "Z", "aa", "<url>", "#a"]),
-                       max_size=40), min_count=st.integers(1, 4))
-def test_vocab_from_ids_is_build_vocab_of_the_decoded_ids(stream, min_count):
-    tokens = sorted(set(stream))
+@pytest.mark.parametrize("min_count", [0, -1])
+def test_build_vocab_rejects_a_min_count_below_one(min_count):
+    # a cutoff of 0 would keep every token of the dictionary, seen or not
+    with pytest.raises(ValueError, match=f"^min_count must be >= 1, got {min_count}$"):
+        build_vocab(["a", "b"], np.array([0]), min_count=min_count)
+
+
+def test_ranked_orders_by_key_then_index_above_the_floor():
+    assert ranked([3, 1, 3, 0, 2]).tolist() == [0, 2, 4, 1]
+    assert ranked([3, 1, 3, 0, 2], floor=2).tolist() == [0, 2, 4]
+    assert ranked([0.5, -1.0, 0.5, 0.0], floor=-np.inf).tolist() == [0, 2, 3, 1]
+    assert ranked(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+# few distinct tokens, each drawn 1-4 times, so that exact count ties abound;
+# the pairs é / e + U+0301 and Z / a differ in code-point and in other orders
+TIE_TOKENS = ["b", "a", "é", "e\u0301", "Z", "aa", "<url>", "#a", "pt=5", "tz=a b"]
+
+
+@settings(max_examples=150)
+@given(counts=st.dictionaries(st.sampled_from(TIE_TOKENS), st.integers(1, 4)),
+       min_count=st.integers(1, 3), data=st.data())
+def test_build_vocab_of_ids_equals_the_counting_scan(counts, min_count, data):
+    stream = data.draw(st.permutations([t for t, c in counts.items() for _ in range(c)]))
+    tokens = sorted(counts)
     ids = np.array([tokens.index(t) for t in stream], dtype=np.int32)
-    vocab, index = vocab_from_ids(tokens, ids, min_count)
-    want = build_vocab([stream], min_count=min_count)
+    vocab = build_vocab(tokens, ids, min_count)
+    want = build_vocab_scan([stream], min_count)
     assert vocab.index_to_token == want.index_to_token and vocab.min_count == min_count
-    assert index.tolist() == [want.index(t) for t in tokens]
 
 
 def test_vocab_round_trip_property():
-    v = build_vocab([["x", "x", "y", "y", "zz", "zz"]], min_count=2)
+    v = vocab_of([["x", "x", "y", "y", "zz", "zz"]], min_count=2)
     for i, tok in enumerate(v.index_to_token):
         assert v.token_to_index[tok] == i
 
 
 def test_encode_known_unknown_padding():
-    v = build_vocab([["a"] * 10, ["b"] * 10], min_count=10)
+    v = vocab_of([["a"] * 10, ["b"] * 10], min_count=10)
     assert encode_tokens(["a", "zzz"], v, 4) == [2, UNK_INDEX, PAD_INDEX, PAD_INDEX]
 
 
 def test_encode_empty_and_truncation():
-    v = build_vocab([["a"] * 10], min_count=10)
+    v = vocab_of([["a"] * 10], min_count=10)
     assert encode_tokens([], v, 3) == [0, 0, 0]
     out = encode_tokens(["a"] * 40, v, 30)
     assert out == [2] * 30
 
 
 def test_encode_requires_positive_length():
-    v = build_vocab([], min_count=1)
+    v = vocab_of([], min_count=1)
     with pytest.raises(ValueError):
         encode_tokens(["a"], v, 0)
 
 
 @given(st.lists(st.sampled_from(["a", "b", "q", "zz"]), max_size=20))
 def test_encode_indices_always_in_range(tokens):
-    v = build_vocab([["a"] * 10, ["b"] * 10], min_count=5)
+    v = vocab_of([["a"] * 10, ["b"] * 10], min_count=5)
     out = encode_tokens(tokens, v, 8)
     assert len(out) == 8
     assert all(0 <= i < len(v) for i in out)
 
 
 def test_vocab_file_roundtrip(tmp_path):
-    v = build_vocab([["béta"] * 3, ["alpha"] * 4], min_count=2)
+    v = vocab_of([["béta"] * 3, ["alpha"] * 4], min_count=2)
     path = tmp_path / "vocab.txt"
     save_vocab(v, path)
     loaded = load_vocab(path)

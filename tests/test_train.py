@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
+from conftest import make_record, maps_of, vocab_of
 from tweetgeo import bundle as bundle_io, cli
 from tweetgeo.bayes import BASE_FIELDS, MnbModel, StackModel, fit_stacking
 from tweetgeo.columns import token_columns
 from tweetgeo.cnn import (CnnConfig, FeatureBatch, backward, encode_features, forward,
                          init_model)
-from tweetgeo.encode import CategoryMaps, build_category_maps
+from tweetgeo.encode import CategoryMaps
 from tweetgeo.errors import BundleError, DataError
 from tweetgeo.labels import TASK_COUNTRY, LabelTable, country_labels
 from tweetgeo.nncore import adam_step, cross_entropy_batch
-from tweetgeo.textproc import Vocabulary, build_vocab
+from tweetgeo.textproc import Vocabulary
 from tweetgeo.train import (CnnBundle, TrainConfig, load_bundle, load_model,
                             load_stack_model, save_model, save_stack_model, train,
                             write_train_log)
@@ -40,8 +40,8 @@ def corpus(n_per_class=40, seed=0):
 
 
 def encoded(recs, ys, cfg):
-    vocab = build_vocab([r.text.split() + [r.user_description] for r in recs], min_count=1)
-    maps = build_category_maps(recs)
+    vocab = vocab_of([r.text.split() + [r.user_description] for r in recs])
+    maps = maps_of(recs)
     return encode_features(recs, vocab, maps, cfg, ys), vocab, maps
 
 
@@ -181,8 +181,8 @@ def _country_labels(recs):
 def _trained_bundle(tmp_path, seed=2):
     recs, ys = corpus(10, seed=seed)
     cfg = small_cfg()
-    vocab = build_vocab([r.text.split() for r in recs], min_count=1)
-    maps = build_category_maps(recs)
+    vocab = vocab_of([r.text.split() for r in recs])
+    maps = maps_of(recs)
     labels = _country_labels(recs)
     feats = encode_features(recs, vocab, maps, cfg, labels.label_array(recs))
     tcfg = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=seed)
@@ -287,7 +287,7 @@ def test_stack_load_peak_is_the_tensors_plus_the_largest(tmp_path):
     # tensors. A load holds the file's sections and decodes each tensor in
     # one copy, dropping its section once read
     n_labels, rng = 300, np.random.default_rng(4)
-    vocab = build_vocab([["a", "b", "c"]], min_count=1)
+    vocab = vocab_of([["a", "b", "c"]])
 
     def mnb(n_features):
         return MnbModel(rng.normal(size=n_labels), rng.normal(size=(n_labels, n_features)))
@@ -346,8 +346,8 @@ def bundle_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("bundles")
     recs, ys = corpus(4, seed=1)
     cfg = small_cfg()
-    vocab = build_vocab([r.text.split() for r in recs], min_count=1)
-    maps = build_category_maps(recs)
+    vocab = vocab_of([r.text.split() for r in recs])
+    maps = maps_of(recs)
     labels = _country_labels(recs)
     save_model(init_model(cfg, len(vocab), maps.block_size, seed=0), vocab, maps, labels,
                d / "cnn.gtlm")
