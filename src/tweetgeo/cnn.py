@@ -10,12 +10,12 @@ applied, the categorical one-hot block is appended, and a softmax layer
 produces the label distribution.
 
 The convolution is computed once per distinct token of a batch rather than
-once per window position, and pooling stops at each field's first window
-that is PAD in every record of the batch (see `forward`). Scoring
-(`predict_proba`) keeps no argmax, since no backward follows. Backward
-passes are written by hand; gradients flow only to the argmax pooling
-position of each filter (first position on ties) and never to the PAD
-embedding row.
+once per window position, one window size at a time, and pooling stops at
+each field's first window that is PAD in every record of the batch (see
+`forward`). Scoring (`predict_proba`) keeps no argmax, since no backward
+follows. Backward passes are written by hand, also one window size at a
+time; gradients flow only to the argmax pooling position of each filter
+(first position on ties) and never to the PAD embedding row.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from . import nncore, textproc
 from .columns import CHUNK, TokenColumns, token_columns
-from .encode import CategoryMaps
+from .encode import CategoryMaps, category_positions
 from .errors import DataError, open_utf8
-from .ingest import CATEGORICAL_FIELDS, TEXT_FIELDS
+from .ingest import TEXT_FIELDS
 from .textproc import Vocabulary
 
 FIELDS = TEXT_FIELDS
@@ -147,7 +147,12 @@ def init_model(config: CnnConfig, vocab_size: int, cat_block_size: int,
         bound = np.sqrt(6.0 / (rows + cols))
         return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
-    embedding = rng.uniform(-0.25, 0.25, size=shapes["embedding"]).astype(np.float32)
+    # drawn BLOCK_CELLS at a time: one stream, but no (V, k) float64 temporary
+    embedding = np.empty(shapes["embedding"], dtype=np.float32)
+    rows = max(1, nncore.BLOCK_CELLS // k)
+    for r in range(0, vocab_size, rows):
+        block = embedding[r:r + rows]
+        block[:] = rng.uniform(-0.25, 0.25, size=block.shape)
     embedding[textproc.PAD_INDEX] = 0.0
     conv_w = np.concatenate([glorot(m, h * k).reshape(m, h, k).transpose(1, 0, 2)
                              .reshape(h * m, k) for h in config.windows])
@@ -166,7 +171,7 @@ class FeatureBatch:
     """Encoded inputs for a batch: per-field token index matrices plus the
     four active positions of each record's categorical one-hot block."""
 
-    tokens: dict                 # field -> (B, max_len) int64
+    tokens: dict                 # field -> (B, max_len) int32
     cat_positions: np.ndarray    # (B, 4) int64
     labels: Optional[np.ndarray] = None   # (B,) int64, -1 for unknown
 
@@ -187,10 +192,10 @@ def encode_columns(cols: TokenColumns, vocab: Vocabulary, maps: CategoryMaps,
     """The features of the records of `cols`: each text field's ids, through
     the vocabulary (one lookup per dictionary token), truncated to max_len and
     right-padded with PAD, CHUNK records at a time; the one-hot positions of
-    the `cats` base's tl=, ul= and tz= values in their maps and pt= slot."""
+    the `cats` tokens (`encode.category_positions`)."""
     n = len(cols)
-    index = np.array([vocab.index(t) for t in cols.tokens], dtype=np.int64)
-    tokens = {f: np.full((n, config.max_lens[f]), textproc.PAD_INDEX, dtype=np.int64)
+    index = np.array([vocab.index(t) for t in cols.tokens], dtype=np.int32)
+    tokens = {f: np.full((n, config.max_lens[f]), textproc.PAD_INDEX, dtype=np.int32)
               for f in FIELDS}
     for f, out in tokens.items():
         indptr, ids = cols.base(f)
@@ -199,14 +204,8 @@ def encode_columns(cols: TokenColumns, vocab: Vocabulary, maps: CategoryMaps,
             at = ptr[:-1, None] + np.arange(out.shape[1])    # each row's first max_len slots
             keep = at < ptr[1:, None]
             out[r0:r0 + CHUNK][keep] = index[ids[at[keep]]]
-    offsets = np.cumsum((0, *maps.sizes))
-    cat = cols.base("cats")[1].reshape(n, 4).astype(np.int64)   # tl=, ul=, tz=, pt= ids
-    for j, m in enumerate([getattr(maps, f) for f in CATEGORICAL_FIELDS] + [None]):
-        uniq, inv = np.unique(cat[:, j], return_inverse=True)
-        values = [cols.tokens[t][3:] for t in uniq.tolist()]     # past the "tl=" prefix
-        at = [int(v) for v in values] if m is None else [m.get(v, 0) for v in values]
-        cat[:, j] = offsets[j] + np.array(at, dtype=np.int64)[inv]
-    return FeatureBatch(tokens=tokens, cat_positions=cat, labels=labels)
+    return FeatureBatch(tokens=tokens, cat_positions=category_positions(cols, maps),
+                        labels=labels)
 
 
 def encode_features(records, vocab: Vocabulary, maps: CategoryMaps,
@@ -232,9 +231,12 @@ def forward(model: CnnModel, batch: FeatureBatch, train: bool = False,
     the pass keeps what `backward` reads.
 
     The filters are multiplied once per distinct token of the batch, over all
-    four fields: Zu = E[uniq] @ conv_w.T, and window h at position p
-    pre-activates to b_h + sum_o Zu[token at p+o, block (h, o)]. The PAD row
-    of E is zero, so an all-PAD window gives exactly b_h.
+    four fields, one window size at a time: Z_h = E[uniq] @ conv_w[rows of
+    h].T, and window h at position p pre-activates to
+    b_h + sum_o Z_h[token at p+o, block o]. Every field is pooled for window h
+    before Z_h is freed, so the pass holds one (U, h*m) block, not the
+    (U, sum(h)*m) product of all windows. The PAD row of E is zero, so an
+    all-PAD window gives exactly b_h.
 
     Pooling stops at the first all-PAD window of each field: if the batch's
     last real token of a field sits in column last - 1, window h is pooled
@@ -258,27 +260,31 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
                              f"{cfg.windows[-1]}")
     uniq, inv = _distinct(np.concatenate([t.ravel() for t in tokens.values()]),
                           model.vocab_size)
-    zu = model.embedding[uniq] @ model.params["conv_w"].T               # (U, sum(h)*m)
-    inv_by_field, pools, pooled = {}, {}, {}
+    inv_by_field, lasts = {}, {}
     start = 0
     for f, t in tokens.items():
-        inv_f = inv_by_field[f] = inv[start:start + t.size].reshape(t.shape)
+        inv_by_field[f] = inv[start:start + t.size].reshape(t.shape)
         start += t.size
         real = np.flatnonzero((t != textproc.PAD_INDEX).any(axis=0))
-        last = real[-1] + 1 if real.size else 0        # one past the last real column
-        c = 0                                          # first column of window h's blocks
-        for i, h in enumerate(cfg.windows):
-            p = min(t.shape[1] - h + 1, last + 1)
-            act = zu[inv_f[:, :p], c:c + m]                              # (B, p, m)
+        lasts[f] = real[-1] + 1 if real.size else 0    # one past the last real column
+    e_uniq = model.embedding[uniq]                                      # (U, k)
+    pools, pooled = {}, {}
+    c = 0                                              # first row of window h's blocks
+    for i, h in enumerate(cfg.windows):
+        zh = e_uniq @ model.params["conv_w"][c:c + h * m].T             # (U, h*m)
+        c += h * m
+        for f, inv_f in inv_by_field.items():
+            p = min(inv_f.shape[1] - h + 1, lasts[f] + 1)
+            act = zh[inv_f[:, :p], :m]                                   # (B, p, m)
             for o in range(1, h):
-                act += zu[inv_f[:, o:o + p], c + o * m:c + (o + 1) * m]
-            c += h * m
+                act += zh[inv_f[:, o:o + p], o * m:(o + 1) * m]
             act += model.params["conv_b"][i]
             np.maximum(act, 0, out=act)
             top = pooled[f, h] = act.max(axis=1)
             if keep_pools:
                 arg = (act == top[:, None, :]).argmax(axis=1)            # first max
                 pools[f, h] = (arg, top > 0)
+        del zh
     theta = np.concatenate([pooled[f, h] for f in FIELDS for h in cfg.windows], axis=1)
     mask = None
     if keep_pools:
@@ -310,12 +316,17 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     trainable tensor, in `model.params` order. The PAD embedding row stays
     exactly zero.
 
-    The max-pool gradient reaches one position per (record, filter); its
-    value lands, per window offset, on one (distinct token, filter column)
-    cell of dZu, the gradient of Zu. Then d conv_w = dZu.T @ E[uniq] and
-    dE[uniq] = dZu @ conv_w. The dense (V, k) embedding gradient is
-    allocated last, once dZu is gone, so it is the step's only array the
-    size of the vocabulary."""
+    One window size at a time, largest first: the max-pool gradient reaches
+    one position per (record, filter), and its value lands, per window
+    offset, on one (distinct token, filter column) cell of dZ_h, the
+    gradient of Z_h (see `forward`). Then window h's rows of d conv_w are
+    dZ_h.T @ E[uniq], and dE[uniq] += dZ_h @ conv_w[rows of h]; each output
+    element of d conv_w keeps its whole sum over the distinct tokens, while
+    dE[uniq] sums the windows' products in this order. E[uniq] is gathered
+    for the first product only and dZ_h is freed after the second, so the
+    pass holds one (U, h*m) block and two (U, k) arrays. The dense (V, k)
+    embedding gradient is allocated last, once dZ_h is gone, so it is the
+    step's only array the size of the vocabulary."""
     cfg = model.config
     b_sz = fwd.probs.shape[0]
     m = cfg.filters_per_window
@@ -330,30 +341,35 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     dtheta_hat = dlogits @ model.softmax_w
     dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
 
-    width = sum(cfg.windows) * m                  # columns of Zu
-    dzu = np.zeros((fwd._uniq.size, width), dtype=model.dtype)
-    flat, filters, col = dzu.reshape(-1), np.arange(m), 0   # col: first column of (f, h) in theta
-    for f in FIELDS:
-        inv_f = fwd._inv[f]
-        rows = np.arange(b_sz)[:, None] * inv_f.shape[1]
-        c = 0                                          # first column of window h's blocks
-        for i, h in enumerate(cfg.windows):
+    grads["conv_w"] = np.empty_like(model.params["conv_w"])
+    du = None                                                           # dE[uniq], (U, k)
+    starts = np.cumsum((0, *cfg.windows)) * m          # first row of each window's blocks
+    rows, filters = np.arange(b_sz)[:, None], np.arange(m)
+    for i in reversed(range(len(cfg.windows))):
+        h, c, width = cfg.windows[i], starts[i], starts[i + 1] - starts[i]
+        dzh = np.zeros((fwd._uniq.size, width), dtype=model.dtype)
+        flat = dzh.reshape(-1)
+        for j, f in enumerate(FIELDS):
+            inv_f = fwd._inv[f]
             arg, gate = fwd._pools[f, h]
+            col = (j * len(cfg.windows) + i) * m       # first column of (f, h) in theta
             dval = dtheta[:, col:col + m] * gate                         # (B, m)
-            col += m
             grads["conv_b"][i] += dval.sum(axis=0)
-            at = rows + arg                          # flat (record, argmax) positions
+            at = rows * inv_f.shape[1] + arg             # flat (record, argmax) positions
             # add.at accumulates in index order, offset after offset; 1-D
             # index arrays take its fast path
             for o in range(h):
-                cells = inv_f.take(at + o) * width + (c + o * m + filters)
+                cells = inv_f.take(at + o) * width + (o * m + filters)
                 np.add.at(flat, cells.ravel(), dval.ravel())
-            c += h * m
-    grads["conv_w"] = dzu.T @ model.embedding[fwd._uniq]                 # (sum(h)*m, k)
-    du = dzu @ model.params["conv_w"]                                   # (U, k)
-    del dzu, flat
+        w_h = model.params["conv_w"][c:c + width]
+        grads["conv_w"][c:c + width] = dzh.T @ model.embedding[fwd._uniq]
+        if du is None:
+            du = dzh @ w_h
+        else:
+            du += dzh @ w_h
+        del dzh, flat
     grads["embedding"] = np.zeros_like(model.embedding)
-    grads["embedding"][fwd._uniq] += du
+    grads["embedding"][fwd._uniq] = du
     grads["embedding"][textproc.PAD_INDEX] = 0.0
     return {name: grads[name] for name in model.params}
 

@@ -21,6 +21,7 @@ N_TIME_SLOTS = 144
 _SLOT_SECONDS = 600  # 24h / 144
 _ONE_LINE = str.maketrans("\r\n", "  ")
 _PREFIXES = ("tl", "ul", "tz")   # of each CATEGORICAL_FIELDS value's token
+_SLOT_PREFIX = "pt"
 
 
 def time_slot(posted_at: int) -> int:
@@ -39,7 +40,7 @@ def categorical_tokens(record) -> list[str]:
     Line breaks in the values become spaces: a vocabulary stores one token
     per line."""
     tokens = [f"{p}={_one_line(getattr(record, f))}" for p, f in zip(_PREFIXES, CATEGORICAL_FIELDS)]
-    return tokens + [f"pt={time_slot(record.posted_at)}"]
+    return tokens + [f"{_SLOT_PREFIX}={time_slot(record.posted_at)}"]
 
 
 @dataclass
@@ -85,3 +86,19 @@ def build_category_maps(cols) -> CategoryMaps:
         values = [t[3:] for t in cols.tokens[lo:hi]]
         lists[f] = [UNK_CAT] + [values[i] for i in ranked(counts[lo:hi]) if values[i] != UNK_CAT]
     return CategoryMaps.from_value_lists(lists)
+
+
+def category_positions(cols, maps: CategoryMaps) -> np.ndarray:
+    """The (N, 4) active positions of each record's one-hot block, from the
+    `categorical_tokens` of token columns: each value's index in its map
+    (0 for a value not in it), then the time slot, each past the blocks
+    before it."""
+    ids = cols.base("cats")[1]
+    uniq, inv = np.unique(ids, return_inverse=True)
+    offsets = dict(zip((*_PREFIXES, _SLOT_PREFIX), np.cumsum((0, *maps.sizes)).tolist()))
+    lookup = {p: getattr(maps, f) for p, f in zip(_PREFIXES, CATEGORICAL_FIELDS)}
+    at = []
+    for token in map(cols.tokens.__getitem__, uniq.tolist()):
+        p, value = token.split("=", 1)
+        at.append(offsets[p] + (int(value) if p == _SLOT_PREFIX else lookup[p].get(value, 0)))
+    return np.array(at, dtype=np.int64)[inv].reshape(len(cols), 4)

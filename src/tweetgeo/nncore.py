@@ -15,9 +15,10 @@ import numpy as np
 
 PROB_FLOOR = 1e-12
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
-# Cells per temporary of every blocked walk: adam_step, bayes._joint_log_likelihood,
-# bayes.igr_scores and geo._nearest_ids size their blocks from it (512 KiB of
-# float64), so their memory is bounded by a block, not by the tensor or the corpus.
+# Cells per temporary of every blocked walk: adam_step, cnn.init_model,
+# bayes._joint_log_likelihood, bayes.igr_scores and geo._nearest_ids size their
+# blocks from it (512 KiB of float64), so their memory is bounded by a block, not
+# by the tensor or the corpus.
 # They read it as nncore.BLOCK_CELLS when called.
 BLOCK_CELLS = 1 << 16
 
@@ -68,17 +69,29 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     Each block runs the formula's operations in its order, with the moments
     updated in place, so the result is bit-identical to evaluating it over
     the whole tensor. Blocks are leading-axis rows of about BLOCK_CELLS
-    elements, so the temporaries hold one block, not the whole tensor.
+    elements, and every intermediate goes to one of two block-sized scratch
+    arrays reused by every block, so the temporaries hold two blocks, not the
+    whole tensor.
     """
     if param.shape != grad.shape:
         raise ValueError(f"param shape {param.shape} != grad shape {grad.shape}")
     m_corr, v_corr = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     rows = max(1, BLOCK_CELLS // max(1, math.prod(param.shape[1:])))
+    shape = (min(rows, param.shape[0]), *param.shape[1:])
+    scratch = np.empty(shape, dtype=param.dtype), np.empty(shape, dtype=param.dtype)
     for r in range(0, param.shape[0], rows):
         p, g = param[r:r + rows], grad[r:r + rows]
         mb, vb = m[r:r + rows], v[r:r + rows]
+        a, b = (x[:len(p)] for x in scratch)
         mb *= BETA1
-        mb += g * (1.0 - BETA1)
+        mb += np.multiply(g, 1.0 - BETA1, out=a)
         vb *= BETA2
-        vb += np.square(g) * (1.0 - BETA2)
-        p -= (mb / m_corr * lr / (np.sqrt(vb / v_corr) + EPS)).astype(param.dtype, copy=False)
+        np.square(g, out=a)
+        vb += np.multiply(a, 1.0 - BETA2, out=a)
+        np.divide(vb, v_corr, out=a)
+        np.sqrt(a, out=a)
+        a += EPS                                   # sqrt(v_hat) + eps
+        np.divide(mb, m_corr, out=b)
+        b *= lr
+        b /= a
+        p -= b

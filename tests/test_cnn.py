@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,7 +290,7 @@ def _assert_encodes_as_the_scan(records, train, cfg):
     feats = encode_features(records, vocab, maps, cfg)
     tokens, cats = encode_features_scan(records, vocab, maps, cfg)
     for f in FIELDS:
-        assert feats.tokens[f].dtype == np.int64
+        assert feats.tokens[f].dtype == np.int32
         assert feats.tokens[f].shape == (len(records), cfg.max_lens[f])
         assert feats.tokens[f].tolist() == tokens[f], f
     assert feats.cat_positions.dtype == np.int64 and feats.cat_positions.shape == (len(records), 4)
@@ -353,6 +355,35 @@ def test_backward_relu_gate_is_zero_at_zero(rng):
     model.params["conv_b"][:] = 1.0
     grads = backward(model, forward(model, batch), batch.labels)
     assert grads["conv_b"].any(axis=1).all()              # every window's bias
+
+
+def test_backward_memory_holds_one_window_block():
+    # sum(h)*m = 768 columns of dZ against k = 8: one backward may hold the
+    # largest window's (U, max(h)*m) block, dE[uniq] and one (U, k) product,
+    # and the dense (V, k) embedding gradient; the whole (U, sum(h)*m) dZ
+    # is more than twice that
+    cfg = CnnConfig(embed_dim=8, windows=(3, 4, 5), filters_per_window=64,
+                    max_lens=dict(cnn.DEFAULT_MAX_LENS), label_count=3)
+    vocab_size, b = 5000, 64
+    rng = np.random.default_rng(0)
+    model = init_model(cfg, vocab_size, cat_block(), seed=0)
+    batch = FeatureBatch({f: rng.integers(1, vocab_size, size=(b, n))
+                          for f, n in cfg.max_lens.items()},
+                         np.tile(np.arange(0, 8, 2), (b, 1)), rng.integers(0, 3, size=b))
+    fwd = forward(model, batch, train=True, dropout_seed=0)
+    u, m, k = fwd._uniq.size, cfg.filters_per_window, cfg.embed_dim
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        backward(model, fwd, batch.labels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    itemsize, d = model.dtype.itemsize, fwd.theta_hat.shape[1]
+    bound = itemsize * (u * max(cfg.windows) * m + 2 * u * k + vocab_size * k)
+    slack = itemsize * 2 * b * d + 2**16          # (B, D) gradients and index arrays
+    assert u * sum(cfg.windows) * m > 2 * u * max(cfg.windows) * m
+    assert peak <= bound + slack
 
 
 def _smooth_case(seed_start=0, train=False):

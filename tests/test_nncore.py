@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import adam_step_reference, csr_counts
-from tweetgeo import bayes, geo, nncore
+from tweetgeo import bayes, cnn, geo, nncore
 from tweetgeo.geo import City, CityTable
 from tweetgeo.ingest import Record
 from tweetgeo.nncore import adam_step, cross_entropy_batch, dropout, softmax
@@ -158,7 +158,8 @@ def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
         return (bayes.igr_scores(counts, labels, 4).tobytes(),
                 bayes.posterior_mnb(model, counts).tobytes(),
                 [r.city_id for r in geo.assign_cities(records, table)],
-                p.tobytes())
+                p.tobytes(),
+                cnn.init_model(cnn.CnnConfig(embed_dim=3, windows=(1,)), 11, 8).embedding.tobytes())
 
     divisors = []
 
@@ -171,7 +172,8 @@ def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
     whole = walks()
     monkeypatch.setattr(nncore, "BLOCK_CELLS", Cells(5))
     assert walks() == whole
-    assert divisors == [7, 4, 4, 9]     # adam_step, igr_scores, posterior_mnb, assign_cities
+    # adam_step, igr_scores, posterior_mnb, assign_cities, init_model
+    assert divisors == [7, 4, 4, 9, 3]
 
 
 def test_adam_rejects_shape_mismatch():
