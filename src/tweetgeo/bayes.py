@@ -17,22 +17,14 @@ from typing import Optional
 import numpy as np
 
 from . import nncore
-from .encode import categorical_tokens
+from .columns import BASE_FIELDS, base_tokens
 from .ingest import TEXT_FIELDS
 from .labels import TASK_CITY, TASK_COUNTRY
-from .textproc import PAD_TOKEN, UNK_INDEX, UNK_TOKEN, Vocabulary, ranked, tokenize
-
-BASE_FIELDS = TEXT_FIELDS + ("cats",)
+from .textproc import PAD_TOKEN, UNK_INDEX, UNK_TOKEN, Vocabulary, ranked
 
 FOLDS = 5                # stacking cross-validation folds
 ALPHA = 1e-2             # additive smoothing of every MNB
 IGR_DEFAULTS = {TASK_CITY: 40.0, TASK_COUNTRY: 55.0}   # STACKING+'s IGR top percent per task
-
-
-def base_tokens(record, base: str) -> list[str]:
-    if base == "cats":
-        return categorical_tokens(record)
-    return tokenize(getattr(record, base))
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:

@@ -98,8 +98,10 @@ def build_parser():
     p.add_argument("--igr-top-percent", type=float, default=None,
                    help="stacking+: keep this %% of tokens by information gain ratio (default "
                         + ", ".join(f"{v:g} for {t}" for t, v in bayes.IGR_DEFAULTS.items()) + ")")
-    p.add_argument("--min-count", type=_min_count_arg, default=textproc.MIN_COUNT,
-                   help="frequency cutoff for stacking base vocabularies (default %(default)s)")
+    # the CNN's cutoff is prepare's, so unset is told apart from the default
+    p.add_argument("--min-count", type=_min_count_arg, default=None,
+                   help="frequency cutoff for stacking base vocabularies "
+                        f"(default {textproc.MIN_COUNT})")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model bundle on a labeled test split")
@@ -179,6 +181,9 @@ def cmd_train(ns) -> int:
         raise ValueError(f"--igr-top-percent applies only to --model stacking+, not {ns.model}")
     if ns.vectors is not None and not cnn:
         raise ValueError(f"--vectors applies only to --model cnn, not {ns.model}")
+    if ns.min_count is not None and cnn:
+        raise ValueError("--min-count applies only to --model stacking and stacking+, not "
+                         "cnn; set the CNN's cutoff with `prepare --min-count`")
     # a bad output path is found before the fit, not after it
     for out in (ns.out, ns.log if cnn else None):
         if out is not None and not Path(out).parent.is_dir():
@@ -229,7 +234,8 @@ def cmd_train(ns) -> int:
 def _train_stacking(ns, cols, labels, y) -> int:
     igr = None if ns.model == "stacking" else (
         bayes.IGR_DEFAULTS[ns.task] if ns.igr_top_percent is None else ns.igr_top_percent)
-    model = bayes.fit_stacking(cols, y, len(labels), igr_percent=igr, min_count=ns.min_count)
+    min_count = textproc.MIN_COUNT if ns.min_count is None else ns.min_count
+    model = bayes.fit_stacking(cols, y, len(labels), igr_percent=igr, min_count=min_count)
     save_stack_model(model, labels, ns.out)
     print(f"train: {ns.model} task={ns.task} folds={bayes.FOLDS} "
           f"igr={igr if igr is not None else '-'}; bundle -> {ns.out}")

@@ -15,7 +15,8 @@ each field's first window that is PAD in every record of the batch (see
 `forward`). Scoring (`predict_proba`) keeps no argmax, since no backward
 follows. Backward passes are written by hand, also one window size at a
 time; gradients flow only to the argmax pooling position of each filter
-(first position on ties) and never to the PAD embedding row.
+(first position on ties) and never to the PAD embedding row. Every tensor
+is reached by name, `model.params[name]`, in `param_shapes`' layout.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import nncore, textproc
-from .columns import CHUNK, TokenColumns, token_columns
+from .columns import TokenColumns, token_columns
 from .encode import CategoryMaps, category_positions
 from .errors import DataError, open_utf8
 from .ingest import TEXT_FIELDS
@@ -37,6 +38,7 @@ FIELDS = TEXT_FIELDS
 # with it but adds no words
 VOCAB_FIELDS = ("text", "user_description", "profile_location")
 INFER_BATCH = 256   # records per forward pass in predict_proba
+CHUNK = 1024        # records whose position grid `encode_columns` builds at a time
 
 DEFAULT_MAX_LENS = {"text": 50, "user_description": 50, "profile_location": 10, "user_name": 5}
 # the longest field matrix a config may ask for; a tweet holds <= 280 characters
@@ -55,9 +57,12 @@ class CnnConfig:
     def __post_init__(self):
         if set(self.max_lens) != set(FIELDS):
             raise ValueError(f"max_lens must cover exactly the fields {FIELDS}")
-        # a float, string or bool size would be truncated or reach a slice
-        if any(type(n) is not int for n in (*self.windows, *self.max_lens.values())):
-            raise ValueError("windows and max_lens must be integers")
+        # a float, string or bool size would be truncated, reach a slice or fail in numpy
+        sizes = (self.embed_dim, self.filters_per_window, self.label_count,
+                 *self.windows, *self.max_lens.values())
+        if any(type(n) is not int for n in sizes):
+            raise ValueError("embed_dim, filters_per_window, label_count, windows and "
+                             "max_lens must be integers")
         if max(self.max_lens.values()) > MAX_FIELD_LEN:
             raise ValueError(f"max_lens must be <= {MAX_FIELD_LEN}, got {self.max_lens}")
         self.windows = tuple(sorted(set(self.windows)))
@@ -83,7 +88,8 @@ def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dic
     initialization, training and bundles. The filters of every window sit in
     one (sum(h)*m, k) tensor in the layout the convolution multiplies: row
     block (h, o), windows ascending, holds offset o of window h's m filters.
-    Row i of conv_b is the bias of the i-th window."""
+    Row i of conv_b is the bias of the i-th window. Row 0 of the embedding
+    is PAD, frozen at zero."""
     k, m = config.embed_dim, config.filters_per_window
     return {
         "embedding": (vocab_size, k),
@@ -97,35 +103,22 @@ def param_shapes(config: CnnConfig, vocab_size: int, cat_block_size: int) -> dic
 @dataclass
 class CnnModel:
     """The configuration plus every trainable tensor, keyed by name in
-    `param_shapes` order."""
+    `param_shapes` order; a tensor is reached only as params[name]."""
 
     config: CnnConfig
     params: dict                               # name -> ndarray
 
     @property
-    def embedding(self) -> np.ndarray:
-        """(V, k); row 0 is PAD, frozen at zero."""
-        return self.params["embedding"]
-
-    @property
-    def softmax_w(self) -> np.ndarray:
-        return self.params["softmax_w"]
-
-    @property
-    def softmax_b(self) -> np.ndarray:
-        return self.params["softmax_b"]
-
-    @property
     def dtype(self):
-        return self.embedding.dtype
+        return self.params["embedding"].dtype
 
     @property
     def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+        return self.params["embedding"].shape[0]
 
     @property
     def cat_block_size(self) -> int:
-        return self.softmax_w.shape[1] - self.config.pooled_size
+        return self.params["softmax_w"].shape[1] - self.config.pooled_size
 
     def astype(self, dtype) -> "CnnModel":
         """Copy of the model with all tensors cast to dtype (for 64-bit checks)."""
@@ -253,7 +246,7 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
     returns cannot be back-propagated."""
     cfg = model.config
     m = cfg.filters_per_window
-    tokens = {f: np.asarray(batch.tokens[f], dtype=np.int64) for f in FIELDS}
+    tokens = {f: batch.tokens[f] for f in FIELDS}
     for f, t in tokens.items():
         if t.shape[1] < cfg.windows[-1]:
             raise ValueError(f"field {f} length {t.shape[1]} shorter than window "
@@ -267,7 +260,7 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
         start += t.size
         real = np.flatnonzero((t != textproc.PAD_INDEX).any(axis=0))
         lasts[f] = real[-1] + 1 if real.size else 0    # one past the last real column
-    e_uniq = model.embedding[uniq]                                      # (U, k)
+    e_uniq = model.params["embedding"][uniq]                            # (U, k)
     pools, pooled = {}, {}
     c = 0                                              # first row of window h's blocks
     for i, h in enumerate(cfg.windows):
@@ -293,7 +286,7 @@ def _forward(model: CnnModel, batch: FeatureBatch, train: bool, dropout_seed: in
     onehot = np.zeros((batch.size, model.cat_block_size), dtype=model.dtype)
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
     theta_hat = np.concatenate([theta, onehot], axis=1)          # (B, D)
-    logits = theta_hat @ model.softmax_w.T + model.softmax_b
+    logits = theta_hat @ model.params["softmax_w"].T + model.params["softmax_b"]
     return ForwardPass(nncore.softmax(logits), theta_hat, uniq, inv_by_field, pools, mask)
 
 
@@ -338,7 +331,7 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
     grads = {"softmax_w": dlogits.T @ fwd.theta_hat, "softmax_b": dlogits.sum(axis=0),
              "conv_b": np.zeros_like(model.params["conv_b"])}
 
-    dtheta_hat = dlogits @ model.softmax_w
+    dtheta_hat = dlogits @ model.params["softmax_w"]
     dtheta = dtheta_hat[:, :cfg.pooled_size] * fwd._mask
 
     grads["conv_w"] = np.empty_like(model.params["conv_w"])
@@ -362,13 +355,13 @@ def backward(model: CnnModel, fwd: ForwardPass, labels: np.ndarray) -> dict[str,
                 cells = inv_f.take(at + o) * width + (o * m + filters)
                 np.add.at(flat, cells.ravel(), dval.ravel())
         w_h = model.params["conv_w"][c:c + width]
-        grads["conv_w"][c:c + width] = dzh.T @ model.embedding[fwd._uniq]
+        grads["conv_w"][c:c + width] = dzh.T @ model.params["embedding"][fwd._uniq]
         if du is None:
             du = dzh @ w_h
         else:
             du += dzh @ w_h
         del dzh, flat
-    grads["embedding"] = np.zeros_like(model.embedding)
+    grads["embedding"] = np.zeros_like(model.params["embedding"])
     grads["embedding"][fwd._uniq] = du
     grads["embedding"][textproc.PAD_INDEX] = 0.0
     return {name: grads[name] for name in model.params}
@@ -410,7 +403,7 @@ def load_pretrained_embeddings(model: CnnModel, path, vocab: Vocabulary) -> int:
                 if not np.all(np.abs(row) <= np.finfo(model.dtype).max):
                     raise DataError(f"{path}:{ln}: values must be finite and within "
                                     f"{model.dtype} range")
-                model.embedding[i] = row
+                model.params["embedding"][i] = row
                 loaded += 1
     return loaded
 

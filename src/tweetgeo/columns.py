@@ -1,16 +1,17 @@
-"""The train and dev splits as token-id columns.
+"""The five bases both model families read (`BASE_FIELDS`: the four text
+fields, tokenized, and `cats`, the categorical tokens; `base_tokens`), and
+the train and dev splits as token-id columns.
 
-`prepare` tokenizes each train and dev record once, for the five stacking
-bases, and writes the ids beside `<split>.jsonl`; `train` memory-maps them
-instead of parsing and tokenizing the splits again. The files of a split
-(`files(split)`), in a prepared directory:
+`prepare` tokenizes each train and dev record once and writes the ids beside
+`<split>.jsonl`; `train` memory-maps them instead of parsing and tokenizing
+the splits again. The files of a split (`files(split)`), in a prepared directory:
 
 * `<split>_columns.json`: the token dictionary (every distinct token of the
   split, in code-point order), the distinct values of each label field, the
   row count, the sha256 of the `<split>.jsonl` the columns come from and of
   each array's data, and the sha256 of everything else in the file;
 * `<split>_indptr.npy`, int64 (5N + 1,): row b·N + i, bases in
-  `bayes.BASE_FIELDS` order, holds base b of record i;
+  `BASE_FIELDS` order, holds base b of record i;
 * `<split>_ids.npy`, int32: the rows' token ids, in token order;
 * `<split>_country_code.npy` and `<split>_city_id.npy`, int32 (N,): each
   record's index into its label field's distinct values.
@@ -23,16 +24,24 @@ import json
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
-from .bayes import BASE_FIELDS, base_tokens
+from .encode import categorical_tokens
 from .errors import DataError
+from .ingest import TEXT_FIELDS
 from .labels import LABEL_FIELDS
+from .textproc import tokenize
 
-CHUNK = 1024   # records that `token_columns` tokenizes at a time
+BASE_FIELDS = TEXT_FIELDS + ("cats",)
+
+
+def base_tokens(record, base: str) -> list[str]:
+    if base == "cats":
+        return categorical_tokens(record)
+    return tokenize(getattr(record, base))
 
 
 def files(split: str) -> tuple:
@@ -70,15 +79,15 @@ def _first_seen_ids():
 
 
 def token_columns(records) -> TokenColumns:
-    """The `bayes.base_tokens` of every base of a list of records, and their
-    labels, as columns. Tokens become ids CHUNK records at a time, so one
-    chunk's token strings and the split's int32s are held."""
+    """The `base_tokens` of every base of a list of records, and their labels,
+    as columns. Each record's tokens become ids as they are made, so one
+    record's token strings and the split's int32s are held."""
     index, ids, lens = _first_seen_ids(), array("i"), array("q")
     for b in BASE_FIELDS:
-        for start in range(0, len(records), CHUNK):
-            lists = [base_tokens(r, b) for r in records[start:start + CHUNK]]
-            lens.extend(map(len, lists))
-            ids.extend(map(index.__getitem__, chain.from_iterable(lists)))
+        for r in records:
+            row = base_tokens(r, b)
+            lens.append(len(row))
+            ids.extend(map(index.__getitem__, row))
     tokens = sorted(index)
     rank = np.empty(len(tokens), dtype=np.int32)
     rank[np.array([index[t] for t in tokens], dtype=np.int64)] = np.arange(len(tokens))

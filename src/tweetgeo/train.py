@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import bundle as bundle_io
-from .bayes import StackModel, MnbModel, BASE_FIELDS
+from .bayes import StackModel, MnbModel
 from .cnn import CnnConfig, CnnModel, FeatureBatch, backward, forward, predict_proba
 from .cnn import param_shapes
+from .columns import BASE_FIELDS
 from .encode import CategoryMaps
 from .errors import BundleError, DataError
 from .ingest import hash64
@@ -132,11 +133,6 @@ def write_train_log(path, log: list):
 _STACK_CONFIG_KEYS = ("label_count", "igr_percent")
 
 
-def _int_fields(cls) -> set:
-    """The fields that dataclass `cls` declares int; a config stores them as JSON integers."""
-    return {f.name for f in dataclasses.fields(cls) if f.type in (int, "int")}
-
-
 class _Reader:
     """Checked access to a bundle's sections by name. A missing section, or
     one whose content does not decode to what is asked for, is a BundleError;
@@ -162,7 +158,7 @@ class _Reader:
     def json(self, name: str, build):
         return self.checked(name, build, bundle_io.decode_json(self.raw(name), name))
 
-    def config(self, keys, int_keys) -> dict:
+    def config(self, keys, int_keys=()) -> dict:
         """The config section's values for `keys`, each of `int_keys` a JSON integer."""
         cfg = bundle_io.decode_json(self.raw("config"), "config")
         if not isinstance(cfg, dict):
@@ -219,7 +215,7 @@ def save_model(model: CnnModel, vocab: Vocabulary, maps: CategoryMaps,
 
 
 def _cnn_bundle(r: _Reader) -> CnnBundle:
-    c = r.config([f.name for f in dataclasses.fields(CnnConfig)], _int_fields(CnnConfig))
+    c = r.config([f.name for f in dataclasses.fields(CnnConfig)])   # CnnConfig checks sizes
     cfg = r.checked("config", lambda: CnnConfig(**c))
     vocab = r.vocab("vocabulary")
     maps = r.json("category_maps", CategoryMaps.from_value_lists)
@@ -258,7 +254,7 @@ def save_stack_model(model: StackModel, labels: LabelTable, path):
 
 
 def _stack_bundle(r: _Reader) -> StackBundle:
-    cfg = r.config(_STACK_CONFIG_KEYS, _int_fields(StackModel))
+    cfg = r.config(_STACK_CONFIG_KEYS, ("label_count",))
     n_labels = cfg["label_count"]
     labels = r.labels(n_labels)
     vocabs, mnbs = {}, {}

@@ -268,7 +268,7 @@ def field_matrix(indices, model):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= model.vocab_size):
         raise ValueError("token index out of vocabulary range")
-    return model.embedding[idx]
+    return model.params["embedding"][idx]
 
 
 def im2col_windows(X, h):
@@ -321,7 +321,7 @@ def dense_forward(model, batch, train=False, dropout_seed=0):
     onehot = np.zeros((batch.size, model.cat_block_size), dtype=model.dtype)
     np.put_along_axis(onehot, batch.cat_positions, 1.0, axis=1)
     theta_hat = np.concatenate([theta, onehot], axis=1)
-    probs = nncore.softmax(theta_hat @ model.softmax_w.T + model.softmax_b)
+    probs = nncore.softmax(theta_hat @ model.params["softmax_w"].T + model.params["softmax_b"])
     return probs, theta_hat, caches, mask
 
 
@@ -338,7 +338,7 @@ def dense_backward(model, fwd, labels):
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     grads["softmax_w"] = dlogits.T @ theta_hat
     grads["softmax_b"] = dlogits.sum(axis=0)
-    dtheta = (dlogits @ model.softmax_w)[:, :mask.shape[1]] * mask
+    dtheta = (dlogits @ model.params["softmax_w"])[:, :mask.shape[1]] * mask
     ci = 0
     for f in FIELDS:
         dX = None

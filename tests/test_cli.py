@@ -663,6 +663,17 @@ def test_train_rejects_a_min_count_below_one(prep_dir, tmp_path, capsys, model, 
     assert list(out.iterdir()) == []
 
 
+def test_cnn_train_refuses_min_count(tmp_path, capsys):
+    # the CNN's vocabulary is cut at prepare's --min-count; this one was ignored
+    rc = main(["train", "--prep-dir", str(tmp_path / "no-prep"), "--task", "city",
+               "--model", "cnn", "--out", str(tmp_path / "m.gtlm"), "--min-count", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --min-count applies only to --model stacking and stacking+")
+    assert err.count("\n") == 1 and "`prepare --min-count`" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("model, flag, owner", [
     ("cnn", "--igr-top-percent", "stacking+"), ("stacking", "--igr-top-percent", "stacking+"),
     ("stacking", "--vectors", "cnn"), ("stacking+", "--vectors", "cnn")])
@@ -686,7 +697,7 @@ def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path,
     # both models read the token columns, which hold no user, and name the line
     for model in ("cnn", "stacking"):
         rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", model,
-                   "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+                   "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {prep / 'train.jsonl'}: line 4 has "
                                            "city_id 987654, not in the label table\n"), model
@@ -711,7 +722,7 @@ def test_train_names_an_unlabeled_dev_record(prep_dir, tmp_path, capsys, model, 
                          "dev")
     capsys.readouterr()
     rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
-               "--min-count", "3", "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+               "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {prep / 'dev.jsonl'}: line 3 has no {field}\n"
     assert not (tmp_path / "m.gtlm").exists()
@@ -880,7 +891,27 @@ def test_eval_cnn_bundle_config_with_a_non_integer_size_exits_2(cnn_bundle, prep
                "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "bad config section" in err and "windows and max_lens must be integers" in err
+    assert "bad config section" in err
+    assert ("embed_dim, filters_per_window, label_count, windows and max_lens must be integers"
+            in err)
+
+
+@pytest.mark.parametrize("bundle, key, value, shows", [
+    ("cnn_bundle", "embed_dim", 8.0, "bad config section"),
+    ("stack_bundle", "label_count", 2.0, "config key 'label_count' is not an integer")])
+def test_eval_bundle_config_with_a_float_size_exits_2(request, prep_dir, tmp_path, capsys,
+                                                      bundle, key, value, shows):
+    # CnnConfig checks its own sizes; the stack reader checks its one integer key
+    model_type, sections = bundle_io.read_sections(request.getfixturevalue(bundle))
+    config = json.loads(sections["config"])
+    config[key] = value
+    sections["config"] = bundle_io.encode_json(config)
+    bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
+    rc = main(["eval", "--model-file", str(tmp_path / "bad.gtlm"),
+               "--test", str(prep_dir / "test.jsonl"), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert shows in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_eval_cnn_bundle_config_with_an_oversized_max_len_exits_2(cnn_bundle, prep_dir, tmp_path,

@@ -57,6 +57,15 @@ def test_config_validation():
     assert tiny_config(max_lens={f: MAX_FIELD_LEN for f in FIELDS}).max_lens["text"] == 1024
 
 
+@pytest.mark.parametrize("size", [{"embed_dim": 8.0}, {"filters_per_window": 2.0},
+                                  {"label_count": True}], ids=lambda kw: next(iter(kw)))
+def test_config_refuses_a_non_integer_size(size):
+    # accepted unchecked, each one failed later inside numpy with a TypeError
+    with pytest.raises(ValueError, match="embed_dim, filters_per_window, label_count, "
+                                         "windows and max_lens must be integers"):
+        tiny_config(**size)
+
+
 def test_param_shapes_layout_and_init_rules():
     cfg = tiny_config()
     shapes = param_shapes(cfg, 20, cat_block())
@@ -68,15 +77,16 @@ def test_param_shapes_layout_and_init_rules():
     assert shapes["softmax_b"] == (3,)
     model = init_model(cfg, 20, cat_block(), seed=0)
     assert [(n, p.shape) for n, p in model.params.items()] == list(shapes.items())
-    assert not model.embedding[0].any()
-    assert np.abs(model.embedding).max() <= 0.25
+    assert not model.params["embedding"][0].any()
+    assert np.abs(model.params["embedding"]).max() <= 0.25
     for name, p in model.params.items():
         assert p.dtype == np.float32
-    assert not model.params["conv_b"].any() and not model.softmax_b.any()
+    assert not model.params["conv_b"].any() and not model.params["softmax_b"].any()
     for h in cfg.windows:                    # Glorot over the (m, h*k) bank
         w = window_filters(model, h)[0]
         assert 0 < np.abs(w).max() <= np.sqrt(6.0 / sum(w.shape))
-    assert 0 < np.abs(model.softmax_w).max() <= np.sqrt(6.0 / sum(model.softmax_w.shape))
+    softmax_w = model.params["softmax_w"]
+    assert 0 < np.abs(softmax_w).max() <= np.sqrt(6.0 / sum(softmax_w.shape))
 
 
 @pytest.mark.parametrize("windows", [(2,), (3, 1), (1, 2, 3)])
@@ -91,14 +101,14 @@ def test_init_model_conv_w_holds_the_per_window_glorot_draws(windows):
     rng = np.random.default_rng(11)
     embedding = rng.uniform(-0.25, 0.25, size=(20, k)).astype(np.float32)
     embedding[0] = 0.0
-    assert np.array_equal(model.embedding, embedding)
+    assert np.array_equal(model.params["embedding"], embedding)
     for h in cfg.windows:
         bound = np.sqrt(6.0 / (m + h * k))
         want = rng.uniform(-bound, bound, size=(m, h * k)).astype(np.float32)
         assert np.array_equal(window_filters(model, h)[0], want), h
-    bound = np.sqrt(6.0 / sum(model.softmax_w.shape))
-    want = rng.uniform(-bound, bound, size=model.softmax_w.shape).astype(np.float32)
-    assert np.array_equal(model.softmax_w, want)
+    bound = np.sqrt(6.0 / sum(model.params["softmax_w"].shape))
+    want = rng.uniform(-bound, bound, size=model.params["softmax_w"].shape).astype(np.float32)
+    assert np.array_equal(model.params["softmax_w"], want)
 
 
 def test_field_matrix_pad_rows_zero(rng):
@@ -114,7 +124,7 @@ def test_field_matrix_pad_rows_zero(rng):
     assert (theta[0, :cfg.pooled_size] == np.tile([0.3, 0.0], 8)).all()
     assert (theta[1, 4:cfg.pooled_size] == np.tile([0.3, 0.0], 6)).all()
     rows = np.zeros((cfg.max_lens["text"], cfg.embed_dim))
-    rows[0] = model.embedding[5]
+    rows[0] = model.params["embedding"][5]
     for i, h in enumerate(cfg.windows):
         w, b = window_filters(model, h)
         for j in range(2):
@@ -149,7 +159,7 @@ def text_conv_maxpool(X, w, b):
     cfg = CnnConfig(embed_dim=k, windows=(h,), filters_per_window=m, dropout_rate=0.0,
                     max_lens={f: n for f in FIELDS}, label_count=2)
     model = init_model(cfg, n + 1, 1).astype(X.dtype)
-    model.embedding[1:] = X
+    model.params["embedding"][1:] = X
     window_view(model.params, cfg, h)[0][:] = w.reshape(m, h, k).transpose(1, 0, 2)
     model.params["conv_b"][0] = b
     tokens = {f: np.zeros((1, n), dtype=np.int64) for f in FIELDS}
@@ -223,8 +233,8 @@ def test_forward_matches_pure_python_trace(rng):
     biases = {h: b.tolist() for h, (_, b) in banks.items()}
     for i in range(batch.size):
         want = forward_trace(
-            model.embedding.tolist(), conv, biases,
-            model.softmax_w.tolist(), model.softmax_b.tolist(),
+            model.params["embedding"].tolist(), conv, biases,
+            model.params["softmax_w"].tolist(), model.params["softmax_b"].tolist(),
             [batch.tokens[f][i].tolist() for f in FIELDS],
             batch.cat_positions[i].tolist(), model.cat_block_size)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -416,17 +426,17 @@ def test_load_pretrained_embeddings(tmp_path, rng):
     cfg = tiny_config()
     vocab = vocab_of([["alpha"] * 3, ["beta"] * 3], min_count=2)
     model = init_model(cfg, len(vocab), cat_block(), seed=0)
-    before = model.embedding.copy()
+    before = model.params["embedding"].copy()
 
     vec = tmp_path / "vectors.txt"
     vec.write_text("1 4\nalpha 1.0 2.0 3.0 4.0\n")
     n = load_pretrained_embeddings(model, vec, vocab)
     assert n == 1
     i = vocab.token_to_index["alpha"]
-    assert model.embedding[i].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert model.params["embedding"][i].tolist() == [1.0, 2.0, 3.0, 4.0]
     j = vocab.token_to_index["beta"]
-    assert (model.embedding[j] == before[j]).all()
-    assert not model.embedding[0].any()
+    assert (model.params["embedding"][j] == before[j]).all()
+    assert not model.params["embedding"][0].any()
 
 
 def test_load_pretrained_rejects_dim_mismatch(tmp_path):
@@ -441,11 +451,11 @@ def test_load_pretrained_rejects_dim_mismatch(tmp_path):
 def test_load_pretrained_empty_file_is_noop(tmp_path):
     vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
-    before = model.embedding.copy()
+    before = model.params["embedding"].copy()
     vec = tmp_path / "vectors.txt"
     vec.write_text("")
     assert load_pretrained_embeddings(model, vec, vocab) == 0
-    assert (model.embedding == before).all()
+    assert (model.params["embedding"] == before).all()
 
 
 def test_load_pretrained_reports_bad_line_number(tmp_path):
@@ -462,12 +472,12 @@ def test_load_pretrained_rejects_values_a_float32_row_cannot_hold(tmp_path, valu
     # unchecked, a NaN row trained to a bundle that eval then refused
     vocab = vocab_of([["a"] * 2], min_count=2)
     model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
-    before = model.embedding.copy()
+    before = model.params["embedding"].copy()
     vec = tmp_path / "vectors.txt"
     vec.write_text(f"1 4\na 1 2 {value} 4\n")
     with pytest.raises(DataError, match=f"{vec}:2: values must be finite"):
         load_pretrained_embeddings(model, vec, vocab)
-    assert model.embedding.tobytes() == before.tobytes()
+    assert model.params["embedding"].tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("infer_batch", [10, 256])

@@ -6,6 +6,7 @@ training split, the CNN those of the dev split too."""
 import dataclasses
 import gc
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ def test_token_columns_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_token_columns_memory_grows_with_its_arrays_not_its_token_strings():
+    # each record's tokens become ids as they are made; holding 1,024 records'
+    # token strings at a time grew the peak about 4x as fast as the arrays
+    small = [make_record(text=" ".join(f"word{i}" for i in range(40)),
+                         user_description=" ".join(f"about{i}" for i in range(15)),
+                         profile_location="Paris, France", user_name="bob", tz="Europe/Paris")]
+
+    def peak_and_array_bytes(copies):
+        records = small * copies
+        tracemalloc.start()
+        try:
+            cols = token_columns(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, cols.ids.nbytes + cols.indptr.nbytes
+
+    (peak_lo, arrays_lo), (peak_hi, arrays_hi) = map(peak_and_array_bytes, (300, 3000))
+    assert peak_hi - peak_lo <= 3 * (arrays_hi - arrays_lo) + (64 << 10)
 
 
 @pytest.fixture(scope="module")

@@ -26,11 +26,11 @@ def work(tmp_path_factory):
     write_corpus(SynthSpec(n_cities=40, n_countries=5, n_users=600, noise_vocab_size=200,
                            seed=3), root / "raw.jsonl", root / "cities.csv")
     assert _prepare(root / "raw.jsonl", root, root / "prep") == 0
-    for model in ("cnn", "stacking+"):
+    for model, flags in (("cnn", ["--embed-dim", "16", "--windows", "2,3", "--filters", "8",
+                                  "--max-epochs", "2"]), ("stacking+", ["--min-count", "1"])):
         assert main(["train", "--prep-dir", str(root / "prep"), "--task", "city",
                      "--model", model, "--out", str(root / f"{model}.gtlm"), "--seed", "1",
-                     "--embed-dim", "16", "--windows", "2,3", "--filters", "8",
-                     "--max-epochs", "2", "--min-count", "1"]) == 0
+                     *flags]) == 0
     return root
 
 

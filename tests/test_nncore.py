@@ -159,7 +159,8 @@ def test_one_block_bound_reaches_every_blocked_walk(monkeypatch):
                 bayes.posterior_mnb(model, counts).tobytes(),
                 [r.city_id for r in geo.assign_cities(records, table)],
                 p.tobytes(),
-                cnn.init_model(cnn.CnnConfig(embed_dim=3, windows=(1,)), 11, 8).embedding.tobytes())
+                cnn.init_model(cnn.CnnConfig(embed_dim=3, windows=(1,)), 11, 8)
+                .params["embedding"].tobytes())
 
     divisors = []
 
