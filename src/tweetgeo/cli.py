@@ -39,7 +39,7 @@ MALLOC_PIN = {-3: 8 << 20, -1: 8 << 20}
 
 
 def _windows_arg(s: str) -> tuple:
-    return tuple(int(x) for x in str(s).split(","))
+    return tuple(int(x) for x in s.split(","))
 
 
 def _min_count_arg(s: str) -> int:
@@ -47,6 +47,29 @@ def _min_count_arg(s: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"a frequency cutoff must be >= 1, got {n}")
     return n
+
+
+# the `train` flags that only some models read, by those models: (flag, type, help). Each is
+# unset unless given and refused by any other model; its help names its owner's default
+MODEL_FLAGS = {
+    ("cnn",): [
+        ("--embed-dim", int, f"word vector dimension (default {CnnConfig.embed_dim})"),
+        ("--windows", _windows_arg,
+         f"comma-separated filter window sizes (default {','.join(map(str, CnnConfig.windows))})"),
+        ("--filters", int, f"filters per window size (default {CnnConfig.filters_per_window})"),
+        ("--batch-size", int, f"mini-batch size (default {TrainConfig.batch_size})"),
+        ("--lr", float, f"Adam learning rate (default {TrainConfig.lr})"),
+        ("--max-epochs", int, f"epoch budget (default {TrainConfig.max_epochs})"),
+        ("--patience", int, f"dev checks to wait for a gain (default {TrainConfig.patience})"),
+        *((f"--max-len-{f.replace('_', '-')}", int, f"token budget for the {f} field (default {n})")
+          for f, n in DEFAULT_MAX_LENS.items()),
+        ("--vectors", str, "pretrained embedding text file ('<count> <dim>' header)")],
+    ("stacking+",): [
+        ("--igr-top-percent", float, "keep this %% of tokens by information gain ratio (default "
+         + ", ".join(f"{v:g} for {t}" for t, v in bayes.IGR_DEFAULTS.items()) + ")")],
+    ("stacking", "stacking+"): [("--min-count", _min_count_arg,
+                                 f"token frequency cutoff (default {textproc.MIN_COUNT})")],
+}
 
 
 def build_parser():
@@ -73,35 +96,13 @@ def build_parser():
     p.add_argument("--task", required=True, choices=(TASK_COUNTRY, TASK_CITY))
     p.add_argument("--model", required=True, choices=("cnn", "stacking", "stacking+"))
     p.add_argument("--out", required=True, help="model bundle path")
-    p.add_argument("--log", help="per-epoch training log CSV (cnn only)")
+    p.add_argument("--log", help="per-epoch training log CSV (the CNN's; every model accepts it)")
     p.add_argument("--seed", type=int, default=TrainConfig.seed,
                    help="training seed (default %(default)s)")
-    p.add_argument("--embed-dim", type=int, default=CnnConfig.embed_dim,
-                   help="word vector dimension (default %(default)s)")
-    # a string default goes through `type` too, and help shows it in the flag's form
-    p.add_argument("--windows", type=_windows_arg, default=",".join(map(str, CnnConfig.windows)),
-                   help="comma-separated filter window sizes (default %(default)s)")
-    p.add_argument("--filters", type=int, default=CnnConfig.filters_per_window,
-                   help="filters per window size (default %(default)s)")
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
-                   help="mini-batch size (default %(default)s)")
-    p.add_argument("--lr", type=float, default=TrainConfig.lr,
-                   help="Adam learning rate (default %(default)s)")
-    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs,
-                   help="epoch budget (default %(default)s)")
-    p.add_argument("--patience", type=int, default=TrainConfig.patience,
-                   help="dev evaluations without improvement before stopping (default %(default)s)")
-    for f, n in DEFAULT_MAX_LENS.items():
-        p.add_argument(f"--max-len-{f.replace('_', '-')}", type=int, default=n,
-                       help=f"token budget for the {f} field (default %(default)s)")
-    p.add_argument("--vectors", help="pretrained embedding text file ('<count> <dim>' header)")
-    p.add_argument("--igr-top-percent", type=float, default=None,
-                   help="stacking+: keep this %% of tokens by information gain ratio (default "
-                        + ", ".join(f"{v:g} for {t}" for t, v in bayes.IGR_DEFAULTS.items()) + ")")
-    # the CNN's cutoff is prepare's, so unset is told apart from the default
-    p.add_argument("--min-count", type=_min_count_arg, default=None,
-                   help="frequency cutoff for stacking base vocabularies "
-                        f"(default {textproc.MIN_COUNT})")
+    for models, flags in MODEL_FLAGS.items():
+        group = p.add_argument_group(f"--model {' or '.join(models)} only")
+        for flag, kind, text in flags:
+            group.add_argument(flag, type=kind, help=text)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model bundle on a labeled test split")
@@ -175,15 +176,19 @@ def _prep_file(prep: Path, name: str) -> Path:
     return path
 
 
+def _given(ns, *names, **dests) -> dict:
+    """{keyword: value} of each flag given, by its dest: a name, or {keyword: dest}."""
+    dests.update(zip(names, names))
+    return {k: getattr(ns, d) for k, d in dests.items() if getattr(ns, d) is not None}
+
+
 def cmd_train(ns) -> int:
+    for models, flags in MODEL_FLAGS.items():
+        for flag, _, _ in flags:
+            if ns.model not in models and getattr(ns, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} applies only to --model {' and '.join(models)}, "
+                                 f"not {ns.model}")
     cnn = ns.model == "cnn"
-    if ns.igr_top_percent is not None and ns.model != "stacking+":
-        raise ValueError(f"--igr-top-percent applies only to --model stacking+, not {ns.model}")
-    if ns.vectors is not None and not cnn:
-        raise ValueError(f"--vectors applies only to --model cnn, not {ns.model}")
-    if ns.min_count is not None and cnn:
-        raise ValueError("--min-count applies only to --model stacking and stacking+, not "
-                         "cnn; set the CNN's cutoff with `prepare --min-count`")
     # a bad output path is found before the fit, not after it
     for out in (ns.out, ns.log if cnn else None):
         if out is not None and not Path(out).parent.is_dir():
@@ -211,11 +216,10 @@ def cmd_train(ns) -> int:
         maps = CategoryMaps.from_value_lists(json.loads(maps_path.read_text(encoding="utf-8")))
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{maps_path}: bad category maps: {e!r}") from e
-    ccfg = CnnConfig(embed_dim=ns.embed_dim, windows=ns.windows, filters_per_window=ns.filters,
-                     label_count=len(labels),
-                     max_lens={f: getattr(ns, f"max_len_{f}") for f in DEFAULT_MAX_LENS})
-    tcfg = TrainConfig(batch_size=ns.batch_size, max_epochs=ns.max_epochs,
-                       patience=ns.patience, seed=ns.seed, lr=ns.lr)
+    lens = _given(ns, **{f: f"max_len_{f}" for f in DEFAULT_MAX_LENS})
+    ccfg = CnnConfig(label_count=len(labels), max_lens={**DEFAULT_MAX_LENS, **lens},
+                     **_given(ns, "embed_dim", "windows", filters_per_window="filters"))
+    tcfg = TrainConfig(seed=ns.seed, **_given(ns, "batch_size", "lr", "max_epochs", "patience"))
     train_feats = encode_columns(cols, vocab, maps, ccfg, y)
     dev_feats = encode_columns(dev, vocab, maps, ccfg, y_dev)
     del cols, dev, codes    # unmapped: the fit reads only the encoded features

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .geo import CityTable
+from .geo import CityTable, _check_coords
 from .textproc import ranked
 
 TASK_COUNTRY = "country"
@@ -33,6 +33,7 @@ class LabelTable:
             raise ValueError(f"unknown task {self.task!r}")
         if self.coords is not None:
             self.coords = [(float(lat), float(lon)) for lat, lon in self.coords]
+            _check_coords(*np.reshape(self.coords, (-1, 2)).T)   # a city table's rule
             if len(self.coords) != len(self.values):
                 raise ValueError(f"{len(self.coords)} coordinate pairs for "
                                  f"{len(self.values)} labels")

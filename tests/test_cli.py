@@ -380,6 +380,26 @@ def test_train_corrupt_category_maps_exits_2(prep_dir, tmp_path, capsys, maps):
     assert not (tmp_path / "c.gtlm").exists()
 
 
+def test_eval_of_a_file_with_no_usable_record_exits_2(cnn_bundle, tmp_path, capsys):
+    (tmp_path / "t.jsonl").write_bytes(NOT_UTF8_LINE + b'{"user_id": "u"}\n')
+    rc = main(["eval", "--model-file", str(cnn_bundle), "--test", str(tmp_path / "t.jsonl"),
+               "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 't.jsonl'}: no usable records\n"
+    assert not (tmp_path / "rep").exists()
+
+
+def test_an_unexpected_exception_exits_3_with_its_traceback(monkeypatch, capsys):
+    def fail(ns):
+        raise RuntimeError("not a usage or data error")
+
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    assert main(["eval", "--model-file", "m.gtlm", "--test", "t.jsonl", "--out-dir", "r"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith(
+        "RuntimeError: not a usage or data error\n")
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 1            # missing required flags
     assert main(["frobnicate"]) == 1       # unknown command
@@ -549,6 +569,22 @@ def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, shows", [
+    ("--batch-size", "batch_size and patience must be >= 1"),
+    ("--patience", "batch_size and patience must be >= 1"),
+    ("--max-epochs", "max_epochs must be >= 1"),
+    ("--windows", "windows must be positive integers")])
+def test_train_rejects_a_cnn_size_below_one(prep_dir, tmp_path, capsys, flag, shows):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", "cnn",
+               "--out", str(out / "m.gtlm"), "--log", str(out / "log.csv"),
+               *CNN_FLAGS, f"{flag}=0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {shows}\n"
+    assert list(out.iterdir()) == []
+
+
 TEST_FRACTION_ERROR = (1, "test_user_fraction must be in (0, 1)")
 MIN_COUNT_ERROR = (1, "a frequency cutoff must be >= 1")
 # (flag, value) -> (exit code, what stderr shows); a --data or --city-table
@@ -668,9 +704,8 @@ def test_cnn_train_refuses_min_count(tmp_path, capsys):
     rc = main(["train", "--prep-dir", str(tmp_path / "no-prep"), "--task", "city",
                "--model", "cnn", "--out", str(tmp_path / "m.gtlm"), "--min-count", "3"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --min-count applies only to --model stacking and stacking+")
-    assert err.count("\n") == 1 and "`prepare --min-count`" in err
+    assert capsys.readouterr().err == ("error: --min-count applies only to --model stacking "
+                                       "and stacking+, not cnn\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -688,6 +723,38 @@ def test_train_refuses_a_flag_its_model_ignores(tmp_path, capsys, model, flag, o
     assert list(tmp_path.iterdir()) == []
 
 
+CNN_ONLY = ["--embed-dim", "--windows", "--filters", "--batch-size", "--lr", "--max-epochs",
+            "--patience", "--max-len-text", "--max-len-user-description",
+            "--max-len-profile-location", "--max-len-user-name"]
+
+
+@pytest.mark.parametrize("model", ["stacking", "stacking+"])
+@pytest.mark.parametrize("flag", CNN_ONLY)
+def test_stacking_refuses_each_cnn_flag(tmp_path, capsys, model, flag):
+    # each was accepted and ignored, with exit 0; refused before any file is read
+    argv = ["train", "--prep-dir", str(tmp_path / "no-prep"), "--task", "city",
+            "--model", model, "--out", str(tmp_path / "m.gtlm")]
+    assert main(argv + [flag, "2,3" if flag == "--windows" else "8"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} applies only to --model cnn, not {model}\n"
+    assert list(tmp_path.iterdir()) == []
+    # every model accepts --log and --seed, so this run gets as far as the prepared files
+    assert main(argv + ["--log", str(tmp_path / "log.csv"), "--seed", "3"]) == 2
+    assert capsys.readouterr().err.endswith("missing; run `tweetgeo prepare` first\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_model_accepts_only_the_train_flags_it_reads():
+    # 6 flags for every model, then the model-specific ones that MODEL_FLAGS gives it
+    ns = cli.build_parser().parse_args(["train", "--prep-dir", "p", "--task", "city",
+                                        "--model", "cnn", "--out", "m.gtlm"])
+    dests = set(vars(ns)) - {"command", "func"}
+    for model, count in (("cnn", 18), ("stacking", 7), ("stacking+", 8)):
+        refused = {f[2:].replace("-", "_") for models, flags in cli.MODEL_FLAGS.items()
+                   if model not in models for f, _, _ in flags}
+        assert len(dests - refused) == count, model
+    assert {f for f, _, _ in cli.MODEL_FLAGS[("cnn",)]} == {*CNN_ONLY, "--vectors"}
+
+
 def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path, capsys):
     prep = tmp_path / "prep"
     shutil.copytree(prep_dir, prep)
@@ -697,7 +764,7 @@ def test_train_names_a_training_label_outside_the_city_table(prep_dir, tmp_path,
     # both models read the token columns, which hold no user, and name the line
     for model in ("cnn", "stacking"):
         rc = main(["train", "--prep-dir", str(prep), "--task", "city", "--model", model,
-                   "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+                   "--out", str(tmp_path / "m.gtlm"), *(CNN_FLAGS if model == "cnn" else ())])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {prep / 'train.jsonl'}: line 4 has "
                                            "city_id 987654, not in the label table\n"), model
@@ -757,7 +824,7 @@ def test_train_names_a_missing_file_its_model_reads(prep_dir, tmp_path, capsys, 
     shutil.copytree(prep_dir, prep)
     (prep / name).unlink()
     rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
-               "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+               "--out", str(tmp_path / "m.gtlm"), *(CNN_FLAGS if model == "cnn" else ())])
     assert rc == 2
     assert capsys.readouterr().err == (f"error: {prep / name} missing; "
                                        "run `tweetgeo prepare` first\n")
@@ -771,7 +838,7 @@ def test_train_on_an_empty_split_exits_2(prep_dir, tmp_path, capsys, model, task
     shutil.copytree(prep_dir, prep)
     _write_train_split(prep, [])
     rc = main(["train", "--prep-dir", str(prep), "--task", task, "--model", model,
-               "--out", str(tmp_path / "m.gtlm"), *CNN_FLAGS])
+               "--out", str(tmp_path / "m.gtlm"), *(CNN_FLAGS if model == "cnn" else ())])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {prep / 'train.jsonl'}: no usable records\n"
     assert not (tmp_path / "m.gtlm").exists()
@@ -817,7 +884,8 @@ def test_train_checks_its_output_directories_before_reading(prep_dir, tmp_path, 
     paths = {"--out": tmp_path / "m.gtlm", "--log": tmp_path / "log.csv"}
     paths[flag] = tmp_path / "nodir" / paths[flag].name
     rc = main(["train", "--prep-dir", str(prep_dir), "--task", "city", "--model", model,
-               "--out", str(paths["--out"]), "--log", str(paths["--log"]), *CNN_FLAGS])
+               "--out", str(paths["--out"]), "--log", str(paths["--log"]),
+               *(CNN_FLAGS if model == "cnn" else ())])
     assert rc == 2
     assert capsys.readouterr().err == (f"error: {paths[flag]}: {tmp_path / 'nodir'} "
                                        "is not a directory\n")
@@ -1163,6 +1231,27 @@ def test_a_city_bundle_without_label_coordinates_exits_2(cnn_bundle, prep_dir, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("bundle", ["cnn_bundle", "stack_bundle"])
+@pytest.mark.parametrize("coords", [(float("nan"), 0.0), (1e30, 0.0), (91.0, 0.0), (0.0, -200.0)],
+                         ids=["nan", "huge", "lat-91", "lon-minus-200"])
+def test_a_city_bundle_with_label_coordinates_out_of_range_exits_2(request, prep_dir, tmp_path,
+                                                                   capsys, command, bundle,
+                                                                   coords):
+    # these loaded; eval then exited 1 in the distance metrics, naming no file,
+    # and predict exited 0
+    src = request.getfixturevalue(bundle)
+    table = json.loads(bundle_io.read_sections(src)[1]["label_table"])
+    table["coords"][1] = coords
+    bad = tmp_path / "bad.gtlm"
+    _rewrite(src, bad, "label_table", bundle_io.encode_json(table))
+    assert main(_scoring_argv(command, bad, prep_dir, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (f"error: {bad}: bad label_table section: ValueError("
+                                       "'coordinates out of range: lat in [-90,90], "
+                                       "lon in [-180,180]')\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_bundle_with_truncated_vocabulary_exits_2(cnn_bundle, prep_dir, tmp_path, capsys):
     model_type, sections = bundle_io.read_sections(cnn_bundle)
     sections["vocabulary"] = sections["vocabulary"].rsplit(b"\n", 3)[0]
@@ -1211,8 +1300,16 @@ def _cut_inside_config(src, dst):
      "corrupt config: Expecting property name"),
     ("cnn_bundle", _cut_inside_config, "truncated bundle while reading section config"),
     ("stack_bundle", lambda src, dst: _rewrite(src, dst, "tensor:text:prior", b"\x08"),
-     "truncated text:prior header")],
-    ids=["config-not-json", "truncated-file", "one-byte-tensor"])
+     "truncated text:prior header"),
+    ("cnn_bundle", lambda src, dst: _rewrite(src, dst, "config", b"[]"),
+     "config section is not a JSON object"),
+    ("stack_bundle", lambda src, dst: _rewrite(src, dst, "tensor:text:prior", b"\x02\x01"),
+     "text:prior: unknown dtype size 2"),
+    ("stack_bundle", lambda src, dst: _rewrite(src, dst, "tensor:text:prior",
+                                               b"\x08\x02" + bytes(8)),
+     "truncated text:prior shape header")],
+    ids=["config-not-json", "truncated-file", "one-byte-tensor", "config-a-list",
+         "two-byte-floats", "one-of-two-axes"])
 def test_eval_bundle_error_names_the_file_once(request, prep_dir, tmp_path, capsys,
                                                bundle, corrupt, shows):
     bad = tmp_path / "bad.gtlm"

@@ -467,6 +467,31 @@ def test_load_pretrained_reports_bad_line_number(tmp_path):
         load_pretrained_embeddings(model, vec, vocab)
 
 
+def test_load_pretrained_skips_blank_lines_and_the_pad_word(tmp_path):
+    vocab = vocab_of([["a"] * 2], min_count=2)
+    model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
+    vec = tmp_path / "vectors.txt"
+    vec.write_text("2 4\n\n<pad> 1 2 3 4\n \na 5 6 7 8\n")
+    assert load_pretrained_embeddings(model, vec, vocab) == 1
+    assert not model.params["embedding"][0].any()
+    assert model.params["embedding"][vocab.token_to_index["a"]].tolist() == [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("text, shows", [
+    ("4\na 1 2 3 4\n", ":1: header must be '<count> <dim>'"),
+    ("1 four\na 1 2 3 4\n", ":1: header must be '<count> <dim>'"),
+    ("1 4\na 1 2 x 4\n", ":2: bad float: could not convert string to float: 'x'")],
+    ids=["one-number-header", "word-in-header", "bad-float"])
+def test_load_pretrained_names_the_line_of_a_malformed_file(tmp_path, text, shows):
+    vocab = vocab_of([["a"] * 2], min_count=2)
+    model = init_model(tiny_config(), len(vocab), cat_block(), seed=0)
+    vec = tmp_path / "vectors.txt"
+    vec.write_text(text)
+    with pytest.raises(DataError) as e:
+        load_pretrained_embeddings(model, vec, vocab)
+    assert str(e.value) == f"{vec}{shows}"
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
 def test_load_pretrained_rejects_values_a_float32_row_cannot_hold(tmp_path, value):
     # unchecked, a NaN row trained to a bundle that eval then refused

@@ -5,6 +5,7 @@ training split, the CNN those of the dev split too."""
 
 import dataclasses
 import gc
+import json
 import shutil
 import tracemalloc
 
@@ -140,6 +141,15 @@ def _damages(split):
         indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
         return indptr
 
+    def resealed_without(key):
+        # a manifest that lacks `key` but matches its own checksum
+        def damage(prep):
+            body = json.loads((prep / manifest).read_bytes())
+            del body["manifest_sha256"], body[key]
+            (prep / manifest).write_bytes(columns._canonical(
+                {**body, "manifest_sha256": columns._sha256(columns._canonical(body))}))
+        return damage
+
     def source_changed(prep):
         path = prep / f"{split}.jsonl"
         path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
@@ -167,6 +177,7 @@ def _damages(split):
             "country_code", lambda codes: np.full_like(codes, 2)), f"{split}_country_code.npy"),
         "non-monotone-indptr": (rewritten(indptr=lambda c: swapped(c.indptr)), indptr),
         f"another-{split}-jsonl": (source_changed, manifest),
+        "manifest-without-tokens": (resealed_without("tokens"), manifest),
     }
 
 

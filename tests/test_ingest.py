@@ -20,6 +20,8 @@ def test_parse_missing_optional_text_defaults_empty():
     del obj["user_description"]
     r = parse_record(json.dumps(obj))
     assert r.user_description == ""
+    # a null string field reads as empty too
+    assert parse_record(json.dumps(obj | {"user_name": None})).user_name == ""
 
 
 def test_parse_skips_out_of_range_latitude():
@@ -32,6 +34,13 @@ def test_parse_skips_malformed_json_and_missing_user():
         parse_record("{not json")
     with pytest.raises(RecordSkip):
         parse_record(jsonl_line(user_id=""))
+    with pytest.raises(RecordSkip, match="^line is not a json object$"):
+        parse_record('["u1", 40.0, -80.0]')
+    with pytest.raises(RecordSkip, match="^field timezone is not a string$"):
+        parse_record(jsonl_line(timezone=5))
+    for city_id in ("7", 7.0, True):
+        with pytest.raises(RecordSkip, match="^city_id must be an integer$"):
+            parse_record(jsonl_line(city_id=city_id))
 
 
 def test_parse_unlabeled_mode_allows_missing_coords():

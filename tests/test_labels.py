@@ -66,6 +66,20 @@ def test_label_table_has_coordinates_exactly_for_the_city_task(task, values, coo
         LabelTable(task, values, coords)
 
 
+@pytest.mark.parametrize("coords", [(float("nan"), 0.0), (1e30, 0.0), (91.0, 0.0),
+                                    (0.0, -200.0), (-90.5, 180.0)])
+def test_label_table_checks_its_coordinates_as_a_city_table_does(coords):
+    # eval's distance metrics and predict read them; City rows never hold these
+    with pytest.raises(ValueError, match=r"^coordinates out of range: lat in \[-90,90\]"):
+        LabelTable("city", [1, 2], [(-90.0, 180.0), coords])
+    assert LabelTable("city", [1], [(-90, -180)]).coords == [(-90.0, -180.0)]
+
+
+def test_a_country_label_table_has_no_coordinates_array():
+    with pytest.raises(ValueError, match="^no coordinates on a country-task label table$"):
+        LabelTable("country", ["US"]).coords_array()
+
+
 def test_code_array_and_country_labels_of_codes_agree_with_the_records():
     # the token columns hold each record's label as an index into its field's values
     recs = [Record(f"u{i}", country_code=c, city_id=k)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import maps_of, vocab_of
 from tweetgeo.cnn import DEFAULT_MAX_LENS, CnnConfig, encode_features
+from tweetgeo.errors import DataError
 from tweetgeo.ingest import Record
 from tweetgeo.textproc import (PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN,
                                Vocabulary, build_vocab, load_vocab, ranked, save_vocab,
@@ -197,6 +198,10 @@ def test_load_vocab_rejects_bad_files(tmp_path):
     truncated.write_text("min_count=1\nsize=5\n<pad>\n<unk>\na\n")
     with pytest.raises(Exception, match="truncated"):
         load_vocab(truncated)
+    repeated = tmp_path / "r.txt"
+    repeated.write_text("min_count=1\nsize=4\n<pad>\n<unk>\na\na\n")
+    with pytest.raises(DataError, match=": duplicate token in vocabulary$"):
+        load_vocab(repeated)
 
 
 @pytest.mark.parametrize("token", ["tz=Zone\nX", "tz=Zone\rX"])

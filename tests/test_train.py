@@ -144,6 +144,10 @@ def test_train_rejects_empty_splits():
         train(model, empty, feats, TrainConfig())
     with pytest.raises(DataError):
         train(model, feats, empty, TrainConfig())
+    unlabeled = encode_features(recs, vocab, maps, cfg)
+    for pair in ((unlabeled, feats), (feats, unlabeled)):
+        with pytest.raises(ValueError, match="^feature batches must carry labels$"):
+            train(model, *pair, TrainConfig())
 
 
 @pytest.mark.parametrize("bad_label", [-1, 3])
@@ -395,6 +399,11 @@ def test_load_rejects_label_coords_that_do_not_fit_the_labels(bundle_files, tmp_
     bundle_io.write_sections(tmp_path / "bad.gtlm", model_type, list(sections.items()))
     with pytest.raises(BundleError, match="bad label_table section"):
         load_stack_model(tmp_path / "bad.gtlm")
+
+
+def test_encode_tensor_refuses_a_dtype_without_a_4_or_8_byte_float():
+    with pytest.raises(ValueError, match="^unsupported tensor dtype int16$"):
+        bundle_io.encode_tensor(np.zeros(3, dtype=np.int16))
 
 
 def test_decode_tensor_rejects_more_axes_than_numpy_supports():
